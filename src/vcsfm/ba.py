@@ -539,10 +539,9 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
             sel = np.array([p == pid for p in person_ids])
             mesh = record.posed_mesh(pid)
             depth, _, _, ok = batch_first_hits(mesh, np.zeros((sel.sum(), 3)), dirs[sel])
-            pts = depth[:, None] * dirs[sel]
-            idx = np.nonzero(sel)[0]
-            points[idx[ok]] = pts[ok]
-            ok_all[idx[ok]] = True
+            idx = np.nonzero(sel)[0][ok]
+            points[idx] = depth[ok, None] * dirs[idx]
+            ok_all[idx] = True
         return points, ok_all
 
     pix_a = np.array([[vc.pixel_a.u, vc.pixel_a.v] for vc in vcs])

@@ -49,16 +49,8 @@ class NoSurfaceHitError(VcsfmError):
     """A correspondence ray misses the prior mesh; the track cannot be lifted."""
 
 
-class RegistrationFailureError(VcsfmError):
-    """An image could not be registered against the reconstructed set."""
-
-
 class EmptyInputError(VcsfmError):
     """A metric was asked to summarize an empty collection."""
-
-
-class UndefinedTranslationError(VcsfmError):
-    """Translation direction undefined (baseline below threshold)."""
 
 
 class ParseError(VcsfmError):
@@ -76,11 +68,3 @@ class ParseError(VcsfmError):
         self.path = path
         self.line = line
         self.column = column
-
-
-class MissingFileError(VcsfmError):
-    """A manifest referenced a file that does not exist."""
-
-
-class InvariantViolationError(VcsfmError):
-    """A loaded structure violates a type invariant; message names the field."""

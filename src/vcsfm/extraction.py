@@ -433,31 +433,21 @@ def ray_gap(ray_a: Ray, ray_b: Ray) -> float:
     b = float(u1 @ u2)
     d = float(u1 @ w)
     e = float(u2 @ w)
-    denom = 1.0 - b * b
+    normal = np.cross(u1, u2)
+    denom = float(normal @ normal)  # 1 - b^2, without its cancellation
     gaps = []
     if denom > 1e-12:
         s = (b * e - d) / denom
         t = (e - b * d) / denom
         if s >= 0.0 and t >= 0.0:
-            gaps.append(np.linalg.norm(w + s * u1 - t * u2))
+            # distance of the lines along their common normal; forming the two
+            # closest points instead cancels when the rays are nearly opposed
+            gaps.append(abs(float(w @ normal)) / np.sqrt(denom))
     t0 = max(0.0, e)  # best t when s is clamped to 0
     gaps.append(np.linalg.norm(w - t0 * u2))
     s0 = max(0.0, -d)  # best s when t is clamped to 0
     gaps.append(np.linalg.norm(w + s0 * u1))
     return float(min(gaps))
-
-
-def closest_approach_params(ray_a: Ray, ray_b: Ray):
-    """Unconstrained closest-approach parameters (d_a, d_b); None if parallel."""
-    u1, u2 = ray_a.direction, ray_b.direction
-    w = ray_a.origin - ray_b.origin
-    b = float(u1 @ u2)
-    denom = 1.0 - b * b
-    if denom <= 1e-12:
-        return None
-    d = float(u1 @ w)
-    e = float(u2 @ w)
-    return (b * e - d) / denom, (e - b * d) / denom
 
 
 def save_vc_file(entries, path) -> None:

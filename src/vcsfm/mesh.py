@@ -3,6 +3,23 @@ surface-coordinate (face + barycentric) addressing.
 
 Coordinates address points on the canonical topology, so the same coordinate
 names the same body point on every posed copy of a mesh.
+
+Every cast goes through one kernel, `cast_rays`, with this contract:
+
+- Candidates are conservative. Rays are cast one origin group at a time.
+  Face vertices and ray directions are projected centrally onto the plane
+  normal to the rays' mean direction, and a face is tested only against the
+  rays whose projection falls in its projected bounding box, padded far past
+  the barycentric slack. A face with a vertex at or behind the origin's plane
+  is tested against every ray; a ray pointing away from that plane only
+  against such faces. The result is that of testing every (ray, face) pair.
+- The test is Moller-Trumbore (Moller & Trumbore, JGT 1997) with inclusive
+  barycentric bounds (BARY_TOL), keeping hits deeper than EPS_MIN.
+- Depth is in units of the given direction vectors, which need not be unit.
+- Hits of one ray that follow each other within DEPTH_TIE in depth (a ray
+  through a shared edge or vertex) collapse to the smallest face index.
+- At most `max_hits` hits per ray are kept, nearest first; the first hit is
+  `max_hits=1`.
 """
 
 from __future__ import annotations
@@ -20,9 +37,14 @@ EPS_MIN = 1e-9
 DEPTH_TIE = 1e-12
 # inclusive barycentric slack so shared-edge hits register in both triangles
 BARY_TOL = 1e-10
-# brute force below this face count, bounding-volume hierarchy above
-BVH_FACE_THRESHOLD = 1000
-_LEAF_SIZE = 8
+# pad of a projected face box, in box extents per unit vertex-depth ratio;
+# the barycentric slack needs at most 2 * BARY_TOL
+BOX_PAD = 1e-8
+# vertices closer than this to the origin's plane, relative to the mesh's
+# extent about the origin, count as on it
+PLANE_TOL = 1e-12
+# rays per cell of the grid the projected rays are binned on
+RAYS_PER_CELL = 2
 
 
 @dataclass(frozen=True)
@@ -50,7 +72,7 @@ class SurfaceHit:
 
 
 class TriangleMesh:
-    """Immutable triangle mesh; builds its spatial index lazily."""
+    """Immutable triangle mesh with the per-face vectors ray casting uses."""
 
     def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=np.float64).reshape(-1, 3)
@@ -68,16 +90,10 @@ class TriangleMesh:
         self.face_areas = areas
         for a in (self.vertices, self.faces, self._v0, self._e1, self._e2, areas):
             a.flags.writeable = False
-        self._bvh = None
 
     @property
     def num_faces(self) -> int:
         return len(self.faces)
-
-    def bvh(self) -> "_Bvh":
-        if self._bvh is None:
-            self._bvh = _Bvh(self)
-        return self._bvh
 
     def transformed(self, rotation=None, translation=None, scale=1.0) -> "TriangleMesh":
         """Rigidly (plus isotropic scale) transformed copy; topology shared."""
@@ -111,284 +127,191 @@ def surface_distance(mesh: TriangleMesh, a: SurfaceCoordinate, b: SurfaceCoordin
     return float(np.linalg.norm(surface_point(mesh, a) - surface_point(mesh, b)))
 
 
-def _moller_trumbore(v0, e1, e2, origin, direction):
-    """Intersection of one ray against triangle arrays.
+def cast_rays(mesh: TriangleMesh, origins, directions, max_hits: int | None = None):
+    """Hits of many rays, nearest first, at most `max_hits` per ray.
 
-    Returns (t, u, v, valid) over the triangles; `valid` applies the
-    inclusive barycentric bounds and the forward-depth test.
+    origins, directions: (N, 3). Returns (ray (K,), depth (K,), face (K,),
+    bary (K, 3)) over the K hits kept, ordered by ray index, then depth.
     """
-    pvec = np.cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+    directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+    if len(origins) == 0 or mesh.num_faces == 0:
+        groups = []
+    elif np.all(origins == origins[0]):
+        groups = [(origins[0], np.arange(len(origins)))]
+    else:
+        uniq, group = np.unique(origins, axis=0, return_inverse=True)
+        group = group.ravel()
+        groups = [(o, np.flatnonzero(group == g)) for g, o in enumerate(uniq)]
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+              np.empty(0), np.empty(0), np.empty(0))]
+    for origin, rows in groups:
+        ray, face = _candidate_pairs(mesh, origin, directions[rows])
+        t, u, v, valid = _moller_trumbore(mesh, origin, directions[rows], ray, face)
+        parts.append((rows[ray[valid]], face[valid], t[valid], u[valid], v[valid]))
+    ray, face, t, u, v = (np.concatenate(p) for p in zip(*parts))
+
+    order = np.lexsort((face, t, ray))
+    ray, face, t, u, v = ray[order], face[order], t[order], u[order], v[order]
+    # tie groups; a ray meets a face at most once, so the group's smallest
+    # face names its one survivor
+    new_group = np.ones(len(ray), dtype=bool)
+    new_group[1:] = (ray[1:] != ray[:-1]) | (t[1:] - t[:-1] > DEPTH_TIE)
+    starts = np.flatnonzero(new_group)
+    if len(starts):
+        smallest = np.minimum.reduceat(face, starts)
+        keep = face == np.repeat(smallest, np.diff(np.r_[starts, len(ray)]))
+        ray, face, t, u, v = ray[keep], face[keep], t[keep], u[keep], v[keep]
+    if max_hits is not None and len(ray):
+        first = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
+        rank = np.arange(len(ray)) - np.repeat(first, np.diff(np.r_[first, len(ray)]))
+        keep = rank < max_hits
+        ray, face, t, u, v = ray[keep], face[keep], t[keep], u[keep], v[keep]
+    bary = np.clip(np.column_stack([1.0 - u - v, u, v]), 0.0, None)
+    bary /= bary.sum(axis=1, keepdims=True)
+    return ray, t, face, bary
+
+
+def _moller_trumbore(mesh: TriangleMesh, origin, dirs, ray, face):
+    """(t, u, v, hit-mask) of rays `dirs` from `origin` on the (ray, face) pairs.
+
+    With one origin the triple products factor into per-face vectors, so the
+    determinant and the numerators of u and v are dot products of the ray
+    direction with a per-face (3, 3) table.
+    """
+    tvec = origin - mesh._v0
+    qvec = np.cross(tvec, mesh._e1)
+    table = np.stack([np.cross(mesh._e1, mesh._e2), np.cross(mesh._e2, tvec), qvec], axis=2)
+    dots = (dirs[ray][:, None, :] @ table[face])[:, 0]  # -det, u and v numerators
+    det = -dots[:, 0]
     ok = np.abs(det) > 1e-14
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = origin - v0
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1)
-    v = qvec @ direction * inv
-    t = np.einsum("ij,ij->i", qvec, e2) * inv
-    valid = (
-        ok
-        & (u >= -BARY_TOL)
-        & (v >= -BARY_TOL)
-        & (u + v <= 1.0 + BARY_TOL)
-        & (t > EPS_MIN)
-    )
+    u = dots[:, 1] * inv
+    v = dots[:, 2] * inv
+    t = np.einsum("fj,fj->f", qvec, mesh._e2)[face] * inv
+    valid = ok & (u >= -BARY_TOL) & (v >= -BARY_TOL) & (u + v <= 1.0 + BARY_TOL) & (t > EPS_MIN)
     return t, u, v, valid
 
 
-def _collect_hits(ray, t, u, v, valid, face_idx):
-    """Sort raw intersections by depth, collapse ties, build SurfaceHits."""
-    if not np.any(valid):
-        return []
-    t, u, v, face_idx = t[valid], u[valid], v[valid], face_idx[valid]
-    order = np.lexsort((face_idx, t))
-    t, u, v, face_idx = t[order], u[order], v[order], face_idx[order]
+def _candidate_pairs(mesh: TriangleMesh, origin, dirs):
+    """(ray, face) index pairs that may intersect, for rays from one origin."""
+    lengths = np.linalg.norm(dirs, axis=1, keepdims=True)
+    axis = (dirs / np.where(lengths > 0.0, lengths, 1.0)).sum(axis=0)
+    if not np.linalg.norm(axis) > 0.0:
+        axis = np.array([0.0, 0.0, 1.0])
+    axis /= np.linalg.norm(axis)
+    side = np.cross(np.eye(3)[np.argmin(np.abs(axis))], axis)
+    side /= np.linalg.norm(side)
+    frame = np.stack([side, np.cross(axis, side), axis])  # rows: plane x, y, normal
 
-    hits = []
-    i = 0
-    while i < len(t):
-        j = i + 1
-        while j < len(t) and t[j] - t[i] <= DEPTH_TIE:
-            j += 1
-        group = slice(i, j)
-        k = i + int(np.argmin(face_idx[group]))
-        b = np.clip([1.0 - u[k] - v[k], u[k], v[k]], 0.0, None)
-        b = b / b.sum()
-        coord = SurfaceCoordinate(int(face_idx[k]), (b[0], b[1], b[2]))
-        hits.append(SurfaceHit(float(t[k]), coord, ray.point_at(float(t[k]))))
-        i = j
-    return hits
+    vert = (mesh.vertices - origin) @ frame.T
+    on_plane = vert[:, 2] <= PLANE_TOL * np.abs(vert).max()
+    corners = mesh.faces.T  # (3, F)
+    behind = on_plane[corners[0]] | on_plane[corners[1]] | on_plane[corners[2]]
+    local = dirs @ frame.T
+    ray_parts, face_parts = [], []
+
+    # rays into the far half-space against faces wholly in it
+    ahead = np.flatnonzero(~behind)
+    front = np.flatnonzero(local[:, 2] > 0.0)
+    if len(ahead) and len(front):
+        z = np.where(on_plane, 1.0, vert[:, 2])
+        # (3, faces) corner values of the projected x and y and of the depth
+        cx, cy, cz = (c[corners[:, ahead]] for c in (vert[:, 0] / z, vert[:, 1] / z, z))
+        lo = np.stack([cx.min(axis=0), cy.min(axis=0)])  # (2, faces)
+        hi = np.stack([cx.max(axis=0), cy.max(axis=0)])
+        # central projection scales a barycentric slack by at most the ratio
+        # of the face's vertex depths; the last term covers rounding
+        pad = (BOX_PAD * (hi - lo).max(axis=0) * cz.max(axis=0) / cz.min(axis=0)
+               + 1e-9 * np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
+        lo -= pad
+        hi += pad
+        q = local[front, :2].T / local[front, 2]  # (2, rays)
+        inside = np.all((q >= lo.min(axis=1, keepdims=True))
+                        & (q <= hi.max(axis=1, keepdims=True)), axis=0)
+        front, q = front[inside], q[:, inside]
+    if len(ahead) and len(front):
+        n = max(1, int(np.sqrt(len(front) / RAYS_PER_CELL)))  # n x n grid
+        q0 = q.min(axis=1, keepdims=True)
+        size = np.maximum(q.max(axis=1, keepdims=True) - q0, 1e-300) / n
+        ix, iy = np.minimum(((q - q0) / size).astype(np.int64), n - 1)
+        by_cell = np.argsort(iy * n + ix, kind="stable")
+        cell_start = np.searchsorted((iy * n + ix)[by_cell], np.arange(n * n + 1))
+        # cell range of each box; rounding is monotone, so a ray inside a box
+        # falls in a cell inside its range
+        c0 = np.clip(np.floor((lo - q0) / size), 0, n - 1).astype(np.int64)
+        c1 = np.clip(np.floor((hi - q0) / size), -1, n - 1).astype(np.int64)
+        rows = np.maximum(c1[1] - c0[1] + 1, 0) * (c1[0] >= c0[0])
+        box = np.repeat(np.arange(len(ahead)), rows)
+        row = _ranges(c0[1, rows > 0], rows[rows > 0])
+        # the cells of one box row hold a contiguous run of the sorted rays
+        first = cell_start[row * n + c0[0, box]]
+        count = cell_start[row * n + c1[0, box] + 1] - first
+        box = np.repeat(box, count)
+        pos = by_cell[_ranges(first, count)]
+        qx, qy = q[0, pos], q[1, pos]
+        inbox = (qx >= lo[0, box]) & (qx <= hi[0, box]) & (qy >= lo[1, box]) & (qy <= hi[1, box])
+        ray_parts.append(front[pos[inbox]])
+        face_parts.append(ahead[box[inbox]])
+
+    # faces at or behind the origin's plane against every ray
+    straddle = np.flatnonzero(behind)
+    ray_parts.append(np.repeat(np.arange(len(dirs)), len(straddle)))
+    face_parts.append(np.tile(straddle, len(dirs)))
+    return np.concatenate(ray_parts), np.concatenate(face_parts)
 
 
-def ray_mesh_all_hits(mesh: TriangleMesh, ray: Ray, accel: str = "auto") -> list[SurfaceHit]:
+def _ranges(starts, counts):
+    """Concatenation of the integer ranges [starts[i], starts[i] + counts[i])."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def ray_mesh_all_hits(mesh: TriangleMesh, ray: Ray) -> list[SurfaceHit]:
     """Every intersection of a ray with the mesh, ascending in depth.
 
-    accel: "auto" (index above BVH_FACE_THRESHOLD faces), "bvh", or "brute".
     A miss returns an empty list.
     """
-    if accel == "auto":
-        accel = "bvh" if mesh.num_faces > BVH_FACE_THRESHOLD else "brute"
-    if accel == "bvh":
-        cand = mesh.bvh().candidate_faces(ray.origin, ray.direction)
-        if cand.size == 0:
-            return []
-        t, u, v, valid = _moller_trumbore(
-            mesh._v0[cand], mesh._e1[cand], mesh._e2[cand], ray.origin, ray.direction
-        )
-        return _collect_hits(ray, t, u, v, valid, cand)
-    t, u, v, valid = _moller_trumbore(mesh._v0, mesh._e1, mesh._e2, ray.origin, ray.direction)
-    return _collect_hits(ray, t, u, v, valid, np.arange(mesh.num_faces))
+    _, depth, face, bary = cast_rays(mesh, ray.origin[None], ray.direction[None])
+    return [
+        SurfaceHit(float(t), SurfaceCoordinate(int(f), tuple(b)), ray.point_at(float(t)))
+        for t, f, b in zip(depth, face, bary)
+    ]
 
 
-def first_hit(mesh: TriangleMesh, ray: Ray, accel: str = "auto") -> SurfaceHit | None:
+def first_hit(mesh: TriangleMesh, ray: Ray) -> SurfaceHit | None:
     """Nearest intersection, or None on a miss."""
-    hits = ray_mesh_all_hits(mesh, ray, accel=accel)
+    hits = ray_mesh_all_hits(mesh, ray)
     return hits[0] if hits else None
 
 
-def batch_first_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarray,
-                     chunk: int = 1024):
-    """First hit of many rays at once (brute force, chunked).
+def batch_first_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarray):
+    """First hit of many rays.
 
-    origins, directions: (N, 3); directions need not be unit length, depths are
-    reported in units of the given direction vectors. Returns
-    (depth (N,), face (N,), bary (N, 3), hit-mask (N,)).
+    origins, directions: (N, 3); depths are in units of the given direction
+    vectors. Returns (depth (N,), face (N,), bary (N, 3), hit-mask (N,)), with
+    depth inf, face -1 and bary 0 on a miss.
     """
-    origins = np.asarray(origins, dtype=np.float64)
-    directions = np.asarray(directions, dtype=np.float64)
-    n = len(origins)
-    tables = None
-    if n > 1 and np.ptp(origins, axis=0).max() == 0.0:
-        tables = _shared_origin_tables(mesh, origins[0])
+    n = len(np.asarray(directions).reshape(-1, 3))
+    ray, t, f, b = cast_rays(mesh, origins, directions, max_hits=1)
     depth = np.full(n, np.inf)
     face = np.full(n, -1, dtype=np.int64)
     bary = np.zeros((n, 3))
-    for s in range(0, n, chunk):
-        sl = slice(s, min(s + chunk, n))
-        t, u, v, valid = _mt_batch(mesh, origins[sl], directions[sl], tables)
-        t = np.where(valid, t, np.inf)
-        best = np.argmin(t, axis=1)
-        rows = np.arange(t.shape[0])
-        tb = t[rows, best]
-        hit = np.isfinite(tb)
-        depth[sl] = tb
-        f = np.where(hit, best, -1)
-        face[sl] = f
-        ub, vb = u[rows, best], v[rows, best]
-        b = np.stack([1.0 - ub - vb, ub, vb], axis=1)
-        b = np.clip(b, 0.0, None)
-        b /= np.maximum(b.sum(axis=1, keepdims=True), 1e-300)
-        bary[sl] = np.where(hit[:, None], b, 0.0)
+    depth[ray], face[ray], bary[ray] = t, f, b
     return depth, face, bary, face >= 0
 
 
 def batch_all_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarray,
-                   max_hits: int | None = None, chunk: int = 1024):
-    """All hits of many rays (brute force, chunked), per-ray ascending depth.
+                   max_hits: int | None = None):
+    """All hits of many rays, per ray ascending in depth.
 
-    Returns a list of (depths (k,), faces (k,), barys (k, 3)) per ray, with the
-    same tie-collapse rule as ray_mesh_all_hits and k capped at max_hits.
+    Returns a list of (depths (k,), faces (k,), barys (k, 3)) per ray, with k
+    capped at max_hits.
     """
-    origins = np.asarray(origins, dtype=np.float64)
-    directions = np.asarray(directions, dtype=np.float64)
-    tables = None
-    if len(origins) > 1 and np.ptp(origins, axis=0).max() == 0.0:
-        tables = _shared_origin_tables(mesh, origins[0])
-    out = []
-    for s in range(0, len(origins), chunk):
-        sl = slice(s, min(s + chunk, len(origins)))
-        t, u, v, valid = _mt_batch(mesh, origins[sl], directions[sl], tables)
-        for r in range(t.shape[0]):
-            vr = valid[r]
-            if not vr.any():
-                out.append((np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, 3))))
-                continue
-            faces = np.nonzero(vr)[0]
-            tr, ur, vvr = t[r, vr], u[r, vr], v[r, vr]
-            order = np.lexsort((faces, tr))
-            tr, ur, vvr, faces = tr[order], ur[order], vvr[order], faces[order]
-            keep_t, keep_f, keep_b = [], [], []
-            i = 0
-            while i < len(tr):
-                j = i + 1
-                while j < len(tr) and tr[j] - tr[i] <= DEPTH_TIE:
-                    j += 1
-                k = i + int(np.argmin(faces[i:j]))
-                b = np.clip([1.0 - ur[k] - vvr[k], ur[k], vvr[k]], 0.0, None)
-                keep_t.append(tr[k])
-                keep_f.append(faces[k])
-                keep_b.append(b / b.sum())
-                i = j
-                if max_hits is not None and len(keep_t) >= max_hits:
-                    break
-            out.append(
-                (np.array(keep_t), np.array(keep_f, dtype=np.int64), np.array(keep_b))
-            )
-    return out
-
-
-def _mt_batch(mesh, origins, directions, shared_tables=None):
-    """Moller-Trumbore for (R, 3) rays against every face: (R, F) outputs."""
-    if shared_tables is not None:
-        return _mt_batch_shared_origin(mesh, None, directions, shared_tables)
-    if len(origins) > 1 and np.ptp(origins, axis=0).max() == 0.0:
-        return _mt_batch_shared_origin(mesh, origins[0], directions)
-    v0, e1, e2 = mesh._v0, mesh._e1, mesh._e2
-    pvec = np.cross(directions[:, None, :], e2[None, :, :])
-    det = np.einsum("fj,rfj->rf", e1, pvec)
-    ok = np.abs(det) > 1e-14
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = origins[:, None, :] - v0[None, :, :]
-    u = np.einsum("rfj,rfj->rf", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1[None, :, :])
-    v = np.einsum("rfj,rj->rf", qvec, directions) * inv
-    t = np.einsum("rfj,fj->rf", qvec, e2) * inv
-    valid = ok & (u >= -BARY_TOL) & (v >= -BARY_TOL) & (u + v <= 1.0 + BARY_TOL) & (t > EPS_MIN)
-    return t, u, v, valid
-
-
-def _shared_origin_tables(mesh, origin):
-    """Per-face vectors of the shared-origin Moller-Trumbore factorization."""
-    v0, e1, e2 = mesh._v0, mesh._e1, mesh._e2
-    tvec = np.asarray(origin)[None, :] - v0
-    qvec = np.cross(tvec, e1)
-    return (
-        np.cross(e1, e2),  # det = -dirs @ this
-        np.cross(e2, tvec),  # u numerator
-        qvec,  # v numerator
-        np.einsum("fj,fj->f", qvec, e2),  # t numerator (per face)
-    )
-
-
-def _mt_batch_shared_origin(mesh, origin, directions, tables=None):
-    """Same outputs as _mt_batch when every ray starts at one origin.
-
-    With a fixed origin the triple products factor into per-face vectors, so
-    the whole batch becomes three (R,3)x(3,F) matmuls instead of an (R,F,3)
-    broadcast cross product.
-    """
-    if tables is None:
-        tables = _shared_origin_tables(mesh, origin)
-    a, b_num, c_num, t_num = tables
-    det = -(directions @ a.T)
-    ok = np.abs(det) > 1e-14
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    u = (directions @ b_num.T) * inv
-    v = (directions @ c_num.T) * inv
-    t = t_num[None, :] * inv
-    valid = ok & (u >= -BARY_TOL) & (v >= -BARY_TOL) & (u + v <= 1.0 + BARY_TOL) & (t > EPS_MIN)
-    return t, u, v, valid
-
-
-class _Bvh:
-    """Median-split bounding-volume hierarchy over face AABBs."""
-
-    def __init__(self, mesh: TriangleMesh):
-        f = mesh.faces
-        tri = mesh.vertices[f]  # (F, 3, 3)
-        lo = tri.min(axis=1)
-        hi = tri.max(axis=1)
-        centers = tri.mean(axis=1)
-        self.order = np.arange(len(f))
-        n_nodes_cap = 2 * max(1, len(f)) + 1
-        self.node_lo = np.empty((n_nodes_cap, 3))
-        self.node_hi = np.empty((n_nodes_cap, 3))
-        self.node_left = np.full(n_nodes_cap, -1, dtype=np.int64)
-        self.node_right = np.full(n_nodes_cap, -1, dtype=np.int64)
-        self.node_start = np.zeros(n_nodes_cap, dtype=np.int64)
-        self.node_count = np.zeros(n_nodes_cap, dtype=np.int64)
-        self._n = 0
-        if len(f):
-            self._build(0, len(f), lo, hi, centers)
-
-    def _new_node(self):
-        i = self._n
-        self._n += 1
-        return i
-
-    def _build(self, start, end, lo, hi, centers):
-        node = self._new_node()
-        idx = self.order[start:end]
-        self.node_lo[node] = lo[idx].min(axis=0)
-        self.node_hi[node] = hi[idx].max(axis=0)
-        if end - start <= _LEAF_SIZE:
-            self.node_start[node] = start
-            self.node_count[node] = end - start
-            return node
-        c = centers[idx]
-        axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
-        local = np.argsort(c[:, axis], kind="stable")
-        self.order[start:end] = idx[local]
-        mid = start + (end - start) // 2
-        self.node_left[node] = self._build(start, mid, lo, hi, centers)
-        self.node_right[node] = self._build(mid, end, lo, hi, centers)
-        return node
-
-    def candidate_faces(self, origin, direction) -> np.ndarray:
-        """Faces whose leaf AABB the ray enters, in index order."""
-        if self._n == 0:
-            return np.empty(0, dtype=np.int64)
-        with np.errstate(divide="ignore"):
-            inv = np.where(np.abs(direction) > 1e-300, 1.0 / direction, np.inf)
-        stack = [0]
-        found = []
-        while stack:
-            node = stack.pop()
-            t1 = (self.node_lo[node] - origin) * inv
-            t2 = (self.node_hi[node] - origin) * inv
-            tmin = np.minimum(t1, t2).max()
-            tmax = np.maximum(t1, t2).min()
-            if tmax < max(tmin, 0.0):
-                continue
-            if self.node_left[node] < 0:
-                s = self.node_start[node]
-                found.append(self.order[s : s + self.node_count[node]])
-            else:
-                stack.append(int(self.node_right[node]))
-                stack.append(int(self.node_left[node]))
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(found))
+    n = len(np.asarray(directions).reshape(-1, 3))
+    ray, depth, face, bary = cast_rays(mesh, origins, directions, max_hits=max_hits)
+    bounds = np.searchsorted(ray, np.arange(n + 1))
+    return [(depth[a:b], face[a:b], bary[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def load_mesh_text(path) -> TriangleMesh:

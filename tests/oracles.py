@@ -12,17 +12,29 @@ from scipy.spatial.transform import Rotation
 
 def ray_triangle_hits_oracle(vertices, faces, origin, direction):
     """All forward ray-triangle hits by solving each 3x3 system directly."""
-    hits = []
-    for fi, (a, b, c) in enumerate(faces):
-        va, vb, vc = vertices[a], vertices[b], vertices[c]
-        m = np.column_stack([vb - va, vc - va, -np.asarray(direction)])
-        if abs(np.linalg.det(m)) < 1e-14:
-            continue
-        u, v, t = np.linalg.solve(m, np.asarray(origin) - va)
-        if u >= -1e-10 and v >= -1e-10 and u + v <= 1.0 + 1e-10 and t > 1e-9:
-            hits.append((t, fi, np.array([1.0 - u - v, u, v])))
+    tri = np.asarray(vertices, dtype=np.float64)[np.asarray(faces)]
+    va, vb, vc = tri[:, 0], tri[:, 1], tri[:, 2]
+    m = np.stack([vb - va, vc - va, np.broadcast_to(-np.asarray(direction), va.shape)], axis=2)
+    solvable = np.flatnonzero(np.abs(np.linalg.det(m)) >= 1e-14)
+    uvt = np.linalg.solve(m[solvable], (np.asarray(origin) - va[solvable])[:, :, None])[:, :, 0]
+    u, v, t = uvt.T
+    inside = (u >= -1e-10) & (v >= -1e-10) & (u + v <= 1.0 + 1e-10) & (t > 1e-9)
+    hits = [(t[i], int(solvable[i]), np.array([1.0 - u[i] - v[i], u[i], v[i]]))
+            for i in np.flatnonzero(inside)]
     hits.sort(key=lambda h: (h[0], h[1]))
     return hits
+
+
+def collapsed_hits_oracle(vertices, faces, origin, direction, depth_tie, max_hits=None):
+    """Oracle hits where consecutive depths within depth_tie keep only the
+    smallest face, at most max_hits of them."""
+    groups = []
+    for hit in ray_triangle_hits_oracle(vertices, faces, origin, direction):
+        if groups and hit[0] - groups[-1][-1][0] <= depth_tie:
+            groups[-1].append(hit)
+        else:
+            groups.append([hit])
+    return [min(g, key=lambda h: h[1]) for g in groups][:max_hits]
 
 
 def ray_gap_grid_oracle(o1, d1, o2, d2, d_max=50.0, coarse=400, refine_iters=3):

@@ -285,6 +285,21 @@ def test_ray_gap_matches_grid_oracle(rng):
         assert got == pytest.approx(want, abs=1e-6)
 
 
+def test_ray_gap_nearly_opposed_rays():
+    # two opposed cameras 6 apart whose rays meet 1e-4 off the line joining them
+    oa, ob = np.array([0.0, 0.0, -3.0]), np.array([0.0, 0.0, 3.0])
+    for p in ([1e-4, 0.0, 0.0], [0.0, -1e-4, 1.2], [7e-5, 7e-5, -2.0]):
+        p = np.array(p)
+        ray_a = Ray(oa, p - oa)
+        assert ray_gap(ray_a, Ray(ob, p - ob)) < 1e-9
+        for offset in (1e-3, 0.05):
+            ray_b = Ray(ob + [0.0, offset, 0.0], p - ob)
+            got = ray_gap(ray_a, ray_b)
+            want = ray_gap_grid_oracle(ray_a.origin, ray_a.direction, ray_b.origin, ray_b.direction)
+            assert got <= want + 1e-9
+            assert got == pytest.approx(want, abs=1e-6)
+
+
 def test_vc_ray_gap_same_world_point(rng):
     from conftest import random_intrinsics, random_pose
     from vcsfm.geometry import project

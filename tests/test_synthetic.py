@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import collapsed_hits_oracle
 from vcsfm.extraction import ray_gap
 from vcsfm.geometry import Ray, project_points, ray_through_pixel, SE3Pose
-from vcsfm.mesh import ray_mesh_all_hits, surface_points
+from vcsfm.mesh import DEPTH_TIE, ray_mesh_all_hits, surface_points
 from vcsfm.synthetic import (
     NoiseConfig,
     SceneConfig,
@@ -150,6 +151,28 @@ def test_render_prescreen_matches_full_frame():
         ray = Ray([0.0, 0.0, 0.0], np.append(k.normalize(np.array([u, v], dtype=float)), 1.0))
         hit = ray_mesh_all_hits(mesh_cam, ray)[0]
         assert hit.coord.face == dsm.faces[v, u]
+
+
+def test_render_matches_per_pixel_oracle():
+    scene = generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, 120.0),
+                                       image_size=(32, 24), focal_length=40.0,
+                                       fill_fraction=0.8))
+    for cam, pose in enumerate(scene.gt_poses):
+        mesh_cam = scene.gt_mesh.transformed(rotation=pose.rotation, translation=pose.translation)
+        k = scene.records[cam].intrinsics
+        dsm = scene.clean_maps[cam]
+        assert dsm.num_mapped > 150
+        for v in range(24):
+            for u in range(32):
+                d = np.append(k.normalize(np.array([u, v], dtype=float)), 1.0)
+                want = collapsed_hits_oracle(mesh_cam.vertices, mesh_cam.faces, np.zeros(3), d,
+                                             DEPTH_TIE, max_hits=1)
+                if not want:
+                    assert dsm.faces[v, u] == -1
+                    continue
+                _, face, bary = want[0]
+                assert dsm.faces[v, u] == face
+                assert np.allclose(dsm.barys[v, u], bary, atol=1e-9)
 
 
 def test_scene_config_validation():
