@@ -15,12 +15,10 @@ penalty, which tolerates slightly inconsistent initializations.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoSurfaceHitError, ParseError
 from .extraction import VirtualCorrespondence
 from .geometry import (
     CameraIntrinsics,
@@ -77,7 +75,6 @@ class BaConfig:
     gradient_tolerance: float = 1e-9
     step_tolerance: float = 1e-12
     history_size: int = 10
-    huber_width: float | None = None  # pixels; None = plain least squares
 
     def __post_init__(self):
         if self.gradient_tolerance <= 0 or self.step_tolerance <= 0:
@@ -111,74 +108,82 @@ class BaProblem:
 
     # -- parameter vector layout ------------------------------------------
 
-    def layout(self) -> "_Layout":
-        return _Layout(self)
-
-    def pack_params(self) -> np.ndarray:
-        lay = self.layout()
+    def pack_params(self, lay: "_Layout") -> np.ndarray:
+        """Parameter vector of the problem as stored (rotation increments 0)."""
         x = np.zeros(lay.size)
-        for ci, sl in lay.cam_slice.items():
-            x[sl.start + 3 : sl.stop] = self.cameras[ci].pose.translation
-        for tr, (x1_sl, a_i, b_i, x2_sl), x2 in zip(
-            self.tracks, lay.track_entries, self.soft_x2 or [None] * len(self.tracks)
-        ):
-            x[x1_sl] = tr.x1
-            if a_i is not None:
-                x[a_i] = tr.a
-                x[b_i] = tr.b
-            if x2_sl is not None:
-                x[x2_sl] = x2
+        for ci, off in lay.cam_offset.items():
+            x[off + 3 : off + 6] = self.cameras[ci].pose.translation
+        x[lay.x1_idx] = np.reshape([tr.x1 for tr in self.tracks], (-1, 3))
+        x[lay.a_idx] = [self.tracks[i].a for i in lay.virtual_rows]
+        x[lay.b_idx] = [self.tracks[i].b for i in lay.virtual_rows]
+        x2 = [self.soft_x2[i] for i in np.flatnonzero(lay.soft)]
+        x[lay.x2_idx] = np.reshape(x2, (-1, 3))
         return x
 
-    def apply_params(self, x) -> "BaProblem":
+    def apply_params(self, x, lay: "_Layout") -> "BaProblem":
         """Problem with the parameter vector folded back in (new chart)."""
-        lay = self.layout()
         cams = list(self.cameras)
-        for ci, sl in lay.cam_slice.items():
-            w = x[sl.start : sl.start + 3]
-            t = x[sl.start + 3 : sl.stop]
+        for ci, off in lay.cam_offset.items():
+            w = x[off : off + 3]
+            t = x[off + 3 : off + 6]
             cams[ci] = replace(
                 cams[ci], pose=SE3Pose(so3_exp(w) @ cams[ci].pose.rotation, t)
             )
-        tracks = []
-        soft_x2 = [] if self.soft_x2 is not None else None
-        for ti, (tr, (x1_sl, a_i, b_i, x2_sl)) in enumerate(
-            zip(self.tracks, lay.track_entries)
-        ):
-            tracks.append(
-                replace(
-                    tr,
-                    x1=x[x1_sl].copy(),
-                    a=float(x[a_i]) if a_i is not None else 0.0,
-                    b=float(x[b_i]) if b_i is not None else 0.0,
-                )
-            )
-            if soft_x2 is not None:
-                soft_x2.append(x[x2_sl].copy() if x2_sl is not None else self.soft_x2[ti])
+        a = np.zeros(lay.n)
+        b = np.zeros(lay.n)
+        a[lay.virtual_rows] = x[lay.a_idx]
+        b[lay.virtual_rows] = x[lay.b_idx]
+        tracks = [
+            replace(tr, x1=x1, a=float(ai), b=float(bi))
+            for tr, x1, ai, bi in zip(self.tracks, x[lay.x1_idx], a, b)
+        ]
+        soft_x2 = None
+        if self.soft_x2 is not None:
+            soft_x2 = list(self.soft_x2)
+            for i, x2 in zip(np.flatnonzero(lay.soft), x[lay.x2_idx]):
+                soft_x2[i] = x2
         return BaProblem(cams, tracks, self.mode, self.soft_weight, soft_x2)
 
 
 class _Layout:
+    """Index arrays and per-track constants of one problem, built once.
+
+    The parameter vector holds (w, t) for each free camera in camera order,
+    then per track X1, (a, b) for virtual tracks, and X2 for virtual tracks
+    in soft mode. Nothing here depends on camera poses, so a layout stays
+    valid while solve_ba re-centers the rotation charts.
+    """
+
     def __init__(self, problem: BaProblem):
-        off = 0
-        self.cam_slice = {}
-        for i, cam in enumerate(problem.cameras):
-            if not cam.fixed:
-                self.cam_slice[i] = slice(off, off + 6)
-                off += 6
-        self.track_entries = []
-        for tr in problem.tracks:
-            x1_sl = slice(off, off + 3)
-            off += 3
-            a_i = b_i = x2_sl = None
-            if tr.kind == "virtual":
-                a_i, b_i = off, off + 1
-                off += 2
-                if problem.mode == "soft":
-                    x2_sl = slice(off, off + 3)
-                    off += 3
-            self.track_entries.append((x1_sl, a_i, b_i, x2_sl))
-        self.size = off
+        tracks = problem.tracks
+        free = [i for i, cam in enumerate(problem.cameras) if not cam.fixed]
+        self.cam_offset = {ci: 6 * k for k, ci in enumerate(free)}
+        self.n = len(tracks)
+        virtual = np.array([tr.kind == "virtual" for tr in tracks], dtype=bool)
+        self.soft = virtual & (problem.mode == "soft")  # tracks with an explicit X2
+        self.hard = ~self.soft
+        self.any_soft = bool(self.soft.any())
+        self.any_hard = bool(self.hard.any())
+        width = 3 + 2 * virtual + 3 * self.soft
+        start = 6 * len(free) + np.cumsum(width) - width
+        self.size = 6 * len(free) + int(width.sum())
+        self.virtual_rows = np.flatnonzero(virtual)
+        self.x1_idx = start[:, None] + np.arange(3)
+        self.a_idx = start[virtual] + 3
+        self.b_idx = start[virtual] + 4
+        self.x2_idx = start[self.soft][:, None] + np.arange(5, 8)
+        self.cam_a = np.array([tr.cam_a for tr in tracks], dtype=np.int64)
+        self.cam_b = np.array([tr.cam_b for tr in tracks], dtype=np.int64)
+        self.obs_a = np.array([[tr.obs_a.u, tr.obs_a.v] for tr in tracks]).reshape(-1, 2)
+        self.obs_b = np.array([[tr.obs_b.u, tr.obs_b.v] for tr in tracks]).reshape(-1, 2)
+        k = np.array([
+            [c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy,
+             c.intrinsics.skew]
+            for c in problem.cameras
+        ])
+        # rows fx, fy, cx, cy, skew of each track's two cameras
+        self.k_a = np.ascontiguousarray(k[self.cam_a].T)
+        self.k_b = np.ascontiguousarray(k[self.cam_b].T)
 
 
 def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
@@ -202,181 +207,163 @@ def fit_thickness(x1, x2, o1, o2) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _camera_arrays(problem, x, lay):
-    n_cam = len(problem.cameras)
+def _camera_arrays(cameras, x, lay):
+    n_cam = len(cameras)
     rot = np.empty((n_cam, 3, 3))
     trans = np.empty((n_cam, 3))
     jl = np.empty((n_cam, 3, 3))
-    for i, cam in enumerate(problem.cameras):
-        sl = lay.cam_slice.get(i)
-        if sl is None:
+    for i, cam in enumerate(cameras):
+        off = lay.cam_offset.get(i)
+        if off is None:
             rot[i] = cam.pose.rotation
             trans[i] = cam.pose.translation
             jl[i] = np.eye(3)
         else:
-            w = x[sl.start : sl.start + 3]
+            w = x[off : off + 3]
             rot[i] = so3_exp(w) @ cam.pose.rotation
-            trans[i] = x[sl.start + 3 : sl.stop]
+            trans[i] = x[off + 3 : off + 6]
             jl[i] = so3_left_jacobian(w)
     centers = -np.einsum("cki,ck->ci", rot, trans)
     return rot, trans, jl, centers
 
 
-def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk, huber_width):
-    """Per-track term values and d(term)/d(point_cam) with the smooth
-    behind-camera penalty substituted where depth <= Z_MIN."""
+def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk, want_grad):
+    """Per-track term values and (if want_grad) d(term)/d(point_cam), with the
+    smooth behind-camera penalty substituted where depth <= Z_MIN."""
     z = points_cam[:, 2]
     behind = z <= Z_MIN
     zs = np.where(behind, 1.0, z)
     px = points_cam[:, 0] / zs
     py = points_cam[:, 1] / zs
-    u = fx * px + sk * py + cx
-    v = fy * py + cy
-    res = obs - np.stack([u, v], axis=1)
-    r2 = np.einsum("ni,ni->n", res, res)
-    if huber_width is None:
-        vals = r2
-        w_h = np.ones_like(r2)
-    else:
-        r = np.sqrt(np.maximum(r2, 1e-300))
-        inl = r <= huber_width
-        vals = np.where(inl, r2, 2.0 * huber_width * r - huber_width**2)
-        w_h = np.where(inl, 1.0, huber_width / r)
-    du = np.stack([fx / zs, sk / zs, -(fx * px + sk * py) / zs], axis=1)
-    dv = np.stack([np.zeros_like(zs), fy / zs, -fy * py / zs], axis=1)
-    g_pt = -2.0 * w_h[:, None] * (res[:, 0:1] * du + res[:, 1:2] * dv)
-    pen = BEHIND_PENALTY * (Z_MIN - z + 1.0) ** 2
-    vals = np.where(behind, pen, vals)
-    g_pen = np.zeros_like(g_pt)
-    g_pen[:, 2] = -2.0 * BEHIND_PENALTY * (Z_MIN - z + 1.0)
-    g_pt = np.where(behind[:, None], g_pen, g_pt)
+    fu = fx * px + sk * py
+    fv = fy * py
+    res = obs - np.stack([fu + cx, fv + cy], axis=1)
+    vals = np.einsum("ni,ni->n", res, res)
+    any_behind = behind.any()
+    if any_behind:
+        vals = np.where(behind, BEHIND_PENALTY * (Z_MIN - z + 1.0) ** 2, vals)
+    if not want_grad:
+        return vals, None
+    du = np.stack([fx / zs, sk / zs, -fu / zs], axis=1)
+    dv = np.stack([np.zeros_like(zs), fy / zs, -fv / zs], axis=1)
+    g_pt = -2.0 * (res[:, 0:1] * du + res[:, 1:2] * dv)
+    if any_behind:
+        g_pen = np.zeros_like(g_pt)
+        g_pen[:, 2] = -2.0 * BEHIND_PENALTY * (Z_MIN - z + 1.0)
+        g_pt = np.where(behind[:, None], g_pen, g_pt)
     return vals, g_pt
 
 
-def _evaluate(problem: BaProblem, x, want_grad: bool, huber_width=None):
-    lay = problem.layout()
+def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
+    """(objective, gradient, g_w) at x; g_w holds each camera's rotation
+    gradient before the left Jacobian (None unless want_grad)."""
     if len(x) != lay.size:
         raise ValueError(f"parameter vector has {len(x)} entries, layout needs {lay.size}")
     x = np.asarray(x, dtype=np.float64)
-    rot, trans, jl, centers = _camera_arrays(problem, x, lay)
-    n = len(problem.tracks)
+    rot, trans, jl, centers = _camera_arrays(problem.cameras, x, lay)
+    n = lay.n
+    n_cam = len(problem.cameras)
     if n == 0:
-        return 0.0, np.zeros(lay.size)
+        return 0.0, np.zeros(lay.size), np.zeros((n_cam, 3))
 
-    ca = np.array([tr.cam_a for tr in problem.tracks])
-    cb = np.array([tr.cam_b for tr in problem.tracks])
-    virt = np.array([tr.kind == "virtual" for tr in problem.tracks])
-    obs_a = np.array([[tr.obs_a.u, tr.obs_a.v] for tr in problem.tracks])
-    obs_b = np.array([[tr.obs_b.u, tr.obs_b.v] for tr in problem.tracks])
-
-    x1 = np.empty((n, 3))
+    ca, cb = lay.cam_a, lay.cam_b
+    x1 = x[lay.x1_idx]
     a = np.zeros(n)
     b = np.zeros(n)
+    a[lay.virtual_rows] = x[lay.a_idx]
+    b[lay.virtual_rows] = x[lay.b_idx]
     x2e = np.zeros((n, 3))
-    has_x2e = np.zeros(n, dtype=bool)
-    for ti, (x1_sl, a_i, b_i, x2_sl) in enumerate(lay.track_entries):
-        x1[ti] = x[x1_sl]
-        if a_i is not None:
-            a[ti] = x[a_i]
-            b[ti] = x[b_i]
-        if x2_sl is not None:
-            x2e[ti] = x[x2_sl]
-            has_x2e[ti] = True
+    x2e[lay.soft] = x[lay.x2_idx]
 
-    k = np.array(
-        [
-            [c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy, c.intrinsics.skew]
-            for c in problem.cameras
-        ]
-    )
-    r_a, t_a, o_a = rot[ca], trans[ca], centers[ca]
-    r_b, t_b, o_b = rot[cb], trans[cb], centers[cb]
+    r_a, t_a, o_a = rot.take(ca, 0), trans.take(ca, 0), centers.take(ca, 0)
+    r_b, t_b, o_b = rot.take(cb, 0), trans.take(cb, 0), centers.take(cb, 0)
 
     x2r = x1 + a[:, None] * (x1 - o_a) + b[:, None] * (o_b - o_a)
-    x2 = np.where(has_x2e[:, None], x2e, x2r)
+    x2 = np.where(lay.soft[:, None], x2e, x2r)
 
-    p = np.einsum("nij,nj->ni", r_a, x1) + t_a
-    q = np.einsum("nij,nj->ni", r_b, x2) + t_b
-    vals_a, g_p = _reprojection_terms(
-        p, obs_a, k[ca, 0], k[ca, 1], k[ca, 2], k[ca, 3], k[ca, 4], huber_width
-    )
-    vals_b, g_q = _reprojection_terms(
-        q, obs_b, k[cb, 0], k[cb, 1], k[cb, 2], k[cb, 3], k[cb, 4], huber_width
-    )
+    v_a = np.einsum("nij,nj->ni", r_a, x1)
+    v_b = np.einsum("nij,nj->ni", r_b, x2)
+    p = v_a + t_a
+    q = v_b + t_b
+    vals_a, g_p = _reprojection_terms(p, lay.obs_a, *lay.k_a, want_grad)
+    vals_b, g_q = _reprojection_terms(q, lay.obs_b, *lay.k_b, want_grad)
     total = float(vals_a.sum() + vals_b.sum())
 
     lam = problem.soft_weight
-    rp = x2e - x2r
-    pen_mask = has_x2e
-    if pen_mask.any():
-        total += float(lam * np.einsum("ni,ni->n", rp, rp)[pen_mask].sum())
+    if lay.any_soft:
+        rp = x2e - x2r
+        total += float(lam * np.einsum("ni,ni->n", rp, rp)[lay.soft].sum())
 
     if not want_grad:
-        return total, None
+        return total, None, None
 
-    g = np.zeros(lay.size)
-    n_cam = len(problem.cameras)
-    g_w = np.zeros((n_cam, 3))  # pre-left-Jacobian rotation gradients
-    g_t = np.zeros((n_cam, 3))
     g_x1 = np.zeros((n, 3))
     g_a = np.zeros(n)
     g_b = np.zeros(n)
     g_x2e = np.zeros((n, 3))
+    # d/dw (before the left Jacobian) and d/dt rows, summed per camera below
+    cams = [ca, cb]
+    rows_w = [np.cross(v_a, g_p), np.cross(v_b, g_q)]
+    rows_t = [g_p, g_q]
 
-    # residual A: camera a sees X1
-    v_a = np.einsum("nij,nj->ni", r_a, x1)
+    # residual A: camera a sees X1; residual B: camera b sees X2
     g_x1 += np.einsum("ni,nij->nj", g_p, r_a)
-    np.add.at(g_w, ca, np.cross(v_a, g_p))
-    np.add.at(g_t, ca, g_p)
-
-    # residual B: camera b sees X2 (direct camera-b dependence)
-    v_b = np.einsum("nij,nj->ni", r_b, x2)
-    np.add.at(g_w, cb, np.cross(v_b, g_q))
-    np.add.at(g_t, cb, g_q)
-
     m = np.einsum("ni,nij->nj", g_q, r_b)  # d(term_b)/dX2
-    hard = ~has_x2e
-    if hard.any():
+    if lay.any_hard:
+        hard = lay.hard
         hm = m[hard]
         g_x1[hard] += (1.0 + a[hard])[:, None] * hm
         g_a[hard] += np.einsum("ni,ni->n", hm, (x1 - o_a)[hard])
         g_b[hard] += np.einsum("ni,ni->n", hm, (o_b - o_a)[hard])
-        _add_center_chain(g_w, g_t, ca[hard], rot, trans,
-                          -(a[hard] + b[hard])[:, None] * hm)
-        _add_center_chain(g_w, g_t, cb[hard], rot, trans, b[hard][:, None] * hm)
-    if pen_mask.any():
-        g_x2e[pen_mask] += m[pen_mask]
-        rp_m = rp[pen_mask]
-        g_x2e[pen_mask] += 2.0 * lam * rp_m
-        g_x1[pen_mask] += -2.0 * lam * (1.0 + a[pen_mask])[:, None] * rp_m
-        g_a[pen_mask] += -2.0 * lam * np.einsum("ni,ni->n", rp_m, (x1 - o_a)[pen_mask])
-        g_b[pen_mask] += -2.0 * lam * np.einsum("ni,ni->n", rp_m, (o_b - o_a)[pen_mask])
-        _add_center_chain(g_w, g_t, ca[pen_mask], rot, trans,
-                          2.0 * lam * (a[pen_mask] + b[pen_mask])[:, None] * rp_m)
-        _add_center_chain(g_w, g_t, cb[pen_mask], rot, trans,
-                          -2.0 * lam * b[pen_mask][:, None] * rp_m)
+        _center_chain(cams, rows_w, rows_t, ca[hard], r_a[hard], t_a[hard],
+                      -(a[hard] + b[hard])[:, None] * hm)
+        _center_chain(cams, rows_w, rows_t, cb[hard], r_b[hard], t_b[hard],
+                      b[hard][:, None] * hm)
+    if lay.any_soft:
+        soft = lay.soft
+        g_x2e[soft] += m[soft]
+        rp_m = rp[soft]
+        g_x2e[soft] += 2.0 * lam * rp_m
+        g_x1[soft] += -2.0 * lam * (1.0 + a[soft])[:, None] * rp_m
+        g_a[soft] += -2.0 * lam * np.einsum("ni,ni->n", rp_m, (x1 - o_a)[soft])
+        g_b[soft] += -2.0 * lam * np.einsum("ni,ni->n", rp_m, (o_b - o_a)[soft])
+        _center_chain(cams, rows_w, rows_t, ca[soft], r_a[soft], t_a[soft],
+                      2.0 * lam * (a[soft] + b[soft])[:, None] * rp_m)
+        _center_chain(cams, rows_w, rows_t, cb[soft], r_b[soft], t_b[soft],
+                      -2.0 * lam * b[soft][:, None] * rp_m)
+    cams = np.concatenate(cams)
+    g_w = _sum_per_camera(cams, np.concatenate(rows_w), n_cam)
+    g_t = _sum_per_camera(cams, np.concatenate(rows_t), n_cam)
 
-    for ci, sl in lay.cam_slice.items():
-        g[sl.start : sl.start + 3] = jl[ci].T @ g_w[ci]
-        g[sl.start + 3 : sl.stop] = g_t[ci]
-    for ti, (x1_sl, a_i, b_i, x2_sl) in enumerate(lay.track_entries):
-        g[x1_sl] = g_x1[ti]
-        if a_i is not None:
-            g[a_i] = g_a[ti]
-            g[b_i] = g_b[ti]
-        if x2_sl is not None:
-            g[x2_sl] = g_x2e[ti]
-    return total, g
-
-
-def _add_center_chain(g_w, g_t, cams, rot, trans, u):
-    """Chain d(term)/d(center) = u through o = -R^T t into (w, t) slots."""
-    r_u = np.einsum("nij,nj->ni", rot[cams], u)
-    np.add.at(g_w, cams, np.cross(trans[cams], r_u))
-    np.add.at(g_t, cams, -r_u)
+    g = np.zeros(lay.size)
+    for ci, off in lay.cam_offset.items():
+        g[off : off + 3] = jl[ci].T @ g_w[ci]
+        g[off + 3 : off + 6] = g_t[ci]
+    g[lay.x1_idx] = g_x1
+    g[lay.a_idx] = g_a[lay.virtual_rows]
+    g[lay.b_idx] = g_b[lay.virtual_rows]
+    g[lay.x2_idx] = g_x2e[lay.soft]
+    return total, g, g_w
 
 
-def ba_objective(problem: BaProblem, x, huber_width=None) -> float:
+def _center_chain(cams, rows_w, rows_t, cam_idx, rot, trans, u):
+    """Chain d(term)/d(center) = u through o = -R^T t into (w, t) rows;
+    rot and trans are the per-row camera rotations and translations."""
+    r_u = np.einsum("nij,nj->ni", rot, u)
+    cams.append(cam_idx)
+    rows_w.append(np.cross(trans, r_u))
+    rows_t.append(-r_u)
+
+
+def _sum_per_camera(cams, rows, n_cam):
+    """Per-camera sums of (m, 3) rows. bincount adds in row order from zero,
+    the same sequence (and bits) as np.add.at over the rows."""
+    return np.stack(
+        [np.bincount(cams, weights=rows[:, j], minlength=n_cam) for j in range(3)], axis=1
+    )
+
+
+def ba_objective(problem: BaProblem, x) -> float:
     """Total squared reprojection error (pixel^2) at a parameter vector.
 
     Rotation blocks of x are tangent increments composed onto the problem's
@@ -384,12 +371,12 @@ def ba_objective(problem: BaProblem, x, huber_width=None) -> float:
     points behind a camera contribute the smooth depth penalty instead of a
     reprojection term.
     """
-    return _evaluate(problem, x, want_grad=False, huber_width=huber_width)[0]
+    return _evaluate(problem, _Layout(problem), x, want_grad=False)[0]
 
 
-def ba_gradient(problem: BaProblem, x, huber_width=None) -> np.ndarray:
+def ba_gradient(problem: BaProblem, x) -> np.ndarray:
     """Analytic gradient of ba_objective over all free parameters."""
-    return _evaluate(problem, x, want_grad=True, huber_width=huber_width)[1]
+    return _evaluate(problem, _Layout(problem), x, want_grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -425,59 +412,70 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
     Gauge: fixed cameras are untouched (bit-identical), and unless two or
     more cameras are fixed the first free camera keeps its initial
     translation norm (the scale gauge). Thickness parameters are clamped to
-    >= 0 inside the line search; rotation charts re-center after every
-    accepted step.
+    >= 0 inside the line search. The parameter layout (index arrays and
+    per-track constants) is built once per solve. Rotation charts re-center
+    after every accepted step; the gradient in the new chart is the accepted
+    one with each re-centered camera's rotation slot set to its gradient
+    before the left Jacobian, which is what a fresh evaluation at w = 0
+    returns, so no extra gradient evaluation is made.
     """
     config = config or BaConfig()
-    work = BaProblem(
-        list(problem.cameras), [replace(t) for t in problem.tracks], problem.mode,
-        problem.soft_weight,
-        None if problem.soft_x2 is None else [None if v is None else np.array(v) for v in problem.soft_x2],
-    )
-    lay = work.layout()
-    x0 = work.pack_params()
+    soft_x2 = problem.soft_x2
+    if soft_x2 is not None:
+        soft_x2 = [None if v is None else np.array(v) for v in soft_x2]
+    work = BaProblem(list(problem.cameras), problem.tracks, problem.mode,
+                     problem.soft_weight, soft_x2)
+    lay = _Layout(work)
+    x0 = work.pack_params(lay)
 
     scale_cam = None
     scale_norm = 0.0
     if sum(c.fixed for c in work.cameras) < 2:
-        for ci in sorted(lay.cam_slice):
+        for ci in sorted(lay.cam_offset):
             norm = float(np.linalg.norm(work.cameras[ci].pose.translation))
             if norm > 1e-9:
                 scale_cam, scale_norm = ci, norm
                 break
-
-    ab_indices = [i for (_, a_i, b_i, _) in lay.track_entries for i in (a_i, b_i) if i is not None]
-    ab_indices = np.array(ab_indices, dtype=np.int64)
+    ab_idx = np.concatenate([lay.a_idx, lay.b_idx])
 
     def project(x):
         x = np.array(x)
-        if len(ab_indices):
-            x[ab_indices] = np.maximum(x[ab_indices], 0.0)
+        if len(ab_idx):
+            x[ab_idx] = np.maximum(x[ab_idx], 0.0)
         if scale_cam is not None:
-            sl = lay.cam_slice[scale_cam]
-            t = x[sl.start + 3 : sl.stop]
+            off = lay.cam_offset[scale_cam]
+            t = x[off + 3 : off + 6]
             norm = np.linalg.norm(t)
             if norm > 1e-12:
-                x[sl.start + 3 : sl.stop] = t * (scale_norm / norm)
+                x[off + 3 : off + 6] = t * (scale_norm / norm)
         return x
 
-    def post_accept(x):
-        changed = False
-        x = np.array(x)
-        for ci, sl in lay.cam_slice.items():
-            w = x[sl.start : sl.start + 3]
+    last_x, last_g_w = None, None  # latest gradient point and its rotation gradients
+
+    def grad(x):
+        nonlocal last_x, last_g_w
+        _, g, last_g_w = _evaluate(work, lay, x, True)
+        last_x = x
+        return g
+
+    def post_accept(x, g):
+        if x is not last_x:
+            raise RuntimeError("post_accept needs the point of the latest grad call")
+        x, g = np.array(x), np.array(g)
+        for ci, off in lay.cam_offset.items():
+            w = x[off : off + 3]
             if np.any(w != 0.0):
                 cam = work.cameras[ci]
                 work.cameras[ci] = replace(
-                    cam, pose=SE3Pose(so3_exp(w) @ cam.pose.rotation, x[sl.start + 3 : sl.stop])
+                    cam, pose=SE3Pose(so3_exp(w) @ cam.pose.rotation, x[off + 3 : off + 6])
                 )
-                x[sl.start : sl.start + 3] = 0.0
-                changed = True
-        return x, changed
+                x[off : off + 3] = 0.0
+                g[off : off + 3] = last_g_w[ci]
+        return x, g
 
     x_final, opt = minimize_lbfgs(
-        lambda x: _evaluate(work, x, False, config.huber_width)[0],
-        lambda x: _evaluate(work, x, True, config.huber_width)[1],
+        lambda x: _evaluate(work, lay, x, False)[0],
+        grad,
         x0,
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
@@ -486,7 +484,7 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
         project=project,
         post_accept=post_accept,
     )
-    solved = work.apply_params(x_final)
+    solved = work.apply_params(x_final, lay)
     report = BaReport(
         status=opt.status,
         iterations=opt.iterations,
@@ -501,23 +499,6 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
 # ---------------------------------------------------------------------------
 # lifting correspondences into tracks
 # ---------------------------------------------------------------------------
-
-
-def lift_vc_to_track(vc: VirtualCorrespondence, record_a, record_b,
-                     pose_a: SE3Pose, pose_b: SE3Pose, cam_a: int, cam_b: int):
-    """One track from a correspondence using the priors' first hits.
-
-    X1 is the world-registered first hit of pixel_a's ray on record_a's prior
-    mesh, X2 likewise on record_b's; (a, b) start at their clamped
-    least-squares fit. Returns (VcTrack, x2) where x2 feeds soft mode.
-    Raises NoSurfaceHitError if either ray misses its prior.
-    """
-    tracks, x2s, dropped = lift_vcs_to_tracks(
-        [vc], record_a, record_b, pose_a, pose_b, cam_a, cam_b
-    )
-    if dropped:
-        raise NoSurfaceHitError("correspondence ray misses the prior surface")
-    return tracks[0], x2s[0]
 
 
 def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose,
@@ -566,81 +547,3 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
         )
         x2s.append(x2)
     return tracks, x2s, int(len(vcs) - keep.sum())
-
-
-# ---------------------------------------------------------------------------
-# text serialization (regression fixtures)
-# ---------------------------------------------------------------------------
-
-
-def save_problem(problem: BaProblem, path) -> None:
-    """Line format: header, `mode`, `weight`, then one `camera` line per
-    camera (fixed flag, row-major rotation, translation, intrinsics) and one
-    `track` line per track (kind, cameras, observations, X1, a, b[, X2])."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vcsfm-ba-problem v1\n")
-        fh.write(f"mode {problem.mode}\n")
-        fh.write(f"weight {problem.soft_weight!r}\n")
-        for cam in problem.cameras:
-            r = " ".join(repr(float(v)) for v in cam.pose.rotation.ravel())
-            t = " ".join(repr(float(v)) for v in cam.pose.translation)
-            k = cam.intrinsics
-            fh.write(
-                f"camera {int(cam.fixed)} {r} {t} "
-                f"{k.fx!r} {k.fy!r} {k.cx!r} {k.cy!r} {k.skew!r}\n"
-            )
-        for ti, tr in enumerate(problem.tracks):
-            parts = [
-                "track", tr.kind, str(tr.cam_a), str(tr.cam_b),
-                repr(tr.obs_a.u), repr(tr.obs_a.v), repr(tr.obs_b.u), repr(tr.obs_b.v),
-                repr(float(tr.x1[0])), repr(float(tr.x1[1])), repr(float(tr.x1[2])),
-                repr(float(tr.a)), repr(float(tr.b)),
-            ]
-            if problem.soft_x2 is not None and problem.soft_x2[ti] is not None:
-                parts += [repr(float(v)) for v in problem.soft_x2[ti]]
-            fh.write(" ".join(parts) + "\n")
-
-
-def load_problem(path) -> BaProblem:
-    cameras, tracks, soft_x2 = [], [], []
-    mode, weight = "soft", 1e2
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().strip() != "vcsfm-ba-problem v1":
-            raise ParseError("expected header 'vcsfm-ba-problem v1'", path, 1)
-        for ln, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] == "mode":
-                    mode = parts[1]
-                elif parts[0] == "weight":
-                    weight = float(parts[1])
-                elif parts[0] == "camera":
-                    vals = [float(v) for v in parts[2:]]
-                    cameras.append(
-                        BaCamera(
-                            pose=SE3Pose(np.array(vals[0:9]).reshape(3, 3), vals[9:12]),
-                            intrinsics=CameraIntrinsics(*vals[12:17]),
-                            fixed=bool(int(parts[1])),
-                        )
-                    )
-                elif parts[0] == "track":
-                    kind = parts[1]
-                    nums = [float(v) for v in parts[4:]]
-                    tracks.append(
-                        VcTrack(
-                            x1=nums[4:7], a=nums[7], b=nums[8],
-                            cam_a=int(parts[2]), cam_b=int(parts[3]),
-                            obs_a=Pixel(nums[0], nums[1]), obs_b=Pixel(nums[2], nums[3]),
-                            kind=kind,
-                        )
-                    )
-                    soft_x2.append(np.array(nums[9:12]) if len(nums) >= 12 else None)
-                else:
-                    raise ParseError(f"unknown line type {parts[0]!r}", path, ln)
-            except (ValueError, IndexError) as exc:
-                raise ParseError(str(exc), path, ln) from exc
-    return BaProblem(
-        cameras, tracks, mode, weight, soft_x2 if mode == "soft" else None
-    )

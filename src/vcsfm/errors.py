@@ -45,10 +45,6 @@ class AmbiguousCheiralityError(VcsfmError):
     """Two essential-matrix decompositions received near-equal cheirality votes."""
 
 
-class NoSurfaceHitError(VcsfmError):
-    """A correspondence ray misses the prior mesh; the track cannot be lifted."""
-
-
 class EmptyInputError(VcsfmError):
     """A metric was asked to summarize an empty collection."""
 

@@ -2,8 +2,10 @@
 
 Supports the two hooks bundle adjustment needs: a projection applied inside
 the line search (bound constraints, gauge renormalization) and a post-accept
-rewrite of the iterate (local-chart re-centering). Descent is monotone by
-construction: a step is only accepted when it lowers the objective.
+rewrite of the accepted iterate and its gradient (local-chart re-centering,
+where the caller knows the gradient in the new chart without a new
+evaluation). Descent is monotone by construction: a step is only accepted
+when it lowers the objective.
 """
 
 from __future__ import annotations
@@ -51,9 +53,15 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
     """Minimize fun with analytic grad from x0.
 
     project(x) -> x is applied to every trial point inside the line search.
-    post_accept(x) -> (x, chart_changed) may rewrite an accepted iterate (for
-    chart re-centering); when chart_changed the gradient is recomputed there.
-    Returns (x, LbfgsReport).
+    post_accept(x, g) -> (x, g) may rewrite an accepted iterate and its
+    gradient (for chart re-centering). It is called with the very array
+    that the immediately preceding grad call received, and with that call's
+    result, so a caller may pair it with state grad kept. The returned pair
+    must describe the same point, with g the gradient in the coordinates of
+    the returned x.
+    The optimizer takes both as they are and never calls grad for them, so
+    grad runs once at x0 and once per accepted step. Returns
+    (x, LbfgsReport).
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -105,8 +113,7 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
         small_step = np.linalg.norm(s) <= step_tolerance * max(1.0, np.linalg.norm(x))
 
         if post_accept is not None:
-            x, chart_changed = post_accept(x_try)
-            g = np.asarray(grad(x), dtype=np.float64) if chart_changed else g_try
+            x, g = post_accept(x_try, g_try)
         else:
             x, g = x_try, g_try
         f = f_try
