@@ -1,16 +1,19 @@
 """Generalized bundle adjustment over point tuples.
 
 Each track couples one world point X1 (observed in camera a) with the point
-X2 observed in camera b through two non-negative thickness parameters:
+X2 observed in camera b through two thickness parameters:
 
     X2 = X1 + a * (X1 - o_a) + b * (o_b - o_a)
 
 with o_* the camera centers. Points built this way keep the two viewing rays
 co-planar, so epipolar geometry holds by construction; a = b = 0 collapses
 the tuple to one co-visible point and the objective to classic bundle
-adjustment. Hard mode substitutes the expression above into the reprojection
-objective; soft mode keeps X2 explicit and adds a weighted consistency
-penalty, which tolerates slightly inconsistent initializations.
+adjustment. a and b take either sign: the only physical constraint is
+positive depth of each point in its camera, which the smooth behind-camera
+penalty of the objective enforces. Hard mode substitutes the expression
+above into the reprojection objective; soft mode keeps X2 explicit and adds
+a weighted consistency penalty, which tolerates slightly inconsistent
+initializations.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ class VcTrack:
             raise ValueError(f"unknown track kind {self.kind!r}")
         if self.kind == "classic" and (self.a != 0.0 or self.b != 0.0):
             raise ValueError("classic tracks freeze a = b = 0")
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("thickness parameters must be non-negative")
         if self.cam_a == self.cam_b:
             raise ValueError("a tuple spans two distinct cameras")
 
@@ -195,11 +196,12 @@ def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
 
 
 def fit_thickness(x1, x2, o1, o2) -> tuple[float, float]:
-    """Least-squares (a, b) of the tuple reparameterization, clamped >= 0."""
+    """Least-squares (a, b) of the tuple reparameterization; exact when X2
+    lies in the plane of X1 and the two centers."""
     x1 = np.asarray(x1, dtype=np.float64)
     basis = np.column_stack([x1 - np.asarray(o1), np.asarray(o2) - np.asarray(o1)])
     sol, *_ = np.linalg.lstsq(basis, np.asarray(x2) - x1, rcond=None)
-    return max(0.0, float(sol[0])), max(0.0, float(sol[1]))
+    return float(sol[0]), float(sol[1])
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +413,13 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
 
     Gauge: fixed cameras are untouched (bit-identical), and unless two or
     more cameras are fixed the first free camera keeps its initial
-    translation norm (the scale gauge). Thickness parameters are clamped to
-    >= 0 inside the line search. The parameter layout (index arrays and
-    per-track constants) is built once per solve. Rotation charts re-center
-    after every accepted step; the gradient in the new chart is the accepted
-    one with each re-centered camera's rotation slot set to its gradient
-    before the left Jacobian, which is what a fresh evaluation at w = 0
-    returns, so no extra gradient evaluation is made.
+    translation norm (the scale gauge), which the line search projects onto.
+    Thickness parameters are unbounded. The parameter layout (index arrays
+    and per-track constants) is built once per solve. Rotation charts
+    re-center after every accepted step; the gradient in the new chart is the
+    accepted one with each re-centered camera's rotation slot set to its
+    gradient before the left Jacobian, which is what a fresh evaluation at
+    w = 0 returns, so no extra gradient evaluation is made.
     """
     config = config or BaConfig()
     soft_x2 = problem.soft_x2
@@ -436,12 +438,9 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
             if norm > 1e-9:
                 scale_cam, scale_norm = ci, norm
                 break
-    ab_idx = np.concatenate([lay.a_idx, lay.b_idx])
 
     def project(x):
         x = np.array(x)
-        if len(ab_idx):
-            x[ab_idx] = np.maximum(x[ab_idx], 0.0)
         if scale_cam is not None:
             off = lay.cam_offset[scale_cam]
             t = x[off + 3 : off + 6]

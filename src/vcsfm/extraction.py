@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParseError, TopologyMismatchError
+from .errors import TopologyMismatchError
 from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
 from .mesh import SurfaceCoordinate, TriangleMesh, batch_all_hits, surface_points
 
@@ -62,45 +62,6 @@ class DenseSurfaceMap:
             return None
         b = self.barys[vi, ui]
         return SurfaceCoordinate(int(f), (b[0], b[1], b[2]))
-
-
-def save_surface_map(dsm: DenseSurfaceMap, path) -> None:
-    """Write the `dsm <w> <h>` exchange format (unmapped pixels omitted)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dsm {dsm.width} {dsm.height}\n")
-        for u, v in dsm.mapped_pixels():
-            f = dsm.faces[v, u]
-            b = dsm.barys[v, u]
-            fh.write(f"{u} {v} {f} {float(b[0])!r} {float(b[1])!r} {float(b[2])!r}\n")
-
-
-def load_surface_map(path) -> DenseSurfaceMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "dsm":
-            raise ParseError("expected header 'dsm <width> <height>'", path, 1)
-        try:
-            w, h = int(header[1]), int(header[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), path, 1) from exc
-        faces = np.full((h, w), -1, dtype=np.int64)
-        barys = np.zeros((h, w, 3))
-        for ln, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ParseError("entry needs '<u> <v> <face> <b0> <b1> <b2>'", path, ln)
-            try:
-                u, v, f = int(parts[0]), int(parts[1]), int(parts[2])
-                b = np.array([float(x) for x in parts[3:]])
-            except ValueError as exc:
-                raise ParseError(str(exc), path, ln) from exc
-            if not (0 <= u < w and 0 <= v < h):
-                raise ParseError(f"pixel ({u}, {v}) out of bounds", path, ln)
-            faces[v, u] = f
-            barys[v, u] = b
-    return DenseSurfaceMap(faces, barys)
 
 
 @dataclass(frozen=True)
@@ -448,52 +409,3 @@ def ray_gap(ray_a: Ray, ray_b: Ray) -> float:
     s0 = max(0.0, -d)  # best s when t is clamped to 0
     gaps.append(np.linalg.norm(w + s0 * u1))
     return float(min(gaps))
-
-
-def save_vc_file(entries, path) -> None:
-    """Write `<img_a> <ua> <va> <img_b> <ub> <vb> <hit_rank>` lines.
-
-    entries: iterable of (img_a, img_b, VirtualCorrespondence).
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vcsfm-vc v1\n")
-        for img_a, img_b, vc in entries:
-            fh.write(
-                f"{img_a} {vc.pixel_a.u!r} {vc.pixel_a.v!r} "
-                f"{img_b} {vc.pixel_b.u!r} {vc.pixel_b.v!r} {vc.hit_rank}\n"
-            )
-
-
-@dataclass(frozen=True)
-class VcFileEntry:
-    img_a: str
-    pixel_a: Pixel
-    img_b: str
-    pixel_b: Pixel
-    hit_rank: int
-
-
-def load_vc_file(path) -> list[VcFileEntry]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().strip() != "vcsfm-vc v1":
-            raise ParseError("expected header 'vcsfm-vc v1'", path, 1)
-        for ln, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 7:
-                raise ParseError("VC line needs 7 fields", path, ln)
-            try:
-                out.append(
-                    VcFileEntry(
-                        parts[0],
-                        Pixel(float(parts[1]), float(parts[2])),
-                        parts[3],
-                        Pixel(float(parts[4]), float(parts[5])),
-                        int(parts[6]),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), path, ln) from exc
-    return out

@@ -1,16 +1,18 @@
 """Robust two-view relative pose from correspondences whose rays intersect:
-minimal five-point solver, linear eight-point solver, RANSAC, and the
-decomposition vote generalized to rays that meet off the visible surface.
+minimal five-point solver, RANSAC, and the decomposition vote generalized to
+rays that meet off the visible surface.
 
 All point pairs here are normalized image coordinates (K already removed).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AmbiguousCheiralityError,
@@ -20,60 +22,26 @@ from .errors import (
 )
 from .geometry import SE3Pose, decompose_essential, essential_from_pose, sampson_errors
 
-# ---------------------------------------------------------------------------
-# trivariate polynomial bookkeeping for the minimal solver
-#
-# degree-1 basis: x, y, z, 1
-# degree-2 basis: x2, y2, z2, xy, xz, yz, x, y, z, 1
-# degree-3 basis: x3, y3, z3, x2y, xy2, x2z, xz2, y2z, yz2, xyz,
-#                 x2, y2, z2, xy, xz, yz, x, y, z, 1
-# ---------------------------------------------------------------------------
-
-_B1 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
-_B2 = [
-    (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
-    (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0),
+# Monomials of degree <= 3 in the nullspace coordinates (x, y, z), degree by
+# degree and lexicographic within a degree: the ten cubics
+#   x3, x2y, x2z, xy2, xyz, xz2, y3, y2z, yz2, z3,
+# then the quotient basis of the solver
+#   x2, xy, xz, y2, yz, z2, x, y, z, 1.
+_MONOMIALS = [
+    (i, j, d - i - j) for d in (3, 2, 1, 0) for i in range(d, -1, -1) for j in range(d - i, -1, -1)
 ]
-_B3 = [
-    (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (1, 2, 0), (2, 0, 1),
-    (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1),
-    (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
-    (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0),
-]
-
-
-def _product_table(basis_a, basis_b, basis_out):
-    lookup = {m: i for i, m in enumerate(basis_out)}
-    table = np.empty((len(basis_a), len(basis_b)), dtype=np.int64)
-    for i, ma in enumerate(basis_a):
-        for j, mb in enumerate(basis_b):
-            table[i, j] = lookup[tuple(a + b for a, b in zip(ma, mb))]
-    return table
-
-
-_T11 = _product_table(_B1, _B1, _B2)  # deg1 * deg1 -> deg2
-_T21 = _product_table(_B2, _B1, _B3)  # deg2 * deg1 -> deg3
-_B3_EXP = np.array(_B3)
-# (x, y) monomials of _B3 once z is substituted, constant last
-_XY_MONOMS = [(3, 0), (0, 3), (2, 1), (1, 2), (2, 0), (0, 2), (1, 1), (1, 0), (0, 1), (0, 0)]
-_XY_INDEX = {m: i for i, m in enumerate(_XY_MONOMS)}
-
-# Nister's column arrangement: leading block
-# [x3, y3, x2y, xy2, x2z, x2, y2z, y2, xyz, xy], trailing block
-# [xz2, xz, x, yz2, yz, y, z3, z2, z, 1]
-_COLUMN_PERM = [0, 1, 3, 4, 5, 10, 7, 11, 9, 13, 6, 14, 16, 8, 15, 17, 2, 12, 18, 19]
-
-
-def _mul11(p, q):
-    out = np.zeros(10)
-    np.add.at(out, _T11.ravel(), np.outer(p, q).ravel())
-    return out
-
-
-def _mul21(p, q):
-    out = np.zeros(20)
-    np.add.at(out, _T21.ravel(), np.outer(p, q).ravel())
-    return out
+_COLUMN = {m: c for c, m in enumerate(_MONOMIALS)}
+# (x, y, z, 1) as exponents; the constraint tensors below run over triples of
+# these, and _FOLD sums each triple into the column of its product
+_COORDS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+_FOLD = np.zeros((64, 20))
+for _row, _triple in enumerate(itertools.product(_COORDS, repeat=3)):
+    _FOLD[_row, _COLUMN[tuple(map(sum, zip(*_triple)))]] = 1.0
+# column of x * m for each quotient-basis monomial m
+_TIMES_X = [_COLUMN[(i + 1, j, k)] for i, j, k in _MONOMIALS[10:]]
+# quotient-basis positions of w w^T, w = (x, y, z, 1): the basis evaluated at
+# a solution holds this rank-one matrix, so its largest row is w up to scale
+_OUTER = np.array([[_COLUMN[tuple(map(sum, zip(p, q)))] - 10 for q in _COORDS] for p in _COORDS])
 
 
 def _homogeneous(points):
@@ -102,71 +70,31 @@ def trace_constraint_residual(e) -> float:
     return float(np.linalg.norm(2.0 * eet @ e - np.trace(eet) * e))
 
 
-def _tail_parts(row):
-    """Split a reduced-row tail [xz2 xz x yz2 yz y z3 z2 z 1] into the
-    x-polynomial, y-polynomial and constant polynomial in z (coeffs high
-    first)."""
-    return row[0:3], row[3:6], row[6:10]
-
-
-def _minus_z(p_hi, p_lo):
-    """p_hi - z * p_lo for z-polynomials with coefficients highest first."""
-    return np.polysub(p_hi, np.polymul([1.0, 0.0], p_lo))
-
-
-def _monomials_and_grads(x, y, z):
-    """Values and (d/dx, d/dy, d/dz) of the degree-3 monomial basis."""
-    i, j, k = _B3_EXP[:, 0], _B3_EXP[:, 1], _B3_EXP[:, 2]
-    xi = x ** i
-    yj = y ** j
-    zk = z ** k
-    vals = xi * yj * zk
-    dx = i * x ** np.maximum(i - 1, 0) * yj * zk
-    dy = j * xi * y ** np.maximum(j - 1, 0) * zk
-    dz = k * xi * yj * z ** np.maximum(k - 1, 0)
-    return vals, dx, dy, dz
-
-
-def _xy_from_root(m20, z):
-    """(x, y) at a fixed z from the nullvector of the substituted system.
-
-    Substituting z into the 10x20 cubic-constraint matrix leaves a 10x10
-    linear system over the (x, y) monomials; its SVD nullvector is far more
-    stable near clustered roots than back-substitution through the reduced
-    rows.
-    """
-    a = np.zeros((10, 10))
-    for col, (i, j, k) in enumerate(_B3):
-        a[:, _XY_INDEX[(i, j)]] += m20[:, col] * z**k
-    _, _, vt = np.linalg.svd(a)
-    v = vt[-1]
-    const = v[_XY_INDEX[(0, 0)]]
-    if abs(const) < 1e-12 * np.linalg.norm(v):
-        return None
-    return v[_XY_INDEX[(1, 0)]] / const, v[_XY_INDEX[(0, 1)]] / const
-
-
-def _polish_candidate(m20, x, y, z, iterations=4):
-    """Gauss-Newton on the ten cubic constraints jointly over (x, y, z)."""
-    p = np.array([x, y, z], dtype=np.float64)
-    for _ in range(iterations):
-        vals, dx, dy, dz = _monomials_and_grads(*p)
-        r = m20 @ vals
-        jac = np.column_stack([m20 @ dx, m20 @ dy, m20 @ dz])
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        p += step
-        if np.linalg.norm(step) < 1e-14 * max(1.0, np.linalg.norm(p)):
-            break
-    return p
+def _constraint_matrix(basis):
+    """10x20 coefficients over _MONOMIALS of det E and the nine entries of
+    2 E E^T E - tr(E E^T) E, for E = x B0 + y B1 + z B2 + B3 with B the four
+    rows of `basis` reshaped to 3x3."""
+    b = np.asarray(basis, dtype=np.float64).reshape(4, 3, 3)
+    # det E = row0 . (row1 x row2), and B_i B_j^T for the trace constraint
+    det = np.tensordot(b[:, 0], np.cross(b[:, None, 1], b[None, :, 2]), axes=(1, 2))
+    bbt = np.einsum("iab,jcb->ijac", b, b)
+    trace = 2.0 * bbt[:, :, None] @ b - np.einsum("ijaa,kcd->ijkcd", bbt, b)
+    return np.vstack([det.reshape(1, 64), trace.reshape(64, 9).T]) @ _FOLD
 
 
 def five_point(x1, x2) -> list[np.ndarray]:
     """Essential-matrix candidates of a minimal 5-pair problem.
 
-    Nister's construction: 4-dim nullspace of the 5x9 epipolar system, ten
-    cubic constraints (det E and the trace constraint), Gauss-Jordan
-    elimination, determinant expansion to a degree-10 polynomial in z whose
-    real roots (companion-matrix eigenvalues via np.roots) give candidates.
+    Action-matrix solver (Stewenius, Engels & Nister, ISPRS J. 2006): E spans
+    the 4-dim nullspace of the 5x9 epipolar system, E = x B0 + y B1 + z B2 +
+    B3, and det E = 0 with the trace constraint gives ten cubics in (x, y, z).
+    The monomial vectors of their ten solutions span the nullspace N of the
+    10x20 cubic-constraint matrix. Multiplying the quotient basis
+    [x2, xy, xz, y2, yz, z2, x, y, z, 1] by x lands on monomials again, so
+    each solution is an eigenpair (x, c) of the pencil N[x * basis] c =
+    x N[basis] c. The 10x10 action matrix N[x * basis] N[basis]^-1 is never
+    formed: inverting N[basis], or the cubic block of the constraint matrix,
+    loses accuracy when a solution lies far out in the (x, y, z) chart.
 
     Returns up to 10 matrices with unit Frobenius norm, each satisfying
     det(E) ~ 0, the trace constraint, and all five epipolar equations.
@@ -183,77 +111,17 @@ def five_point(x1, x2) -> list[np.ndarray]:
     if s[4] <= 1e-9 * max(s[0], 1e-30):
         raise DegenerateSampleError("5x9 data matrix is rank deficient")
     basis = vt[-4:][::-1]  # x, y, z, 1 coefficients of E
-    eb = basis.reshape(4, 3, 3)
+    _, s, vt = np.linalg.svd(_constraint_matrix(basis))
+    if s[9] <= 1e-12 * s[0]:
+        raise DegenerateSampleError("constraint system is rank deficient")
+    null = vt[10:].T
+    values, vectors = scipy.linalg.eig(null[_TIMES_X], null[10:], check_finite=False)
 
-    def entry(i, j):
-        return eb[:, i, j]  # 4-vector over (x, y, z, 1)
-
-    # det(E) = 0
-    det = (
-        _mul21(_mul11(entry(0, 1), entry(1, 2)) - _mul11(entry(0, 2), entry(1, 1)), entry(2, 0))
-        + _mul21(_mul11(entry(0, 2), entry(1, 0)) - _mul11(entry(0, 0), entry(1, 2)), entry(2, 1))
-        + _mul21(_mul11(entry(0, 0), entry(1, 1)) - _mul11(entry(0, 1), entry(1, 0)), entry(2, 2))
-    )
-
-    # 2 E E^T E - tr(E E^T) E = 0 (nine cubic equations)
-    eet = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = np.zeros(10)
-            for k in range(3):
-                acc += _mul11(entry(i, k), entry(j, k))
-            eet[i][j] = acc
-    trace = eet[0][0] + eet[1][1] + eet[2][2]
-    rows = [det]
-    for i in range(3):
-        for j in range(3):
-            acc = np.zeros(20)
-            for k in range(3):
-                a_ik = 2.0 * eet[i][k] - (trace if i == k else 0.0)
-                acc += _mul21(a_ik, entry(k, j))
-            rows.append(acc)
-    m20 = np.array(rows)
-    m = m20[:, _COLUMN_PERM]
-
-    try:
-        reduced = np.linalg.solve(m[:, :10], m[:, 10:])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSampleError("constraint system is singular") from exc
-
-    kx, ky, kc = _tail_parts(reduced[4])
-    fx, fy, fc = _tail_parts(reduced[5])
-    gx, gy, gc = _tail_parts(reduced[6])
-    hx, hy, hc = _tail_parts(reduced[7])
-    ix, iy, ic = _tail_parts(reduced[8])
-    jx, jy, jc = _tail_parts(reduced[9])
-    b = [
-        [_minus_z(kx, fx), _minus_z(ky, fy), _minus_z(kc, fc)],
-        [_minus_z(gx, hx), _minus_z(gy, hy), _minus_z(gc, hc)],
-        [_minus_z(ix, jx), _minus_z(iy, jy), _minus_z(ic, jc)],
-    ]
-    p1 = np.polysub(np.polymul(b[1][2], b[0][1]), np.polymul(b[0][2], b[1][1]))
-    p2 = np.polysub(np.polymul(b[0][2], b[1][0]), np.polymul(b[1][2], b[0][0]))
-    p3 = np.polysub(np.polymul(b[0][0], b[1][1]), np.polymul(b[0][1], b[1][0]))
-    n = np.polyadd(
-        np.polyadd(np.polymul(p1, b[2][0]), np.polymul(p2, b[2][1])),
-        np.polymul(p3, b[2][2]),
-    )
-    if not np.any(np.abs(n) > 1e-30):
-        raise DegenerateSampleError("vanishing determinant polynomial")
-
-    roots = np.roots(n)
     candidates = []
-    for z in roots:
-        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
-            continue
-        z = float(z.real)
-        xy = _xy_from_root(m20, z)
-        if xy is None:
-            bz = np.array([[np.polyval(p, z) for p in row] for row in b])
-            sol, *_ = np.linalg.lstsq(bz[:, :2], -bz[:, 2], rcond=None)
-            xy = (sol[0], sol[1])
-        x, y, z = _polish_candidate(m20, xy[0], xy[1], z)
-        e = (basis.T @ np.array([x, y, z, 1.0])).reshape(3, 3)
+    for b in (null[10:] @ vectors[:, values.imag == 0.0].real).T:
+        ww = b[_OUTER]
+        w = ww[np.argmax(np.abs(np.diag(ww)))]  # (x, y, z, 1) up to scale
+        e = (basis.T @ w).reshape(3, 3)
         norm = np.linalg.norm(e)
         if norm < 1e-12:
             continue
@@ -266,29 +134,6 @@ def five_point(x1, x2) -> list[np.ndarray]:
             continue
         candidates.append(e)
     return candidates
-
-
-def eight_point(x1, x2) -> np.ndarray:
-    """Linear essential-matrix estimate from >= 8 normalized pairs.
-
-    Least-squares nullspace of the epipolar system, projected onto the
-    essential manifold (singular values replaced by their mean, mean, 0) and
-    scaled to unit Frobenius norm. Raises DegenerateSampleError when the data
-    matrix has rank < 8 (e.g. pure-rotation motion).
-    """
-    x1 = np.asarray(x1, dtype=np.float64).reshape(-1, 2)
-    x2 = np.asarray(x2, dtype=np.float64).reshape(-1, 2)
-    if len(x1) < 8:
-        raise InsufficientCorrespondencesError("eight_point needs >= 8 pairs")
-    q = _epipolar_matrix(x1, x2)
-    _, s, vt = np.linalg.svd(q)
-    if s[7] <= 1e-8 * max(s[0], 1e-30):
-        raise DegenerateSampleError("data matrix rank < 8")
-    e0 = vt[-1].reshape(3, 3)
-    u, sv, vt2 = np.linalg.svd(e0)
-    mean = 0.5 * (sv[0] + sv[1])
-    e = u @ np.diag([mean, mean, 0.0]) @ vt2
-    return e / np.linalg.norm(e)
 
 
 def cheirality_votes(e_or_pose, x1, x2):

@@ -30,8 +30,10 @@ from vcsfm.geometry import (
     SE3Pose,
     camera_center,
     project_points,
+    relative_pose,
     so3_exp,
 )
+from vcsfm.metrics import pose_error
 from vcsfm.synthetic import SceneConfig, generate_scene
 
 KS = (
@@ -193,3 +195,27 @@ def test_lift_counts_missed_ray_as_dropped_without_warnings():
         )
     assert dropped == 1
     assert len(tracks) == len(x2s) == len(vcs)
+
+
+@pytest.mark.parametrize("angle", [90.0, 150.0, 180.0])
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_ground_truth_is_a_fixed_point(mode, angle):
+    scene = generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, angle),
+                                       image_size=(160, 120), focal_length=170.0))
+    a, b = scene.records
+    params = ExtractionParams(surface_tolerance=suggest_surface_tolerance(scene.records))
+    gt = relative_pose(scene.gt_poses[0], scene.gt_poses[1])
+    pose_a = SE3Pose.identity()
+    tracks, x2s, _ = lift_vcs_to_tracks(extract_vcs(a, b, params), a, b, pose_a, gt, 0, 1)
+    assert len(tracks) > 50
+    # many exact tuples need a < 0: the thickness parameters are unbounded
+    assert any(tr.a < 0.0 for tr in tracks)
+    problem = BaProblem(
+        [BaCamera(pose_a, a.intrinsics, fixed=True), BaCamera(gt, b.intrinsics)],
+        tracks, mode, soft_x2=x2s if mode == "soft" else None,
+    )
+    x = problem.pack_params(vcsfm.ba._Layout(problem))
+    assert ba_objective(problem, x) < 1e-20
+    assert np.abs(ba_gradient(problem, x)).max() < 1e-8
+    sol = solve_ba(problem)
+    assert pose_error(relative_pose(*sol.poses), gt).combined_deg < 1e-9

@@ -13,11 +13,7 @@ from vcsfm.extraction import (
     VirtualCorrespondence,
     build_surface_index,
     extract_vcs,
-    load_surface_map,
-    load_vc_file,
     ray_gap,
-    save_surface_map,
-    save_vc_file,
     suggest_surface_tolerance,
     vc_ray_gap,
 )
@@ -319,35 +315,6 @@ def test_vc_ray_gap_same_world_point(rng):
             hit_rank=0, source="a",
         )
         assert vc_ray_gap(vc, pose_a, pose_b, k_a, k_b) < 1e-9
-
-
-# ---------------------------------------------------------------- files
-
-
-def test_surface_map_roundtrip(tmp_path, opposed_scene):
-    dsm = opposed_scene.records[0].surface_map
-    path = tmp_path / "map.dsm"
-    save_surface_map(dsm, path)
-    back = load_surface_map(path)
-    assert back.width == dsm.width and back.height == dsm.height
-    assert np.array_equal(back.faces, dsm.faces)
-    assert np.array_equal(back.barys, dsm.barys)
-    assert path.read_text().splitlines()[0] == f"dsm {dsm.width} {dsm.height}"
-
-
-def test_vc_file_roundtrip(tmp_path, opposed_scene):
-    a, b = opposed_scene.records
-    vcs = extract_vcs(a, b, scene_params(opposed_scene))[:20]
-    entries = [(a.image_id, b.image_id, v) for v in vcs]
-    path = tmp_path / "pairs.vc"
-    save_vc_file(entries, path)
-    back = load_vc_file(path)
-    assert len(back) == len(entries)
-    for e, (ia, ib, v) in zip(back, entries):
-        assert e.img_a == ia and e.img_b == ib
-        assert e.pixel_a == v.pixel_a and e.pixel_b == v.pixel_b
-        assert e.hit_rank == v.hit_rank
-    assert path.read_text().splitlines()[0] == "vcsfm-vc v1"
 
 
 def test_suggest_surface_tolerance_scales(opposed_scene):

@@ -8,7 +8,6 @@ from vcsfm.errors import (
     AmbiguousCheiralityError,
     DegenerateSampleError,
     InsufficientCorrespondencesError,
-    NotEssentialError,
 )
 from vcsfm.geometry import (
     SE3Pose,
@@ -18,9 +17,10 @@ from vcsfm.geometry import (
     so3_exp,
 )
 from vcsfm.relative_pose import (
+    _MONOMIALS,
     RansacParams,
+    _constraint_matrix,
     cheirality_votes,
-    eight_point,
     essential_residuals,
     five_point,
     ransac_essential,
@@ -38,13 +38,20 @@ def covisible_pose(rng, max_angle=0.7, t_scale=0.5):
     return rel
 
 
-def make_pairs(rng, rel, n):
+def make_pairs(rng, rel, n, half_width=None, depth=(2.0, 6.0)):
+    """n pairs from points at `depth` in front of camera 1: x, y uniform in
+    [-1, 1], or within +-half_width of the optical axis in normalized
+    coordinates when half_width is given."""
     x1, x2 = [], []
     tries = 0
     while len(x1) < n:
         tries += 1
         assert tries < 100 * n + 100
-        x = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2.0, 6.0)])
+        if half_width is None:
+            x = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(*depth)])
+        else:
+            d = rng.uniform(*depth)
+            x = np.array([*(rng.uniform(-half_width, half_width, size=2) * d), d])
         xc = rel.transform(x)
         if xc[2] <= 0.1:
             continue
@@ -77,6 +84,60 @@ def test_five_point_recovers_ground_truth_many(rng):
     assert recovered == 300
 
 
+@pytest.mark.parametrize(
+    "seed, half_width, depth",
+    [(11, 0.05, (2.0, 6.0)), (12, None, (20.0, 60.0))],
+    ids=["narrow-field", "far-depth"],
+)
+def test_five_point_recovers_ground_truth_clustered_roots(seed, half_width, depth):
+    # a narrow field of view or distant points bunch the real solutions
+    # together, which is where the eigenvectors are least well separated
+    gen = np.random.default_rng(seed)
+    for _ in range(200):
+        rel = covisible_pose(gen)
+        x1, x2 = make_pairs(gen, rel, 5, half_width=half_width, depth=depth)
+        e_gt = unit_essential(rel)
+        assert min(e_distance(c, e_gt) for c in five_point(x1, x2)) < 1e-6
+
+
+def test_five_point_recovers_solution_far_out_in_its_chart():
+    # a far-depth sample whose true E sits at nullspace coordinates of about
+    # (-1.2e4, 2.8e3, -3.7e4) in the chart E = x B0 + y B1 + z B2 + B3
+    x1 = np.array([
+        [-0.019934880891943476, -0.03140047218126563],
+        [0.0005679508777702095, 0.010196573149385225],
+        [0.018231893070360782, 0.01324030270257835],
+        [0.004053012931295644, 0.02913735858882724],
+        [0.011869992137366501, 0.017940256921257784],
+    ])
+    x2 = np.array([
+        [0.21159085165967534, -0.3652441099337123],
+        [0.2324144549773955, -0.32400589360781856],
+        [0.25183454739017697, -0.32042111759056796],
+        [0.23518570965393823, -0.29710423684396375],
+        [0.24447676007682156, -0.31351501589849695],
+    ])
+    rel = SE3Pose(
+        so3_exp([0.3254661888267479, 0.21890370666680362, 0.008945927116893723]),
+        np.array([1.1095477119134015e-04, 3.5368578775047366e-01, 2.6447565433898972e-02]),
+    )
+    e_gt = unit_essential(rel)
+    assert min(e_distance(c, e_gt) for c in five_point(x1, x2)) < 1e-6
+
+
+def test_constraint_matrix_matches_direct_evaluation(rng):
+    basis = rng.normal(size=(4, 9))
+    m = _constraint_matrix(basis)
+    exps = np.array(_MONOMIALS)
+    for _ in range(20):
+        x, y, z = rng.normal(size=3)
+        e = (basis.T @ [x, y, z, 1.0]).reshape(3, 3)
+        eet = e @ e.T
+        direct = np.concatenate([[np.linalg.det(e)], (2.0 * eet @ e - np.trace(eet) * e).ravel()])
+        monomials = x ** exps[:, 0] * y ** exps[:, 1] * z ** exps[:, 2]
+        np.testing.assert_allclose(m @ monomials, direct, rtol=1e-10, atol=1e-10)
+
+
 def test_five_point_candidates_satisfy_postconditions(rng):
     rel = covisible_pose(rng)
     x1, x2 = make_pairs(rng, rel, 5)
@@ -98,48 +159,6 @@ def test_five_point_rejects_degenerate_sample():
 def test_five_point_needs_exactly_five():
     with pytest.raises(ValueError):
         five_point(np.zeros((4, 2)), np.zeros((4, 2)))
-
-
-# ------------------------------------------------------------- eight point
-
-
-def test_eight_point_exact_recovery(rng):
-    for _ in range(20):
-        rel = covisible_pose(rng)
-        x1, x2 = make_pairs(rng, rel, 12)
-        e = eight_point(x1, x2)
-        assert e_distance(e, unit_essential(rel)) < 1e-8
-
-
-def test_eight_point_pure_rotation_flagged_degenerate(rng):
-    rel = SE3Pose(so3_exp([0.2, -0.1, 0.3]), np.zeros(3))
-    x1, x2 = make_pairs(rng, rel, 12)
-    with pytest.raises((DegenerateSampleError, NotEssentialError)):
-        decompose_essential(eight_point(x1, x2))
-
-
-def test_eight_point_noise_monte_carlo(rng):
-    for _ in range(10):
-        rel = covisible_pose(rng)
-        x1, x2 = make_pairs(rng, rel, 40)
-        x1n = x1 + rng.normal(scale=1e-4, size=x1.shape)
-        x2n = x2 + rng.normal(scale=1e-4, size=x2.shape)
-        e = eight_point(x1n, x2n)
-        assert e_distance(e, unit_essential(rel)) < 1e-2
-
-
-def test_eight_point_insufficient_pairs():
-    with pytest.raises(InsufficientCorrespondencesError):
-        eight_point(np.zeros((7, 2)), np.zeros((7, 2)))
-
-
-def test_solver_agreement_five_vs_eight(rng):
-    for _ in range(20):
-        rel = covisible_pose(rng)
-        x1, x2 = make_pairs(rng, rel, 8)
-        e8 = eight_point(x1, x2)
-        cands = five_point(x1[:5], x2[:5])
-        assert min(e_distance(c, e8) for c in cands) < 1e-6
 
 
 # ------------------------------------------------------------- recover pose
