@@ -195,13 +195,18 @@ def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
     return x1 + a * (x1 - o1) + b * (o2 - o1)
 
 
-def fit_thickness(x1, x2, o1, o2) -> tuple[float, float]:
-    """Least-squares (a, b) of the tuple reparameterization; exact when X2
-    lies in the plane of X1 and the two centers."""
+def fit_thickness(x1, x2, o1, o2) -> np.ndarray:
+    """Least-squares (a, b) of the tuple reparameterization for each row of
+    the (n, 3) points x1, x2: an (n, 2) array. Exact when X2 lies in the
+    plane of X1 and the two centers; the minimum-norm solution when X1 - o1
+    is parallel to o2 - o1."""
     x1 = np.asarray(x1, dtype=np.float64)
-    basis = np.column_stack([x1 - np.asarray(o1), np.asarray(o2) - np.asarray(o1)])
-    sol, *_ = np.linalg.lstsq(basis, np.asarray(x2) - x1, rcond=None)
-    return float(sol[0]), float(sol[1])
+    o1 = np.asarray(o1, dtype=np.float64)
+    rhs = np.asarray(x2, dtype=np.float64) - x1
+    basis = np.stack([x1 - o1, np.broadcast_to(np.asarray(o2) - o1, x1.shape)], axis=2)
+    # the singular-value cutoff of lstsq(rcond=None): max(M, N) * eps
+    pinv = np.linalg.pinv(basis, rcond=3 * np.finfo(np.float64).eps)
+    return (pinv @ rhs[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,42 +512,38 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
     Returns (tracks, x2_list, dropped_count); rays that miss their prior are
     dropped and counted rather than raised.
     """
-    if not vcs:
-        return [], [], 0
-    k_a, k_b = record_a.intrinsics, record_b.intrinsics
+    person_ids = np.array([vc.person_id for vc in vcs], dtype=np.int64)
 
-    def first_points(record, k, pixels, person_ids):
+    def first_points(record, pixels):
+        k = record.intrinsics
         dirs = np.column_stack([k.normalize(pixels), np.ones(len(pixels))])
-        points = np.full((len(pixels), 3), np.nan)
-        ok_all = np.zeros(len(pixels), dtype=bool)
-        for pid in sorted(set(person_ids)):
-            sel = np.array([p == pid for p in person_ids])
-            mesh = record.posed_mesh(pid)
-            depth, _, _, ok = batch_first_hits(mesh, np.zeros((sel.sum(), 3)), dirs[sel])
-            idx = np.nonzero(sel)[0][ok]
-            points[idx] = depth[ok, None] * dirs[idx]
-            ok_all[idx] = True
-        return points, ok_all
-
-    pix_a = np.array([[vc.pixel_a.u, vc.pixel_a.v] for vc in vcs])
-    pix_b = np.array([[vc.pixel_b.u, vc.pixel_b.v] for vc in vcs])
-    pids = [vc.person_id for vc in vcs]
-    pts_a, ok_a = first_points(record_a, k_a, pix_a, pids)
-    pts_b, ok_b = first_points(record_b, k_b, pix_b, pids)
-    keep = ok_a & ok_b
-
-    o1 = camera_center(pose_a)
-    o2 = camera_center(pose_b)
-    tracks, x2s = [], []
-    for i in np.nonzero(keep)[0]:
-        x1 = pose_a.inverse_transform(pts_a[i])
-        x2 = pose_b.inverse_transform(pts_b[i])
-        a, b = fit_thickness(x1, x2, o1, o2)
-        tracks.append(
-            VcTrack(
-                x1=x1, a=a, b=b, cam_a=cam_a, cam_b=cam_b,
-                obs_a=vcs[i].pixel_a, obs_b=vcs[i].pixel_b, kind="virtual",
+        points = np.zeros((len(pixels), 3))
+        hit = np.zeros(len(pixels), dtype=bool)
+        for pid in np.unique(person_ids):
+            rows = np.flatnonzero(person_ids == pid)
+            depth, _, _, ok = batch_first_hits(
+                record.posed_mesh(int(pid)), np.zeros((len(rows), 3)), dirs[rows]
             )
+            rows = rows[ok]
+            points[rows] = depth[ok, None] * dirs[rows]
+            hit[rows] = True
+        return points, hit
+
+    pts_a, ok_a = first_points(
+        record_a, np.array([(vc.pixel_a.u, vc.pixel_a.v) for vc in vcs]).reshape(-1, 2)
+    )
+    pts_b, ok_b = first_points(
+        record_b, np.array([(vc.pixel_b.u, vc.pixel_b.v) for vc in vcs]).reshape(-1, 2)
+    )
+    keep = np.flatnonzero(ok_a & ok_b)
+    x1 = pose_a.inverse_transform(pts_a[keep])
+    x2 = pose_b.inverse_transform(pts_b[keep])
+    ab = fit_thickness(x1, x2, camera_center(pose_a), camera_center(pose_b))
+    tracks = [
+        VcTrack(
+            x1=p, a=a, b=b, cam_a=cam_a, cam_b=cam_b,
+            obs_a=vcs[i].pixel_a, obs_b=vcs[i].pixel_b, kind="virtual",
         )
-        x2s.append(x2)
-    return tracks, x2s, int(len(vcs) - keep.sum())
+        for i, p, (a, b) in zip(keep.tolist(), x1, ab.tolist())
+    ]
+    return tracks, list(x2), len(vcs) - len(keep)

@@ -52,17 +52,6 @@ class DenseSurfaceMap:
         v, u = np.nonzero(self.faces >= 0)
         return np.column_stack([u, v])
 
-    def entry_at(self, u, v) -> SurfaceCoordinate | None:
-        """Entry at the nearest grid pixel, None when out of bounds/unmapped."""
-        ui, vi = int(round(float(u))), int(round(float(v)))
-        if not (0 <= ui < self.width and 0 <= vi < self.height):
-            return None
-        f = self.faces[vi, ui]
-        if f < 0:
-            return None
-        b = self.barys[vi, ui]
-        return SurfaceCoordinate(int(f), (b[0], b[1], b[2]))
-
 
 @dataclass(frozen=True)
 class ShapePrior:
@@ -195,45 +184,33 @@ def suggest_surface_tolerance(records, floor: float = 0.01, factor: float = 1.6)
 
 
 class SurfaceIndex:
-    """Inverse lookup from a surface coordinate to observing map pixels."""
+    """A dense surface map's entries as points on a mesh, for nearest-entry
+    lookup."""
 
     def __init__(self, dsm: DenseSurfaceMap, mesh: TriangleMesh):
-        self.mesh = mesh
         self.pixels = dsm.mapped_pixels()
-        if len(self.pixels):
-            u, v = self.pixels[:, 0], self.pixels[:, 1]
-            self.faces = dsm.faces[v, u]
-            self.barys = dsm.barys[v, u]
-            self.positions = surface_points(mesh, self.faces, self.barys)
-            self._tree = cKDTree(self.positions)
-        else:
-            self.faces = np.empty(0, dtype=np.int64)
-            self.barys = np.empty((0, 3))
-            self.positions = np.empty((0, 3))
-            self._tree = None
+        u, v = self.pixels[:, 0], self.pixels[:, 1]
+        self.faces = dsm.faces[v, u]
+        self.barys = dsm.barys[v, u]
+        self.positions = surface_points(mesh, self.faces, self.barys)
+        self._tree = cKDTree(self.positions)
 
     def __len__(self) -> int:
         return len(self.pixels)
 
-    def query(self, coord: SurfaceCoordinate, tolerance: float) -> list[tuple[int, int]]:
-        """All (u, v) map pixels whose entry lies within tolerance of coord."""
-        if self._tree is None:
-            return []
-        pos = surface_points(self.mesh, [coord.face], [coord.bary])[0]
-        idx = sorted(self._tree.query_ball_point(pos, tolerance))
-        return [tuple(p) for p in self.pixels[idx]]
+    def nearest(self, positions: np.ndarray, tolerance: float):
+        """Nearest entry within `tolerance` (inclusive) of each query position.
 
-    def nearest(self, positions: np.ndarray):
-        """Vectorized nearest entry per query position: (distances, indices)."""
-        if self._tree is None:
-            n = len(np.atleast_2d(positions))
-            return np.full(n, np.inf), np.full(n, -1, dtype=np.int64)
-        return self._tree.query(np.atleast_2d(positions))
-
-
-def build_surface_index(dsm: DenseSurfaceMap, mesh: TriangleMesh) -> SurfaceIndex:
-    """Queryable coordinate -> pixels index over a dense surface map."""
-    return SurfaceIndex(dsm, mesh)
+        Returns (distances, indices), with inf and len(self) where no entry
+        is that close.
+        """
+        # the tree's bound is strict: one ulp above keeps distance == tolerance
+        dist, idx = self._tree.query(
+            np.atleast_2d(positions), distance_upper_bound=np.nextafter(tolerance, np.inf)
+        )
+        far = dist > tolerance
+        dist[far], idx[far] = np.inf, len(self)
+        return dist, idx
 
 
 def _check_shared_topology(mesh_a: TriangleMesh, mesh_b: TriangleMesh):
@@ -247,104 +224,81 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
                         params: ExtractionParams):
     """VCs found by casting rays from `cast` and matching in `obs`.
 
-    Returns tuples (sort_key, cast_pixel, obs_pixel, coord, rank, depth); the
-    caller orients them into (pixel_a, pixel_b) order.
+    Every mapped pixel of `cast` on the `stride` grid casts a ray through its
+    prior. A hit matches the observer-map entry nearest to it when that entry
+    lies within `surface_tolerance` (distance <= tolerance) and the hit is in
+    turn the entry's nearest hit. Each casting pixel keeps its first
+    `max_per_pixel` matches in rank order; of those, matches whose point lies
+    behind the casting camera or projects outside its frame are dropped.
+
+    Returns rows (cast_uv, obs_uv, face, bary, rank, depth) of plain Python
+    values, in row-major order of the casting pixel and ascending hit rank;
+    the caller orients them into (pixel_a, pixel_b) order.
     """
-    prior_c = cast.prior_for(person_id)
-    prior_o = obs.prior_for(person_id)
     mesh_c = cast.posed_mesh(person_id)
-    dsm_c, dsm_o = prior_c.surface_map, prior_o.surface_map
+    dsm_c = cast.prior_for(person_id).surface_map
 
-    pix = dsm_c.mapped_pixels()
+    pix = dsm_c.mapped_pixels()  # row-major
+    pix = pix[(pix[:, 0] % params.stride == 0) & (pix[:, 1] % params.stride == 0)]
     if len(pix) == 0:
         return []
-    keep = (pix[:, 0] % params.stride == 0) & (pix[:, 1] % params.stride == 0)
-    pix = pix[keep]
-    if len(pix) == 0:
-        return []
-    # row-major over the sampled grid
-    pix = pix[np.lexsort((pix[:, 0], pix[:, 1]))]
-
     dirs = np.column_stack(
         [cast.intrinsics.normalize(pix.astype(np.float64)), np.ones(len(pix))]
     )
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     hits = batch_all_hits(mesh_c, np.zeros_like(dirs), dirs, max_hits=params.max_hits_per_ray)
 
-    hit_pixel, hit_rank = [], []
-    for (depths, _, _), p in zip(hits, pix):
-        for r in range(len(depths)):
-            hit_pixel.append(p)
-            hit_rank.append(r)
-    if not hit_pixel:
-        return []
-    all_faces = np.concatenate([h[1] for h in hits])
-    all_barys = np.concatenate([h[2] for h in hits])
+    ray = np.repeat(np.arange(len(pix)), [len(depths) for depths, _, _ in hits])
+    rank = np.arange(len(ray)) - np.searchsorted(ray, ray)
     # evaluate positions from the coordinate address so they match the
     # observer-entry positions computed on the same (casting) mesh
-    hit_pos = surface_points(mesh_c, all_faces, all_barys)
-    hit_pixel = np.array(hit_pixel)
-    hit_rank = np.array(hit_rank)
+    hit_pos = surface_points(
+        mesh_c, np.concatenate([h[1] for h in hits]), np.concatenate([h[2] for h in hits])
+    )
 
     # positions of the observer's entries, evaluated on the casting mesh so
     # distances are canonical-topology distances
-    index_o = SurfaceIndex(dsm_o, mesh_c)
-    if len(index_o) == 0:
-        return []
-    d_to_obs, nearest_obs = index_o.nearest(hit_pos)
-    tree_hits = cKDTree(hit_pos)
-    _, nearest_hit = tree_hits.query(index_o.positions)
+    index_o = SurfaceIndex(obs.prior_for(person_id).surface_map, mesh_c)
+    _, near = index_o.nearest(hit_pos, params.surface_tolerance)
+    cand = np.flatnonzero(near < len(index_o))
+    # a point's nearest neighbour does not depend on the other queries, so
+    # the reverse test needs only the candidates' entries
+    _, back = cKDTree(hit_pos).query(index_o.positions[near[cand]])
+    m = cand[back == cand]
 
-    mutual = (d_to_obs <= params.surface_tolerance) & (
-        nearest_hit[nearest_obs] == np.arange(len(hit_pos))
-    )
+    # cap VCs per casting pixel, lowest ranks first (m is ray- then rank-ordered)
+    r = ray[m]
+    m = m[np.arange(len(m)) - np.searchsorted(r, r) < params.max_per_pixel]
 
-    # cap VCs per casting pixel, lowest ranks first (hits are rank-ordered)
-    per_pixel = {}
-    selected = []
-    for m in np.nonzero(mutual)[0]:
-        key = (int(hit_pixel[m][0]), int(hit_pixel[m][1]))
-        if per_pixel.get(key, 0) >= params.max_per_pixel:
-            continue
-        per_pixel[key] = per_pixel.get(key, 0) + 1
-        selected.append(m)
-
-    out = []
-    w_c, h_c = dsm_c.width, dsm_c.height
-    for m in selected:
-        e = nearest_obs[m]
-        coord = SurfaceCoordinate(
-            int(index_o.faces[e]), tuple(np.asarray(index_o.barys[e], dtype=np.float64))
-        )
-        # re-view the matched canonical point on the casting image's own prior
-        y = index_o.positions[e]  # already in the casting camera frame
-        if y[2] <= 0.0:
-            continue
-        uv = cast.intrinsics.denormalize(y[:2] / y[2])
-        if not (0.0 <= uv[0] <= w_c - 1 and 0.0 <= uv[1] <= h_c - 1):
-            continue
-        sort_key = (int(hit_pixel[m][1]), int(hit_pixel[m][0]), int(hit_rank[m]))
-        obs_uv = Pixel(float(index_o.pixels[e][0]), float(index_o.pixels[e][1]))
-        out.append(
-            (
-                sort_key,
-                Pixel(float(uv[0]), float(uv[1])),
-                obs_uv,
-                coord,
-                int(hit_rank[m]),
-                float(np.linalg.norm(y)),
-            )
-        )
-    return out
+    # re-view the matched canonical point on the casting image's own prior
+    e = near[m]
+    y = index_o.positions[e]  # already in the casting camera frame
+    front = y[:, 2] > 0.0
+    m, e, y = m[front], e[front], y[front]
+    uv = cast.intrinsics.denormalize(y[:, :2] / y[:, 2:])
+    inside = np.all((uv >= 0.0) & (uv <= [dsm_c.width - 1, dsm_c.height - 1]), axis=1)
+    m, e, y, uv = m[inside], e[inside], y[inside], uv[inside]
+    return list(zip(
+        uv.tolist(),
+        index_o.pixels[e].tolist(),
+        index_o.faces[e].tolist(),
+        index_o.barys[e].tolist(),
+        rank[m].tolist(),
+        # equals np.linalg.norm of each row bit for bit; norm(axis=1) does not
+        np.sqrt(np.vecdot(y, y)).tolist(),
+    ))
 
 
 def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None = None
                 ) -> list[VirtualCorrespondence]:
     """Virtual correspondences between two records (both cast directions).
 
-    Output is deterministic: a-cast VCs first, then b-cast, each in row-major
-    order of the sampled casting pixel and ascending hit rank; exact
-    duplicates are dropped.
+    A hit on the casting prior pairs with an observer-map entry when the two
+    are mutual nearest neighbours and lie within `surface_tolerance` of each
+    other, inclusive (see `_cast_one_direction`). Output is deterministic:
+    for each shared person in ascending id, a-cast VCs first, then b-cast,
+    each in row-major order of the sampled casting pixel and ascending hit
+    rank; exact duplicates are dropped.
     """
     params = params or ExtractionParams()
     shared = sorted(
@@ -357,10 +311,12 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
             a.prior_for(person_id).mesh, b.prior_for(person_id).mesh
         )
         for source, cast, obs, forward in ((a, a, b, True), (b, b, a, False)):
-            found = _cast_one_direction(cast, obs, person_id, params)
-            found.sort(key=lambda item: item[0])
-            for _, cast_px, obs_px, coord, rank, depth in found:
-                pa, pb = (cast_px, obs_px) if forward else (obs_px, cast_px)
+            for cast_uv, obs_uv, face, bary, rank, depth in _cast_one_direction(
+                cast, obs, person_id, params
+            ):
+                pa, pb = Pixel(*cast_uv), Pixel(*obs_uv)
+                if not forward:
+                    pa, pb = pb, pa
                 key = (pa.u, pa.v, pb.u, pb.v, rank, person_id)
                 if key in seen:
                     continue
@@ -369,7 +325,7 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
                     VirtualCorrespondence(
                         pixel_a=pa,
                         pixel_b=pb,
-                        hit_coord=coord,
+                        hit_coord=SurfaceCoordinate(face, tuple(bary)),
                         hit_rank=rank,
                         source=source.image_id,
                         person_id=person_id,

@@ -55,11 +55,15 @@ class SurfaceCoordinate:
     bary: tuple[float, float, float]
 
     def __post_init__(self):
-        b = np.asarray(self.bary, dtype=np.float64)
-        if b.shape != (3,) or np.any(b < -1e-9) or abs(b.sum() - 1.0) > 1e-9:
+        # plain floats: extraction builds one coordinate per correspondence
+        try:
+            b = tuple(float(w) for w in self.bary)
+        except (TypeError, ValueError) as exc:
+            raise InvalidCoordinateError(f"bad barycentric weights {self.bary}") from exc
+        if len(b) != 3 or not (min(b) >= -1e-9 and abs(b[0] + b[1] + b[2] - 1.0) <= 1e-9):
             raise InvalidCoordinateError(f"bad barycentric weights {self.bary}")
         object.__setattr__(self, "face", int(self.face))
-        object.__setattr__(self, "bary", (float(b[0]), float(b[1]), float(b[2])))
+        object.__setattr__(self, "bary", b)
 
 
 @dataclass(frozen=True)

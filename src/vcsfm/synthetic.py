@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -152,11 +153,13 @@ def _capsule(p0, p1, radius, segments=16, cap_rings=6, side_rings=4):
     return np.array(verts), np.array(faces, dtype=np.int64)
 
 
+@cache
 def builtin_proxy_mesh() -> TriangleMesh:
     """Closed asymmetric union of capsules: torso, head, one arm, front lobe.
 
     Asymmetry (single arm, +z nose marker) disambiguates opposed viewpoints;
-    each component is watertight so ray-hit parity holds.
+    each component is watertight so ray-hit parity holds. Built once per
+    process; the mesh's arrays are read-only, so callers share it.
     """
     parts = [
         _capsule([0.0, -0.35, 0.0], [0.0, 0.35, 0.0], 0.22),

@@ -141,3 +141,70 @@ def classic_ba_oracle(poses, intrinsics, fixed, points, observations, max_nfev=4
     sol = least_squares(residuals, np.array(x0), method="lm", max_nfev=max_nfev)
     r = residuals(sol.x)
     return float(r @ r)
+
+
+def vc_extraction_oracle(a, b, params):
+    """`extract_vcs` for records with one shared person, hit by hit.
+
+    Rays are cast by `collapsed_hits_oracle`; mutual nearest neighbours come
+    from the full hit x observer-entry distance matrix; the per-pixel cap,
+    the behind-camera check and the frame check then run one hit at a time.
+    Entry positions are evaluated with `surface_points`, as the library does,
+    so depths can be compared bit for bit.
+    """
+    from vcsfm.extraction import VirtualCorrespondence
+    from vcsfm.geometry import Pixel
+    from vcsfm.mesh import DEPTH_TIE, SurfaceCoordinate, surface_points
+
+    (prior,) = a.priors
+    person = prior.person_id
+    vcs, seen = [], set()
+    for cast, obs, forward in ((a, b, True), (b, a, False)):
+        mesh = cast.posed_mesh(person)
+        dsm_c, dsm_o = cast.prior_for(person).surface_map, obs.prior_for(person).surface_map
+        hits = []  # (casting pixel, rank, position)
+        for v in range(0, dsm_c.height, params.stride):
+            for u in range(0, dsm_c.width, params.stride):
+                if dsm_c.faces[v, u] < 0:
+                    continue
+                x, y = cast.intrinsics.normalize(np.array([u, v], dtype=np.float64))
+                d = np.array([x, y, 1.0]) / np.linalg.norm([x, y, 1.0])
+                found = collapsed_hits_oracle(mesh.vertices, mesh.faces, np.zeros(3), d,
+                                              DEPTH_TIE, params.max_hits_per_ray)
+                for rank, (_, face, bary) in enumerate(found):
+                    hits.append(((u, v), rank, surface_points(mesh, [face], [bary])[0]))
+        ov, ou = np.nonzero(dsm_o.faces >= 0)
+        if not hits or len(ou) == 0:
+            continue
+        entry_pos = surface_points(mesh, dsm_o.faces[ov, ou], dsm_o.barys[ov, ou])
+        hit_pos = np.array([h[2] for h in hits])
+        dist2 = np.zeros((len(hit_pos), len(entry_pos)))
+        for k in range(3):
+            dist2 += (hit_pos[:, None, k] - entry_pos[None, :, k]) ** 2
+        dist = np.sqrt(dist2)
+        per_pixel = {}
+        for j, (pixel, rank, _) in enumerate(hits):
+            e = int(np.argmin(dist[j]))
+            if dist[j, e] > params.surface_tolerance or int(np.argmin(dist[:, e])) != j:
+                continue
+            if per_pixel.get(pixel, 0) >= params.max_per_pixel:
+                continue
+            per_pixel[pixel] = per_pixel.get(pixel, 0) + 1
+            y = entry_pos[e]
+            if y[2] <= 0.0:
+                continue
+            uv = cast.intrinsics.denormalize(y[:2] / y[2])
+            if not (0.0 <= uv[0] <= dsm_c.width - 1 and 0.0 <= uv[1] <= dsm_c.height - 1):
+                continue
+            cast_px, obs_px = Pixel(uv[0], uv[1]), Pixel(ou[e], ov[e])
+            pa, pb = (cast_px, obs_px) if forward else (obs_px, cast_px)
+            if (pa, pb, rank) in seen:
+                continue
+            seen.add((pa, pb, rank))
+            vcs.append(VirtualCorrespondence(
+                pixel_a=pa, pixel_b=pb,
+                hit_coord=SurfaceCoordinate(dsm_o.faces[ov[e], ou[e]], dsm_o.barys[ov[e], ou[e]]),
+                hit_rank=rank, source=cast.image_id, person_id=person,
+                hit_depth=float(np.linalg.norm(y)),
+            ))
+    return vcs

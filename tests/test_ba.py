@@ -14,6 +14,7 @@ from vcsfm.ba import (
     VcTrack,
     ba_gradient,
     ba_objective,
+    fit_thickness,
     lift_vcs_to_tracks,
     solve_ba,
     x2_from_reparam,
@@ -33,6 +34,7 @@ from vcsfm.geometry import (
     relative_pose,
     so3_exp,
 )
+from vcsfm.mesh import SurfaceCoordinate
 from vcsfm.metrics import pose_error
 from vcsfm.synthetic import SceneConfig, generate_scene
 
@@ -195,6 +197,49 @@ def test_lift_counts_missed_ray_as_dropped_without_warnings():
         )
     assert dropped == 1
     assert len(tracks) == len(x2s) == len(vcs)
+
+
+def test_lift_with_every_ray_missing_returns_no_tracks():
+    scene = generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, 150.0),
+                                       image_size=(96, 72), focal_length=110.0))
+    a, b = scene.records
+    poses = scene.gt_poses
+    assert lift_vcs_to_tracks([], a, b, *poses, 0, 1) == ([], [], 0)
+    # the image corners lie off the body in both maps
+    assert a.surface_map.faces[0, 0] < 0 and b.surface_map.faces[-1, -1] < 0
+    misses = [
+        VirtualCorrespondence(
+            pixel_a=Pixel(0.0, float(v)), pixel_b=Pixel(95.0, 71.0),
+            hit_coord=SurfaceCoordinate(0, (1.0, 0.0, 0.0)), hit_rank=0, source=a.image_id,
+        )
+        for v in (0, 1, 2)
+    ]
+    assert lift_vcs_to_tracks(misses, a, b, *poses, 0, 1) == ([], [], 3)
+
+
+def test_fit_thickness_matches_per_row_lstsq():
+    rng = np.random.default_rng(3)
+    o1, o2 = np.array([0.5, -1.0, 2.0]), np.array([1.5, 1.0, 5.0])
+    x1 = rng.normal(size=(40, 3)) + [0.0, 0.0, 4.0]
+    x2 = rng.normal(size=(40, 3)) + [0.0, 0.0, 4.0]
+    # X1 - o1 = 2 (o2 - o1), exactly: a rank-one basis
+    x1[7] = [2.5, 3.0, 8.0]
+    x2[7] = x1[7] + 0.5 * (o2 - o1)
+
+    def per_row(x1, x2, o1, o2):
+        return [np.linalg.lstsq(np.column_stack([p - o1, o2 - o1]), q - p, rcond=None)[0]
+                for p, q in zip(x1, x2)]
+
+    got = fit_thickness(x1, x2, o1, o2)
+    np.testing.assert_allclose(got, per_row(x1, x2, o1, o2), rtol=0.0, atol=1e-12)
+    # minimum norm along 2a + b = 0.5
+    np.testing.assert_allclose(got[7], [0.2, 0.1], rtol=0.0, atol=1e-12)
+    # singular values 1 and 8e-16: rank two under lstsq's cutoff (3 eps)
+    thin = [np.array([[1.0, 0.0, 0.0]]), np.array([[1.5, 2e-16, 0.0]]),
+            np.zeros(3), np.array([0.0, 8e-16, 0.0])]
+    np.testing.assert_array_equal(fit_thickness(*thin), per_row(*thin))
+    np.testing.assert_array_equal(fit_thickness(*thin), [[0.5, 0.25]])
+    assert fit_thickness(np.empty((0, 3)), np.empty((0, 3)), o1, o2).shape == (0, 2)
 
 
 @pytest.mark.parametrize("angle", [90.0, 150.0, 180.0])

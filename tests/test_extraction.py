@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_square_mesh
-from oracles import ray_gap_grid_oracle
+from oracles import ray_gap_grid_oracle, vc_extraction_oracle
 from vcsfm.errors import TopologyMismatchError
 from vcsfm.extraction import (
     DenseSurfaceMap,
@@ -11,13 +11,12 @@ from vcsfm.extraction import (
     ShapePrior,
     SurfaceIndex,
     VirtualCorrespondence,
-    build_surface_index,
     extract_vcs,
     ray_gap,
     suggest_surface_tolerance,
     vc_ray_gap,
 )
-from vcsfm.geometry import CameraIntrinsics, Pixel, Ray, ray_through_pixel
+from vcsfm.geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
 from vcsfm.mesh import SurfaceCoordinate, surface_points
 from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
 
@@ -34,6 +33,13 @@ def narrow_scene():
     return generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, 25.0), **SMALL))
 
 
+@pytest.fixture(scope="module")
+def cropped_scene():
+    # the body runs past the frame, so some matches reproject outside it
+    return generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, 25.0),
+                                      fill_fraction=1.3, **SMALL))
+
+
 def scene_params(scene):
     return ExtractionParams(surface_tolerance=suggest_surface_tolerance(scene.records))
 
@@ -41,40 +47,49 @@ def scene_params(scene):
 # ---------------------------------------------------------------- index
 
 
-def test_surface_index_empty_map():
-    mesh = unit_square_mesh()
-    idx = build_surface_index(DenseSurfaceMap.empty(8, 8), mesh)
-    assert idx.query(SurfaceCoordinate(0, (1.0, 0.0, 0.0)), 10.0) == []
-
-
-def test_surface_index_single_entry():
-    mesh = unit_square_mesh()
-    faces = np.full((8, 8), -1, dtype=np.int64)
-    barys = np.zeros((8, 8, 3))
-    faces[3, 5] = 0
-    barys[3, 5] = (1.0, 0.0, 0.0)
-    idx = build_surface_index(DenseSurfaceMap(faces, barys), mesh)
-    assert idx.query(SurfaceCoordinate(0, (1.0, 0.0, 0.0)), 1e-6) == [(5, 3)]
-    assert idx.query(SurfaceCoordinate(0, (0.0, 0.0, 1.0)), 1e-6) == []
-
-
 def test_surface_index_matches_linear_scan(opposed_scene, rng):
     rec = opposed_scene.records[0]
     dsm = rec.surface_map
     mesh = rec.prior_mesh
-    idx = build_surface_index(dsm, mesh)
+    idx = SurfaceIndex(dsm, mesh)
     pix = dsm.mapped_pixels()
     pos_all = surface_points(mesh, dsm.faces[pix[:, 1], pix[:, 0]], dsm.barys[pix[:, 1], pix[:, 0]])
-    tol = 0.05
-    for _ in range(100):
-        j = rng.integers(0, len(pix))
-        coord = SurfaceCoordinate(
-            int(dsm.faces[pix[j, 1], pix[j, 0]]), tuple(dsm.barys[pix[j, 1], pix[j, 0]])
-        )
-        got = set(idx.query(coord, tol))
-        q = surface_points(mesh, [coord.face], [coord.bary])[0]
-        want = {tuple(p) for p, d in zip(pix, np.linalg.norm(pos_all - q, axis=1)) if d <= tol}
-        assert got == want
+    # one query steps straight back from the deepest entry (positive depth):
+    # the step is exact, so that entry sits exactly at the tolerance and no
+    # other entry is as close
+    back = int(pos_all[:, 2].argmax())
+    at_tol = pos_all[back] + [0.0, 0.0, 0.05]
+    tol = at_tol[2] - pos_all[back, 2]
+    queries = pos_all[rng.integers(0, len(pix), 100)] + rng.normal(scale=0.03, size=(100, 3))
+    queries = np.vstack([queries, at_tol])
+    dist, got = idx.nearest(queries, tol)
+    for q, d, i in zip(queries, dist, got):
+        scan = np.sqrt(((pos_all - q) ** 2).sum(axis=1))
+        j = int(np.argmin(scan))
+        if scan[j] <= tol:
+            assert (d, i) == (scan[j], j)
+        else:
+            assert (d, i) == (np.inf, len(idx))
+    assert (dist[-1], got[-1]) == (tol, back)
+    assert np.isinf(dist).any() and np.isfinite(dist[:-1]).any()
+    # one ulp beyond the tolerance: the tree's squared bound can still admit
+    # an entry whose rounded distance exceeds the tolerance
+    for q in queries:
+        sq = ((pos_all - q) ** 2).sum(axis=1)
+        j = int(np.argmin(sq))
+        d = np.sqrt(sq[j])
+        if d * d > sq[j]:
+            break
+    else:
+        pytest.fail("no query with a rounded-up distance")
+    dist, got = idx.nearest(q, np.nextafter(d, 0.0))
+    assert (dist[0], got[0]) == (np.inf, len(idx))
+
+
+def test_surface_index_of_empty_map_finds_nothing():
+    idx = SurfaceIndex(DenseSurfaceMap.empty(8, 8), unit_square_mesh())
+    dist, got = idx.nearest(np.zeros((2, 3)), 10.0)
+    assert len(idx) == 0 and np.all(dist == np.inf) and np.all(got == len(idx))
 
 
 # ---------------------------------------------------------------- extraction
@@ -129,6 +144,31 @@ def test_empty_observer_map_yields_nothing(opposed_scene):
     assert extract_vcs(a, empty, scene_params(opposed_scene)) == []
 
 
+def test_rays_that_miss_yield_nothing(opposed_scene):
+    # both priors moved far to the side: no sampled ray meets either mesh
+    aside = SE3Pose(np.eye(3), [100.0, 0.0, 0.0])
+    a, b = (ImageRecord(r.image_id, r.intrinsics, r.priors, prior_pose=aside)
+            for r in opposed_scene.records)
+    assert extract_vcs(a, b, scene_params(opposed_scene)) == []
+
+
+@pytest.mark.parametrize("scene, change", [
+    pytest.param(scene, change, id=f"{scene}-{name}")
+    for scene in ("opposed_scene", "narrow_scene")
+    for name, change in (("defaults", {}), ("cap1", {"max_per_pixel": 1}), ("stride2", {"stride": 2}))
+] + [pytest.param("cropped_scene", {}, id="cropped_scene-defaults")])
+def test_extraction_matches_dense_oracle(scene, change, request):
+    scene = request.getfixturevalue(scene)
+    a, b = scene.records
+    params = ExtractionParams(
+        surface_tolerance=suggest_surface_tolerance(scene.records), **change
+    )
+    got = extract_vcs(a, b, params)
+    want = vc_extraction_oracle(a, b, params)
+    assert len(got) > 20
+    assert got == want  # dataclass equality: every field, depths bit for bit
+
+
 def test_extraction_symmetry_under_role_swap(opposed_scene):
     a, b = opposed_scene.records
     params = scene_params(opposed_scene)
@@ -160,12 +200,12 @@ def test_classic_subsumption(narrow_scene):
     # pairs whose surface point has a map entry within tolerance in b too
     # (grazing silhouette points may genuinely be unresolved in b's map)
     mesh_a = a.posed_mesh(0)
-    index_b = build_surface_index(b.surface_map, mesh_a)
+    index_b = SurfaceIndex(b.surface_map, mesh_a)
     classic = []
     for c in narrow_scene.classic_oracle_pairs(0, 1):
-        coord_a = a.surface_map.entry_at(c.pixel_a.u, c.pixel_a.v)
-        pos = surface_points(mesh_a, [coord_a.face], [coord_a.bary])
-        dist, _ = index_b.nearest(pos)
+        u, v = round(c.pixel_a.u), round(c.pixel_a.v)
+        pos = surface_points(mesh_a, [a.surface_map.faces[v, u]], [a.surface_map.barys[v, u]])
+        dist, _ = index_b.nearest(pos, params.surface_tolerance)
         if dist[0] <= params.surface_tolerance:
             classic.append(c)
     assert len(classic) > 10

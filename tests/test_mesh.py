@@ -86,6 +86,11 @@ def test_surface_coordinate_validation():
         SurfaceCoordinate(0, (0.5, 0.5, 0.5))
     with pytest.raises(InvalidCoordinateError):
         SurfaceCoordinate(0, (-0.2, 0.6, 0.6))
+    for bad in ((0.5, 0.5), (0.2, 0.3, 0.5, 0.0), (float("nan"), 0.5, 0.5), (0.5, "x", 0.5), 1.0):
+        with pytest.raises(InvalidCoordinateError):
+            SurfaceCoordinate(0, bad)
+    c = SurfaceCoordinate(np.int64(2), np.array([0.25, 0.25, 0.5]))
+    assert (c.face, c.bary) == (2, (0.25, 0.25, 0.5)) and type(c.bary[0]) is float
 
 
 def test_surface_distance_basics():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vcsfm.synthetic
 from oracles import collapsed_hits_oracle
 from vcsfm.extraction import ray_gap
 from vcsfm.geometry import Ray, project_points, ray_through_pixel, SE3Pose
@@ -75,19 +76,40 @@ def test_rendered_map_is_self_consistent():
     assert np.abs(uv - pix).max() < 1e-6
 
 
-def test_scene_determinism_byte_identical():
-    cfg = SceneConfig(camera_count=3, elevation_range=10.0, seed=42, **SMALL)
-    noise = NoiseConfig(pixel_sigma=0.5, prior_rotation_sigma=1.0, outlier_fraction=0.1)
-    a = generate_scene(cfg, noise)
-    b = generate_scene(cfg, noise)
-    for ra, rb in zip(a.records, b.records):
+def test_proxy_mesh_is_built_once():
+    assert builtin_proxy_mesh() is builtin_proxy_mesh()
+    assert not builtin_proxy_mesh().vertices.flags.writeable
+
+
+def assert_scenes_equal(a, b):
+    for ra, rb in zip(a.records, b.records, strict=True):
         assert np.array_equal(ra.surface_map.faces, rb.surface_map.faces)
         assert np.array_equal(ra.surface_map.barys, rb.surface_map.barys)
         assert np.array_equal(ra.prior_mesh.vertices, rb.prior_mesh.vertices)
-    for pa, pb in zip(a.gt_poses, b.gt_poses):
+    for pa, pb in zip(a.gt_poses, b.gt_poses, strict=True):
         assert np.array_equal(pa.rotation, pb.rotation)
         assert np.array_equal(pa.translation, pb.translation)
-    assert len(a.oracle) == len(b.oracle)
+    for ca, cb in zip(a.oracle, b.oracle, strict=True):
+        assert (ca.cam_a, ca.cam_b, ca.pixel_a, ca.pixel_b, ca.rank_a) == (
+            cb.cam_a, cb.cam_b, cb.pixel_a, cb.pixel_b, cb.rank_a)
+        assert np.array_equal(ca.point, cb.point)
+
+
+def test_scene_from_shared_proxy_mesh_equals_scene_from_fresh_mesh(monkeypatch):
+    cfg = SceneConfig(camera_count=2, baseline_angles=(0.0, 150.0), seed=5, **SMALL)
+    noise = NoiseConfig(pixel_sigma=0.5, prior_rotation_sigma=1.0, outlier_fraction=0.1)
+    shared = generate_scene(cfg, noise)
+    assert shared.gt_mesh is builtin_proxy_mesh()
+    monkeypatch.setattr(vcsfm.synthetic, "builtin_proxy_mesh", builtin_proxy_mesh.__wrapped__)
+    fresh = generate_scene(cfg, noise)
+    assert fresh.gt_mesh is not shared.gt_mesh
+    assert_scenes_equal(shared, fresh)
+
+
+def test_scene_determinism_byte_identical():
+    cfg = SceneConfig(camera_count=3, elevation_range=10.0, seed=42, **SMALL)
+    noise = NoiseConfig(pixel_sigma=0.5, prior_rotation_sigma=1.0, outlier_fraction=0.1)
+    assert_scenes_equal(generate_scene(cfg, noise), generate_scene(cfg, noise))
 
 
 def test_pixel_jitter_displacement_statistics():
