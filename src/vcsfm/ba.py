@@ -14,6 +14,11 @@ penalty of the objective enforces. Hard mode substitutes the expression
 above into the reprojection objective; soft mode keeps X2 explicit and adds
 a weighted consistency penalty, which tolerates slightly inconsistent
 initializations.
+
+Tracks are columnar: one VcTracks holds every track's parameters and
+observations as arrays, one row per track, and soft mode's explicit X2 is
+one (n, 3) array. Packing a problem into the optimizer's parameter vector
+and folding a solution back are index-array gathers and scatters.
 """
 
 from __future__ import annotations
@@ -22,10 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extraction import VirtualCorrespondence
 from .geometry import (
     CameraIntrinsics,
-    Pixel,
     SE3Pose,
     camera_center,
     so3_exp,
@@ -38,27 +41,55 @@ Z_MIN = 1e-6  # camera-frame depth below which the smooth penalty takes over
 BEHIND_PENALTY = 1e6  # pixel^2 scale of that penalty
 
 
+def _rows(value, n, dtype, name, width=None):
+    arr = np.array(value, dtype=dtype)
+    shape = (n,) if width is None else (n, width)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 @dataclass
-class VcTrack:
-    """One reconstructed point tuple and its two observations."""
+class VcTracks:
+    """Point tuples and their two observations, one row per track.
+
+    x1 (n, 3) world points seen by camera cam_a at pixel obs_a (n, 2); a, b
+    (n,) thickness parameters of the X2 seen by camera cam_b at obs_b. Rows
+    flagged classic are co-visible points with a = b = 0 frozen; classic
+    defaults to all False. Every array is copied on construction.
+    """
 
     x1: np.ndarray
-    a: float
-    b: float
-    cam_a: int
-    cam_b: int
-    obs_a: Pixel
-    obs_b: Pixel
-    kind: str = "virtual"  # "virtual" or "classic" (a = b = 0 frozen)
+    a: np.ndarray
+    b: np.ndarray
+    cam_a: np.ndarray
+    cam_b: np.ndarray
+    obs_a: np.ndarray
+    obs_b: np.ndarray
+    classic: np.ndarray | None = None
 
     def __post_init__(self):
-        self.x1 = np.array(self.x1, dtype=np.float64).reshape(3)
-        if self.kind not in ("virtual", "classic"):
-            raise ValueError(f"unknown track kind {self.kind!r}")
-        if self.kind == "classic" and (self.a != 0.0 or self.b != 0.0):
+        self.x1 = np.array(self.x1, dtype=np.float64)
+        if self.x1.ndim != 2 or self.x1.shape[1] != 3:
+            raise ValueError(f"x1 has shape {self.x1.shape}, expected (n, 3)")
+        n = len(self.x1)
+        self.a = _rows(self.a, n, np.float64, "a")
+        self.b = _rows(self.b, n, np.float64, "b")
+        self.cam_a = _rows(self.cam_a, n, np.int64, "cam_a")
+        self.cam_b = _rows(self.cam_b, n, np.int64, "cam_b")
+        self.obs_a = _rows(self.obs_a, n, np.float64, "obs_a", 2)
+        self.obs_b = _rows(self.obs_b, n, np.float64, "obs_b", 2)
+        classic = np.zeros(n, dtype=bool) if self.classic is None else self.classic
+        self.classic = _rows(classic, n, bool, "classic")
+        if np.any(self.classic & ((self.a != 0.0) | (self.b != 0.0))):
             raise ValueError("classic tracks freeze a = b = 0")
-        if self.cam_a == self.cam_b:
+        if np.any(self.cam_a == self.cam_b):
             raise ValueError("a tuple spans two distinct cameras")
+        if not (np.isfinite(self.obs_a).all() and np.isfinite(self.obs_b).all()):
+            raise ValueError("pixel coordinates must be finite")
+
+    def __len__(self) -> int:
+        return len(self.x1)
 
 
 @dataclass(frozen=True)
@@ -84,28 +115,34 @@ class BaConfig:
 
 @dataclass
 class BaProblem:
-    """Cameras, tracks, and the constraint mode of one adjustment."""
+    """Cameras, tracks, and the constraint mode of one adjustment.
+
+    soft_x2 is the (n, 3) explicit X2 of soft mode, one row per track; rows
+    of classic tracks are ignored (NaN by convention). Hard mode ignores it.
+    """
 
     cameras: list
-    tracks: list
+    tracks: VcTracks
     mode: str = "soft"
     soft_weight: float = 1e2
-    soft_x2: list | None = None  # explicit X2 per track (None for classic)
+    soft_x2: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("soft", "hard"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not any(c.fixed for c in self.cameras):
             raise ValueError("gauge requires at least one fixed camera")
-        for tr in self.tracks:
-            if not (0 <= tr.cam_a < len(self.cameras) and 0 <= tr.cam_b < len(self.cameras)):
+        tr = self.tracks
+        for cams in (tr.cam_a, tr.cam_b):
+            if np.any((cams < 0) | (cams >= len(self.cameras))):
                 raise ValueError("track references an unknown camera")
+        if self.soft_x2 is not None:
+            self.soft_x2 = np.asarray(self.soft_x2, dtype=np.float64)
         if self.mode == "soft":
-            if self.soft_x2 is None or len(self.soft_x2) != len(self.tracks):
+            if self.soft_x2 is None or self.soft_x2.shape != (len(tr), 3):
                 raise ValueError("soft mode needs an explicit X2 per track")
-            for tr, x2 in zip(self.tracks, self.soft_x2):
-                if tr.kind == "virtual" and x2 is None:
-                    raise ValueError("soft mode needs X2 for every virtual track")
+            if not np.isfinite(self.soft_x2[~tr.classic]).all():
+                raise ValueError("soft mode needs a finite X2 for every virtual track")
 
     # -- parameter vector layout ------------------------------------------
 
@@ -114,11 +151,12 @@ class BaProblem:
         x = np.zeros(lay.size)
         for ci, off in lay.cam_offset.items():
             x[off + 3 : off + 6] = self.cameras[ci].pose.translation
-        x[lay.x1_idx] = np.reshape([tr.x1 for tr in self.tracks], (-1, 3))
-        x[lay.a_idx] = [self.tracks[i].a for i in lay.virtual_rows]
-        x[lay.b_idx] = [self.tracks[i].b for i in lay.virtual_rows]
-        x2 = [self.soft_x2[i] for i in np.flatnonzero(lay.soft)]
-        x[lay.x2_idx] = np.reshape(x2, (-1, 3))
+        tr = self.tracks
+        x[lay.x1_idx] = tr.x1
+        x[lay.a_idx] = tr.a[lay.virtual_rows]
+        x[lay.b_idx] = tr.b[lay.virtual_rows]
+        if lay.any_soft:
+            x[lay.x2_idx] = self.soft_x2[lay.soft]
         return x
 
     def apply_params(self, x, lay: "_Layout") -> "BaProblem":
@@ -134,15 +172,11 @@ class BaProblem:
         b = np.zeros(lay.n)
         a[lay.virtual_rows] = x[lay.a_idx]
         b[lay.virtual_rows] = x[lay.b_idx]
-        tracks = [
-            replace(tr, x1=x1, a=float(ai), b=float(bi))
-            for tr, x1, ai, bi in zip(self.tracks, x[lay.x1_idx], a, b)
-        ]
+        tracks = replace(self.tracks, x1=x[lay.x1_idx], a=a, b=b)
         soft_x2 = None
         if self.soft_x2 is not None:
-            soft_x2 = list(self.soft_x2)
-            for i, x2 in zip(np.flatnonzero(lay.soft), x[lay.x2_idx]):
-                soft_x2[i] = x2
+            soft_x2 = self.soft_x2.copy()
+            soft_x2[lay.soft] = x[lay.x2_idx]
         return BaProblem(cams, tracks, self.mode, self.soft_weight, soft_x2)
 
 
@@ -160,7 +194,7 @@ class _Layout:
         free = [i for i, cam in enumerate(problem.cameras) if not cam.fixed]
         self.cam_offset = {ci: 6 * k for k, ci in enumerate(free)}
         self.n = len(tracks)
-        virtual = np.array([tr.kind == "virtual" for tr in tracks], dtype=bool)
+        virtual = ~tracks.classic
         self.soft = virtual & (problem.mode == "soft")  # tracks with an explicit X2
         self.hard = ~self.soft
         self.any_soft = bool(self.soft.any())
@@ -173,18 +207,14 @@ class _Layout:
         self.a_idx = start[virtual] + 3
         self.b_idx = start[virtual] + 4
         self.x2_idx = start[self.soft][:, None] + np.arange(5, 8)
-        self.cam_a = np.array([tr.cam_a for tr in tracks], dtype=np.int64)
-        self.cam_b = np.array([tr.cam_b for tr in tracks], dtype=np.int64)
-        self.obs_a = np.array([[tr.obs_a.u, tr.obs_a.v] for tr in tracks]).reshape(-1, 2)
-        self.obs_b = np.array([[tr.obs_b.u, tr.obs_b.v] for tr in tracks]).reshape(-1, 2)
         k = np.array([
             [c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy,
              c.intrinsics.skew]
             for c in problem.cameras
         ])
         # rows fx, fy, cx, cy, skew of each track's two cameras
-        self.k_a = np.ascontiguousarray(k[self.cam_a].T)
-        self.k_b = np.ascontiguousarray(k[self.cam_b].T)
+        self.k_a = np.ascontiguousarray(k[tracks.cam_a].T)
+        self.k_b = np.ascontiguousarray(k[tracks.cam_b].T)
 
 
 def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
@@ -273,7 +303,8 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     if n == 0:
         return 0.0, np.zeros(lay.size), np.zeros((n_cam, 3))
 
-    ca, cb = lay.cam_a, lay.cam_b
+    tracks = problem.tracks
+    ca, cb = tracks.cam_a, tracks.cam_b
     x1 = x[lay.x1_idx]
     a = np.zeros(n)
     b = np.zeros(n)
@@ -292,8 +323,8 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     v_b = np.einsum("nij,nj->ni", r_b, x2)
     p = v_a + t_a
     q = v_b + t_b
-    vals_a, g_p = _reprojection_terms(p, lay.obs_a, *lay.k_a, want_grad)
-    vals_b, g_q = _reprojection_terms(q, lay.obs_b, *lay.k_b, want_grad)
+    vals_a, g_p = _reprojection_terms(p, tracks.obs_a, *lay.k_a, want_grad)
+    vals_b, g_q = _reprojection_terms(q, tracks.obs_b, *lay.k_b, want_grad)
     total = float(vals_a.sum() + vals_b.sum())
 
     lam = problem.soft_weight
@@ -403,9 +434,16 @@ class BaReport:
 
 @dataclass
 class BaSolution:
+    """Refined cameras and tracks of one adjustment.
+
+    tracks is a new VcTracks with the refined x1, a and b (observations and
+    flags as given); soft_x2 is the refined (n, 3) X2, with classic rows as
+    given, or None when the problem had none.
+    """
+
     cameras: list  # refined BaCamera entries
-    tracks: list  # refined VcTrack entries
-    soft_x2: list | None
+    tracks: VcTracks
+    soft_x2: np.ndarray | None
     report: BaReport
 
     @property
@@ -420,18 +458,15 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
     more cameras are fixed the first free camera keeps its initial
     translation norm (the scale gauge), which the line search projects onto.
     Thickness parameters are unbounded. The parameter layout (index arrays
-    and per-track constants) is built once per solve. Rotation charts
-    re-center after every accepted step; the gradient in the new chart is the
-    accepted one with each re-centered camera's rotation slot set to its
-    gradient before the left Jacobian, which is what a fresh evaluation at
-    w = 0 returns, so no extra gradient evaluation is made.
+    and per-track constants) is built once per solve; the problem and its
+    arrays are not modified. Rotation charts re-center after every accepted
+    step; the gradient in the new chart is the accepted one with each
+    re-centered camera's rotation slot set to its gradient before the left
+    Jacobian, which is what a fresh evaluation at w = 0 returns, so no extra
+    gradient evaluation is made.
     """
     config = config or BaConfig()
-    soft_x2 = problem.soft_x2
-    if soft_x2 is not None:
-        soft_x2 = [None if v is None else np.array(v) for v in soft_x2]
-    work = BaProblem(list(problem.cameras), problem.tracks, problem.mode,
-                     problem.soft_weight, soft_x2)
+    work = replace(problem, cameras=list(problem.cameras))
     lay = _Layout(work)
     x0 = work.pack_params(lay)
 
@@ -507,10 +542,13 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
 
 def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose,
                        cam_a: int, cam_b: int):
-    """Vectorized lift of many correspondences between one image pair.
+    """Lift the correspondences between one image pair into virtual tracks.
 
-    Returns (tracks, x2_list, dropped_count); rays that miss their prior are
-    dropped and counted rather than raised.
+    Each VC's two pixel rays are cast against their records' priors; the
+    first hits give X1 (through pose_a) and X2 (through pose_b), and
+    fit_thickness gives (a, b). Returns (tracks, x2, dropped): a VcTracks of
+    the VCs whose rays both hit, in VC order, their (n, 3) X2 for soft mode,
+    and the number of VCs dropped because a ray missed its prior.
     """
     person_ids = np.array([vc.person_id for vc in vcs], dtype=np.int64)
 
@@ -529,21 +567,15 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
             hit[rows] = True
         return points, hit
 
-    pts_a, ok_a = first_points(
-        record_a, np.array([(vc.pixel_a.u, vc.pixel_a.v) for vc in vcs]).reshape(-1, 2)
-    )
-    pts_b, ok_b = first_points(
-        record_b, np.array([(vc.pixel_b.u, vc.pixel_b.v) for vc in vcs]).reshape(-1, 2)
-    )
+    pix_a = np.array([(vc.pixel_a.u, vc.pixel_a.v) for vc in vcs]).reshape(-1, 2)
+    pix_b = np.array([(vc.pixel_b.u, vc.pixel_b.v) for vc in vcs]).reshape(-1, 2)
+    pts_a, ok_a = first_points(record_a, pix_a)
+    pts_b, ok_b = first_points(record_b, pix_b)
     keep = np.flatnonzero(ok_a & ok_b)
     x1 = pose_a.inverse_transform(pts_a[keep])
     x2 = pose_b.inverse_transform(pts_b[keep])
     ab = fit_thickness(x1, x2, camera_center(pose_a), camera_center(pose_b))
-    tracks = [
-        VcTrack(
-            x1=p, a=a, b=b, cam_a=cam_a, cam_b=cam_b,
-            obs_a=vcs[i].pixel_a, obs_b=vcs[i].pixel_b, kind="virtual",
-        )
-        for i, p, (a, b) in zip(keep.tolist(), x1, ab.tolist())
-    ]
-    return tracks, list(x2), len(vcs) - len(keep)
+    n = len(keep)
+    tracks = VcTracks(x1, ab[:, 0], ab[:, 1], np.full(n, cam_a), np.full(n, cam_b),
+                      pix_a[keep], pix_b[keep])
+    return tracks, x2, len(vcs) - n

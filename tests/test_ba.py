@@ -11,7 +11,7 @@ from vcsfm.ba import (
     BaCamera,
     BaConfig,
     BaProblem,
-    VcTrack,
+    VcTracks,
     ba_gradient,
     ba_objective,
     fit_thickness,
@@ -48,7 +48,7 @@ CENTERS = ((0.0, 0.0, -4.0), (2.8, 0.3, -2.8), (-2.8, -0.2, -2.8))
 
 def _pixel(poses, cam, point, rng, sigma=0.5):
     uv, _ = project_points(poses[cam], KS[cam], np.asarray(point))
-    return Pixel(*(uv + rng.normal(scale=sigma, size=2)))
+    return uv + rng.normal(scale=sigma, size=2)
 
 
 def _tuple_problem(mode, rng, behind=True):
@@ -57,22 +57,23 @@ def _tuple_problem(mode, rng, behind=True):
     whose X1 lies behind camera 0."""
     poses = [looking_at_origin_pose(c) for c in CENTERS]
     centers = [camera_center(p) for p in poses]
-    tracks, soft_x2 = [], []
+    rows = []  # x1, a, b, cam_a, cam_b, obs_a, obs_b, classic, soft X2
     for i, (ca, cb) in enumerate([(0, 1), (1, 2), (2, 0), (0, 2), (1, 0), (2, 1)]):
         x1 = rng.uniform(-0.5, 0.5, 3)
-        kind = "classic" if i >= 4 else "virtual"
-        a, b = (0.0, 0.0) if kind == "classic" else rng.uniform(0.05, 0.3, 2)
+        classic = i >= 4
+        a, b = (0.0, 0.0) if classic else rng.uniform(0.05, 0.3, 2)
         x2 = x2_from_reparam(x1, a, b, centers[ca], centers[cb])
-        tracks.append(VcTrack(x1, a, b, ca, cb, _pixel(poses, ca, x1, rng),
-                              _pixel(poses, cb, x2, rng), kind))
-        soft_x2.append(None if kind == "classic" else x2 + rng.normal(scale=0.01, size=3))
+        obs = _pixel(poses, ca, x1, rng), _pixel(poses, cb, x2, rng)
+        soft = np.full(3, np.nan) if classic else x2 + rng.normal(scale=0.01, size=3)
+        rows.append((x1, a, b, ca, cb, *obs, classic, soft))
     if behind:
         x1 = np.array([0.1, 0.1, -5.0])  # depth -1 in camera 0
         x2 = x2_from_reparam(x1, 0.1, 0.1, centers[0], centers[2])
-        tracks.append(VcTrack(x1, 0.1, 0.1, 0, 2, Pixel(150.0, 110.0), _pixel(poses, 2, x2, rng)))
-        soft_x2.append(x2 + 0.01)
+        rows.append((x1, 0.1, 0.1, 0, 2, (150.0, 110.0), _pixel(poses, 2, x2, rng), False,
+                     x2 + 0.01))
+    *columns, soft_x2 = map(np.array, zip(*rows))
     cams = [BaCamera(p, k, fixed=(i == 0)) for i, (p, k) in enumerate(zip(poses, KS))]
-    return BaProblem(cams, tracks, mode, soft_x2=soft_x2 if mode == "soft" else None)
+    return BaProblem(cams, VcTracks(*columns), mode, soft_x2=soft_x2 if mode == "soft" else None)
 
 
 def _perturbed(problem, w=(0.01, -0.02, 0.015), dt=(0.02, -0.01, 0.03)):
@@ -85,15 +86,72 @@ def _perturbed(problem, w=(0.01, -0.02, 0.015), dt=(0.02, -0.01, 0.03)):
     return dataclasses.replace(problem, cameras=cams)
 
 
+def _set_row(column, row, value):
+    out = np.array(column, dtype=float)
+    out[row] = value
+    return out
+
+
+TRACK_REJECTIONS = {
+    "classic-a": (lambda t: {"a": np.where(t.classic, 0.1, t.a)}, "freeze a = b = 0"),
+    "classic-b": (lambda t: {"b": np.where(t.classic, -0.1, t.b)}, "freeze a = b = 0"),
+    "same-camera": (lambda t: {"cam_b": _set_row(t.cam_b, 1, t.cam_a[1])}, "distinct cameras"),
+    "obs-a-nan": (lambda t: {"obs_a": _set_row(t.obs_a, 2, np.nan)}, "finite"),
+    "obs-b-inf": (lambda t: {"obs_b": _set_row(t.obs_b, 0, np.inf)}, "finite"),
+    "a-rows": (lambda t: {"a": t.a[:-1]}, "shape"),
+    "cam-a-rows": (lambda t: {"cam_a": np.append(t.cam_a, 0)}, "shape"),
+    "classic-rows": (lambda t: {"classic": t.classic[1:]}, "shape"),
+    "obs-b-width": (lambda t: {"obs_b": t.obs_b[:, :1]}, "shape"),
+    "x1-width": (lambda t: {"x1": t.x1[:, :2]}, "shape"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACK_REJECTIONS))
+def test_tracks_reject_invalid_rows(name):
+    tracks = _tuple_problem("soft", np.random.default_rng(6)).tracks
+    change, message = TRACK_REJECTIONS[name]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(tracks, **change(tracks))
+
+
+PROBLEM_REJECTIONS = {
+    "mode": (lambda p: {"mode": "medium"}, "unknown mode"),
+    "no-fixed-camera": (
+        lambda p: {"cameras": [dataclasses.replace(c, fixed=False) for c in p.cameras]},
+        "fixed camera"),
+    "camera-past-end": (
+        lambda p: {"tracks": dataclasses.replace(p.tracks, cam_b=_set_row(p.tracks.cam_b, 0, 3))},
+        "unknown camera"),
+    "negative-camera": (
+        lambda p: {"tracks": dataclasses.replace(p.tracks, cam_a=_set_row(p.tracks.cam_a, 3, -1))},
+        "unknown camera"),
+    "soft-x2-missing": (lambda p: {"soft_x2": None}, "explicit X2"),
+    "soft-x2-rows": (lambda p: {"soft_x2": p.soft_x2[:-1]}, "explicit X2"),
+    "soft-x2-nan": (lambda p: {"soft_x2": _set_row(p.soft_x2, 1, np.nan)}, "finite X2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_REJECTIONS))
+def test_problem_rejects_invalid_setup(name):
+    problem = _tuple_problem("soft", np.random.default_rng(6))
+    # the classic rows' X2 are NaN, which soft mode accepts
+    assert np.isnan(problem.soft_x2[problem.tracks.classic]).all()
+    change, message = PROBLEM_REJECTIONS[name]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(problem, **change(problem))
+
+
 @pytest.mark.parametrize("mode", ["soft", "hard"])
 def test_gradient_matches_finite_differences(mode):
     problem = _tuple_problem(mode, np.random.default_rng(3))
     x = problem.pack_params(vcsfm.ba._Layout(problem))
     x[0:3] = [0.03, -0.02, 0.05]  # camera 1 away from its chart origin
     x[6:9] = [-0.04, 0.01, 0.02]  # camera 2
-    pc = problem.cameras[0].pose.transform(problem.tracks[-1].x1)
+    tracks = problem.tracks
+    pc = problem.cameras[0].pose.transform(tracks.x1[-1])
     assert pc[2] < vcsfm.ba.Z_MIN  # the behind-camera penalty is active
-    assert all(tr.a > 0.0 and tr.b > 0.0 for tr in problem.tracks if tr.kind == "virtual")
+    virtual = ~tracks.classic
+    assert np.all(tracks.a[virtual] > 0.0) and np.all(tracks.b[virtual] > 0.0)
 
     def f(v):
         return ba_objective(problem, v)
@@ -158,12 +216,16 @@ def test_classic_ba_matches_least_squares_oracle():
     rng = np.random.default_rng(0)
     poses = [looking_at_origin_pose(c) for c in CENTERS]
     points = rng.uniform(-1.0, 1.0, size=(30, 3))
-    tracks, observations = [], []
-    for i, x in enumerate(points):
-        ca, cb = [(0, 2), (1, 2), (0, 1)][i % 3]
+    cam_a, cam_b = np.array([(0, 2), (1, 2), (0, 1)] * 10).T
+    obs_a, obs_b, observations = [], [], []
+    for i, (x, ca, cb) in enumerate(zip(points, cam_a, cam_b)):
         pa, pb = _pixel(poses, ca, x, rng), _pixel(poses, cb, x, rng)
-        tracks.append(VcTrack(x, 0.0, 0.0, ca, cb, pa, pb, kind="classic"))
-        observations += [(ca, i, np.array([pa.u, pa.v])), (cb, i, np.array([pb.u, pb.v]))]
+        obs_a.append(pa)
+        obs_b.append(pb)
+        observations += [(ca, i, pa), (cb, i, pb)]
+    n = len(points)
+    tracks = VcTracks(points, np.zeros(n), np.zeros(n), cam_a, cam_b, obs_a, obs_b,
+                      classic=np.ones(n, dtype=bool))
     # cameras 0 and 1 fixed, as in the oracle: no scale gauge is projected
     cams = [BaCamera(p, k, fixed=(i < 2)) for i, (p, k) in enumerate(zip(poses, KS))]
     problem = _perturbed(BaProblem(cams, tracks, mode="hard"))
@@ -204,7 +266,8 @@ def test_lift_with_every_ray_missing_returns_no_tracks():
                                        image_size=(96, 72), focal_length=110.0))
     a, b = scene.records
     poses = scene.gt_poses
-    assert lift_vcs_to_tracks([], a, b, *poses, 0, 1) == ([], [], 0)
+    tracks, x2, dropped = lift_vcs_to_tracks([], a, b, *poses, 0, 1)
+    assert (len(tracks), x2.shape, dropped) == (0, (0, 3), 0)
     # the image corners lie off the body in both maps
     assert a.surface_map.faces[0, 0] < 0 and b.surface_map.faces[-1, -1] < 0
     misses = [
@@ -214,7 +277,8 @@ def test_lift_with_every_ray_missing_returns_no_tracks():
         )
         for v in (0, 1, 2)
     ]
-    assert lift_vcs_to_tracks(misses, a, b, *poses, 0, 1) == ([], [], 3)
+    tracks, x2, dropped = lift_vcs_to_tracks(misses, a, b, *poses, 0, 1)
+    assert (len(tracks), x2.shape, dropped) == (0, (0, 3), 3)
 
 
 def test_fit_thickness_matches_per_row_lstsq():
@@ -254,7 +318,7 @@ def test_ground_truth_is_a_fixed_point(mode, angle):
     tracks, x2s, _ = lift_vcs_to_tracks(extract_vcs(a, b, params), a, b, pose_a, gt, 0, 1)
     assert len(tracks) > 50
     # many exact tuples need a < 0: the thickness parameters are unbounded
-    assert any(tr.a < 0.0 for tr in tracks)
+    assert np.any(tracks.a < 0.0)
     problem = BaProblem(
         [BaCamera(pose_a, a.intrinsics, fixed=True), BaCamera(gt, b.intrinsics)],
         tracks, mode, soft_x2=x2s if mode == "soft" else None,
