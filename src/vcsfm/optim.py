@@ -33,17 +33,18 @@ class LbfgsReport:
 
 def _two_loop(history, g):
     q = g.copy()
+    work = np.empty_like(q)  # one buffer for every scaled s or y
     alphas = []
     for s, y, rho in reversed(history):
         a = rho * (s @ q)
         alphas.append(a)
-        q -= a * y
+        q -= np.multiply(a, y, out=work)
     if history:
         s, y, _ = history[-1]
         q *= (s @ y) / (y @ y)
     for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * (y @ q)
-        q += (a - b) * s
+        q += np.multiply(a - b, s, out=work)
     return q
 
 
