@@ -6,6 +6,17 @@ rewrite of the accepted iterate and its gradient (local-chart re-centering,
 where the caller knows the gradient in the new chart without a new
 evaluation). Descent is monotone by construction: a step is only accepted
 when it lowers the objective.
+
+Each rejected trial shrinks the step to the minimizer of the quadratic
+through f(x), the directional derivative at x and f at the trial point,
+safeguarded to [_MIN_SHRINK, 0.5] of the rejected step (Nocedal & Wright,
+Numerical Optimization, section 3.5). A badly scaled first step is thus cut
+to size in one or two trials instead of one halving per factor of two. The
+step is halved instead when that quadratic has no minimizer, or when the
+rise of f is within _RESOLUTION of |f|: there it is mostly rounding error,
+and a curvature fitted to it would cut the step far too short. A line
+search whose trial point no longer differs from x has nothing left to try
+and ends there.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ import numpy as np
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
+_MIN_SHRINK = 1e-6  # smallest factor one backtrack may shrink the step by
+_RESOLUTION = float(np.sqrt(np.finfo(np.float64).eps))  # smallest trusted relative rise of f
 _CURVATURE_EPS = 1e-12
 
 
@@ -48,6 +61,16 @@ def _two_loop(history, g):
     return q
 
 
+def _shrink(predicted, rise):
+    """Step factor after a rejected trial with first-order change `predicted`
+    and actual change `rise`: the minimizer of the quadratic through both,
+    clipped to [_MIN_SHRINK, 0.5]. 0.5 when the caller found the rise
+    unresolved or the quadratic has no finite minimizer."""
+    if predicted < 0.0 and 0.0 < rise < np.inf:
+        return min(max(-predicted / (2.0 * (rise - predicted)), _MIN_SHRINK), 0.5)
+    return 0.5
+
+
 def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9,
                    step_tolerance=1e-12, history_size=10, project=None,
                    post_accept=None):
@@ -62,7 +85,10 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
     the returned x.
     The optimizer takes both as they are and never calls grad for them, so
     grad runs once at x0 and once per accepted step. Returns
-    (x, LbfgsReport).
+    (x, LbfgsReport). Its status is converged_gradient, converged_step (an
+    accepted step within step_tolerance, or a steepest-descent line search
+    that shrank the step until x no longer moved), line_search_failure (60
+    rejected trials along steepest descent) or max_iterations.
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -86,21 +112,28 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
             gd = float(g @ d)
         alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g))))
 
-        accepted = False
+        accepted = stalled = False
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + alpha * d
             if project is not None:
                 x_try = project(x_try)
+            if np.array_equal(x_try, x):
+                stalled = True  # the step no longer moves x: no trial is left
+                break
             f_try = float(fun(x_try))
             predicted = float(g @ (x_try - x))
             if f_try <= f + _ARMIJO * min(predicted, 0.0) and f_try < f:
                 accepted = True
                 break
-            alpha *= 0.5
+            rise = f_try - f
+            alpha *= _shrink(predicted, rise if rise > _RESOLUTION * abs(f) else 0.0)
         if not accepted:
             if history:
                 history.clear()  # retry along the raw gradient next iteration
                 continue
+            if stalled:  # no step that x can represent lowers f along -g
+                report.status = "converged_step"
+                break
             report.status = "line_search_failure"
             report.line_search_failure = True
             break

@@ -306,25 +306,56 @@ def test_fit_thickness_matches_per_row_lstsq():
     assert fit_thickness(np.empty((0, 3)), np.empty((0, 3)), o1, o2).shape == (0, 2)
 
 
-@pytest.mark.parametrize("angle", [90.0, 150.0, 180.0])
-@pytest.mark.parametrize("mode", ["soft", "hard"])
-def test_ground_truth_is_a_fixed_point(mode, angle):
+def _ground_truth_problem(mode, angle, start_rotation=(0.0, 0.0, 0.0)):
+    """Two-camera problem lifted from extracted VCs at a start pose: the
+    truth with its rotation turned by the rotation vector start_rotation."""
     scene = generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, angle),
                                        image_size=(160, 120), focal_length=170.0))
     a, b = scene.records
     params = ExtractionParams(surface_tolerance=suggest_surface_tolerance(scene.records))
     gt = relative_pose(scene.gt_poses[0], scene.gt_poses[1])
+    start = SE3Pose(so3_exp(np.asarray(start_rotation)) @ gt.rotation, gt.translation)
     pose_a = SE3Pose.identity()
-    tracks, x2s, _ = lift_vcs_to_tracks(extract_vcs(a, b, params), a, b, pose_a, gt, 0, 1)
-    assert len(tracks) > 50
-    # many exact tuples need a < 0: the thickness parameters are unbounded
-    assert np.any(tracks.a < 0.0)
+    tracks, x2s, _ = lift_vcs_to_tracks(extract_vcs(a, b, params), a, b, pose_a, start, 0, 1)
     problem = BaProblem(
-        [BaCamera(pose_a, a.intrinsics, fixed=True), BaCamera(gt, b.intrinsics)],
+        [BaCamera(pose_a, a.intrinsics, fixed=True), BaCamera(start, b.intrinsics)],
         tracks, mode, soft_x2=x2s if mode == "soft" else None,
     )
+    return problem, gt
+
+
+@pytest.mark.parametrize("angle", [90.0, 150.0, 180.0])
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_ground_truth_is_a_fixed_point(mode, angle):
+    problem, gt = _ground_truth_problem(mode, angle)
+    assert len(problem.tracks) > 50
+    # many exact tuples need a < 0: the thickness parameters are unbounded
+    assert np.any(problem.tracks.a < 0.0)
     x = problem.pack_params(vcsfm.ba._Layout(problem))
     assert ba_objective(problem, x) < 1e-20
     assert np.abs(ba_gradient(problem, x)).max() < 1e-8
     sol = solve_ba(problem)
     assert pose_error(relative_pose(*sol.poses), gt).combined_deg < 1e-9
+
+
+@pytest.mark.parametrize("angle", [90.0, 150.0, 180.0])
+def test_near_exact_start_costs_few_objective_evaluations(monkeypatch, angle):
+    # a start 1e-10 rad off the truth, where the gradient is above its
+    # tolerance: the first steepest-descent step overshoots by orders of
+    # magnitude, and halving it took 23-24 evaluations per solve
+    problem, gt = _ground_truth_problem("soft", angle, start_rotation=(1e-10, 0.0, 0.0))
+    real = vcsfm.ba.minimize_lbfgs
+    calls = []
+
+    def spy(fun, grad, x0, **kwargs):
+        def counted(x):
+            calls.append(1)
+            return fun(x)
+        return real(counted, grad, x0, **kwargs)
+
+    monkeypatch.setattr(vcsfm.ba, "minimize_lbfgs", spy)
+    sol = solve_ba(problem)
+    assert sol.report.iterations >= 1
+    assert len(calls) <= 5
+    assert sol.report.final_objective < sol.report.initial_objective
+    assert pose_error(relative_pose(*sol.poses), gt).combined_deg < 1e-8

@@ -77,3 +77,43 @@ def test_post_accept_rewrite_is_honoured_without_extra_gradient_calls(rng):
     np.testing.assert_allclose(chart["base"], np.linalg.solve(a, b), rtol=1e-8, atol=1e-10)
     assert len(grad_calls) == 1 + report.iterations
     assert report.gradient_norms[1:] == [float(np.linalg.norm(g, np.inf)) for g in returned]
+
+
+def test_badly_scaled_first_step_is_cut_to_size_by_interpolation(rng):
+    # curvatures 1 .. 1e8 and a start near the minimum: the steepest-descent
+    # first step overshoots along the stiff axes by a factor of about 1e3,
+    # which halving needs ten trials to undo
+    h = np.logspace(0.0, 8.0, 9)
+    c = rng.normal(size=9)
+    calls = []
+
+    def fun(x):
+        calls.append("f")
+        e = x - c
+        return 0.5 * e @ (h * e)
+
+    def grad(x):
+        calls.append("g")
+        return h * (x - c)
+
+    x, report = minimize_lbfgs(fun, grad, c + 1e-3 * rng.normal(size=9), max_iterations=50)
+    first_step = calls[: calls.index("g", calls.index("g") + 1)]
+    assert first_step.count("f") <= 4
+    assert report.iterations >= 1
+    assert all(f1 < f0 for f0, f1 in zip(report.objective_trace, report.objective_trace[1:]))
+
+
+def test_line_search_that_cannot_move_x_reports_convergence():
+    # a flat objective: no step lowers it, and the line search stops once the
+    # trial step no longer changes x instead of running out of backtracks
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return 1.0
+
+    x0 = np.ones(4)
+    x, report = minimize_lbfgs(fun, lambda x: np.ones(4), x0)
+    assert report.status == "converged_step" and not report.line_search_failure
+    assert report.iterations == 0 and np.array_equal(x, x0)
+    assert len(calls) < 60
