@@ -15,10 +15,8 @@ above into the reprojection objective; soft mode keeps X2 explicit and adds
 a weighted consistency penalty, which tolerates slightly inconsistent
 initializations.
 
-Tracks are columnar: one VcTracks holds every track's parameters and
-observations as arrays, one row per track, and soft mode's explicit X2 is
-one (n, 3) array. Packing a problem into the optimizer's parameter vector
-and folding a solution back are index-array gathers and scatters.
+Tracks are columnar (VcTracks; soft mode's X2 is one (n, 3) array), so the
+parameter vector is packed and unpacked by index-array gathers and scatters.
 """
 
 from __future__ import annotations
@@ -35,29 +33,23 @@ from .geometry import (
     so3_left_jacobian,
 )
 from .mesh import batch_first_hits
-from .optim import minimize_lbfgs
+from .optim import LbfgsReport, minimize_lbfgs
 
 Z_MIN = 1e-6  # camera-frame depth below which the smooth penalty takes over
 BEHIND_PENALTY = 1e6  # pixel^2 scale of that penalty
 
-
-def _rows(value, n, dtype, name, width=None):
-    arr = np.array(value, dtype=dtype)
-    shape = (n,) if width is None else (n, width)
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
+_TRACK_COLUMNS = {  # name: (dtype, shape of one row)
+    "x1": (float, (3,)), "a": (float, ()), "b": (float, ()), "cam_a": (int, ()), "cam_b": (int, ()),
+    "obs_a": (float, (2,)), "obs_b": (float, (2,)), "classic": (bool, ()),
+}
 
 
 @dataclass
 class VcTracks:
-    """Point tuples and their two observations, one row per track.
-
-    x1 (n, 3) world points seen by camera cam_a at pixel obs_a (n, 2); a, b
-    (n,) thickness parameters of the X2 seen by camera cam_b at obs_b. Rows
-    flagged classic are co-visible points with a = b = 0 frozen; classic
-    defaults to all False. Every array is copied on construction.
-    """
+    """Point tuples, one row per track: X1 (n, 3) seen by camera cam_a at
+    pixel obs_a (n, 2), and thickness a, b of the X2 seen by cam_b at obs_b.
+    Classic rows are co-visible points with a = b = 0 frozen. Every column
+    is copied on construction."""
 
     x1: np.ndarray
     a: np.ndarray
@@ -66,21 +58,15 @@ class VcTracks:
     cam_b: np.ndarray
     obs_a: np.ndarray
     obs_b: np.ndarray
-    classic: np.ndarray | None = None
+    classic: np.ndarray
 
     def __post_init__(self):
-        self.x1 = np.array(self.x1, dtype=np.float64)
-        if self.x1.ndim != 2 or self.x1.shape[1] != 3:
-            raise ValueError(f"x1 has shape {self.x1.shape}, expected (n, 3)")
         n = len(self.x1)
-        self.a = _rows(self.a, n, np.float64, "a")
-        self.b = _rows(self.b, n, np.float64, "b")
-        self.cam_a = _rows(self.cam_a, n, np.int64, "cam_a")
-        self.cam_b = _rows(self.cam_b, n, np.int64, "cam_b")
-        self.obs_a = _rows(self.obs_a, n, np.float64, "obs_a", 2)
-        self.obs_b = _rows(self.obs_b, n, np.float64, "obs_b", 2)
-        classic = np.zeros(n, dtype=bool) if self.classic is None else self.classic
-        self.classic = _rows(classic, n, bool, "classic")
+        for name, (dtype, row) in _TRACK_COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (n, *row):
+                raise ValueError(f"{name} has shape {column.shape}, expected {(n, *row)}")
+            setattr(self, name, column)
         if np.any(self.classic & ((self.a != 0.0) | (self.b != 0.0))):
             raise ValueError("classic tracks freeze a = b = 0")
         if np.any(self.cam_a == self.cam_b):
@@ -115,11 +101,9 @@ class BaConfig:
 
 @dataclass
 class BaProblem:
-    """Cameras, tracks, and the constraint mode of one adjustment.
-
-    soft_x2 is the (n, 3) explicit X2 of soft mode, one row per track; rows
-    of classic tracks are ignored (NaN by convention). Hard mode ignores it.
-    """
+    """Cameras, tracks, and the constraint mode of one adjustment. soft_x2 is
+    soft mode's (n, 3) explicit X2; classic rows are unused (NaN by
+    convention), and hard mode ignores it."""
 
     cameras: list
     tracks: VcTracks
@@ -153,8 +137,7 @@ class BaProblem:
             x[off + 3 : off + 6] = self.cameras[ci].pose.translation
         tr = self.tracks
         x[lay.x1_idx] = tr.x1
-        x[lay.a_idx] = tr.a[lay.virtual_rows]
-        x[lay.b_idx] = tr.b[lay.virtual_rows]
+        x[lay.ab_idx] = np.stack([tr.a, tr.b])[:, lay.virtual_rows]
         if lay.any_soft:
             x[lay.x2_idx] = self.soft_x2[lay.soft]
         return x
@@ -163,15 +146,9 @@ class BaProblem:
         """Problem with the parameter vector folded back in (new chart)."""
         cams = list(self.cameras)
         for ci, off in lay.cam_offset.items():
-            w = x[off : off + 3]
-            t = x[off + 3 : off + 6]
-            cams[ci] = replace(
-                cams[ci], pose=SE3Pose(so3_exp(w) @ cams[ci].pose.rotation, t)
-            )
-        a = np.zeros(lay.n)
-        b = np.zeros(lay.n)
-        a[lay.virtual_rows] = x[lay.a_idx]
-        b[lay.virtual_rows] = x[lay.b_idx]
+            rot = so3_exp(x[off : off + 3]) @ cams[ci].pose.rotation
+            cams[ci] = replace(cams[ci], pose=SE3Pose(rot, x[off + 3 : off + 6]))
+        a, b = lay.thickness(x)
         tracks = replace(self.tracks, x1=x[lay.x1_idx], a=a, b=b)
         soft_x2 = None
         if self.soft_x2 is not None:
@@ -204,8 +181,7 @@ class _Layout:
         self.size = 6 * len(free) + int(width.sum())
         self.virtual_rows = np.flatnonzero(virtual)
         self.x1_idx = start[:, None] + np.arange(3)
-        self.a_idx = start[virtual] + 3
-        self.b_idx = start[virtual] + 4
+        self.ab_idx = start[virtual] + np.array([[3], [4]])  # rows a, b
         self.x2_idx = start[self.soft][:, None] + np.arange(5, 8)
         k = np.array([
             [c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy,
@@ -215,6 +191,12 @@ class _Layout:
         # rows fx, fy, cx, cy, skew of each track's two cameras
         self.k_a = np.ascontiguousarray(k[tracks.cam_a].T)
         self.k_b = np.ascontiguousarray(k[tracks.cam_b].T)
+
+    def thickness(self, x):
+        """Every track's (a, b) in x, zero on classic tracks."""
+        ab = np.zeros((2, self.n))
+        ab[:, self.virtual_rows] = x[self.ab_idx]
+        return ab
 
 
 def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
@@ -306,10 +288,7 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     tracks = problem.tracks
     ca, cb = tracks.cam_a, tracks.cam_b
     x1 = x[lay.x1_idx]
-    a = np.zeros(n)
-    b = np.zeros(n)
-    a[lay.virtual_rows] = x[lay.a_idx]
-    b[lay.virtual_rows] = x[lay.b_idx]
+    a, b = lay.thickness(x)
     x2e = np.zeros((n, 3))
     x2e[lay.soft] = x[lay.x2_idx]
 
@@ -336,8 +315,8 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
         return total, None, None
 
     g_x1 = np.zeros((n, 3))
-    g_a = np.zeros(n)
-    g_b = np.zeros(n)
+    g_ab = np.zeros((2, n))
+    g_a, g_b = g_ab  # views
     g_x2e = np.zeros((n, 3))
     # d/dw (before the left Jacobian) and d/dt rows, summed per camera below
     cams = [ca, cb]
@@ -378,8 +357,7 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
         g[off : off + 3] = jl[ci].T @ g_w[ci]
         g[off + 3 : off + 6] = g_t[ci]
     g[lay.x1_idx] = g_x1
-    g[lay.a_idx] = g_a[lay.virtual_rows]
-    g[lay.b_idx] = g_b[lay.virtual_rows]
+    g[lay.ab_idx] = g_ab[:, lay.virtual_rows]
     g[lay.x2_idx] = g_x2e[lay.soft]
     return total, g, g_w
 
@@ -423,28 +401,15 @@ def ba_gradient(problem: BaProblem, x) -> np.ndarray:
 
 
 @dataclass
-class BaReport:
-    status: str
-    iterations: int
-    objective_trace: list
-    line_search_failure: bool
-    initial_objective: float
-    final_objective: float
-
-
-@dataclass
 class BaSolution:
-    """Refined cameras and tracks of one adjustment.
-
-    tracks is a new VcTracks with the refined x1, a and b (observations and
-    flags as given); soft_x2 is the refined (n, 3) X2, with classic rows as
-    given, or None when the problem had none.
-    """
+    """Refined cameras, a new VcTracks with the refined x1, a and b, the
+    refined (n, 3) X2 (classic rows as given; None if the problem had none),
+    and the optimizer's report."""
 
     cameras: list  # refined BaCamera entries
     tracks: VcTracks
     soft_x2: np.ndarray | None
-    report: BaReport
+    report: LbfgsReport
 
     @property
     def poses(self) -> list:
@@ -458,12 +423,12 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
     more cameras are fixed the first free camera keeps its initial
     translation norm (the scale gauge), which the line search projects onto.
     Thickness parameters are unbounded. The parameter layout (index arrays
-    and per-track constants) is built once per solve; the problem and its
-    arrays are not modified. Rotation charts re-center after every accepted
-    step; the gradient in the new chart is the accepted one with each
-    re-centered camera's rotation slot set to its gradient before the left
-    Jacobian, which is what a fresh evaluation at w = 0 returns, so no extra
-    gradient evaluation is made.
+    and per-track constants) is built once per solve. Rotation charts
+    re-center after every accepted step; the gradient in the new chart is the
+    accepted one with each re-centered camera's rotation slot set to its
+    gradient before the left Jacobian, which is what a fresh evaluation at
+    w = 0 returns, so no extra gradient evaluation is made. The problem is
+    not modified.
     """
     config = config or BaConfig()
     work = replace(problem, cameras=list(problem.cameras))
@@ -505,9 +470,8 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
             w = x[off : off + 3]
             if np.any(w != 0.0):
                 cam = work.cameras[ci]
-                work.cameras[ci] = replace(
-                    cam, pose=SE3Pose(so3_exp(w) @ cam.pose.rotation, x[off + 3 : off + 6])
-                )
+                pose = SE3Pose(so3_exp(w) @ cam.pose.rotation, x[off + 3 : off + 6])
+                work.cameras[ci] = replace(cam, pose=pose)
                 x[off : off + 3] = 0.0
                 g[off : off + 3] = last_g_w[ci]
         return x, g
@@ -524,15 +488,7 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
         post_accept=post_accept,
     )
     solved = work.apply_params(x_final, lay)
-    report = BaReport(
-        status=opt.status,
-        iterations=opt.iterations,
-        objective_trace=opt.objective_trace,
-        line_search_failure=opt.line_search_failure,
-        initial_objective=opt.objective_trace[0],
-        final_objective=opt.objective_trace[-1],
-    )
-    return BaSolution(solved.cameras, solved.tracks, solved.soft_x2, report)
+    return BaSolution(solved.cameras, solved.tracks, solved.soft_x2, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +500,10 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
                        cam_a: int, cam_b: int):
     """Lift the correspondences between one image pair into virtual tracks.
 
-    Each VC's two pixel rays are cast against their records' priors; the
-    first hits give X1 (through pose_a) and X2 (through pose_b), and
-    fit_thickness gives (a, b). Returns (tracks, x2, dropped): a VcTracks of
-    the VCs whose rays both hit, in VC order, their (n, 3) X2 for soft mode,
-    and the number of VCs dropped because a ray missed its prior.
+    The first hits of each VC's two pixel rays on the priors give X1 and X2,
+    and fit_thickness their (a, b). Returns (tracks, x2, dropped): a VcTracks
+    of the VCs whose rays both hit, in VC order, their (n, 3) X2 for soft
+    mode, and the count of VCs dropped because a ray missed its prior.
     """
     person_ids = np.array([vc.person_id for vc in vcs], dtype=np.int64)
 
@@ -577,5 +532,5 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
     ab = fit_thickness(x1, x2, camera_center(pose_a), camera_center(pose_b))
     n = len(keep)
     tracks = VcTracks(x1, ab[:, 0], ab[:, 1], np.full(n, cam_a), np.full(n, cam_b),
-                      pix_a[keep], pix_b[keep])
+                      pix_a[keep], pix_b[keep], np.zeros(n, dtype=bool))
     return tracks, x2, len(vcs) - n

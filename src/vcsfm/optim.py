@@ -7,16 +7,11 @@ where the caller knows the gradient in the new chart without a new
 evaluation). Descent is monotone by construction: a step is only accepted
 when it lowers the objective.
 
-Each rejected trial shrinks the step to the minimizer of the quadratic
-through f(x), the directional derivative at x and f at the trial point,
-safeguarded to [_MIN_SHRINK, 0.5] of the rejected step (Nocedal & Wright,
-Numerical Optimization, section 3.5). A badly scaled first step is thus cut
-to size in one or two trials instead of one halving per factor of two. The
-step is halved instead when that quadratic has no minimizer, or when the
-rise of f is within _RESOLUTION of |f|: there it is mostly rounding error,
-and a curvature fitted to it would cut the step far too short. A line
-search whose trial point no longer differs from x has nothing left to try
-and ends there.
+A rejected trial shrinks the step to the minimizer of the quadratic through
+f(x), the slope at x and f at the trial point, clipped to [_MIN_SHRINK, 0.5]
+(Nocedal & Wright, Numerical Optimization, 3.5), and halves it when that
+quadratic has no minimizer or the rise of f is below _RESOLUTION * |f|,
+mostly rounding error. A line search ends once its trial no longer moves x.
 """
 
 from __future__ import annotations
@@ -43,6 +38,14 @@ class LbfgsReport:
     gradient_norms: list = field(default_factory=list)
     line_search_failure: bool = False
 
+    @property
+    def initial_objective(self) -> float:
+        return self.objective_trace[0]
+
+    @property
+    def final_objective(self) -> float:
+        return self.objective_trace[-1]
+
 
 def _two_loop(history, g):
     q = g.copy()
@@ -61,16 +64,6 @@ def _two_loop(history, g):
     return q
 
 
-def _shrink(predicted, rise):
-    """Step factor after a rejected trial with first-order change `predicted`
-    and actual change `rise`: the minimizer of the quadratic through both,
-    clipped to [_MIN_SHRINK, 0.5]. 0.5 when the caller found the rise
-    unresolved or the quadratic has no finite minimizer."""
-    if predicted < 0.0 and 0.0 < rise < np.inf:
-        return min(max(-predicted / (2.0 * (rise - predicted)), _MIN_SHRINK), 0.5)
-    return 0.5
-
-
 def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9,
                    step_tolerance=1e-12, history_size=10, project=None,
                    post_accept=None):
@@ -85,10 +78,8 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
     the returned x.
     The optimizer takes both as they are and never calls grad for them, so
     grad runs once at x0 and once per accepted step. Returns
-    (x, LbfgsReport). Its status is converged_gradient, converged_step (an
-    accepted step within step_tolerance, or a steepest-descent line search
-    that shrank the step until x no longer moved), line_search_failure (60
-    rejected trials along steepest descent) or max_iterations.
+    (x, LbfgsReport). A steepest-descent line search that shrinks the step
+    until x no longer moves ends the run as converged_step.
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -105,11 +96,9 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
             report.status = "converged_gradient"
             break
         d = -_two_loop(history, g) if history else -g
-        gd = float(g @ d)
-        if gd >= 0.0:  # not a descent direction: restart from steepest descent
+        if g @ d >= 0.0:  # not a descent direction: restart from steepest descent
             history.clear()
             d = -g
-            gd = float(g @ d)
         alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g))))
 
         accepted = stalled = False
@@ -126,16 +115,18 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
                 accepted = True
                 break
             rise = f_try - f
-            alpha *= _shrink(predicted, rise if rise > _RESOLUTION * abs(f) else 0.0)
+            if predicted < 0.0 and _RESOLUTION * abs(f) < rise < np.inf:
+                # minimizer of the quadratic through f, the slope and f_try
+                alpha *= min(max(-predicted / (2.0 * (rise - predicted)), _MIN_SHRINK), 0.5)
+            else:
+                alpha *= 0.5
         if not accepted:
             if history:
                 history.clear()  # retry along the raw gradient next iteration
                 continue
-            if stalled:  # no step that x can represent lowers f along -g
-                report.status = "converged_step"
-                break
-            report.status = "line_search_failure"
-            report.line_search_failure = True
+            # stalled: no step that x can represent lowers f along -g
+            report.status = "converged_step" if stalled else "line_search_failure"
+            report.line_search_failure = not stalled
             break
 
         g_try = np.asarray(grad(x_try), dtype=np.float64)

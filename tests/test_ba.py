@@ -98,11 +98,11 @@ TRACK_REJECTIONS = {
     "same-camera": (lambda t: {"cam_b": _set_row(t.cam_b, 1, t.cam_a[1])}, "distinct cameras"),
     "obs-a-nan": (lambda t: {"obs_a": _set_row(t.obs_a, 2, np.nan)}, "finite"),
     "obs-b-inf": (lambda t: {"obs_b": _set_row(t.obs_b, 0, np.inf)}, "finite"),
-    "a-rows": (lambda t: {"a": t.a[:-1]}, "shape"),
-    "cam-a-rows": (lambda t: {"cam_a": np.append(t.cam_a, 0)}, "shape"),
-    "classic-rows": (lambda t: {"classic": t.classic[1:]}, "shape"),
-    "obs-b-width": (lambda t: {"obs_b": t.obs_b[:, :1]}, "shape"),
-    "x1-width": (lambda t: {"x1": t.x1[:, :2]}, "shape"),
+    "a-rows": (lambda t: {"a": t.a[:-1]}, "^a has shape"),
+    "cam-a-rows": (lambda t: {"cam_a": np.append(t.cam_a, 0)}, "^cam_a has shape"),
+    "classic-rows": (lambda t: {"classic": t.classic[1:]}, "^classic has shape"),
+    "obs-b-width": (lambda t: {"obs_b": t.obs_b[:, :1]}, "^obs_b has shape"),
+    "x1-width": (lambda t: {"x1": t.x1[:, :2]}, "^x1 has shape"),
 }
 
 
