@@ -12,6 +12,12 @@ f(x), the slope at x and f at the trial point, clipped to [_MIN_SHRINK, 0.5]
 (Nocedal & Wright, Numerical Optimization, 3.5), and halves it when that
 quadratic has no minimizer or the rise of f is below _RESOLUTION * |f|,
 mostly rounding error. A line search ends once its trial no longer moves x.
+
+Only a trial that the first-order model calls downhill, g . (x_try - x) < 0,
+is evaluated. A projection can turn a quasi-Newton direction uphill at every
+step length (renormalizing onto a sphere moves the step across the tangent
+plane); such a direction is dropped with its history for steepest descent,
+whose projected trials turn downhill once the step is short enough.
 """
 
 from __future__ import annotations
@@ -78,8 +84,9 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
     the returned x.
     The optimizer takes both as they are and never calls grad for them, so
     grad runs once at x0 and once per accepted step. Returns
-    (x, LbfgsReport). A steepest-descent line search that shrinks the step
-    until x no longer moves ends the run as converged_step.
+    (x, LbfgsReport). A steepest-descent line search that finds no lower f
+    ends the run: as converged_step when the decrease its trials promised
+    is below the resolution of f, else as line_search_failure.
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -101,21 +108,27 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
             d = -g
         alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g))))
 
-        accepted = stalled = False
+        accepted = False
+        promised = 0.0  # largest decrease a trial's first-order model predicted
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + alpha * d
             if project is not None:
                 x_try = project(x_try)
             if np.array_equal(x_try, x):
-                stalled = True  # the step no longer moves x: no trial is left
-                break
-            f_try = float(fun(x_try))
+                break  # the step no longer moves x: no trial is left
             predicted = float(g @ (x_try - x))
-            if f_try <= f + _ARMIJO * min(predicted, 0.0) and f_try < f:
+            if predicted >= 0.0:
+                if history:
+                    break  # the projection turned d uphill: drop the history
+                alpha *= 0.5
+                continue
+            promised = max(promised, -predicted)
+            f_try = float(fun(x_try))
+            if f_try <= f + _ARMIJO * predicted and f_try < f:
                 accepted = True
                 break
             rise = f_try - f
-            if predicted < 0.0 and _RESOLUTION * abs(f) < rise < np.inf:
+            if _RESOLUTION * abs(f) < rise < np.inf:
                 # minimizer of the quadratic through f, the slope and f_try
                 alpha *= min(max(-predicted / (2.0 * (rise - predicted)), _MIN_SHRINK), 0.5)
             else:
@@ -124,9 +137,11 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
             if history:
                 history.clear()  # retry along the raw gradient next iteration
                 continue
-            # stalled: no step that x can represent lowers f along -g
-            report.status = "converged_step" if stalled else "line_search_failure"
-            report.line_search_failure = not stalled
+            # converged when f cannot resolve the decrease the gradient
+            # promises; otherwise f and grad disagree
+            converged = promised <= _RESOLUTION * abs(f)
+            report.status = "converged_step" if converged else "line_search_failure"
+            report.line_search_failure = not converged
             break
 
         g_try = np.asarray(grad(x_try), dtype=np.float64)

@@ -103,9 +103,10 @@ def test_badly_scaled_first_step_is_cut_to_size_by_interpolation(rng):
     assert all(f1 < f0 for f0, f1 in zip(report.objective_trace, report.objective_trace[1:]))
 
 
-def test_line_search_that_cannot_move_x_reports_convergence():
-    # a flat objective: no step lowers it, and the line search stops once the
-    # trial step no longer changes x instead of running out of backtracks
+def test_flat_objective_with_a_gradient_stops_early_as_a_line_search_failure():
+    # no step lowers a flat objective although its gradient promises a
+    # decrease: the line search stops once the trial step no longer changes
+    # x instead of running out of backtracks, and reports the disagreement
     calls = []
 
     def fun(x):
@@ -114,6 +115,23 @@ def test_line_search_that_cannot_move_x_reports_convergence():
 
     x0 = np.ones(4)
     x, report = minimize_lbfgs(fun, lambda x: np.ones(4), x0)
-    assert report.status == "converged_step" and not report.line_search_failure
+    assert report.status == "line_search_failure" and report.line_search_failure
     assert report.iterations == 0 and np.array_equal(x, x0)
     assert len(calls) < 60
+
+
+def test_projection_onto_a_sphere_reaches_a_stationary_point(rng):
+    # min 0.5 x'Ax - b'x on the unit sphere. Renormalizing a trial can turn
+    # a quasi-Newton direction uphill at every step length; accepting the
+    # rounding-level decrease found there stopped runs with a tangential
+    # gradient of 0.1 or more
+    a, b = _quadratic(rng, 3, 1.0)
+    b = 3.0 * b
+    x0 = rng.normal(size=3)
+    sphere = lambda x: x / np.linalg.norm(x)
+    x, report = minimize_lbfgs(lambda x: 0.5 * x @ a @ x - b @ x, lambda x: a @ x - b,
+                               x0, project=sphere, max_iterations=1000)
+    assert report.status.startswith("converged")
+    g = a @ x - b
+    assert np.abs(g - (g @ x) * x).max() < 1e-6
+    assert all(f1 < f0 for f0, f1 in zip(report.objective_trace, report.objective_trace[1:]))
