@@ -47,10 +47,17 @@ class DenseSurfaceMap:
     def num_mapped(self) -> int:
         return int(np.count_nonzero(self.faces >= 0))
 
-    def mapped_pixels(self) -> np.ndarray:
-        """(N, 2) integer (u, v) of mapped pixels in row-major order."""
-        v, u = np.nonzero(self.faces >= 0)
-        return np.column_stack([u, v])
+    def mapped_index(self) -> np.ndarray:
+        """Flat row-major indices of the mapped pixels, ascending."""
+        return np.flatnonzero(self.faces >= 0)
+
+    def mapped_pixels(self, stride: int = 1) -> np.ndarray:
+        """(N, 2) integer (u, v) of mapped pixels in row-major order, only
+        those with both coordinates multiples of `stride`."""
+        grid = self.faces[::stride, ::stride]
+        # a 1-D scan and a divmod are cheaper than a 2-D np.nonzero
+        v, u = np.divmod(np.flatnonzero(grid >= 0), grid.shape[1])
+        return np.column_stack([u, v]) * stride
 
 
 @dataclass(frozen=True)
@@ -166,16 +173,15 @@ def suggest_surface_tolerance(records, floor: float = 0.01, factor: float = 1.6)
     for rec in records:
         f = 0.5 * (rec.intrinsics.fx + rec.intrinsics.fy)
         for prior in rec.priors:
-            pix = prior.surface_map.mapped_pixels()
-            if len(pix) == 0:
+            dsm = prior.surface_map
+            flat = dsm.mapped_index()
+            if len(flat) == 0:
                 continue
             mesh_cam = rec.posed_mesh(prior.person_id)
-            pos = surface_points(
-                mesh_cam,
-                prior.surface_map.faces[pix[:, 1], pix[:, 0]],
-                prior.surface_map.barys[pix[:, 1], pix[:, 0]],
-            )
-            depth = float(np.median(pos[:, 2]))
+            # only depth is needed: the z column of surface_points, summed in the
+            # same order so the median is bit for bit the same
+            z = np.take(mesh_cam.corners[:, :, 2], dsm.faces.ravel()[flat], axis=0)
+            depth = float(np.median((dsm.barys.reshape(-1, 3)[flat] * z).sum(axis=1)))
             if depth > 0.0:
                 footprints.append(depth / f)
     if not footprints:
@@ -185,15 +191,23 @@ def suggest_surface_tolerance(records, floor: float = 0.01, factor: float = 1.6)
 
 class SurfaceIndex:
     """A dense surface map's entries as points on a mesh, for nearest-entry
-    lookup."""
+    lookup.
+
+    Extraction builds one per cast direction and queries it with a few
+    thousand hits, so the build is what costs: the entries are gathered
+    through the map's flat index, and the KD-tree splits at sliding
+    midpoints (Maneewongvatana & Mount, 1999), which builds in about half
+    the time of median splits and answers the same exact queries.
+    """
 
     def __init__(self, dsm: DenseSurfaceMap, mesh: TriangleMesh):
-        self.pixels = dsm.mapped_pixels()
-        u, v = self.pixels[:, 0], self.pixels[:, 1]
-        self.faces = dsm.faces[v, u]
-        self.barys = dsm.barys[v, u]
+        flat = dsm.mapped_index()
+        v, u = np.divmod(flat, dsm.width)
+        self.pixels = np.column_stack([u, v])
+        self.faces = dsm.faces.ravel()[flat]
+        self.barys = dsm.barys.reshape(-1, 3)[flat]
         self.positions = surface_points(mesh, self.faces, self.barys)
-        self._tree = cKDTree(self.positions)
+        self._tree = cKDTree(self.positions, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -238,23 +252,20 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     mesh_c = cast.posed_mesh(person_id)
     dsm_c = cast.prior_for(person_id).surface_map
 
-    pix = dsm_c.mapped_pixels()  # row-major
-    pix = pix[(pix[:, 0] % params.stride == 0) & (pix[:, 1] % params.stride == 0)]
+    pix = dsm_c.mapped_pixels(params.stride)  # row-major
     if len(pix) == 0:
         return []
     dirs = np.column_stack(
         [cast.intrinsics.normalize(pix.astype(np.float64)), np.ones(len(pix))]
     )
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    hits = batch_all_hits(mesh_c, np.zeros_like(dirs), dirs, max_hits=params.max_hits_per_ray)
-
-    ray = np.repeat(np.arange(len(pix)), [len(depths) for depths, _, _ in hits])
+    ray, _, hit_face, hit_bary = batch_all_hits(
+        mesh_c, np.zeros_like(dirs), dirs, max_hits=params.max_hits_per_ray
+    )
     rank = np.arange(len(ray)) - np.searchsorted(ray, ray)
     # evaluate positions from the coordinate address so they match the
     # observer-entry positions computed on the same (casting) mesh
-    hit_pos = surface_points(
-        mesh_c, np.concatenate([h[1] for h in hits]), np.concatenate([h[2] for h in hits])
-    )
+    hit_pos = surface_points(mesh_c, hit_face, hit_bary)
 
     # positions of the observer's entries, evaluated on the casting mesh so
     # distances are canonical-topology distances
@@ -263,7 +274,8 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     cand = np.flatnonzero(near < len(index_o))
     # a point's nearest neighbour does not depend on the other queries, so
     # the reverse test needs only the candidates' entries
-    _, back = cKDTree(hit_pos).query(index_o.positions[near[cand]])
+    back_tree = cKDTree(hit_pos, balanced_tree=False, compact_nodes=False)
+    _, back = back_tree.query(index_o.positions[near[cand]])
     m = cand[back == cand]
 
     # cap VCs per casting pixel, lowest ranks first (m is ray- then rank-ordered)

@@ -99,9 +99,6 @@ class Pixel:
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError("pixel coordinates must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:

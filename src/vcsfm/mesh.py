@@ -76,7 +76,7 @@ class SurfaceHit:
 
 
 class TriangleMesh:
-    """Immutable triangle mesh with the per-face vectors ray casting uses."""
+    """Immutable triangle mesh with each face's corner coordinates."""
 
     def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=np.float64).reshape(-1, 3)
@@ -85,14 +85,15 @@ class TriangleMesh:
             raise ValueError("face index out of range")
         self.vertices = v
         self.faces = f
-        self._v0 = v[f[:, 0]]
-        self._e1 = v[f[:, 1]] - self._v0
-        self._e2 = v[f[:, 2]] - self._v0
-        areas = 0.5 * np.linalg.norm(np.cross(self._e1, self._e2), axis=1)
+        # (F, 3, 3) corner coordinates per face, gathered once: evaluating
+        # surface coordinates then takes one row per point
+        self.corners = v[f]
+        v0, v1, v2 = self.corners.transpose(1, 0, 2)
+        areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         if f.size and areas.min() <= 1e-12:
             raise ValueError(f"degenerate face (area {areas.min():.3g})")
         self.face_areas = areas
-        for a in (self.vertices, self.faces, self._v0, self._e1, self._e2, areas):
+        for a in (self.vertices, self.faces, self.corners, areas):
             a.flags.writeable = False
 
     @property
@@ -113,8 +114,7 @@ def surface_point(mesh: TriangleMesh, c: SurfaceCoordinate) -> np.ndarray:
     """Barycentric evaluation of a surface coordinate on this mesh."""
     if not 0 <= c.face < mesh.num_faces:
         raise InvalidCoordinateError(f"face {c.face} out of range")
-    tri = mesh.vertices[mesh.faces[c.face]]
-    return np.asarray(c.bary) @ tri
+    return np.asarray(c.bary) @ mesh.corners[c.face]
 
 
 def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> 
     faces = np.asarray(faces, dtype=np.int64)
     if faces.size and (faces.min() < 0 or faces.max() >= mesh.num_faces):
         raise InvalidCoordinateError("face index out of range")
-    tris = mesh.vertices[mesh.faces[faces]]  # (N, 3, 3)
+    tris = np.take(mesh.corners, faces, axis=0)  # (N, 3, 3)
     return np.einsum("nk,nkj->nj", np.asarray(barys, dtype=np.float64), tris)
 
 
@@ -183,16 +183,18 @@ def _moller_trumbore(mesh: TriangleMesh, origin, dirs, ray, face):
     determinant and the numerators of u and v are dot products of the ray
     direction with a per-face (3, 3) table.
     """
-    tvec = origin - mesh._v0
-    qvec = np.cross(tvec, mesh._e1)
-    table = np.stack([np.cross(mesh._e1, mesh._e2), np.cross(mesh._e2, tvec), qvec], axis=2)
+    v0 = mesh.corners[:, 0]
+    e1, e2 = mesh.corners[:, 1] - v0, mesh.corners[:, 2] - v0
+    tvec = origin - v0
+    qvec = np.cross(tvec, e1)
+    table = np.stack([np.cross(e1, e2), np.cross(e2, tvec), qvec], axis=2)
     dots = (dirs[ray][:, None, :] @ table[face])[:, 0]  # -det, u and v numerators
     det = -dots[:, 0]
     ok = np.abs(det) > 1e-14
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     u = dots[:, 1] * inv
     v = dots[:, 2] * inv
-    t = np.einsum("fj,fj->f", qvec, mesh._e2)[face] * inv
+    t = np.einsum("fj,fj->f", qvec, e2)[face] * inv
     valid = ok & (u >= -BARY_TOL) & (v >= -BARY_TOL) & (u + v <= 1.0 + BARY_TOL) & (t > EPS_MIN)
     return t, u, v, valid
 
@@ -307,15 +309,15 @@ def batch_first_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.nda
 
 def batch_all_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarray,
                    max_hits: int | None = None):
-    """All hits of many rays, per ray ascending in depth.
+    """All hits of many rays, at most `max_hits` per ray: `cast_rays`' flat
+    (ray (K,), depth (K,), face (K,), bary (K, 3)), ordered by ray, then depth.
 
-    Returns a list of (depths (k,), faces (k,), barys (k, 3)) per ray, with k
-    capped at max_hits.
+    Its callers work on the flat arrays directly, so nothing is split per ray.
+    It stays a function of its own so that the many-ray all-hit casts of VC
+    extraction and of the synthetic oracle have one name to be wrapped by
+    where those modules bind it (bench/tracing.py counts their rays).
     """
-    n = len(np.asarray(directions).reshape(-1, 3))
-    ray, depth, face, bary = cast_rays(mesh, origins, directions, max_hits=max_hits)
-    bounds = np.searchsorted(ray, np.arange(n + 1))
-    return [(depth[a:b], face[a:b], bary[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return cast_rays(mesh, origins, directions, max_hits=max_hits)
 
 
 def load_mesh_text(path) -> TriangleMesh:

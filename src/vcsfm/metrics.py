@@ -46,7 +46,7 @@ def auc(errors, threshold: float) -> float:
     """Normalized area under the cumulative-recall-vs-error curve on [0, thr].
 
     Exact integral of the step function: each error e contributes
-    max(0, thr - e) / (n * thr). All errors must be non-negative.
+    max(0, 1 - e / thr) / n. All errors must be non-negative.
     """
     e = np.asarray(list(errors), dtype=np.float64)
     if e.size == 0:
@@ -55,7 +55,9 @@ def auc(errors, threshold: float) -> float:
         raise ValueError("threshold must be positive")
     if np.any(e < 0.0):
         raise ValueError("errors must be non-negative")
-    return float(np.mean(np.clip(threshold - e, 0.0, None)) / threshold)
+    # normalize each term before the mean: every term is then at most 1, so
+    # the rounded mean is too (dividing the mean by thr can give 1 + ulp)
+    return float(np.mean(np.clip(1.0 - e / threshold, 0.0, None)))
 
 
 @dataclass
@@ -67,10 +69,6 @@ class PoseErrorReport:
     translation_deg: list = field(default_factory=list)
     combined_deg: list = field(default_factory=list)
     auc_at: dict = field(default_factory=dict)
-
-    @property
-    def median_combined_deg(self) -> float:
-        return float(np.median(self.combined_deg))
 
     @property
     def max_combined_deg(self) -> float:

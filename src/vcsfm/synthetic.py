@@ -191,12 +191,6 @@ def _look_at_pose(center, target, up=(0.0, 1.0, 0.0)) -> SE3Pose:
     return SE3Pose(rot, -rot @ center)
 
 
-def _pixel_grid_dirs(k: CameraIntrinsics, width: int, height: int) -> np.ndarray:
-    u, v = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    xy = k.normalize(np.stack([u.ravel(), v.ravel()], axis=1))
-    return np.column_stack([xy, np.ones(len(xy))])
-
-
 def render_surface_map(mesh_cam: TriangleMesh, k: CameraIntrinsics,
                        width: int, height: int) -> DenseSurfaceMap:
     """Exact per-pixel first-hit map of a camera-frame mesh.
@@ -363,30 +357,22 @@ def _build_oracle(mesh, poses, k, clean_maps, stride):
     ]
     out = []
     for i in range(n):
-        pix = clean_maps[i].mapped_pixels()
+        pix = clean_maps[i].mapped_pixels(stride)  # row-major
         if len(pix) == 0:
             continue
-        keep = (pix[:, 0] % stride == 0) & (pix[:, 1] % stride == 0)
-        pix = pix[keep]
-        pix = pix[np.lexsort((pix[:, 0], pix[:, 1]))]
         xy = k.normalize(pix.astype(np.float64))
         dirs_cam = np.column_stack([xy, np.ones(len(xy))])
         dirs_cam /= np.linalg.norm(dirs_cam, axis=1, keepdims=True)
         dirs_world = dirs_cam @ poses[i].rotation  # R^T per row
         origin = -poses[i].rotation.T @ poses[i].translation
-        hits = batch_all_hits(mesh, np.tile(origin, (len(pix), 1)), dirs_world, max_hits=4)
-
-        ray_pix, ranks, points = [], [], []
-        for ridx, ((depths, _, _), p) in enumerate(zip(hits, pix)):
-            for r in range(len(depths)):
-                ray_pix.append(p)
-                ranks.append(r)
-                points.append(origin + depths[r] * dirs_world[ridx])
-        if not points:
+        ray, depths, _, _ = batch_all_hits(
+            mesh, np.tile(origin, (len(pix), 1)), dirs_world, max_hits=4
+        )
+        if len(ray) == 0:
             continue
-        points = np.array(points)
-        ray_pix = np.array(ray_pix)
-        ranks = np.array(ranks)
+        points = origin + depths[:, None] * dirs_world[ray]
+        ray_pix = pix[ray].astype(np.float64).tolist()
+        ranks = (np.arange(len(ray)) - np.searchsorted(ray, ray)).tolist()
 
         for j in range(n):
             if j == i:
@@ -413,17 +399,16 @@ def _build_oracle(mesh, poses, k, clean_maps, stride):
                 np.linalg.norm(first_points - p_cam_j, axis=1)
                 <= _VIS_TOL * np.maximum(1.0, np.linalg.norm(p_cam_j, axis=1))
             )
-            for s, vis in zip(sel, visible):
-                if not vis:
-                    continue
-                out.append(
-                    GtCorrespondence(
-                        cam_a=i,
-                        cam_b=j,
-                        pixel_a=Pixel(float(ray_pix[s][0]), float(ray_pix[s][1])),
-                        pixel_b=Pixel(float(uv[s][0]), float(uv[s][1])),
-                        point=points[s],
-                        rank_a=int(ranks[s]),
-                    )
+            seen = sel[visible]
+            out.extend(
+                GtCorrespondence(
+                    cam_a=i,
+                    cam_b=j,
+                    pixel_a=Pixel(*ray_pix[s]),
+                    pixel_b=Pixel(u, v),
+                    point=points[s],
+                    rank_a=ranks[s],
                 )
+                for s, (u, v) in zip(seen.tolist(), uv[seen].tolist())
+            )
     return out

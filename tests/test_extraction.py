@@ -47,6 +47,49 @@ def scene_params(scene):
 # ---------------------------------------------------------------- index
 
 
+def sparse_map(rng, width, height, fraction=0.3):
+    """A map with random entries and some rows and columns left empty."""
+    faces = np.where(rng.random((height, width)) < fraction,
+                     rng.integers(0, 2, (height, width)), -1)
+    faces[1] = -1
+    faces[:, [0, width // 2]] = -1
+    barys = rng.dirichlet(np.ones(3), size=(height, width))
+    return DenseSurfaceMap(faces, barys)
+
+
+def test_mapped_pixels_match_two_dimensional_nonzero(rng):
+    for dsm in (sparse_map(rng, 13, 7), sparse_map(rng, 5, 11), DenseSurfaceMap.empty(9, 4)):
+        want = np.column_stack(np.nonzero(dsm.faces >= 0)[::-1])
+        got = dsm.mapped_pixels()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        v, u = np.divmod(dsm.mapped_index(), dsm.width)
+        assert np.array_equal(np.column_stack([u, v]), want)
+    assert DenseSurfaceMap.empty(9, 4).mapped_pixels().shape == (0, 2)
+
+
+def test_strided_mapped_pixels_match_modulo_filter(rng):
+    dsm = sparse_map(rng, 17, 13, fraction=0.6)
+    pix = dsm.mapped_pixels()
+    for stride in range(1, 6):
+        want = pix[(pix[:, 0] % stride == 0) & (pix[:, 1] % stride == 0)]
+        got = dsm.mapped_pixels(stride)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_surface_index_gathers_entries_in_row_major_order(rng):
+    dsm = sparse_map(rng, 13, 7)
+    mesh = unit_square_mesh()
+    idx = SurfaceIndex(dsm, mesh)
+    pix = dsm.mapped_pixels()
+    u, v = pix[:, 0], pix[:, 1]
+    assert np.array_equal(idx.pixels, pix)
+    assert np.array_equal(idx.faces, dsm.faces[v, u])
+    assert np.array_equal(idx.barys, dsm.barys[v, u])
+    assert np.array_equal(idx.positions, surface_points(mesh, dsm.faces[v, u], dsm.barys[v, u]))
+
+
+
 def test_surface_index_matches_linear_scan(opposed_scene, rng):
     rec = opposed_scene.records[0]
     dsm = rec.surface_map
@@ -362,3 +405,23 @@ def test_suggest_surface_tolerance_scales(opposed_scene):
     # footprint = depth / focal; the scene is built so this is a few cm
     assert 0.02 < tol < 0.2
     assert suggest_surface_tolerance([]) == 0.01
+
+
+def test_suggest_surface_tolerance_equals_full_surface_points(rng):
+    """The depth-only median is bit for bit that of the full 3-D points."""
+    base = generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, 90.0), **SMALL),
+                          NoiseConfig(pixel_sigma=0.5, outlier_fraction=0.2,
+                                      prior_rotation_sigma=1.0, prior_translation_sigma=0.01))
+    k = base.records[0].intrinsics
+    shifted = ImageRecord("shifted", k, base.records[1].priors,
+                          prior_pose=SE3Pose(np.eye(3), np.array([0.01, -0.02, 0.3])))
+    for records in (base.records, [base.records[0], shifted]):
+        footprints = []
+        for rec in records:
+            dsm = rec.surface_map
+            pix = dsm.mapped_pixels()
+            pos = surface_points(rec.posed_mesh(0), dsm.faces[pix[:, 1], pix[:, 0]],
+                                 dsm.barys[pix[:, 1], pix[:, 0]])
+            footprints.append(float(np.median(pos[:, 2])) / k.fx)
+        want = max(0.01, 1.6 * float(np.median(footprints)))
+        assert suggest_surface_tolerance(records) == want

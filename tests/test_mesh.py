@@ -111,6 +111,12 @@ def test_surface_points_vectorized(rng):
     for i in range(20):
         single = surface_point(mesh, SurfaceCoordinate(faces[i], tuple(b[i])))
         assert np.allclose(batch[i], single, atol=1e-12)
+    # the corner table holds each face's vertices, so the gathered triangles
+    # and with them the points are those of a direct vertex gather, bit for bit
+    assert np.array_equal(mesh.corners, mesh.vertices[mesh.faces])
+    assert np.array_equal(
+        batch, np.einsum("nk,nkj->nj", b, mesh.vertices[mesh.faces[faces]])
+    )
 
 
 @pytest.mark.parametrize("maker", [cube_mesh, lambda: icosphere_mesh(2)])
@@ -178,8 +184,10 @@ def test_batch_all_hits_matches_single(rng):
     mesh = cube_mesh()
     origins = np.tile([[0.0, 0.0, -4.0]], (9, 1)) + rng.normal(size=(9, 3)) * 0.1
     dirs = np.tile([[0.0, 0.0, 1.0]], (9, 1))
-    per_ray = batch_all_hits(mesh, origins, dirs)
-    for i, (depths, faces, barys) in enumerate(per_ray):
+    ray, depth, face, bary = batch_all_hits(mesh, origins, dirs)
+    assert np.all(np.diff(ray) >= 0)
+    for i in range(len(dirs)):
+        depths, faces, barys = depth[ray == i], face[ray == i], bary[ray == i]
         singles = ray_mesh_all_hits(mesh, Ray(origins[i], dirs[i]))
         assert len(depths) == len(singles)
         for j, h in enumerate(singles):
@@ -195,8 +203,23 @@ def test_batch_all_hits_respects_cap():
         np.vstack([mesh.vertices, inner.vertices]),
         np.vstack([mesh.faces, inner.faces + len(mesh.vertices)]),
     )
-    (hits,) = batch_all_hits(both, [[0.05, 0.04, -4.0]], [[0.0, 0.0, 1.0]], max_hits=3)
-    assert len(hits[0]) == 3
+    ray, depth, face, bary = batch_all_hits(
+        both, [[0.05, 0.04, -4.0]], [[0.0, 0.0, 1.0]], max_hits=3
+    )
+    assert list(ray) == [0, 0, 0] and len(depth) == len(face) == len(bary) == 3
+    assert np.all(np.diff(depth) > 0.0)
+
+
+def test_batch_all_hits_equals_cast_rays(rng):
+    mesh = merged(cube_mesh(), icosphere_mesh(2))
+    origins = np.tile([[0.0, 0.0, -4.0]], (50, 1))
+    dirs = rng.normal(size=(50, 3)) * 0.15 + [0.0, 0.0, 1.0]
+    for cap in (None, 1, 3):
+        got = batch_all_hits(mesh, origins, dirs, max_hits=cap)
+        want = cast_rays(mesh, origins, dirs, max_hits=cap)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def merged(*meshes):
@@ -210,10 +233,13 @@ def merged(*meshes):
 
 def assert_matches_oracle(mesh, origins, dirs, max_hits=None):
     origins = np.broadcast_to(origins, np.shape(dirs))
-    per_ray = batch_all_hits(mesh, origins, dirs, max_hits=max_hits)
-    assert len(per_ray) == len(dirs)
+    ray, depth, face, bary = batch_all_hits(mesh, origins, dirs, max_hits=max_hits)
+    bounds = np.searchsorted(ray, np.arange(len(dirs) + 1))
+    assert bounds[-1] == len(ray)  # every hit names a ray, in ray order
     n_hits = 0
-    for o, d, (depths, faces, barys) in zip(origins, dirs, per_ray):
+    for i, (o, d) in enumerate(zip(origins, dirs)):
+        run = slice(bounds[i], bounds[i + 1])
+        depths, faces, barys = depth[run], face[run], bary[run]
         want = collapsed_hits_oracle(mesh.vertices, mesh.faces, o, d, DEPTH_TIE, max_hits)
         assert len(depths) == len(want)
         for j, (t, f, b) in enumerate(want):
@@ -289,17 +315,22 @@ def test_kernel_max_hits_cap_vs_oracle(rng):
     for cap in (1, 2, 5):
         assert assert_matches_oracle(mesh, origin, dirs, max_hits=cap) == cap * len(dirs)
     depth, face, bary, ok = batch_first_hits(mesh, np.broadcast_to(origin, dirs.shape), dirs)
-    first = batch_all_hits(mesh, np.broadcast_to(origin, dirs.shape), dirs, max_hits=1)
+    ray, first_depth, first_face, first_bary = batch_all_hits(
+        mesh, np.broadcast_to(origin, dirs.shape), dirs, max_hits=1
+    )
     assert ok.all()
-    assert np.array_equal(depth, [h[0][0] for h in first])
-    assert np.array_equal(face, [h[1][0] for h in first])
+    assert np.array_equal(ray, np.arange(len(dirs)))
+    assert np.array_equal(depth, first_depth)
+    assert np.array_equal(face, first_face)
+    assert np.array_equal(bary, first_bary)
 
 
 def test_kernel_zero_rays_and_distinct_origins(rng):
     mesh = icosphere_mesh(2)
     ray, depth, face, bary = cast_rays(mesh, np.empty((0, 3)), np.empty((0, 3)))
     assert len(ray) == len(depth) == len(face) == len(bary) == 0
-    assert batch_all_hits(mesh, np.empty((0, 3)), np.empty((0, 3))) == []
+    ray, depth, face, bary = batch_all_hits(mesh, np.empty((0, 3)), np.empty((0, 3)))
+    assert ray.shape == depth.shape == face.shape == (0,) and bary.shape == (0, 3)
     depth, face, bary, ok = batch_first_hits(mesh, np.empty((0, 3)), np.empty((0, 3)))
     assert depth.shape == face.shape == ok.shape == (0,) and bary.shape == (0, 3)
     origins = rng.normal(size=(60, 3))
