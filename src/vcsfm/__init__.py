@@ -15,22 +15,10 @@ from .geometry import (
     camera_center,
     decompose_essential,
     essential_from_pose,
-    project,
     ray_through_pixel,
     relative_pose,
-    sampson_error,
 )
-from .mesh import (
-    SurfaceCoordinate,
-    SurfaceHit,
-    TriangleMesh,
-    first_hit,
-    load_mesh_text,
-    ray_mesh_all_hits,
-    save_mesh_text,
-    surface_distance,
-    surface_point,
-)
+from .mesh import TriangleMesh
 
 __version__ = "0.1.0"
 
@@ -43,17 +31,7 @@ __all__ = [
     "decompose_essential",
     "errors",
     "essential_from_pose",
-    "project",
     "ray_through_pixel",
     "relative_pose",
-    "sampson_error",
-    "SurfaceCoordinate",
-    "SurfaceHit",
     "TriangleMesh",
-    "first_hit",
-    "load_mesh_text",
-    "ray_mesh_all_hits",
-    "save_mesh_text",
-    "surface_distance",
-    "surface_point",
 ]

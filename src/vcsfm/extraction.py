@@ -14,16 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import TopologyMismatchError
+from .errors import InvalidCoordinateError, TopologyMismatchError
 from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
-from .mesh import SurfaceCoordinate, TriangleMesh, batch_all_hits, surface_points
+from .mesh import TriangleMesh, batch_all_hits, surface_points
 
 
 class DenseSurfaceMap:
     """Per-pixel optional surface coordinate (the dense 2D-3D association).
 
     Stored as a face-index image (-1 marks unmapped pixels) plus barycentric
-    weights. Immutable after construction.
+    weights. Immutable after construction. The weights of every mapped pixel
+    must be at least -1e-9 and sum to 1 within 1e-9 (InvalidCoordinateError);
+    those of unmapped pixels are not read.
     """
 
     def __init__(self, faces: np.ndarray, barys: np.ndarray):
@@ -31,6 +33,12 @@ class DenseSurfaceMap:
         barys = np.array(barys, dtype=np.float64)
         if faces.ndim != 2 or barys.shape != faces.shape + (3,):
             raise ValueError("faces must be (H, W) and barys (H, W, 3)")
+        # a flat gather and column sums take half the time of a 2-D mask
+        w = barys.reshape(-1, 3)[np.flatnonzero(faces.ravel() >= 0)]
+        total = w[:, 0] + w[:, 1] + w[:, 2]
+        if len(w) and not (w.min() >= -1e-9 and np.abs(total - 1.0).max() <= 1e-9):
+            raise InvalidCoordinateError("mapped pixels need barycentric weights "
+                                         ">= 0 that sum to 1")
         self.faces = faces
         self.barys = barys
         self.height, self.width = faces.shape
@@ -133,15 +141,14 @@ class ImageRecord:
 class VirtualCorrespondence:
     """Pixel pair whose camera rays meet on the hallucinated surface.
 
-    hit_coord addresses the intersecting surface point on the canonical
-    topology; hit_rank is its index along the casting ray (0 = also visible in
-    the casting image); hit_depth is its camera-frame depth on the casting
-    side; source names the image that cast the ray.
+    hit_rank is the index of the intersecting surface point along the casting
+    ray (0 = also visible in the casting image); hit_depth is its camera-frame
+    depth on the casting side; source names the image that cast the ray. The
+    point's surface coordinate is the observer's map entry at its pixel.
     """
 
     pixel_a: Pixel
     pixel_b: Pixel
-    hit_coord: SurfaceCoordinate
     hit_rank: int
     source: str
     person_id: int = 0
@@ -204,9 +211,8 @@ class SurfaceIndex:
         flat = dsm.mapped_index()
         v, u = np.divmod(flat, dsm.width)
         self.pixels = np.column_stack([u, v])
-        self.faces = dsm.faces.ravel()[flat]
-        self.barys = dsm.barys.reshape(-1, 3)[flat]
-        self.positions = surface_points(mesh, self.faces, self.barys)
+        self.positions = surface_points(mesh, dsm.faces.ravel()[flat],
+                                        dsm.barys.reshape(-1, 3)[flat])
         self._tree = cKDTree(self.positions, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:
@@ -245,7 +251,7 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     `max_per_pixel` matches in rank order; of those, matches whose point lies
     behind the casting camera or projects outside its frame are dropped.
 
-    Returns rows (cast_uv, obs_uv, face, bary, rank, depth) of plain Python
+    Returns rows (cast_uv, obs_uv, rank, depth) of plain Python
     values, in row-major order of the casting pixel and ascending hit rank;
     the caller orients them into (pixel_a, pixel_b) order.
     """
@@ -293,8 +299,6 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     return list(zip(
         uv.tolist(),
         index_o.pixels[e].tolist(),
-        index_o.faces[e].tolist(),
-        index_o.barys[e].tolist(),
         rank[m].tolist(),
         # equals np.linalg.norm of each row bit for bit; norm(axis=1) does not
         np.sqrt(np.vecdot(y, y)).tolist(),
@@ -323,7 +327,7 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
             a.prior_for(person_id).mesh, b.prior_for(person_id).mesh
         )
         for source, cast, obs, forward in ((a, a, b, True), (b, b, a, False)):
-            for cast_uv, obs_uv, face, bary, rank, depth in _cast_one_direction(
+            for cast_uv, obs_uv, rank, depth in _cast_one_direction(
                 cast, obs, person_id, params
             ):
                 pa, pb = Pixel(*cast_uv), Pixel(*obs_uv)
@@ -337,7 +341,6 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
                     VirtualCorrespondence(
                         pixel_a=pa,
                         pixel_b=pb,
-                        hit_coord=SurfaceCoordinate(face, tuple(bary)),
                         hit_rank=rank,
                         source=source.image_id,
                         person_id=person_id,

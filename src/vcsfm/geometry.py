@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominatorError,
-    NonPositiveDepthError,
-    NotEssentialError,
-    ZeroTranslationError,
-)
+from .errors import NotEssentialError, ZeroTranslationError
 
 ROTATION_TOL = 1e-9
 
@@ -234,18 +229,6 @@ def project_points(pose: SE3Pose, k: CameraIntrinsics, points: np.ndarray):
     return k.denormalize(np.stack([x, y], axis=-1)), z
 
 
-def project(pose: SE3Pose, k: CameraIntrinsics, x) -> Pixel:
-    """Perspective projection of a single world point.
-
-    Raises NonPositiveDepthError when the camera-frame z is <= 0.
-    """
-    pc = pose.transform(np.asarray(x, dtype=np.float64).reshape(3))
-    if pc[2] <= 0.0:
-        raise NonPositiveDepthError(f"camera-frame depth {pc[2]:.3g} <= 0")
-    uv = k.denormalize(pc[:2] / pc[2])
-    return Pixel(float(uv[0]), float(uv[1]))
-
-
 def ray_through_pixel(pose: SE3Pose, k: CameraIntrinsics, p: Pixel) -> Ray:
     """World-frame viewing ray from the camera center through pixel p."""
     xy = k.normalize(np.array([p.u, p.v]))
@@ -279,18 +262,6 @@ def sampson_errors(e: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     ok = den >= 1e-18
     out[ok] = num[ok] / den[ok]
     return out
-
-
-def sampson_error(e: np.ndarray, x1, x2) -> float:
-    """Sampson error of one normalized correspondence.
-
-    Raises DegenerateDenominatorError when both epipolar-line gradients vanish
-    (the points coincide with the epipoles).
-    """
-    err = sampson_errors(e, np.asarray(x1).reshape(1, 2), np.asarray(x2).reshape(1, 2))[0]
-    if not np.isfinite(err):
-        raise DegenerateDenominatorError("Sampson denominator below 1e-18")
-    return float(err)
 
 
 def decompose_essential(e: np.ndarray) -> list[SE3Pose]:

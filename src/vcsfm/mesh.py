@@ -1,10 +1,11 @@
 """Triangle-mesh shape priors, ray casting that records every hit, and
-surface-coordinate (face + barycentric) addressing.
+evaluation of surface coordinates (face + barycentric weights), all on arrays.
 
-Coordinates address points on the canonical topology, so the same coordinate
-names the same body point on every posed copy of a mesh.
+A surface coordinate addresses a point on the canonical topology, so the same
+coordinate names the same body point on every posed copy of a mesh.
 
-Every cast goes through one kernel, `cast_rays`, with this contract:
+Every cast goes through one kernel, `cast_rays`, on arrays of rays;
+`batch_first_hits` and `batch_all_hits` only reshape its result. Its contract:
 
 - Candidates are conservative. Rays are cast one origin group at a time.
   Face vertices and ray directions are projected centrally onto the plane
@@ -24,12 +25,9 @@ Every cast goes through one kernel, `cast_rays`, with this contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidCoordinateError, ParseError
-from .geometry import Ray
+from .errors import InvalidCoordinateError
 
 # hits closer than this are treated as self-intersections of a re-cast ray
 EPS_MIN = 1e-9
@@ -45,34 +43,6 @@ BOX_PAD = 1e-8
 PLANE_TOL = 1e-12
 # rays per cell of the grid the projected rays are binned on
 RAYS_PER_CELL = 2
-
-
-@dataclass(frozen=True)
-class SurfaceCoordinate:
-    """Address of a surface point: face index + barycentric weights."""
-
-    face: int
-    bary: tuple[float, float, float]
-
-    def __post_init__(self):
-        # plain floats: extraction builds one coordinate per correspondence
-        try:
-            b = tuple(float(w) for w in self.bary)
-        except (TypeError, ValueError) as exc:
-            raise InvalidCoordinateError(f"bad barycentric weights {self.bary}") from exc
-        if len(b) != 3 or not (min(b) >= -1e-9 and abs(b[0] + b[1] + b[2] - 1.0) <= 1e-9):
-            raise InvalidCoordinateError(f"bad barycentric weights {self.bary}")
-        object.__setattr__(self, "face", int(self.face))
-        object.__setattr__(self, "bary", b)
-
-
-@dataclass(frozen=True)
-class SurfaceHit:
-    """One ray-mesh intersection: depth along the ray, address, 3D point."""
-
-    depth: float
-    coord: SurfaceCoordinate
-    point: np.ndarray
 
 
 class TriangleMesh:
@@ -100,9 +70,9 @@ class TriangleMesh:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def transformed(self, rotation=None, translation=None, scale=1.0) -> "TriangleMesh":
-        """Rigidly (plus isotropic scale) transformed copy; topology shared."""
-        v = self.vertices * scale
+    def transformed(self, rotation=None, translation=None) -> "TriangleMesh":
+        """Rigidly transformed copy; topology shared."""
+        v = self.vertices
         if rotation is not None:
             v = v @ np.asarray(rotation, dtype=np.float64).T
         if translation is not None:
@@ -110,25 +80,13 @@ class TriangleMesh:
         return TriangleMesh(v, self.faces)
 
 
-def surface_point(mesh: TriangleMesh, c: SurfaceCoordinate) -> np.ndarray:
-    """Barycentric evaluation of a surface coordinate on this mesh."""
-    if not 0 <= c.face < mesh.num_faces:
-        raise InvalidCoordinateError(f"face {c.face} out of range")
-    return np.asarray(c.bary) @ mesh.corners[c.face]
-
-
 def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> np.ndarray:
-    """Vectorized surface_point for (N,) face indices and (N, 3) weights."""
+    """Points of (N,) face indices and (N, 3) barycentric weights on `mesh`."""
     faces = np.asarray(faces, dtype=np.int64)
     if faces.size and (faces.min() < 0 or faces.max() >= mesh.num_faces):
         raise InvalidCoordinateError("face index out of range")
     tris = np.take(mesh.corners, faces, axis=0)  # (N, 3, 3)
     return np.einsum("nk,nkj->nj", np.asarray(barys, dtype=np.float64), tris)
-
-
-def surface_distance(mesh: TriangleMesh, a: SurfaceCoordinate, b: SurfaceCoordinate) -> float:
-    """Euclidean distance between two surface coordinates evaluated on mesh."""
-    return float(np.linalg.norm(surface_point(mesh, a) - surface_point(mesh, b)))
 
 
 def cast_rays(mesh: TriangleMesh, origins, directions, max_hits: int | None = None):
@@ -273,24 +231,6 @@ def _ranges(starts, counts):
     return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def ray_mesh_all_hits(mesh: TriangleMesh, ray: Ray) -> list[SurfaceHit]:
-    """Every intersection of a ray with the mesh, ascending in depth.
-
-    A miss returns an empty list.
-    """
-    _, depth, face, bary = cast_rays(mesh, ray.origin[None], ray.direction[None])
-    return [
-        SurfaceHit(float(t), SurfaceCoordinate(int(f), tuple(b)), ray.point_at(float(t)))
-        for t, f, b in zip(depth, face, bary)
-    ]
-
-
-def first_hit(mesh: TriangleMesh, ray: Ray) -> SurfaceHit | None:
-    """Nearest intersection, or None on a miss."""
-    hits = ray_mesh_all_hits(mesh, ray)
-    return hits[0] if hits else None
-
-
 def batch_first_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarray):
     """First hit of many rays.
 
@@ -312,45 +252,9 @@ def batch_all_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarr
     """All hits of many rays, at most `max_hits` per ray: `cast_rays`' flat
     (ray (K,), depth (K,), face (K,), bary (K, 3)), ordered by ray, then depth.
 
-    Its callers work on the flat arrays directly, so nothing is split per ray.
-    It stays a function of its own so that the many-ray all-hit casts of VC
-    extraction and of the synthetic oracle have one name to be wrapped by
-    where those modules bind it (bench/tracing.py counts their rays).
+    There is no single-ray variant: one ray is a batch of one. This stays a
+    function of its own so that the all-hit casts of VC extraction and of the
+    synthetic oracle have one name to be wrapped by where those modules bind
+    it (bench/tracing.py counts their rays).
     """
     return cast_rays(mesh, origins, directions, max_hits=max_hits)
-
-
-def load_mesh_text(path) -> TriangleMesh:
-    """Read the `v x y z` / `f i j k` exchange format (1-based indices).
-
-    Lines of any other type are ignored; malformed v/f lines raise ParseError.
-    """
-    verts, faces = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if len(parts) != 4:
-                    raise ParseError("vertex line needs 3 coordinates", path, ln)
-                try:
-                    verts.append([float(x) for x in parts[1:]])
-                except ValueError as exc:
-                    raise ParseError(str(exc), path, ln) from exc
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise ParseError("face line needs 3 indices", path, ln)
-                try:
-                    faces.append([int(x) - 1 for x in parts[1:]])
-                except ValueError as exc:
-                    raise ParseError(str(exc), path, ln) from exc
-    return TriangleMesh(np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64))
-
-
-def save_mesh_text(mesh: TriangleMesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")

@@ -56,13 +56,6 @@ def _epipolar_matrix(x1, x2):
     return np.einsum("ni,nj->nij", q2, q1).reshape(len(q1), 9)
 
 
-def essential_residuals(e, x1, x2):
-    """|x2^T E x1| per pair (algebraic epipolar residual)."""
-    q1 = _homogeneous(x1)
-    q2 = _homogeneous(x2)
-    return np.abs(np.einsum("ni,ij,nj->n", q2, np.asarray(e), q1))
-
-
 def trace_constraint_residual(e) -> float:
     """Frobenius norm of 2 E E^T E - tr(E E^T) E."""
     e = np.asarray(e, dtype=np.float64)
@@ -130,7 +123,7 @@ def five_point(x1, x2) -> list[np.ndarray]:
             continue
         if trace_constraint_residual(e) > 1e-7:
             continue
-        if essential_residuals(e, x1, x2).max() > 1e-8:
+        if np.abs(q @ e.ravel()).max() > 1e-8:  # |x2^T E x1| of the five pairs
             continue
         candidates.append(e)
     return candidates

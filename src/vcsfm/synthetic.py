@@ -12,7 +12,7 @@ import numpy as np
 
 from .extraction import DenseSurfaceMap, ImageRecord, ShapePrior
 from .geometry import CameraIntrinsics, Pixel, SE3Pose, project_points, so3_exp
-from .mesh import TriangleMesh, batch_all_hits, batch_first_hits, load_mesh_text
+from .mesh import TriangleMesh, batch_all_hits, batch_first_hits
 
 # relative position tolerance for the oracle's visibility test
 _VIS_TOL = 1e-6
@@ -22,7 +22,6 @@ _VIS_TOL = 1e-6
 class SceneConfig:
     """Layout of a synthetic capture rig around the subject."""
 
-    mesh_source: str = "builtin"  # "builtin" or a mesh file path
     camera_count: int = 2
     baseline_angles: tuple | None = None  # degrees on the ring; None = even
     elevation_range: float = 0.0  # cameras sample elevation in +/- this
@@ -297,7 +296,7 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None,
     """
     noise = noise or NoiseConfig.none()
     rng = np.random.default_rng(scene.seed)
-    mesh = builtin_proxy_mesh() if scene.mesh_source == "builtin" else load_mesh_text(scene.mesh_source)
+    mesh = builtin_proxy_mesh()
     width, height = scene.image_size
     k = CameraIntrinsics(
         fx=scene.focal_length, fy=scene.focal_length, cx=width / 2.0, cy=height / 2.0

@@ -154,7 +154,7 @@ def vc_extraction_oracle(a, b, params):
     """
     from vcsfm.extraction import VirtualCorrespondence
     from vcsfm.geometry import Pixel
-    from vcsfm.mesh import DEPTH_TIE, SurfaceCoordinate, surface_points
+    from vcsfm.mesh import DEPTH_TIE, surface_points
 
     (prior,) = a.priors
     person = prior.person_id
@@ -202,9 +202,7 @@ def vc_extraction_oracle(a, b, params):
                 continue
             seen.add((pa, pb, rank))
             vcs.append(VirtualCorrespondence(
-                pixel_a=pa, pixel_b=pb,
-                hit_coord=SurfaceCoordinate(dsm_o.faces[ov[e], ou[e]], dsm_o.barys[ov[e], ou[e]]),
-                hit_rank=rank, source=cast.image_id, person_id=person,
+                pixel_a=pa, pixel_b=pb, hit_rank=rank, source=cast.image_id, person_id=person,
                 hit_depth=float(np.linalg.norm(y)),
             ))
     return vcs

@@ -34,7 +34,6 @@ from vcsfm.geometry import (
     relative_pose,
     so3_exp,
 )
-from vcsfm.mesh import SurfaceCoordinate
 from vcsfm.metrics import pose_error
 from vcsfm.synthetic import SceneConfig, generate_scene
 
@@ -250,7 +249,7 @@ def test_lift_counts_missed_ray_as_dropped_without_warnings():
     row = next(v for v in range(a.surface_map.height) if a.surface_map.faces[v, cx] < 0)
     miss = VirtualCorrespondence(
         pixel_a=Pixel(float(cx), float(row)), pixel_b=vcs[0].pixel_b,
-        hit_coord=vcs[0].hit_coord, hit_rank=0, source=a.image_id,
+        hit_rank=0, source=a.image_id,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -273,7 +272,7 @@ def test_lift_with_every_ray_missing_returns_no_tracks():
     misses = [
         VirtualCorrespondence(
             pixel_a=Pixel(0.0, float(v)), pixel_b=Pixel(95.0, 71.0),
-            hit_coord=SurfaceCoordinate(0, (1.0, 0.0, 0.0)), hit_rank=0, source=a.image_id,
+            hit_rank=0, source=a.image_id,
         )
         for v in (0, 1, 2)
     ]

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import unit_square_mesh
 from oracles import ray_gap_grid_oracle, vc_extraction_oracle
-from vcsfm.errors import TopologyMismatchError
+from vcsfm.errors import InvalidCoordinateError, TopologyMismatchError
 from vcsfm.extraction import (
     DenseSurfaceMap,
     ExtractionParams,
@@ -16,8 +16,8 @@ from vcsfm.extraction import (
     suggest_surface_tolerance,
     vc_ray_gap,
 )
-from vcsfm.geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
-from vcsfm.mesh import SurfaceCoordinate, surface_points
+from vcsfm.geometry import Pixel, Ray, SE3Pose, project_points
+from vcsfm.mesh import surface_points
 from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
 
 SMALL = dict(image_size=(96, 72), focal_length=110.0)
@@ -77,6 +77,30 @@ def test_strided_mapped_pixels_match_modulo_filter(rng):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_dense_map_rejects_bad_weights_of_mapped_pixels():
+    faces = np.full((3, 4), -1)
+    faces[1, 2] = 0
+    barys = np.zeros((3, 4, 3))
+    barys[1, 2] = [0.2, 0.3, 0.5]
+    DenseSurfaceMap(faces, barys)
+    for bad in ([0.5, 0.5, 0.5], [-0.2, 0.6, 0.6], [np.nan, 0.5, 0.5], [0.0, 0.0, 0.0]):
+        barys[1, 2] = bad
+        with pytest.raises(InvalidCoordinateError):
+            DenseSurfaceMap(faces, barys)
+    barys[1, 2] = [-5e-10, 0.5, 0.5 + 5e-10]  # within the 1e-9 slack
+    DenseSurfaceMap(faces, barys)
+
+
+def test_dense_map_ignores_weights_of_unmapped_pixels(rng):
+    faces = np.full((3, 4), -1)
+    barys = rng.normal(size=(3, 4, 3)) * 5.0
+    barys[2, 3] = np.nan
+    assert DenseSurfaceMap(faces, barys).num_mapped == 0
+    faces[0, 0] = 1
+    barys[0, 0] = [1.0, 0.0, 0.0]
+    assert DenseSurfaceMap(faces, barys).num_mapped == 1
+
+
 def test_surface_index_gathers_entries_in_row_major_order(rng):
     dsm = sparse_map(rng, 13, 7)
     mesh = unit_square_mesh()
@@ -84,8 +108,6 @@ def test_surface_index_gathers_entries_in_row_major_order(rng):
     pix = dsm.mapped_pixels()
     u, v = pix[:, 0], pix[:, 1]
     assert np.array_equal(idx.pixels, pix)
-    assert np.array_equal(idx.faces, dsm.faces[v, u])
-    assert np.array_equal(idx.barys, dsm.barys[v, u])
     assert np.array_equal(idx.positions, surface_points(mesh, dsm.faces[v, u], dsm.barys[v, u]))
 
 
@@ -381,23 +403,20 @@ def test_ray_gap_nearly_opposed_rays():
 
 def test_vc_ray_gap_same_world_point(rng):
     from conftest import random_intrinsics, random_pose
-    from vcsfm.geometry import project
 
+    tested = 0
     for _ in range(10):
         pose_a, pose_b = random_pose(rng), random_pose(rng)
         k_a, k_b = random_intrinsics(rng), random_intrinsics(rng)
         x = pose_a.inverse_transform([0.1, -0.2, rng.uniform(1.0, 4.0)])
-        try:
-            pa = project(pose_a, k_a, x)
-            pb = project(pose_b, k_b, x)
-        except Exception:
+        pa, za = project_points(pose_a, k_a, x)
+        pb, zb = project_points(pose_b, k_b, x)
+        if not (za > 0.0 and zb > 0.0):
             continue
-        vc = VirtualCorrespondence(
-            pixel_a=pa, pixel_b=pb,
-            hit_coord=SurfaceCoordinate(0, (1.0, 0.0, 0.0)),
-            hit_rank=0, source="a",
-        )
+        vc = VirtualCorrespondence(pixel_a=Pixel(*pa), pixel_b=Pixel(*pb), hit_rank=0, source="a")
         assert vc_ray_gap(vc, pose_a, pose_b, k_a, k_b) < 1e-9
+        tested += 1
+    assert tested
 
 
 def test_suggest_surface_tolerance_scales(opposed_scene):

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_intrinsics, random_pose, random_rotation
-from vcsfm.errors import (
-    DegenerateDenominatorError,
-    NonPositiveDepthError,
-    NotEssentialError,
-    ZeroTranslationError,
-)
+from vcsfm.errors import NotEssentialError, ZeroTranslationError
 from vcsfm.geometry import (
     CameraIntrinsics,
     Pixel,
@@ -20,10 +15,9 @@ from vcsfm.geometry import (
     camera_center,
     decompose_essential,
     essential_from_pose,
-    project,
+    project_points,
     ray_through_pixel,
     relative_pose,
-    sampson_error,
     sampson_errors,
     skew,
     so3_exp,
@@ -35,23 +29,32 @@ from oracles import sampson_geometric_oracle
 K100 = CameraIntrinsics(fx=100.0, fy=100.0, cx=320.0, cy=240.0)
 
 
+def project(pose, k, x):
+    """Pixel of one world point in front of the camera."""
+    uv, depth = project_points(pose, k, np.asarray(x, dtype=np.float64))
+    assert depth > 0.0
+    return Pixel(*uv)
+
+
 def test_project_optical_axis_hits_principal_point():
-    p = project(SE3Pose.identity(), K100, (0.0, 0.0, 2.0))
-    assert p.u == pytest.approx(320.0, abs=1e-12)
-    assert p.v == pytest.approx(240.0, abs=1e-12)
+    uv, depth = project_points(SE3Pose.identity(), K100, np.array([[0.0, 0.0, 2.0]]))
+    assert uv[0] == pytest.approx([320.0, 240.0], abs=1e-12)
+    assert depth[0] == 2.0
 
 
 def test_project_lateral_offset():
-    p = project(SE3Pose.identity(), K100, (2.0, 0.0, 2.0))
-    assert p.u == pytest.approx(420.0, abs=1e-12)
-    assert p.v == pytest.approx(240.0, abs=1e-12)
+    uv, depth = project_points(SE3Pose.identity(), K100, np.array([[2.0, 0.0, 2.0]]))
+    assert uv[0] == pytest.approx([420.0, 240.0], abs=1e-12)
+    assert depth[0] == 2.0
 
 
 def test_project_rejects_nonpositive_depth():
-    with pytest.raises(NonPositiveDepthError):
-        project(SE3Pose.identity(), K100, (0.0, 0.0, -1.0))
-    with pytest.raises(NonPositiveDepthError):
-        project(SE3Pose.identity(), K100, (0.0, 0.0, 0.0))
+    # points at or behind the camera come back with their depth, which is
+    # how callers reject them; projecting them raises nothing
+    with np.errstate(all="raise"):
+        _, depth = project_points(SE3Pose.identity(), K100,
+                                  np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert depth.tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_project_ray_roundtrip_reproduces_point(rng):
@@ -168,8 +171,7 @@ def test_sampson_zero_on_exact_correspondence(rng):
     rel = _covisible_rel_pose(rng)
     e = essential_from_pose(rel)
     x1, x2 = _synthetic_pairs(rng, rel, 10)
-    for a, b in zip(x1, x2):
-        assert sampson_error(e, a, b) < 1e-15
+    assert sampson_errors(e, x1, x2).max() < 1e-15
 
 
 def test_sampson_matches_geometric_correction(rng):
@@ -183,7 +185,7 @@ def test_sampson_matches_geometric_correction(rng):
         line = e @ np.append(x1[0], 1.0)
         normal = line[:2] / np.linalg.norm(line[:2])
         x2p = x2[0] + delta * normal
-        err = sampson_error(e, x1[0], x2p)
+        (err,) = sampson_errors(e, x1, x2p[None])
         oracle = sampson_geometric_oracle(e, x1[0], x2p)
         assert err == pytest.approx(oracle, rel=1e-3)
         assert 0.0 < err <= delta**2 * (1.0 + 1e-9)
@@ -197,16 +199,17 @@ def test_sampson_scale_invariance(scale):
     e = essential_from_pose(rel)
     x1, x2 = _synthetic_pairs(rng, rel, 1)
     x2p = x2[0] + np.array([1e-3, -2e-3])
-    assert sampson_error(e, x1[0], x2p) == pytest.approx(
-        sampson_error(scale * e, x1[0], x2p), rel=1e-9
+    assert sampson_errors(e, x1, x2p[None])[0] == pytest.approx(
+        sampson_errors(scale * e, x1, x2p[None])[0], rel=1e-9
     )
 
 
 def test_sampson_degenerate_denominator():
     # E maps both test points to zero lines: x1 at the right epipole (0,0,1)
+    # it is reported as inf, next to a finite error in the same batch
     e = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateDenominatorError):
-        sampson_error(e, (0.0, 0.0), (0.0, 0.0))
+    err = sampson_errors(e, [[0.0, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.0, 0.1]])
+    assert err[0] == np.inf and np.isfinite(err[1])
 
 
 def test_sampson_errors_vectorized_matches_scalar(rng):
@@ -216,7 +219,13 @@ def test_sampson_errors_vectorized_matches_scalar(rng):
     x2 = x2 + rng.normal(scale=1e-3, size=x2.shape)
     vec = sampson_errors(e, x1, x2)
     for i in range(len(x1)):
-        assert vec[i] == pytest.approx(sampson_error(e, x1[i], x2[i]), rel=1e-12)
+        # each row alone, and the textbook formula on that row
+        assert vec[i] == pytest.approx(sampson_errors(e, x1[i : i + 1], x2[i : i + 1])[0],
+                                       rel=1e-12)
+        p1, p2 = np.append(x1[i], 1.0), np.append(x2[i], 1.0)
+        l2, l1 = e @ p1, e.T @ p2
+        want = (p2 @ e @ p1) ** 2 / (l2[0] ** 2 + l2[1] ** 2 + l1[0] ** 2 + l1[1] ** 2)
+        assert vec[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_decompose_recovers_generating_pose(rng):

@@ -3,103 +3,107 @@ import pytest
 
 from conftest import cube_mesh, icosphere_mesh, unit_square_mesh
 from oracles import collapsed_hits_oracle, ray_triangle_hits_oracle
-from vcsfm.errors import InvalidCoordinateError, ParseError
-from vcsfm.geometry import Ray
+from vcsfm.errors import InvalidCoordinateError
 from vcsfm.mesh import (
     DEPTH_TIE,
-    SurfaceCoordinate,
     TriangleMesh,
     batch_all_hits,
     batch_first_hits,
     cast_rays,
-    first_hit,
-    load_mesh_text,
-    ray_mesh_all_hits,
-    save_mesh_text,
-    surface_distance,
-    surface_point,
     surface_points,
 )
 
 
+def one_ray(mesh, origin, direction):
+    """(depth, face, bary) of every hit of one ray, nearest first."""
+    ray, depth, face, bary = cast_rays(mesh, [origin], [direction])
+    assert np.all(ray == 0)
+    return depth, face, bary
+
+
+def ray_runs(ray, n):
+    """Slices of the hits of each of n rays in a ray-ordered hit array."""
+    bounds = np.searchsorted(ray, np.arange(n + 1))
+    assert bounds[-1] == len(ray)  # every hit names a ray, in ray order
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def test_square_single_hit_depth_one():
     mesh = unit_square_mesh()
-    hits = ray_mesh_all_hits(mesh, Ray([0.5, 0.25, -1.0], [0.0, 0.0, 1.0]))
-    assert len(hits) == 1
-    assert hits[0].depth == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(hits[0].point, [0.5, 0.25, 0.0], atol=1e-12)
+    origin, direction = np.array([0.5, 0.25, -1.0]), np.array([0.0, 0.0, 1.0])
+    depth, face, bary = one_ray(mesh, origin, direction)
+    assert len(depth) == 1
+    assert depth[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(origin + depth[0] * direction, [0.5, 0.25, 0.0], atol=1e-12)
+    assert np.allclose(surface_points(mesh, face, bary), [[0.5, 0.25, 0.0]], atol=1e-12)
 
 
 def test_square_ray_pointing_away_misses():
-    mesh = unit_square_mesh()
-    assert ray_mesh_all_hits(mesh, Ray([0.5, 0.25, -1.0], [0.0, 0.0, -1.0])) == []
+    depth, face, bary = one_ray(unit_square_mesh(), [0.5, 0.25, -1.0], [0.0, 0.0, -1.0])
+    assert depth.shape == face.shape == (0,) and bary.shape == (0, 3)
 
 
 def test_cube_interior_ray_two_hits_vs_oracle():
     mesh = cube_mesh()
-    ray = Ray([0.1, -0.2, -5.0], [0.0, 0.0, 1.0])
-    hits = ray_mesh_all_hits(mesh, ray)
-    assert len(hits) == 2
-    assert hits[0].depth < hits[1].depth
-    assert hits[0].point[2] == pytest.approx(-0.5, abs=1e-12)
-    assert hits[1].point[2] == pytest.approx(0.5, abs=1e-12)
-    oracle = ray_triangle_hits_oracle(mesh.vertices, mesh.faces, ray.origin, ray.direction)
+    origin, direction = np.array([0.1, -0.2, -5.0]), np.array([0.0, 0.0, 1.0])
+    depth, face, bary = one_ray(mesh, origin, direction)
+    assert len(depth) == 2
+    assert depth[0] < depth[1]
+    points = surface_points(mesh, face, bary)
+    assert points[0, 2] == pytest.approx(-0.5, abs=1e-12)
+    assert points[1, 2] == pytest.approx(0.5, abs=1e-12)
+    oracle = ray_triangle_hits_oracle(mesh.vertices, mesh.faces, origin, direction)
     assert len(oracle) == 2
-    for h, (t, _, _) in zip(hits, oracle):
-        assert h.depth == pytest.approx(t, abs=1e-12)
+    for d, (t, _, _) in zip(depth, oracle):
+        assert d == pytest.approx(t, abs=1e-12)
 
 
 def test_first_hit_is_head_of_all_hits():
     mesh = cube_mesh()
-    ray = Ray([0.1, -0.2, -5.0], [0.0, 0.0, 1.0])
-    fh = first_hit(mesh, ray)
-    assert fh.depth == ray_mesh_all_hits(mesh, ray)[0].depth
-    assert first_hit(mesh, Ray([0.0, 0.0, -5.0], [0.0, 0.0, -1.0])) is None
-    assert first_hit(unit_square_mesh(), Ray([0.5, 0.25, -1.0], [0, 0, 1])).depth == 1.0
+    origin, direction = [0.1, -0.2, -5.0], [0.0, 0.0, 1.0]
+    depth, face, bary, ok = batch_first_hits(
+        mesh, [origin, [0.0, 0.0, -5.0]], [direction, [0.0, 0.0, -1.0]]
+    )
+    all_depth, all_face, all_bary = one_ray(mesh, origin, direction)
+    assert ok.tolist() == [True, False]
+    assert (depth[0], face[0]) == (all_depth[0], all_face[0])
+    assert np.array_equal(bary[0], all_bary[0])
+    assert (depth[1], face[1]) == (np.inf, -1) and not bary[1].any()
+    depth, _, _, _ = batch_first_hits(unit_square_mesh(), [[0.5, 0.25, -1.0]], [[0, 0, 1]])
+    assert depth[0] == 1.0
 
 
 def test_surface_point_vertices_and_centroid():
     mesh = unit_square_mesh()
-    assert np.allclose(surface_point(mesh, SurfaceCoordinate(0, (1.0, 0.0, 0.0))), [0, 0, 0])
-    c = surface_point(mesh, SurfaceCoordinate(0, (1 / 3, 1 / 3, 1 / 3)))
-    assert np.allclose(c, mesh.vertices[mesh.faces[0]].mean(axis=0), atol=1e-12)
+    points = surface_points(mesh, [0, 0], [[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+    assert np.allclose(points[0], [0, 0, 0])
+    assert np.allclose(points[1], mesh.vertices[mesh.faces[0]].mean(axis=0), atol=1e-12)
 
 
 def test_surface_point_roundtrip_from_hits(rng):
     mesh = icosphere_mesh(2)
-    for _ in range(50):
-        origin = rng.normal(size=3)
-        origin = origin / np.linalg.norm(origin) * 3.0
-        ray = Ray(origin, -origin)
-        for hit in ray_mesh_all_hits(mesh, ray):
-            assert np.linalg.norm(surface_point(mesh, hit.coord) - hit.point) < 1e-9
-            assert np.linalg.norm(ray.point_at(hit.depth) - hit.point) < 1e-9
+    origins = rng.normal(size=(50, 3))
+    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 3.0
+    dirs = -origins / 3.0
+    ray, depth, face, bary = cast_rays(mesh, origins, dirs)
+    assert len(ray) == 2 * len(origins)  # through the centre of the sphere
+    points = origins[ray] + depth[:, None] * dirs[ray]
+    assert np.abs(surface_points(mesh, face, bary) - points).max() < 1e-9
 
 
 def test_surface_point_invalid_face():
-    with pytest.raises(InvalidCoordinateError):
-        surface_point(unit_square_mesh(), SurfaceCoordinate(5, (1.0, 0.0, 0.0)))
-
-
-def test_surface_coordinate_validation():
-    with pytest.raises(InvalidCoordinateError):
-        SurfaceCoordinate(0, (0.5, 0.5, 0.5))
-    with pytest.raises(InvalidCoordinateError):
-        SurfaceCoordinate(0, (-0.2, 0.6, 0.6))
-    for bad in ((0.5, 0.5), (0.2, 0.3, 0.5, 0.0), (float("nan"), 0.5, 0.5), (0.5, "x", 0.5), 1.0):
+    for face in (5, -1):
         with pytest.raises(InvalidCoordinateError):
-            SurfaceCoordinate(0, bad)
-    c = SurfaceCoordinate(np.int64(2), np.array([0.25, 0.25, 0.5]))
-    assert (c.face, c.bary) == (2, (0.25, 0.25, 0.5)) and type(c.bary[0]) is float
+            surface_points(unit_square_mesh(), [face], [[1.0, 0.0, 0.0]])
 
 
 def test_surface_distance_basics():
     mesh = unit_square_mesh()
-    a = SurfaceCoordinate(0, (1.0, 0.0, 0.0))
-    b = SurfaceCoordinate(0, (0.0, 1.0, 0.0))  # vertex (1,0,0): unit edge
-    assert surface_distance(mesh, a, a) == 0.0
-    assert surface_distance(mesh, a, b) == pytest.approx(1.0, abs=1e-12)
-    assert surface_distance(mesh, a, b) == surface_distance(mesh, b, a)
+    # two corners of face 0: (0,0,0) and (1,0,0), one unit edge apart
+    a, b = surface_points(mesh, [0, 0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.linalg.norm(a - a) == 0.0
+    assert np.linalg.norm(a - b) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(a - b) == np.linalg.norm(b - a)
 
 
 def test_surface_points_vectorized(rng):
@@ -109,7 +113,7 @@ def test_surface_points_vectorized(rng):
     b /= b.sum(axis=1, keepdims=True)
     batch = surface_points(mesh, faces, b)
     for i in range(20):
-        single = surface_point(mesh, SurfaceCoordinate(faces[i], tuple(b[i])))
+        single = sum(w * mesh.vertices[k] for w, k in zip(b[i], mesh.faces[faces[i]]))
         assert np.allclose(batch[i], single, atol=1e-12)
     # the corner table holds each face's vertices, so the gathered triangles
     # and with them the points are those of a direct vertex gather, bit for bit
@@ -122,45 +126,49 @@ def test_surface_points_vectorized(rng):
 @pytest.mark.parametrize("maker", [cube_mesh, lambda: icosphere_mesh(2)])
 def test_watertight_hit_parity(maker, rng):
     mesh = maker()
-    for _ in range(100):
-        origin = rng.normal(size=3)
-        origin = origin / np.linalg.norm(origin) * 4.0
-        target = rng.normal(size=3) * 0.3
-        ray = Ray(origin, target - origin)
-        assert len(ray_mesh_all_hits(mesh, ray)) % 2 == 0
+    origins = rng.normal(size=(100, 3))
+    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 4.0
+    dirs = rng.normal(size=(100, 3)) * 0.3 - origins
+    ray, _, _, _ = cast_rays(mesh, origins, dirs)
+    counts = np.bincount(ray, minlength=len(dirs))
+    assert np.all(counts % 2 == 0) and counts.any()
 
 
 def test_hit_ordering_strictly_increasing(rng):
     mesh = icosphere_mesh(2)
-    for _ in range(50):
-        origin = rng.normal(size=3)
-        origin = origin / np.linalg.norm(origin) * 4.0
-        ray = Ray(origin, rng.normal(size=3) * 0.2 - origin)
-        depths = [h.depth for h in ray_mesh_all_hits(mesh, ray)]
-        assert all(b - a > 1e-12 for a, b in zip(depths, depths[1:]))
+    origins = rng.normal(size=(50, 3))
+    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 4.0
+    dirs = rng.normal(size=(50, 3)) * 0.2 - origins
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ray, depth, _, _ = cast_rays(mesh, origins, dirs)
+    for run in ray_runs(ray, len(dirs)):
+        assert np.all(np.diff(depth[run]) > 1e-12)
 
 
 def test_shared_edge_grazing_single_hit_smallest_face():
     mesh = unit_square_mesh()
     # the diagonal (0,0)-(1,1) is shared by faces 0 and 1
-    hits = ray_mesh_all_hits(mesh, Ray([0.5, 0.5, -2.0], [0.0, 0.0, 1.0]))
-    assert len(hits) == 1
-    assert hits[0].coord.face == 0
+    depth, face, _ = one_ray(mesh, [0.5, 0.5, -2.0], [0.0, 0.0, 1.0])
+    assert len(depth) == 1
+    assert face[0] == 0
+    assert collapsed_hits_oracle(mesh.vertices, mesh.faces, [0.5, 0.5, -2.0], [0.0, 0.0, 1.0],
+                                 DEPTH_TIE)[0][1] == 0
 
 
 def test_kernel_matches_oracle_on_large_mesh(rng):
     mesh = icosphere_mesh(3)  # 1280 faces
-    for _ in range(100):
-        origin = rng.normal(size=3)
-        origin = origin / np.linalg.norm(origin) * 3.0
-        ray = Ray(origin, rng.normal(size=3) * 0.4 - origin)
-        hits = ray_mesh_all_hits(mesh, ray)
-        oracle = ray_triangle_hits_oracle(mesh.vertices, mesh.faces, ray.origin, ray.direction)
-        assert len(hits) == len(oracle)
-        for h, (t, f, b) in zip(hits, oracle):
-            assert abs(h.depth - t) < 1e-9
-            assert h.coord.face == f
-            assert np.allclose(h.coord.bary, b, atol=1e-9)
+    origins = rng.normal(size=(100, 3))
+    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 3.0
+    dirs = rng.normal(size=(100, 3)) * 0.4 - origins
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ray, depth, face, bary = cast_rays(mesh, origins, dirs)
+    for i, run in enumerate(ray_runs(ray, len(dirs))):
+        oracle = ray_triangle_hits_oracle(mesh.vertices, mesh.faces, origins[i], dirs[i])
+        assert len(depth[run]) == len(oracle)
+        for t, f, b, (t_want, f_want, b_want) in zip(depth[run], face[run], bary[run], oracle):
+            assert abs(t - t_want) < 1e-9
+            assert f == f_want
+            assert np.allclose(b, b_want, atol=1e-9)
 
 
 def test_batch_first_hits_matches_single(rng):
@@ -169,31 +177,27 @@ def test_batch_first_hits_matches_single(rng):
     origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 3.0
     dirs = rng.normal(size=(40, 3)) * 0.3 - origins
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs[-5:] *= -1.0  # away from the sphere
     depth, face, bary, ok = batch_first_hits(mesh, origins, dirs)
+    assert ok.any() and not ok.all()
     for i in range(40):
-        single = first_hit(mesh, Ray(origins[i], dirs[i]))
-        if single is None:
-            assert not ok[i]
+        want = collapsed_hits_oracle(mesh.vertices, mesh.faces, origins[i], dirs[i], DEPTH_TIE, 1)
+        if not want:
+            assert not ok[i] and (depth[i], face[i]) == (np.inf, -1)
         else:
             assert ok[i]
-            assert depth[i] == pytest.approx(single.depth, abs=1e-9)
-            assert face[i] == single.coord.face
+            assert depth[i] == pytest.approx(want[0][0], abs=1e-9)
+            assert face[i] == want[0][1]
+            assert np.allclose(bary[i], want[0][2], atol=1e-9)
 
 
 def test_batch_all_hits_matches_single(rng):
     mesh = cube_mesh()
     origins = np.tile([[0.0, 0.0, -4.0]], (9, 1)) + rng.normal(size=(9, 3)) * 0.1
     dirs = np.tile([[0.0, 0.0, 1.0]], (9, 1))
-    ray, depth, face, bary = batch_all_hits(mesh, origins, dirs)
+    ray, _, _, _ = batch_all_hits(mesh, origins, dirs)
     assert np.all(np.diff(ray) >= 0)
-    for i in range(len(dirs)):
-        depths, faces, barys = depth[ray == i], face[ray == i], bary[ray == i]
-        singles = ray_mesh_all_hits(mesh, Ray(origins[i], dirs[i]))
-        assert len(depths) == len(singles)
-        for j, h in enumerate(singles):
-            assert depths[j] == pytest.approx(h.depth, abs=1e-12)
-            assert faces[j] == h.coord.face
-            assert np.allclose(barys[j], h.coord.bary, atol=1e-9)
+    assert assert_matches_oracle(mesh, origins, dirs) == 2 * len(dirs)
 
 
 def test_batch_all_hits_respects_cap():
@@ -234,11 +238,8 @@ def merged(*meshes):
 def assert_matches_oracle(mesh, origins, dirs, max_hits=None):
     origins = np.broadcast_to(origins, np.shape(dirs))
     ray, depth, face, bary = batch_all_hits(mesh, origins, dirs, max_hits=max_hits)
-    bounds = np.searchsorted(ray, np.arange(len(dirs) + 1))
-    assert bounds[-1] == len(ray)  # every hit names a ray, in ray order
     n_hits = 0
-    for i, (o, d) in enumerate(zip(origins, dirs)):
-        run = slice(bounds[i], bounds[i + 1])
+    for run, o, d in zip(ray_runs(ray, len(dirs)), origins, dirs):
         depths, faces, barys = depth[run], face[run], bary[run]
         want = collapsed_hits_oracle(mesh.vertices, mesh.faces, o, d, DEPTH_TIE, max_hits)
         assert len(depths) == len(want)
@@ -345,35 +346,3 @@ def test_mesh_validation():
         TriangleMesh([[0, 0, 0], [1, 0, 0]], [[0, 1, 2]])
     with pytest.raises(ValueError):  # zero-area face
         TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
-
-
-def test_mesh_text_roundtrip(tmp_path):
-    mesh = icosphere_mesh(1)
-    path = tmp_path / "sphere.mesh"
-    save_mesh_text(mesh, path)
-    back = load_mesh_text(path)
-    assert np.array_equal(back.faces, mesh.faces)
-    assert np.allclose(back.vertices, mesh.vertices, atol=0.0)
-
-
-def test_mesh_loader_ignores_other_lines(tmp_path):
-    path = tmp_path / "noisy.mesh"
-    path.write_text(
-        "# comment\nv 0 0 0\nvn 0 0 1\nv 1 0 0\nv 0 1 0\nusemtl foo\nf 1 2 3\n"
-    )
-    mesh = load_mesh_text(path)
-    assert mesh.num_faces == 1
-    assert len(mesh.vertices) == 3
-
-
-def test_mesh_loader_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.mesh"
-    path.write_text("v 0 0\n")
-    with pytest.raises(ParseError):
-        load_mesh_text(path)
-    path.write_text("v 0 0 zero\n")
-    with pytest.raises(ParseError):
-        load_mesh_text(path)
-    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n")
-    with pytest.raises(ParseError):
-        load_mesh_text(path)

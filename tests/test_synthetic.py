@@ -4,8 +4,8 @@ import pytest
 import vcsfm.synthetic
 from oracles import collapsed_hits_oracle
 from vcsfm.extraction import ray_gap
-from vcsfm.geometry import Ray, project_points, ray_through_pixel, SE3Pose
-from vcsfm.mesh import DEPTH_TIE, ray_mesh_all_hits, surface_points
+from vcsfm.geometry import project_points, ray_through_pixel, SE3Pose
+from vcsfm.mesh import DEPTH_TIE, cast_rays, surface_points
 from vcsfm.synthetic import (
     NoiseConfig,
     SceneConfig,
@@ -20,11 +20,11 @@ SMALL = dict(image_size=(96, 72), focal_length=110.0)
 def test_proxy_mesh_is_closed_and_sized(rng):
     mesh = builtin_proxy_mesh()
     assert 1000 < mesh.num_faces < 3500
-    for _ in range(60):
-        origin = rng.normal(size=3)
-        origin = origin / np.linalg.norm(origin) * 4.0
-        ray = Ray(origin, rng.normal(size=3) * 0.3 - origin)
-        assert len(ray_mesh_all_hits(mesh, ray)) % 2 == 0
+    origins = rng.normal(size=(60, 3))
+    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 4.0
+    ray, _, _, _ = cast_rays(mesh, origins, rng.normal(size=(60, 3)) * 0.3 - origins)
+    counts = np.bincount(ray, minlength=len(origins))
+    assert np.all(counts % 2 == 0) and counts.any()
 
 
 def test_proxy_mesh_is_asymmetric():
@@ -167,12 +167,13 @@ def test_render_prescreen_matches_full_frame():
     k = scene.records[0].intrinsics
     dsm = render_surface_map(mesh_cam, k, 96, 72)
     assert dsm.num_mapped == scene.clean_maps[0].num_mapped
-    # spot-check pixels against single-ray casting
+    # spot-check pixels against the nearest of all hits of each pixel's ray
     pix = dsm.mapped_pixels()[::17]
-    for u, v in pix:
-        ray = Ray([0.0, 0.0, 0.0], np.append(k.normalize(np.array([u, v], dtype=float)), 1.0))
-        hit = ray_mesh_all_hits(mesh_cam, ray)[0]
-        assert hit.coord.face == dsm.faces[v, u]
+    dirs = np.column_stack([k.normalize(pix.astype(float)), np.ones(len(pix))])
+    ray, _, face, _ = cast_rays(mesh_cam, np.zeros_like(dirs), dirs)
+    first = np.searchsorted(ray, np.arange(len(pix)))
+    assert np.array_equal(ray[first], np.arange(len(pix)))
+    assert np.array_equal(face[first], dsm.faces[pix[:, 1], pix[:, 0]])
 
 
 def test_render_matches_per_pixel_oracle():
