@@ -37,6 +37,7 @@ from .optim import LbfgsReport, minimize_lbfgs
 
 Z_MIN = 1e-6  # camera-frame depth below which the smooth penalty takes over
 BEHIND_PENALTY = 1e6  # pixel^2 scale of that penalty
+SOFT_WEIGHT = 1e2  # weight of soft mode's tuple-consistency penalty
 
 _TRACK_COLUMNS = {  # name: (dtype, shape of one row)
     "x1": (float, (3,)), "a": (float, ()), "b": (float, ()), "cam_a": (int, ()), "cam_b": (int, ()),
@@ -87,16 +88,9 @@ class BaCamera:
 
 @dataclass
 class BaConfig:
-    """Solver knobs for the limited-memory quasi-Newton refinement."""
+    """Iteration cap of the limited-memory quasi-Newton refinement."""
 
     max_iterations: int = 300
-    gradient_tolerance: float = 1e-9
-    step_tolerance: float = 1e-12
-    history_size: int = 10
-
-    def __post_init__(self):
-        if self.gradient_tolerance <= 0 or self.step_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -108,7 +102,6 @@ class BaProblem:
     cameras: list
     tracks: VcTracks
     mode: str = "soft"
-    soft_weight: float = 1e2
     soft_x2: np.ndarray | None = None
 
     def __post_init__(self):
@@ -154,7 +147,7 @@ class BaProblem:
         if self.soft_x2 is not None:
             soft_x2 = self.soft_x2.copy()
             soft_x2[lay.soft] = x[lay.x2_idx]
-        return BaProblem(cams, tracks, self.mode, self.soft_weight, soft_x2)
+        return BaProblem(cams, tracks, self.mode, soft_x2)
 
 
 class _Layout:
@@ -306,7 +299,7 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     vals_b, g_q = _reprojection_terms(q, tracks.obs_b, *lay.k_b, want_grad)
     total = float(vals_a.sum() + vals_b.sum())
 
-    lam = problem.soft_weight
+    lam = SOFT_WEIGHT
     if lay.any_soft:
         rp = x2e - x2r
         total += float(lam * np.einsum("ni,ni->n", rp, rp)[lay.soft].sum())
@@ -481,9 +474,6 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
         grad,
         x0,
         max_iterations=config.max_iterations,
-        gradient_tolerance=config.gradient_tolerance,
-        step_tolerance=config.step_tolerance,
-        history_size=config.history_size,
         project=project,
         post_accept=post_accept,
     )

@@ -9,7 +9,7 @@ topology; no appearance is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -17,6 +17,10 @@ from scipy.spatial import cKDTree
 from .errors import InvalidCoordinateError, TopologyMismatchError
 from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
 from .mesh import TriangleMesh, batch_all_hits, surface_points
+
+MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
+TOLERANCE_FLOOR = 0.01  # smallest match tolerance suggest_surface_tolerance returns
+TOLERANCE_FACTOR = 1.6  # its tolerance as a multiple of the median footprint
 
 
 class DenseSurfaceMap:
@@ -83,22 +87,16 @@ class ShapePrior:
             raise ValueError("surface map references faces beyond the mesh")
 
 
-def _identity_pose():
-    return SE3Pose.identity()
-
-
 @dataclass(frozen=True)
 class ImageRecord:
     """Everything known about one image: calibration plus its shape priors.
 
-    Prior meshes live in this image's camera frame (prior_pose is the
-    camera-from-prior transform and defaults to identity accordingly).
+    Prior meshes live in this image's camera frame.
     """
 
     image_id: str
     intrinsics: CameraIntrinsics
     priors: tuple[ShapePrior, ...]
-    prior_pose: SE3Pose = field(default_factory=_identity_pose)
 
     def __post_init__(self):
         if not self.priors:
@@ -125,16 +123,8 @@ class ImageRecord:
         return None
 
     def posed_mesh(self, person_id: int) -> TriangleMesh:
-        """Prior mesh in the camera frame (applies prior_pose if non-trivial)."""
-        prior = self.prior_for(person_id)
-        if (
-            np.array_equal(self.prior_pose.rotation, np.eye(3))
-            and not self.prior_pose.translation.any()
-        ):
-            return prior.mesh
-        return prior.mesh.transformed(
-            rotation=self.prior_pose.rotation, translation=self.prior_pose.translation
-        )
+        """Prior mesh of one person, in the camera frame."""
+        return self.prior_for(person_id).mesh
 
 
 @dataclass(frozen=True)
@@ -142,26 +132,22 @@ class VirtualCorrespondence:
     """Pixel pair whose camera rays meet on the hallucinated surface.
 
     hit_rank is the index of the intersecting surface point along the casting
-    ray (0 = also visible in the casting image); hit_depth is its camera-frame
-    depth on the casting side; source names the image that cast the ray. The
-    point's surface coordinate is the observer's map entry at its pixel.
+    ray (0 = also visible in the casting image). The point's surface
+    coordinate is the observer's map entry at its pixel.
     """
 
     pixel_a: Pixel
     pixel_b: Pixel
     hit_rank: int
-    source: str
     person_id: int = 0
-    hit_depth: float = 0.0
 
 
 @dataclass(frozen=True)
 class ExtractionParams:
-    """Knobs of the extraction pass."""
+    """Casting grid, match tolerance and per-pixel cap of the extraction pass."""
 
     stride: int = 4
     surface_tolerance: float = 0.01
-    max_hits_per_ray: int = 4
     max_per_pixel: int = 4
 
     def __post_init__(self):
@@ -169,12 +155,12 @@ class ExtractionParams:
             raise ValueError("stride must be >= 1 and tolerance positive")
 
 
-def suggest_surface_tolerance(records, floor: float = 0.01, factor: float = 1.6) -> float:
+def suggest_surface_tolerance(records) -> float:
     """Match tolerance scaled to the maps' surface footprint per pixel.
 
     A dense map quantizes the surface at roughly depth/focal units per pixel;
-    matching needs a tolerance above that, so take factor x the median
-    footprint across all priors (but never below the configured floor).
+    matching needs a tolerance above that, so take TOLERANCE_FACTOR x the
+    median footprint across all priors (but never below TOLERANCE_FLOOR).
     """
     footprints = []
     for rec in records:
@@ -184,16 +170,15 @@ def suggest_surface_tolerance(records, floor: float = 0.01, factor: float = 1.6)
             flat = dsm.mapped_index()
             if len(flat) == 0:
                 continue
-            mesh_cam = rec.posed_mesh(prior.person_id)
             # only depth is needed: the z column of surface_points, summed in the
             # same order so the median is bit for bit the same
-            z = np.take(mesh_cam.corners[:, :, 2], dsm.faces.ravel()[flat], axis=0)
+            z = np.take(prior.mesh.corners[:, :, 2], dsm.faces.ravel()[flat], axis=0)
             depth = float(np.median((dsm.barys.reshape(-1, 3)[flat] * z).sum(axis=1)))
             if depth > 0.0:
                 footprints.append(depth / f)
     if not footprints:
-        return floor
-    return max(floor, factor * float(np.median(footprints)))
+        return TOLERANCE_FLOOR
+    return max(TOLERANCE_FLOOR, TOLERANCE_FACTOR * float(np.median(footprints)))
 
 
 class SurfaceIndex:
@@ -251,9 +236,9 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     `max_per_pixel` matches in rank order; of those, matches whose point lies
     behind the casting camera or projects outside its frame are dropped.
 
-    Returns rows (cast_uv, obs_uv, rank, depth) of plain Python
-    values, in row-major order of the casting pixel and ascending hit rank;
-    the caller orients them into (pixel_a, pixel_b) order.
+    Returns rows (cast_uv, obs_uv, rank) of plain Python values, in
+    row-major order of the casting pixel and ascending hit rank; the caller
+    orients them into (pixel_a, pixel_b) order.
     """
     mesh_c = cast.posed_mesh(person_id)
     dsm_c = cast.prior_for(person_id).surface_map
@@ -266,7 +251,7 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     )
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     ray, _, hit_face, hit_bary = batch_all_hits(
-        mesh_c, np.zeros_like(dirs), dirs, max_hits=params.max_hits_per_ray
+        mesh_c, np.zeros_like(dirs), dirs, max_hits=MAX_HITS_PER_RAY
     )
     rank = np.arange(len(ray)) - np.searchsorted(ray, ray)
     # evaluate positions from the coordinate address so they match the
@@ -295,14 +280,8 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     m, e, y = m[front], e[front], y[front]
     uv = cast.intrinsics.denormalize(y[:, :2] / y[:, 2:])
     inside = np.all((uv >= 0.0) & (uv <= [dsm_c.width - 1, dsm_c.height - 1]), axis=1)
-    m, e, y, uv = m[inside], e[inside], y[inside], uv[inside]
-    return list(zip(
-        uv.tolist(),
-        index_o.pixels[e].tolist(),
-        rank[m].tolist(),
-        # equals np.linalg.norm of each row bit for bit; norm(axis=1) does not
-        np.sqrt(np.vecdot(y, y)).tolist(),
-    ))
+    m, e, uv = m[inside], e[inside], uv[inside]
+    return list(zip(uv.tolist(), index_o.pixels[e].tolist(), rank[m].tolist()))
 
 
 def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None = None
@@ -326,8 +305,8 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
         _check_shared_topology(
             a.prior_for(person_id).mesh, b.prior_for(person_id).mesh
         )
-        for source, cast, obs, forward in ((a, a, b, True), (b, b, a, False)):
-            for cast_uv, obs_uv, rank, depth in _cast_one_direction(
+        for cast, obs, forward in ((a, b, True), (b, a, False)):
+            for cast_uv, obs_uv, rank in _cast_one_direction(
                 cast, obs, person_id, params
             ):
                 pa, pb = Pixel(*cast_uv), Pixel(*obs_uv)
@@ -339,12 +318,7 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
                 seen.add(key)
                 vcs.append(
                     VirtualCorrespondence(
-                        pixel_a=pa,
-                        pixel_b=pb,
-                        hit_rank=rank,
-                        source=source.image_id,
-                        person_id=person_id,
-                        hit_depth=depth,
+                        pixel_a=pa, pixel_b=pb, hit_rank=rank, person_id=person_id
                     )
                 )
     return vcs

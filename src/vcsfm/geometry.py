@@ -44,29 +44,6 @@ def so3_exp(w) -> np.ndarray:
     )
 
 
-def so3_log(R) -> np.ndarray:
-    """Rotation vector of R (inverse of so3_exp), angle in [0, pi]."""
-    R = np.asarray(R, dtype=np.float64)
-    cos = max(-1.0, min(1.0, (np.trace(R) - 1.0) * 0.5))
-    theta = math.acos(cos)
-    if theta < 1e-9:
-        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) * 0.5
-    if theta > math.pi - 1e-6:
-        # near pi the antisymmetric part is ill-conditioned; use the symmetric part
-        A = (R + np.eye(3)) * 0.5
-        axis = np.sqrt(np.maximum(np.diagonal(A), 0.0))
-        k = int(np.argmax(axis))
-        axis = A[:, k] / max(axis[k], 1e-12)
-        axis = axis / np.linalg.norm(axis)
-        # fix the sign using the off-diagonal antisymmetric residue
-        w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-        if np.dot(w, axis) < 0.0:
-            axis = -axis
-        return axis * theta
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return w * (theta / (2.0 * math.sin(theta)))
-
-
 def so3_left_jacobian(w) -> np.ndarray:
     """Left Jacobian J_l of SO(3): exp((w + d)^) ~ exp((J_l d)^) exp(w^)."""
     w = np.asarray(w, dtype=np.float64)
@@ -110,11 +87,6 @@ class CameraIntrinsics:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError("focal lengths must be positive")
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, self.skew, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def normalize(self, pixels: np.ndarray) -> np.ndarray:
         """Map pixel coordinates (..., 2) to normalized image coordinates."""
@@ -161,10 +133,6 @@ class SE3Pose:
     @staticmethod
     def identity() -> "SE3Pose":
         return SE3Pose()
-
-    @staticmethod
-    def from_rotvec(w, t) -> "SE3Pose":
-        return SE3Pose(so3_exp(w), t)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to world points (..., 3), returning camera-frame points."""

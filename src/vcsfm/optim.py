@@ -32,6 +32,9 @@ _MAX_BACKTRACKS = 60
 _MIN_SHRINK = 1e-6  # smallest factor one backtrack may shrink the step by
 _RESOLUTION = float(np.sqrt(np.finfo(np.float64).eps))  # smallest trusted relative rise of f
 _CURVATURE_EPS = 1e-12
+_GRADIENT_TOLERANCE = 1e-9  # converged once |g|_inf is at most this
+_STEP_TOLERANCE = 1e-12  # converged once a step is at most this times max(1, |x|)
+_HISTORY_SIZE = 10  # (s, y) pairs the two-loop recursion keeps
 
 
 @dataclass
@@ -42,7 +45,6 @@ class LbfgsReport:
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
-    line_search_failure: bool = False
 
     @property
     def initial_objective(self) -> float:
@@ -70,9 +72,7 @@ def _two_loop(history, g):
     return q
 
 
-def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9,
-                   step_tolerance=1e-12, history_size=10, project=None,
-                   post_accept=None):
+def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None, post_accept=None):
     """Minimize fun with analytic grad from x0.
 
     project(x) -> x is applied to every trial point inside the line search.
@@ -84,9 +84,11 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
     the returned x.
     The optimizer takes both as they are and never calls grad for them, so
     grad runs once at x0 and once per accepted step. Returns
-    (x, LbfgsReport). A steepest-descent line search that finds no lower f
-    ends the run: as converged_step when the decrease its trials promised
-    is below the resolution of f, else as line_search_failure.
+    (x, LbfgsReport). The run ends as converged_gradient once |g|_inf <=
+    _GRADIENT_TOLERANCE, and as converged_step once an accepted step is at
+    most _STEP_TOLERANCE * max(1, |x|). A steepest-descent line search that
+    finds no lower f ends it too: as converged_step when the decrease its
+    trials promised is below the resolution of f, else as line_search_failure.
     """
     x = np.array(x0, dtype=np.float64)
     if project is not None:
@@ -96,10 +98,10 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
     report = LbfgsReport()
     report.objective_trace.append(f)
     report.gradient_norms.append(float(np.linalg.norm(g, np.inf)))
-    history = deque(maxlen=history_size)
+    history = deque(maxlen=_HISTORY_SIZE)
 
     for it in range(1, max_iterations + 1):
-        if np.linalg.norm(g, np.inf) <= gradient_tolerance:
+        if np.linalg.norm(g, np.inf) <= _GRADIENT_TOLERANCE:
             report.status = "converged_gradient"
             break
         d = -_two_loop(history, g) if history else -g
@@ -141,7 +143,6 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
             # promises; otherwise f and grad disagree
             converged = promised <= _RESOLUTION * abs(f)
             report.status = "converged_step" if converged else "line_search_failure"
-            report.line_search_failure = not converged
             break
 
         g_try = np.asarray(grad(x_try), dtype=np.float64)
@@ -150,7 +151,7 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, gradient_tolerance=1e-9
         sy = float(s @ y)
         if sy > _CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
             history.append((s, y, 1.0 / sy))
-        small_step = np.linalg.norm(s) <= step_tolerance * max(1.0, np.linalg.norm(x))
+        small_step = np.linalg.norm(s) <= _STEP_TOLERANCE * max(1.0, np.linalg.norm(x))
 
         if post_accept is not None:
             x, g = post_accept(x_try, g_try)

@@ -22,6 +22,9 @@ from .errors import (
 )
 from .geometry import SE3Pose, decompose_essential, essential_from_pose, sampson_errors
 
+MAX_ITERATIONS = 2000  # RANSAC samples drawn at most
+CONFIDENCE = 0.999  # probability of an all-inlier sample behind the adaptive stop
+
 # Monomials of degree <= 3 in the nullspace coordinates (x, y, z), degree by
 # degree and lexicographic within a degree: the ten cubics
 #   x3, x2y, x2z, xy2, xyz, xz2, y3, y2z, yz2, z3,
@@ -179,16 +182,12 @@ def recover_pose(e, x1, x2) -> SE3Pose:
 
 @dataclass(frozen=True)
 class RansacParams:
-    """Sampling and scoring knobs of the robust estimator."""
+    """Inlier threshold and sampling seed of the robust estimator."""
 
-    max_iterations: int = 2000
     inlier_threshold: float = 1e-4  # Sampson error, normalized coordinates
-    confidence: float = 0.999
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
         if self.inlier_threshold <= 0.0:
             raise ValueError("inlier threshold must be positive")
 
@@ -200,8 +199,6 @@ class RelativePoseEstimate:
     pose: SE3Pose  # unit-baseline world(=camera a)-to-camera-b transform
     essential: np.ndarray  # [t]_x R of `pose`, unit Frobenius norm
     inlier_mask: np.ndarray
-    score: int
-    mean_inlier_error: float
     iterations: int
 
     @property
@@ -209,13 +206,13 @@ class RelativePoseEstimate:
         return int(np.count_nonzero(self.inlier_mask))
 
 
-def _adaptive_cap(inlier_ratio: float, confidence: float) -> float:
+def _adaptive_cap(inlier_ratio: float) -> float:
     w5 = inlier_ratio**5
     if w5 >= 1.0 - 1e-12:
         return 1.0
     if w5 <= 1e-12:
         return math.inf
-    return math.log(1.0 - confidence) / math.log(1.0 - w5)
+    return math.log(1.0 - CONFIDENCE) / math.log(1.0 - w5)
 
 
 def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePoseEstimate:
@@ -234,9 +231,9 @@ def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePose
     rng = np.random.default_rng(params.seed)
 
     best = None  # (score, -mean_err, -iteration, e, mask)
-    cap = float(params.max_iterations)
+    cap = float(MAX_ITERATIONS)
     it = 0
-    while it < min(cap, params.max_iterations):
+    while it < min(cap, MAX_ITERATIONS):
         sample = rng.choice(n, size=5, replace=False)
         it += 1
         try:
@@ -253,7 +250,7 @@ def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePose
             key = (score, -mean_err, -it)
             if best is None or key > best[0]:
                 best = (key, e, mask)
-                cap = _adaptive_cap(score / n, params.confidence)
+                cap = _adaptive_cap(score / n)
     if best is None:
         raise NoValidHypothesisError("no sample produced a scorable hypothesis")
 
@@ -266,10 +263,5 @@ def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePose
     if not final_mask.any():
         final_mask = mask  # keep the hypothesis support if recomputation thins out
     return RelativePoseEstimate(
-        pose=pose,
-        essential=essential,
-        inlier_mask=final_mask,
-        score=int(np.count_nonzero(final_mask)),
-        mean_inlier_error=float(err[final_mask].mean()),
-        iterations=it,
+        pose=pose, essential=essential, inlier_mask=final_mask, iterations=it
     )

@@ -16,6 +16,8 @@ from .mesh import TriangleMesh, batch_all_hits, batch_first_hits
 
 # relative position tolerance for the oracle's visibility test
 _VIS_TOL = 1e-6
+# the oracle casts from every mapped pixel whose coordinates are multiples of this
+_ORACLE_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,6 @@ class NoiseConfig:
         )
         if any(v < 0.0 for v in vals) or self.outlier_fraction >= 1.0:
             raise ValueError("noise magnitudes must be >= 0, outlier fraction < 1")
-
-    @staticmethod
-    def none() -> "NoiseConfig":
-        return NoiseConfig()
 
 
 @dataclass(frozen=True)
@@ -285,8 +283,7 @@ def _perturb_prior(mesh_cam: TriangleMesh, noise: NoiseConfig, rng) -> TriangleM
     return TriangleMesh(v, mesh_cam.faces)
 
 
-def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None,
-                   oracle_stride: int = 4) -> SyntheticScene:
+def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None) -> SyntheticScene:
     """Build ground-truth poses, per-image records, and the GT VC oracle.
 
     Cameras sit on a ring around the subject at the configured angles (plus a
@@ -294,7 +291,7 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None,
     by exact first-hit ray casting, prior meshes are the ground-truth mesh in
     each camera frame perturbed per the noise config.
     """
-    noise = noise or NoiseConfig.none()
+    noise = noise or NoiseConfig()
     rng = np.random.default_rng(scene.seed)
     mesh = builtin_proxy_mesh()
     width, height = scene.image_size
@@ -319,8 +316,10 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None,
 
     records = []
     clean_maps = []
+    meshes_cam = []
     for idx, pose in enumerate(poses):
         mesh_cam = mesh.transformed(rotation=pose.rotation, translation=pose.translation)
+        meshes_cam.append(mesh_cam)
         clean = render_surface_map(mesh_cam, k, width, height)
         clean_maps.append(clean)
         noisy = _jitter_map(clean, mesh_cam, k, noise.pixel_sigma, rng)
@@ -334,7 +333,7 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None,
             )
         )
 
-    oracle = _build_oracle(mesh, poses, k, clean_maps, oracle_stride)
+    oracle = _build_oracle(mesh, meshes_cam, poses, k, clean_maps)
     return SyntheticScene(
         config=scene,
         noise=noise,
@@ -346,17 +345,15 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None,
     )
 
 
-def _build_oracle(mesh, poses, k, clean_maps, stride):
+def _build_oracle(mesh, meshes_cam, poses, k, clean_maps):
     """Verified cross-image pairs: sampled pixels of a, all ray hits, exact
-    reprojections into every b where the hit point is the visible surface."""
+    reprojections into every b where the hit point is the visible surface.
+    meshes_cam holds the world-frame `mesh` in each camera's frame."""
     n = len(poses)
     width, height = clean_maps[0].width, clean_maps[0].height
-    meshes_cam = [
-        mesh.transformed(rotation=p.rotation, translation=p.translation) for p in poses
-    ]
     out = []
     for i in range(n):
-        pix = clean_maps[i].mapped_pixels(stride)  # row-major
+        pix = clean_maps[i].mapped_pixels(_ORACLE_STRIDE)  # row-major
         if len(pix) == 0:
             continue
         xy = k.normalize(pix.astype(np.float64))

@@ -150,9 +150,9 @@ def vc_extraction_oracle(a, b, params):
     from the full hit x observer-entry distance matrix; the per-pixel cap,
     the behind-camera check and the frame check then run one hit at a time.
     Entry positions are evaluated with `surface_points`, as the library does,
-    so depths can be compared bit for bit.
+    so the re-viewed pixels can be compared bit for bit.
     """
-    from vcsfm.extraction import VirtualCorrespondence
+    from vcsfm.extraction import MAX_HITS_PER_RAY, VirtualCorrespondence
     from vcsfm.geometry import Pixel
     from vcsfm.mesh import DEPTH_TIE, surface_points
 
@@ -170,7 +170,7 @@ def vc_extraction_oracle(a, b, params):
                 x, y = cast.intrinsics.normalize(np.array([u, v], dtype=np.float64))
                 d = np.array([x, y, 1.0]) / np.linalg.norm([x, y, 1.0])
                 found = collapsed_hits_oracle(mesh.vertices, mesh.faces, np.zeros(3), d,
-                                              DEPTH_TIE, params.max_hits_per_ray)
+                                              DEPTH_TIE, MAX_HITS_PER_RAY)
                 for rank, (_, face, bary) in enumerate(found):
                     hits.append(((u, v), rank, surface_points(mesh, [face], [bary])[0]))
         ov, ou = np.nonzero(dsm_o.faces >= 0)
@@ -201,8 +201,6 @@ def vc_extraction_oracle(a, b, params):
             if (pa, pb, rank) in seen:
                 continue
             seen.add((pa, pb, rank))
-            vcs.append(VirtualCorrespondence(
-                pixel_a=pa, pixel_b=pb, hit_rank=rank, source=cast.image_id, person_id=person,
-                hit_depth=float(np.linalg.norm(y)),
-            ))
+            vcs.append(VirtualCorrespondence(pixel_a=pa, pixel_b=pb, hit_rank=rank,
+                                             person_id=person))
     return vcs

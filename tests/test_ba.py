@@ -249,7 +249,7 @@ def test_lift_counts_missed_ray_as_dropped_without_warnings():
     row = next(v for v in range(a.surface_map.height) if a.surface_map.faces[v, cx] < 0)
     miss = VirtualCorrespondence(
         pixel_a=Pixel(float(cx), float(row)), pixel_b=vcs[0].pixel_b,
-        hit_rank=0, source=a.image_id,
+        hit_rank=0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -272,7 +272,7 @@ def test_lift_with_every_ray_missing_returns_no_tracks():
     misses = [
         VirtualCorrespondence(
             pixel_a=Pixel(0.0, float(v)), pixel_b=Pixel(95.0, 71.0),
-            hit_rank=0, source=a.image_id,
+            hit_rank=0,
         )
         for v in (0, 1, 2)
     ]
@@ -356,7 +356,7 @@ def test_near_exact_start_costs_few_objective_evaluations(monkeypatch, angle):
     # a start 1e-10 rad off the truth, where the gradient is above its
     # tolerance: the first steepest-descent step overshoots by orders of
     # magnitude, and halving it took 23-24 evaluations per solve. The step
-    # that is then accepted is below step_tolerance, so BA stops there, as it
+    # that is then accepted is below the step tolerance, so BA stops there, as it
     # did with halving: this checks the cost and that the pose does not move
     # away from the truth, not refinement (see the next test)
     problem, gt = _ground_truth_problem("soft", angle, start_rotation=(1e-10, 0.0, 0.0))

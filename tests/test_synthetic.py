@@ -114,7 +114,7 @@ def test_scene_determinism_byte_identical():
 
 def test_pixel_jitter_displacement_statistics():
     cfg = SceneConfig(camera_count=2, seed=3, **SMALL)
-    clean = generate_scene(cfg, NoiseConfig.none())
+    clean = generate_scene(cfg, NoiseConfig())
     noisy = generate_scene(cfg, NoiseConfig(pixel_sigma=1.0))
     mesh_cam = clean.gt_mesh.transformed(
         rotation=clean.gt_poses[0].rotation, translation=clean.gt_poses[0].translation
@@ -134,7 +134,7 @@ def test_pixel_jitter_displacement_statistics():
 
 def test_outlier_injection_fraction():
     cfg = SceneConfig(camera_count=2, seed=5, **SMALL)
-    clean = generate_scene(cfg, NoiseConfig.none())
+    clean = generate_scene(cfg, NoiseConfig())
     noisy = generate_scene(cfg, NoiseConfig(outlier_fraction=0.3))
     dsm_c = clean.clean_maps[0]
     dsm_n = noisy.records[0].surface_map
@@ -148,7 +148,7 @@ def test_outlier_injection_fraction():
 
 def test_prior_perturbation_applied():
     cfg = SceneConfig(camera_count=2, seed=6, **SMALL)
-    clean = generate_scene(cfg, NoiseConfig.none())
+    clean = generate_scene(cfg, NoiseConfig())
     noisy = generate_scene(cfg, NoiseConfig(prior_rotation_sigma=2.0,
                                             prior_translation_sigma=0.02,
                                             prior_scale_sigma=0.02))
