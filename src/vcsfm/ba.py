@@ -135,19 +135,14 @@ class BaProblem:
             x[lay.x2_idx] = self.soft_x2[lay.soft]
         return x
 
-    def apply_params(self, x, lay: "_Layout") -> "BaProblem":
-        """Problem with the parameter vector folded back in (new chart)."""
+    def apply_params(self, x, lay: "_Layout") -> list:
+        """Cameras with the parameter vector's rotation increments and
+        translations folded in."""
         cams = list(self.cameras)
         for ci, off in lay.cam_offset.items():
             rot = so3_exp(x[off : off + 3]) @ cams[ci].pose.rotation
             cams[ci] = replace(cams[ci], pose=SE3Pose(rot, x[off + 3 : off + 6]))
-        a, b = lay.thickness(x)
-        tracks = replace(self.tracks, x1=x[lay.x1_idx], a=a, b=b)
-        soft_x2 = None
-        if self.soft_x2 is not None:
-            soft_x2 = self.soft_x2.copy()
-            soft_x2[lay.soft] = x[lay.x2_idx]
-        return BaProblem(cams, tracks, self.mode, soft_x2)
+        return cams
 
 
 class _Layout:
@@ -155,8 +150,7 @@ class _Layout:
 
     The parameter vector holds (w, t) for each free camera in camera order,
     then per track X1, (a, b) for virtual tracks, and X2 for virtual tracks
-    in soft mode. Nothing here depends on camera poses, so a layout stays
-    valid while solve_ba re-centers the rotation charts.
+    in soft mode. Nothing here depends on camera poses or on x.
     """
 
     def __init__(self, problem: BaProblem):
@@ -166,9 +160,7 @@ class _Layout:
         self.n = len(tracks)
         virtual = ~tracks.classic
         self.soft = virtual & (problem.mode == "soft")  # tracks with an explicit X2
-        self.hard = ~self.soft
         self.any_soft = bool(self.soft.any())
-        self.any_hard = bool(self.hard.any())
         width = 3 + 2 * virtual + 3 * self.soft
         start = 6 * len(free) + np.cumsum(width) - width
         self.size = 6 * len(free) + int(width.sum())
@@ -267,8 +259,7 @@ def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk, want_grad):
 
 
 def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
-    """(objective, gradient, g_w) at x; g_w holds each camera's rotation
-    gradient before the left Jacobian (None unless want_grad)."""
+    """(objective, gradient) at x; the gradient is None unless want_grad."""
     if len(x) != lay.size:
         raise ValueError(f"parameter vector has {len(x)} entries, layout needs {lay.size}")
     x = np.asarray(x, dtype=np.float64)
@@ -276,7 +267,7 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     n = lay.n
     n_cam = len(problem.cameras)
     if n == 0:
-        return 0.0, np.zeros(lay.size), np.zeros((n_cam, 3))
+        return 0.0, np.zeros(lay.size)
 
     tracks = problem.tracks
     ca, cb = tracks.cam_a, tracks.cam_b
@@ -288,7 +279,7 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     r_a, t_a, o_a = rot.take(ca, 0), trans.take(ca, 0), centers.take(ca, 0)
     r_b, t_b, o_b = rot.take(cb, 0), trans.take(cb, 0), centers.take(cb, 0)
 
-    x2r = x1 + a[:, None] * (x1 - o_a) + b[:, None] * (o_b - o_a)
+    x2r = x2_from_reparam(x1, a[:, None], b[:, None], o_a, o_b)
     x2 = np.where(lay.soft[:, None], x2e, x2r)
 
     v_a = np.einsum("nij,nj->ni", r_a, x1)
@@ -300,12 +291,11 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     total = float(vals_a.sum() + vals_b.sum())
 
     lam = SOFT_WEIGHT
-    if lay.any_soft:
-        rp = x2e - x2r
-        total += float(lam * np.einsum("ni,ni->n", rp, rp)[lay.soft].sum())
+    rp = x2e - x2r
+    total += float(lam * np.einsum("ni,ni->n", rp, rp)[lay.soft].sum())
 
     if not want_grad:
-        return total, None, None
+        return total, None
 
     g_x1 = np.zeros((n, 3))
     g_ab = np.zeros((2, n))
@@ -319,28 +309,18 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     # residual A: camera a sees X1; residual B: camera b sees X2
     g_x1 += np.einsum("ni,nij->nj", g_p, r_a)
     m = np.einsum("ni,nij->nj", g_q, r_b)  # d(term_b)/dX2
-    if lay.any_hard:
-        hard = lay.hard
-        hm = m[hard]
-        g_x1[hard] += (1.0 + a[hard])[:, None] * hm
-        g_a[hard] += np.einsum("ni,ni->n", hm, (x1 - o_a)[hard])
-        g_b[hard] += np.einsum("ni,ni->n", hm, (o_b - o_a)[hard])
-        _center_chain(cams, rows_w, rows_t, ca[hard], r_a[hard], t_a[hard],
-                      -(a[hard] + b[hard])[:, None] * hm)
-        _center_chain(cams, rows_w, rows_t, cb[hard], r_b[hard], t_b[hard],
-                      b[hard][:, None] * hm)
-    if lay.any_soft:
-        soft = lay.soft
-        g_x2e[soft] += m[soft]
-        rp_m = rp[soft]
-        g_x2e[soft] += 2.0 * lam * rp_m
-        g_x1[soft] += -2.0 * lam * (1.0 + a[soft])[:, None] * rp_m
-        g_a[soft] += -2.0 * lam * np.einsum("ni,ni->n", rp_m, (x1 - o_a)[soft])
-        g_b[soft] += -2.0 * lam * np.einsum("ni,ni->n", rp_m, (o_b - o_a)[soft])
-        _center_chain(cams, rows_w, rows_t, ca[soft], r_a[soft], t_a[soft],
-                      2.0 * lam * (a[soft] + b[soft])[:, None] * rp_m)
-        _center_chain(cams, rows_w, rows_t, cb[soft], r_b[soft], t_b[soft],
-                      -2.0 * lam * b[soft][:, None] * rp_m)
+    # X2r's gradient, chained for every row: term_b's own on hard rows, the
+    # consistency penalty's -2 lam (X2e - X2r) on soft rows, which also reach
+    # X2e directly
+    soft = lay.soft
+    u = np.where(soft[:, None], rp, m)
+    c = np.where(soft, -2.0 * lam, 1.0)
+    g_x2e[soft] = m[soft] + 2.0 * lam * rp[soft]
+    g_x1 += (c * (1.0 + a))[:, None] * u
+    g_a += c * np.einsum("ni,ni->n", u, x1 - o_a)
+    g_b += c * np.einsum("ni,ni->n", u, o_b - o_a)
+    _center_chain(cams, rows_w, rows_t, ca, r_a, t_a, (-c * (a + b))[:, None] * u)
+    _center_chain(cams, rows_w, rows_t, cb, r_b, t_b, (c * b)[:, None] * u)
     cams = np.concatenate(cams)
     g_w = _sum_per_camera(cams, np.concatenate(rows_w), n_cam)
     g_t = _sum_per_camera(cams, np.concatenate(rows_t), n_cam)
@@ -352,7 +332,7 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     g[lay.x1_idx] = g_x1
     g[lay.ab_idx] = g_ab[:, lay.virtual_rows]
     g[lay.x2_idx] = g_x2e[lay.soft]
-    return total, g, g_w
+    return total, g
 
 
 def _center_chain(cams, rows_w, rows_t, cam_idx, rot, trans, u):
@@ -395,13 +375,9 @@ def ba_gradient(problem: BaProblem, x) -> np.ndarray:
 
 @dataclass
 class BaSolution:
-    """Refined cameras, a new VcTracks with the refined x1, a and b, the
-    refined (n, 3) X2 (classic rows as given; None if the problem had none),
-    and the optimizer's report."""
+    """Refined cameras and the optimizer's report."""
 
     cameras: list  # refined BaCamera entries
-    tracks: VcTracks
-    soft_x2: np.ndarray | None
     report: LbfgsReport
 
     @property
@@ -416,23 +392,20 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
     more cameras are fixed the first free camera keeps its initial
     translation norm (the scale gauge), which the line search projects onto.
     Thickness parameters are unbounded. The parameter layout (index arrays
-    and per-track constants) is built once per solve. Rotation charts
-    re-center after every accepted step; the gradient in the new chart is the
-    accepted one with each re-centered camera's rotation slot set to its
-    gradient before the left Jacobian, which is what a fresh evaluation at
-    w = 0 returns, so no extra gradient evaluation is made. The problem is
+    and per-track constants) is built once per solve. Each free camera's
+    rotation is one tangent vector composed onto its stored rotation, in one
+    chart for the whole solve, and is folded in at the end. The problem is
     not modified.
     """
     config = config or BaConfig()
-    work = replace(problem, cameras=list(problem.cameras))
-    lay = _Layout(work)
-    x0 = work.pack_params(lay)
+    lay = _Layout(problem)
+    x0 = problem.pack_params(lay)
 
     scale_cam = None
     scale_norm = 0.0
-    if sum(c.fixed for c in work.cameras) < 2:
+    if sum(c.fixed for c in problem.cameras) < 2:
         for ci in sorted(lay.cam_offset):
-            norm = float(np.linalg.norm(work.cameras[ci].pose.translation))
+            norm = float(np.linalg.norm(problem.cameras[ci].pose.translation))
             if norm > 1e-9:
                 scale_cam, scale_norm = ci, norm
                 break
@@ -447,38 +420,14 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
                 x[off + 3 : off + 6] = t * (scale_norm / norm)
         return x
 
-    last_x, last_g_w = None, None  # latest gradient point and its rotation gradients
-
-    def grad(x):
-        nonlocal last_x, last_g_w
-        _, g, last_g_w = _evaluate(work, lay, x, True)
-        last_x = x
-        return g
-
-    def post_accept(x, g):
-        if x is not last_x:
-            raise RuntimeError("post_accept needs the point of the latest grad call")
-        x, g = np.array(x), np.array(g)
-        for ci, off in lay.cam_offset.items():
-            w = x[off : off + 3]
-            if np.any(w != 0.0):
-                cam = work.cameras[ci]
-                pose = SE3Pose(so3_exp(w) @ cam.pose.rotation, x[off + 3 : off + 6])
-                work.cameras[ci] = replace(cam, pose=pose)
-                x[off : off + 3] = 0.0
-                g[off : off + 3] = last_g_w[ci]
-        return x, g
-
     x_final, opt = minimize_lbfgs(
-        lambda x: _evaluate(work, lay, x, False)[0],
-        grad,
+        lambda x: _evaluate(problem, lay, x, False)[0],
+        lambda x: _evaluate(problem, lay, x, True)[1],
         x0,
         max_iterations=config.max_iterations,
         project=project,
-        post_accept=post_accept,
     )
-    solved = work.apply_params(x_final, lay)
-    return BaSolution(solved.cameras, solved.tracks, solved.soft_x2, opt)
+    return BaSolution(problem.apply_params(x_final, lay), opt)
 
 
 # ---------------------------------------------------------------------------

@@ -108,14 +108,6 @@ class ImageRecord:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate person_id within a record")
 
-    @property
-    def surface_map(self) -> DenseSurfaceMap:
-        return self.priors[0].surface_map
-
-    @property
-    def prior_mesh(self) -> TriangleMesh:
-        return self.priors[0].mesh
-
     def prior_for(self, person_id: int) -> ShapePrior | None:
         for p in self.priors:
             if p.person_id == person_id:

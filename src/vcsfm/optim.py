@@ -1,11 +1,9 @@
 """Limited-memory quasi-Newton minimizer with projected backtracking.
 
-Supports the two hooks bundle adjustment needs: a projection applied inside
-the line search (bound constraints, gauge renormalization) and a post-accept
-rewrite of the accepted iterate and its gradient (local-chart re-centering,
-where the caller knows the gradient in the new chart without a new
-evaluation). Descent is monotone by construction: a step is only accepted
-when it lowers the objective.
+Supports the one hook bundle adjustment needs: a projection applied inside
+the line search (bound constraints, gauge renormalization). Descent is
+monotone by construction: a step is only accepted when it lowers the
+objective.
 
 A rejected trial shrinks the step to the minimizer of the quadratic through
 f(x), the slope at x and f at the trial point, clipped to [_MIN_SHRINK, 0.5]
@@ -44,7 +42,6 @@ class LbfgsReport:
     status: str = "max_iterations"
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
-    gradient_norms: list = field(default_factory=list)
 
     @property
     def initial_objective(self) -> float:
@@ -72,17 +69,10 @@ def _two_loop(history, g):
     return q
 
 
-def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None, post_accept=None):
+def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None):
     """Minimize fun with analytic grad from x0.
 
     project(x) -> x is applied to every trial point inside the line search.
-    post_accept(x, g) -> (x, g) may rewrite an accepted iterate and its
-    gradient (for chart re-centering). It is called with the very array
-    that the immediately preceding grad call received, and with that call's
-    result, so a caller may pair it with state grad kept. The returned pair
-    must describe the same point, with g the gradient in the coordinates of
-    the returned x.
-    The optimizer takes both as they are and never calls grad for them, so
     grad runs once at x0 and once per accepted step. Returns
     (x, LbfgsReport). The run ends as converged_gradient once |g|_inf <=
     _GRADIENT_TOLERANCE, and as converged_step once an accepted step is at
@@ -97,7 +87,6 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None, post_acce
     g = np.asarray(grad(x), dtype=np.float64)
     report = LbfgsReport()
     report.objective_trace.append(f)
-    report.gradient_norms.append(float(np.linalg.norm(g, np.inf)))
     history = deque(maxlen=_HISTORY_SIZE)
 
     for it in range(1, max_iterations + 1):
@@ -153,14 +142,9 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None, post_acce
             history.append((s, y, 1.0 / sy))
         small_step = np.linalg.norm(s) <= _STEP_TOLERANCE * max(1.0, np.linalg.norm(x))
 
-        if post_accept is not None:
-            x, g = post_accept(x_try, g_try)
-        else:
-            x, g = x_try, g_try
-        f = f_try
+        x, g, f = x_try, g_try, f_try
         report.iterations = it
         report.objective_trace.append(f)
-        report.gradient_norms.append(float(np.linalg.norm(g, np.inf)))
         if small_step:
             report.status = "converged_step"
             break

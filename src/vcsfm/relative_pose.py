@@ -197,13 +197,8 @@ class RelativePoseEstimate:
     """Winning relative pose with its support."""
 
     pose: SE3Pose  # unit-baseline world(=camera a)-to-camera-b transform
-    essential: np.ndarray  # [t]_x R of `pose`, unit Frobenius norm
     inlier_mask: np.ndarray
     iterations: int
-
-    @property
-    def num_inliers(self) -> int:
-        return int(np.count_nonzero(self.inlier_mask))
 
 
 def _adaptive_cap(inlier_ratio: float) -> float:
@@ -262,6 +257,4 @@ def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePose
     final_mask = err < params.inlier_threshold
     if not final_mask.any():
         final_mask = mask  # keep the hypothesis support if recomputation thins out
-    return RelativePoseEstimate(
-        pose=pose, essential=essential, inlier_mask=final_mask, iterations=it
-    )
+    return RelativePoseEstimate(pose=pose, inlier_mask=final_mask, iterations=it)

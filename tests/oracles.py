@@ -108,7 +108,8 @@ def classic_ba_oracle(poses, intrinsics, fixed, points, observations, max_nfev=4
 
     poses: list of (R, t); fixed: bool per camera; observations: list of
     (cam_index, point_index, pixel (2,)). Returns the final summed squared
-    reprojection error in pixel^2 units.
+    reprojection error in pixel^2 units and every camera's refined (R, t)
+    (the fixed ones as given).
     """
     free = [i for i, fx in enumerate(fixed) if not fx]
     cam_slot = {c: k for k, c in enumerate(free)}
@@ -140,7 +141,11 @@ def classic_ba_oracle(poses, intrinsics, fixed, points, observations, max_nfev=4
 
     sol = least_squares(residuals, np.array(x0), method="lm", max_nfev=max_nfev)
     r = residuals(sol.x)
-    return float(r @ r)
+    refined = list(poses)
+    for c, k in cam_slot.items():
+        w, t = sol.x[6 * k : 6 * k + 3], sol.x[6 * k + 3 : 6 * k + 6]
+        refined[c] = (Rotation.from_rotvec(w).as_matrix(), t)
+    return float(r @ r), refined
 
 
 def vc_extraction_oracle(a, b, params):

@@ -114,8 +114,8 @@ def test_surface_index_gathers_entries_in_row_major_order(rng):
 
 def test_surface_index_matches_linear_scan(opposed_scene, rng):
     rec = opposed_scene.records[0]
-    dsm = rec.surface_map
-    mesh = rec.prior_mesh
+    dsm = rec.priors[0].surface_map
+    mesh = rec.priors[0].mesh
     idx = SurfaceIndex(dsm, mesh)
     pix = dsm.mapped_pixels()
     pos_all = surface_points(mesh, dsm.faces[pix[:, 1], pix[:, 0]], dsm.barys[pix[:, 1], pix[:, 0]])
@@ -167,7 +167,7 @@ def test_self_extraction_reproduces_identity(opposed_scene):
     by_pixel = {
         (round(v.pixel_a.u), round(v.pixel_a.v)): v for v in vcs if v.hit_rank == 0
     }
-    pix = rec.surface_map.mapped_pixels()
+    pix = rec.priors[0].surface_map.mapped_pixels()
     sampled = pix[(pix[:, 0] % params.stride == 0) & (pix[:, 1] % params.stride == 0)]
     assert len(sampled) > 20
     for u, v in sampled:
@@ -195,14 +195,15 @@ def test_opposed_pair_has_nonzero_ranks(opposed_scene):
 
 def test_empty_observer_map_yields_nothing(opposed_scene):
     a, b = opposed_scene.records
+    dsm_b = b.priors[0].surface_map
     empty = ImageRecord(
         image_id=b.image_id,
         intrinsics=b.intrinsics,
         priors=(
             ShapePrior(
                 person_id=0,
-                mesh=b.prior_mesh,
-                surface_map=DenseSurfaceMap.empty(b.surface_map.width, b.surface_map.height),
+                mesh=b.priors[0].mesh,
+                surface_map=DenseSurfaceMap.empty(dsm_b.width, dsm_b.height),
             ),
         ),
     )
@@ -270,11 +271,12 @@ def test_classic_subsumption(narrow_scene):
     # pairs whose surface point has a map entry within tolerance in b too
     # (grazing silhouette points may genuinely be unresolved in b's map)
     mesh_a = a.posed_mesh(0)
-    index_b = SurfaceIndex(b.surface_map, mesh_a)
+    dsm_a = a.priors[0].surface_map
+    index_b = SurfaceIndex(b.priors[0].surface_map, mesh_a)
     classic = []
     for c in narrow_scene.classic_oracle_pairs(0, 1):
         u, v = round(c.pixel_a.u), round(c.pixel_a.v)
-        pos = surface_points(mesh_a, [a.surface_map.faces[v, u]], [a.surface_map.barys[v, u]])
+        pos = surface_points(mesh_a, [dsm_a.faces[v, u]], [dsm_a.barys[v, u]])
         dist, _ = index_b.nearest(pos, params.surface_tolerance)
         if dist[0] <= params.surface_tolerance:
             classic.append(c)
@@ -294,6 +296,7 @@ def test_classic_subsumption(narrow_scene):
 
 def test_topology_mismatch_raises(opposed_scene):
     a, b = opposed_scene.records
+    dsm_b = b.priors[0].surface_map
     square = unit_square_mesh()
     bad = ImageRecord(
         image_id="bad",
@@ -302,7 +305,7 @@ def test_topology_mismatch_raises(opposed_scene):
             ShapePrior(
                 person_id=0,
                 mesh=square,
-                surface_map=DenseSurfaceMap.empty(b.surface_map.width, b.surface_map.height),
+                surface_map=DenseSurfaceMap.empty(dsm_b.width, dsm_b.height),
             ),
         ),
     )
@@ -319,7 +322,7 @@ def test_multi_person_matching_restricted(opposed_scene):
         intrinsics=a.intrinsics,
         priors=(
             a.priors[0],
-            ShapePrior(person_id=1, mesh=a.prior_mesh, surface_map=a.surface_map),
+            ShapePrior(person_id=1, mesh=a.priors[0].mesh, surface_map=a.priors[0].surface_map),
         ),
     )
     vcs_two = extract_vcs(a_two, b, params)
@@ -331,7 +334,7 @@ def test_multi_person_matching_restricted(opposed_scene):
         intrinsics=b.intrinsics,
         priors=(
             b.priors[0],
-            ShapePrior(person_id=1, mesh=b.prior_mesh, surface_map=b.surface_map),
+            ShapePrior(person_id=1, mesh=b.priors[0].mesh, surface_map=b.priors[0].surface_map),
         ),
     )
     vcs_both = extract_vcs(a_two, b_two, params)
@@ -430,7 +433,7 @@ def test_suggest_surface_tolerance_equals_full_surface_points(rng):
     for records in (base.records, [base.records[0], shifted]):
         footprints = []
         for rec in records:
-            dsm = rec.surface_map
+            dsm = rec.priors[0].surface_map
             pix = dsm.mapped_pixels()
             pos = surface_points(rec.posed_mesh(0), dsm.faces[pix[:, 1], pix[:, 0]],
                                  dsm.barys[pix[:, 1], pix[:, 0]])

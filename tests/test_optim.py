@@ -43,42 +43,6 @@ def test_projected_iterates_stay_feasible_and_reach_the_bound_optimum(rng):
     np.testing.assert_allclose(x, ref, atol=1e-9)
 
 
-def test_post_accept_rewrite_is_honoured_without_extra_gradient_calls(rng):
-    # The point is base + scale * x. post_accept folds x into base and, from
-    # the first accepted step on, doubles the scale: a change of chart whose
-    # gradient is known without a new evaluation.
-    a, b = _quadratic(rng, 5, 2.0)
-    chart = {"base": np.zeros(5), "scale": 1.0}
-    grad_calls = []
-    returned = []
-
-    def point(x):
-        return chart["base"] + chart["scale"] * x
-
-    def fun(x):
-        p = point(x)
-        return 0.5 * p @ a @ p - b @ p
-
-    def grad(x):
-        grad_calls.append(1)
-        return chart["scale"] * (a @ point(x) - b)
-
-    def post_accept(x, g):
-        chart["base"] = point(x)
-        g = g * (2.0 / chart["scale"])
-        chart["scale"] = 2.0
-        returned.append(g)
-        return np.zeros_like(x), g
-
-    x, report = minimize_lbfgs(fun, grad, np.zeros(5), max_iterations=200,
-                               post_accept=post_accept)
-    assert report.status.startswith("converged")
-    assert np.all(x == 0.0)
-    np.testing.assert_allclose(chart["base"], np.linalg.solve(a, b), rtol=1e-8, atol=1e-10)
-    assert len(grad_calls) == 1 + report.iterations
-    assert report.gradient_norms[1:] == [float(np.linalg.norm(g, np.inf)) for g in returned]
-
-
 def test_badly_scaled_first_step_is_cut_to_size_by_interpolation(rng):
     # curvatures 1 .. 1e8 and a start near the minimum: the steepest-descent
     # first step overshoots along the stiff axes by a factor of about 1e3,

@@ -83,9 +83,9 @@ def test_proxy_mesh_is_built_once():
 
 def assert_scenes_equal(a, b):
     for ra, rb in zip(a.records, b.records, strict=True):
-        assert np.array_equal(ra.surface_map.faces, rb.surface_map.faces)
-        assert np.array_equal(ra.surface_map.barys, rb.surface_map.barys)
-        assert np.array_equal(ra.prior_mesh.vertices, rb.prior_mesh.vertices)
+        assert np.array_equal(ra.priors[0].surface_map.faces, rb.priors[0].surface_map.faces)
+        assert np.array_equal(ra.priors[0].surface_map.barys, rb.priors[0].surface_map.barys)
+        assert np.array_equal(ra.priors[0].mesh.vertices, rb.priors[0].mesh.vertices)
     for pa, pb in zip(a.gt_poses, b.gt_poses, strict=True):
         assert np.array_equal(pa.rotation, pb.rotation)
         assert np.array_equal(pa.translation, pb.translation)
@@ -120,7 +120,7 @@ def test_pixel_jitter_displacement_statistics():
         rotation=clean.gt_poses[0].rotation, translation=clean.gt_poses[0].translation
     )
     dsm_c = clean.clean_maps[0]
-    dsm_n = noisy.records[0].surface_map
+    dsm_n = noisy.records[0].priors[0].surface_map
     pix = dsm_c.mapped_pixels()
     pc = surface_points(mesh_cam, dsm_c.faces[pix[:, 1], pix[:, 0]], dsm_c.barys[pix[:, 1], pix[:, 0]])
     pn = surface_points(mesh_cam, dsm_n.faces[pix[:, 1], pix[:, 0]], dsm_n.barys[pix[:, 1], pix[:, 0]])
@@ -137,7 +137,7 @@ def test_outlier_injection_fraction():
     clean = generate_scene(cfg, NoiseConfig())
     noisy = generate_scene(cfg, NoiseConfig(outlier_fraction=0.3))
     dsm_c = clean.clean_maps[0]
-    dsm_n = noisy.records[0].surface_map
+    dsm_n = noisy.records[0].priors[0].surface_map
     pix = dsm_c.mapped_pixels()
     changed = (
         dsm_n.faces[pix[:, 1], pix[:, 0]] != dsm_c.faces[pix[:, 1], pix[:, 0]]
@@ -153,9 +153,9 @@ def test_prior_perturbation_applied():
                                             prior_translation_sigma=0.02,
                                             prior_scale_sigma=0.02))
     for rc, rn, pose in zip(clean.records, noisy.records, clean.gt_poses):
-        assert not np.allclose(rc.prior_mesh.vertices, rn.prior_mesh.vertices)
+        assert not np.allclose(rc.priors[0].mesh.vertices, rn.priors[0].mesh.vertices)
         # still roughly in place: perturbation is a few percent
-        delta = np.linalg.norm(rc.prior_mesh.vertices - rn.prior_mesh.vertices, axis=1)
+        delta = np.linalg.norm(rc.priors[0].mesh.vertices - rn.priors[0].mesh.vertices, axis=1)
         assert delta.max() < 0.5
 
 
