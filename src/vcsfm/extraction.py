@@ -27,18 +27,20 @@ class DenseSurfaceMap:
     """Per-pixel optional surface coordinate (the dense 2D-3D association).
 
     Stored as a face-index image (-1 marks unmapped pixels) plus barycentric
-    weights. Immutable after construction. The weights of every mapped pixel
-    must be at least -1e-9 and sum to 1 within 1e-9 (InvalidCoordinateError);
-    those of unmapped pixels are not read.
+    weights. Immutable after construction: a read-only int64 `faces` or
+    float64 `barys` array is adopted as it is, anything else is copied. The
+    weights of every mapped pixel must be at least -1e-9 and sum to 1 within
+    1e-9 (InvalidCoordinateError); those of unmapped pixels are not read.
     """
 
     def __init__(self, faces: np.ndarray, barys: np.ndarray):
-        faces = np.array(faces, dtype=np.int64)
-        barys = np.array(barys, dtype=np.float64)
+        faces = _read_only(faces, np.int64)
+        barys = _read_only(barys, np.float64)
         if faces.ndim != 2 or barys.shape != faces.shape + (3,):
             raise ValueError("faces must be (H, W) and barys (H, W, 3)")
+        mapped = np.flatnonzero(faces.ravel() >= 0)
         # a flat gather and column sums take half the time of a 2-D mask
-        w = barys.reshape(-1, 3)[np.flatnonzero(faces.ravel() >= 0)]
+        w = barys.reshape(-1, 3)[mapped]
         total = w[:, 0] + w[:, 1] + w[:, 2]
         if len(w) and not (w.min() >= -1e-9 and np.abs(total - 1.0).max() <= 1e-9):
             raise InvalidCoordinateError("mapped pixels need barycentric weights "
@@ -46,8 +48,8 @@ class DenseSurfaceMap:
         self.faces = faces
         self.barys = barys
         self.height, self.width = faces.shape
-        for a in (self.faces, self.barys):
-            a.flags.writeable = False
+        mapped.flags.writeable = False
+        self._mapped = mapped
 
     @staticmethod
     def empty(width: int, height: int) -> "DenseSurfaceMap":
@@ -57,11 +59,12 @@ class DenseSurfaceMap:
 
     @property
     def num_mapped(self) -> int:
-        return int(np.count_nonzero(self.faces >= 0))
+        return len(self._mapped)
 
     def mapped_index(self) -> np.ndarray:
-        """Flat row-major indices of the mapped pixels, ascending."""
-        return np.flatnonzero(self.faces >= 0)
+        """Flat row-major indices of the mapped pixels, ascending; read-only,
+        computed once per map."""
+        return self._mapped
 
     def mapped_pixels(self, stride: int = 1) -> np.ndarray:
         """(N, 2) integer (u, v) of mapped pixels in row-major order, only
@@ -70,6 +73,15 @@ class DenseSurfaceMap:
         # a 1-D scan and a divmod are cheaper than a 2-D np.nonzero
         v, u = np.divmod(np.flatnonzero(grid >= 0), grid.shape[1])
         return np.column_stack([u, v]) * stride
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """`a` itself when it is a read-only array of `dtype`, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -241,7 +253,9 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     dirs = np.column_stack(
         [cast.intrinsics.normalize(pix.astype(np.float64)), np.ones(len(pix))]
     )
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # the row norm summed column by column, in the order np.linalg.norm sums
+    dirs /= np.sqrt(dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
+                    + dirs[:, 2] * dirs[:, 2])[:, None]
     ray, _, hit_face, hit_bary = batch_all_hits(
         mesh_c, np.zeros_like(dirs), dirs, max_hits=MAX_HITS_PER_RAY
     )
@@ -271,7 +285,8 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     front = y[:, 2] > 0.0
     m, e, y = m[front], e[front], y[front]
     uv = cast.intrinsics.denormalize(y[:, :2] / y[:, 2:])
-    inside = np.all((uv >= 0.0) & (uv <= [dsm_c.width - 1, dsm_c.height - 1]), axis=1)
+    inside = ((uv[:, 0] >= 0.0) & (uv[:, 0] <= dsm_c.width - 1)
+              & (uv[:, 1] >= 0.0) & (uv[:, 1] <= dsm_c.height - 1))
     m, e, uv = m[inside], e[inside], uv[inside]
     return list(zip(uv.tolist(), index_o.pixels[e].tolist(), rank[m].tolist()))
 

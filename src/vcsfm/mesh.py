@@ -9,11 +9,18 @@ Every cast goes through one kernel, `cast_rays`, on arrays of rays;
 
 - Candidates are conservative. Rays are cast one origin group at a time.
   Face vertices and ray directions are projected centrally onto the plane
-  normal to the rays' mean direction, and a face is tested only against the
-  rays whose projection falls in its projected bounding box, padded far past
-  the barycentric slack. A face with a vertex at or behind the origin's plane
-  is tested against every ray; a ray pointing away from that plane only
-  against such faces. The result is that of testing every (ray, face) pair.
+  normal to the direction from the origin to the mesh's vertex centroid, and
+  a face is tested only against the rays whose projection falls in its
+  projected bounding box, padded far past the barycentric slack. The boxes
+  are binned on a uniform grid of about FACES_PER_CELL faces per cell, and a
+  ray is box-tested against the faces listed in its own cell. A face with a
+  vertex at or behind the origin's plane is tested against every ray; a ray
+  pointing away from that plane only against such faces. The result is that
+  of testing every (ray, face) pair.
+- All per-face data of a cast (frame, face split, boxes, grid and the
+  Moller-Trumbore table) depend on the mesh and the origin only. They are
+  built once per (mesh, origin) and kept on the mesh for the latest origin,
+  so a cast costs time in proportion to its rays and candidate pairs.
 - The test is Moller-Trumbore (Moller & Trumbore, JGT 1997) with inclusive
   barycentric bounds (BARY_TOL), keeping hits deeper than EPS_MIN.
 - Depth is in units of the given direction vectors, which need not be unit.
@@ -41,12 +48,13 @@ BOX_PAD = 1e-8
 # vertices closer than this to the origin's plane, relative to the mesh's
 # extent about the origin, count as on it
 PLANE_TOL = 1e-12
-# rays per cell of the grid the projected rays are binned on
-RAYS_PER_CELL = 2
+# faces per cell of the grid the projected face boxes are binned on
+FACES_PER_CELL = 1
 
 
 class TriangleMesh:
-    """Immutable triangle mesh with each face's corner coordinates."""
+    """Immutable triangle mesh with each face's corner coordinates, and the
+    cast table of the origin it was last cast from (`_cast_table`)."""
 
     def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=np.float64).reshape(-1, 3)
@@ -65,6 +73,7 @@ class TriangleMesh:
         self.face_areas = areas
         for a in (self.vertices, self.faces, self.corners, areas):
             a.flags.writeable = False
+        self._cast_memo = None  # (origin bytes, _CastTable) of the latest origin
 
     @property
     def num_faces(self) -> int:
@@ -78,6 +87,20 @@ class TriangleMesh:
         if translation is not None:
             v = v + np.asarray(translation, dtype=np.float64)
         return TriangleMesh(v, self.faces)
+
+    def _cast_table(self, origin) -> "_CastTable":
+        """Per-face data of casts from `origin`, kept for the latest origin.
+
+        One origin at a time, so a mesh cast from many origins in turn holds
+        one table; the mesh's arrays are read-only, so a kept table stays valid.
+        """
+        origin = np.asarray(origin, dtype=np.float64)
+        key = origin.tobytes()
+        memo = self._cast_memo  # read once: another thread may replace it
+        if memo is None or memo[0] != key:
+            memo = (key, _CastTable(self, origin))
+            self._cast_memo = memo
+        return memo[1]
 
 
 def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> np.ndarray:
@@ -108,8 +131,9 @@ def cast_rays(mesh: TriangleMesh, origins, directions, max_hits: int | None = No
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
               np.empty(0), np.empty(0), np.empty(0))]
     for origin, rows in groups:
-        ray, face = _candidate_pairs(mesh, origin, directions[rows])
-        t, u, v, valid = _moller_trumbore(mesh, origin, directions[rows], ray, face)
+        table = mesh._cast_table(origin)
+        ray, face = _candidate_pairs(table, directions[rows])
+        t, u, v, valid = _moller_trumbore(table, directions[rows], ray, face)
         parts.append((rows[ray[valid]], face[valid], t[valid], u[valid], v[valid]))
     ray, face, t, u, v = (np.concatenate(p) for p in zip(*parts))
 
@@ -130,96 +154,134 @@ def cast_rays(mesh: TriangleMesh, origins, directions, max_hits: int | None = No
         keep = rank < max_hits
         ray, face, t, u, v = ray[keep], face[keep], t[keep], u[keep], v[keep]
     bary = np.clip(np.column_stack([1.0 - u - v, u, v]), 0.0, None)
-    bary /= bary.sum(axis=1, keepdims=True)
+    # column sums in the order of a row sum, without its per-row overhead
+    bary /= (bary[:, 0] + bary[:, 1] + bary[:, 2])[:, None]
     return ray, t, face, bary
 
 
-def _moller_trumbore(mesh: TriangleMesh, origin, dirs, ray, face):
-    """(t, u, v, hit-mask) of rays `dirs` from `origin` on the (ray, face) pairs.
+class _CastTable:
+    """Per-face data of casts from one origin on one mesh (see the module
+    contract): the projection frame, the ahead/straddle face split, the
+    padded projected boxes of the ahead faces on a uniform grid, and the
+    Moller-Trumbore table. Index arrays are int32 to keep tables small."""
+
+    def __init__(self, mesh: TriangleMesh, origin: np.ndarray):
+        axis = mesh.vertices.mean(axis=0) - origin
+        if not np.linalg.norm(axis) > 0.0:
+            axis = np.array([0.0, 0.0, 1.0])
+        axis = axis / np.linalg.norm(axis)
+        side = np.cross(np.eye(3)[np.argmin(np.abs(axis))], axis)
+        side /= np.linalg.norm(side)
+        self.frame = np.stack([side, np.cross(axis, side), axis])  # rows: plane x, y, normal
+
+        vert = (mesh.vertices - origin) @ self.frame.T
+        on_plane = vert[:, 2] <= PLANE_TOL * np.abs(vert).max()
+        corners = mesh.faces.T  # (3, F)
+        behind = on_plane[corners[0]] | on_plane[corners[1]] | on_plane[corners[2]]
+        self.straddle = np.flatnonzero(behind).astype(np.int32)
+        self.ahead = np.flatnonzero(~behind).astype(np.int32)
+        if len(self.ahead):
+            self._bin_boxes(vert, np.where(on_plane, 1.0, vert[:, 2]), corners[:, self.ahead])
+
+        v0 = mesh.corners[:, 0]
+        e1, e2 = mesh.corners[:, 1] - v0, mesh.corners[:, 2] - v0
+        tvec = origin - v0
+        qvec = np.cross(tvec, e1)
+        # (F, 3, 3), columns: a ray direction times them gives -det and the
+        # numerators of u and v
+        self.mt = np.stack([np.cross(e1, e2), np.cross(e2, tvec), qvec], axis=2)
+        self.t_num = np.einsum("fj,fj->f", qvec, e2)
+
+    def _bin_boxes(self, vert, z, corners):
+        """Padded projected boxes of the ahead faces (corner indices
+        `corners`, (3, faces); vertex depths `z`, positive on their corners)
+        and their grid, a CSR list of cell -> faces."""
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = (
+            c[corners] for c in (vert[:, 0] / z, vert[:, 1] / z, z))
+        lo = np.stack([np.minimum(np.minimum(x0, x1), x2), np.minimum(np.minimum(y0, y1), y2)])
+        hi = np.stack([np.maximum(np.maximum(x0, x1), x2), np.maximum(np.maximum(y0, y1), y2)])
+        # central projection scales a barycentric slack by at most the ratio
+        # of the face's vertex depths; the last term covers rounding
+        extent = hi - lo
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        pad = (BOX_PAD * np.maximum(extent[0], extent[1])
+               * np.maximum(np.maximum(z0, z1), z2) / np.minimum(np.minimum(z0, z1), z2)
+               + 1e-9 * np.maximum(reach[0], reach[1]))
+        lo -= pad
+        hi += pad
+        self.box = np.concatenate([lo, hi])  # (4, faces): x and y lows, then highs
+
+        faces = lo.shape[1]
+        self.q0, self.q1 = lo.min(axis=1), hi.max(axis=1)  # the boxes' union
+        span = self.q1 - self.q0
+        # near-square cells, about FACES_PER_CELL faces each
+        cell = np.sqrt(span[0] * span[1] * FACES_PER_CELL / faces)
+        n = np.clip(np.ceil(span / cell), 1, faces) if cell > 0.0 else np.ones(2)
+        self.n = n = n.astype(np.int64)
+        self.size = np.maximum(span, 1e-300) / n
+        # cell range of each box; rounding is monotone, so a ray inside a box
+        # falls in a cell inside its range
+        c0 = self._cell(lo.T).T
+        c1 = self._cell(hi.T).T
+        rows = c1[1] - c0[1] + 1
+        row_face = np.repeat(np.arange(faces), rows)  # one entry per (face, cell row)
+        width = (c1[0] - c0[0] + 1)[row_face]
+        cells = np.repeat(_ranges(c0[1], rows) * n[0], width) + _ranges(c0[0, row_face], width)
+        order = np.argsort(cells)  # the order within a cell does not matter
+        self.cell_faces = np.repeat(row_face, width)[order].astype(np.int32)
+        per_cell = np.bincount(cells, minlength=n[0] * n[1])
+        self.cell_start = np.r_[0, np.cumsum(per_cell)].astype(np.int32)
+
+    def _cell(self, q):
+        """(N, 2) grid cell (x, y) of projected points `q` (N, 2)."""
+        return np.clip(np.floor((q - self.q0) / self.size), 0, self.n - 1).astype(np.int64)
+
+
+def _moller_trumbore(table: _CastTable, dirs, ray, face):
+    """(t, u, v, hit-mask) of rays `dirs` from the table's origin on the
+    (ray, face) pairs.
 
     With one origin the triple products factor into per-face vectors, so the
     determinant and the numerators of u and v are dot products of the ray
     direction with a per-face (3, 3) table.
     """
-    v0 = mesh.corners[:, 0]
-    e1, e2 = mesh.corners[:, 1] - v0, mesh.corners[:, 2] - v0
-    tvec = origin - v0
-    qvec = np.cross(tvec, e1)
-    table = np.stack([np.cross(e1, e2), np.cross(e2, tvec), qvec], axis=2)
-    dots = (dirs[ray][:, None, :] @ table[face])[:, 0]  # -det, u and v numerators
+    dots = (dirs[ray][:, None, :] @ table.mt[face])[:, 0]  # -det, u and v numerators
     det = -dots[:, 0]
     ok = np.abs(det) > 1e-14
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     u = dots[:, 1] * inv
     v = dots[:, 2] * inv
-    t = np.einsum("fj,fj->f", qvec, e2)[face] * inv
+    t = table.t_num[face] * inv
     valid = ok & (u >= -BARY_TOL) & (v >= -BARY_TOL) & (u + v <= 1.0 + BARY_TOL) & (t > EPS_MIN)
     return t, u, v, valid
 
 
-def _candidate_pairs(mesh: TriangleMesh, origin, dirs):
-    """(ray, face) index pairs that may intersect, for rays from one origin."""
-    lengths = np.linalg.norm(dirs, axis=1, keepdims=True)
-    axis = (dirs / np.where(lengths > 0.0, lengths, 1.0)).sum(axis=0)
-    if not np.linalg.norm(axis) > 0.0:
-        axis = np.array([0.0, 0.0, 1.0])
-    axis /= np.linalg.norm(axis)
-    side = np.cross(np.eye(3)[np.argmin(np.abs(axis))], axis)
-    side /= np.linalg.norm(side)
-    frame = np.stack([side, np.cross(axis, side), axis])  # rows: plane x, y, normal
-
-    vert = (mesh.vertices - origin) @ frame.T
-    on_plane = vert[:, 2] <= PLANE_TOL * np.abs(vert).max()
-    corners = mesh.faces.T  # (3, F)
-    behind = on_plane[corners[0]] | on_plane[corners[1]] | on_plane[corners[2]]
-    local = dirs @ frame.T
+def _candidate_pairs(table: _CastTable, dirs):
+    """(ray, face) index pairs that may intersect, for rays from the table's
+    origin."""
+    local = dirs @ table.frame.T
     ray_parts, face_parts = [], []
 
-    # rays into the far half-space against faces wholly in it
-    ahead = np.flatnonzero(~behind)
+    # rays into the far half-space against the ahead faces listed in their cell
     front = np.flatnonzero(local[:, 2] > 0.0)
-    if len(ahead) and len(front):
-        z = np.where(on_plane, 1.0, vert[:, 2])
-        # (3, faces) corner values of the projected x and y and of the depth
-        cx, cy, cz = (c[corners[:, ahead]] for c in (vert[:, 0] / z, vert[:, 1] / z, z))
-        lo = np.stack([cx.min(axis=0), cy.min(axis=0)])  # (2, faces)
-        hi = np.stack([cx.max(axis=0), cy.max(axis=0)])
-        # central projection scales a barycentric slack by at most the ratio
-        # of the face's vertex depths; the last term covers rounding
-        pad = (BOX_PAD * (hi - lo).max(axis=0) * cz.max(axis=0) / cz.min(axis=0)
-               + 1e-9 * np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
-        lo -= pad
-        hi += pad
-        q = local[front, :2].T / local[front, 2]  # (2, rays)
-        inside = np.all((q >= lo.min(axis=1, keepdims=True))
-                        & (q <= hi.max(axis=1, keepdims=True)), axis=0)
-        front, q = front[inside], q[:, inside]
-    if len(ahead) and len(front):
-        n = max(1, int(np.sqrt(len(front) / RAYS_PER_CELL)))  # n x n grid
-        q0 = q.min(axis=1, keepdims=True)
-        size = np.maximum(q.max(axis=1, keepdims=True) - q0, 1e-300) / n
-        ix, iy = np.minimum(((q - q0) / size).astype(np.int64), n - 1)
-        by_cell = np.argsort(iy * n + ix, kind="stable")
-        cell_start = np.searchsorted((iy * n + ix)[by_cell], np.arange(n * n + 1))
-        # cell range of each box; rounding is monotone, so a ray inside a box
-        # falls in a cell inside its range
-        c0 = np.clip(np.floor((lo - q0) / size), 0, n - 1).astype(np.int64)
-        c1 = np.clip(np.floor((hi - q0) / size), -1, n - 1).astype(np.int64)
-        rows = np.maximum(c1[1] - c0[1] + 1, 0) * (c1[0] >= c0[0])
-        box = np.repeat(np.arange(len(ahead)), rows)
-        row = _ranges(c0[1, rows > 0], rows[rows > 0])
-        # the cells of one box row hold a contiguous run of the sorted rays
-        first = cell_start[row * n + c0[0, box]]
-        count = cell_start[row * n + c1[0, box] + 1] - first
-        box = np.repeat(box, count)
-        pos = by_cell[_ranges(first, count)]
-        qx, qy = q[0, pos], q[1, pos]
-        inbox = (qx >= lo[0, box]) & (qx <= hi[0, box]) & (qy >= lo[1, box]) & (qy <= hi[1, box])
-        ray_parts.append(front[pos[inbox]])
-        face_parts.append(ahead[box[inbox]])
+    if len(table.ahead) and len(front):
+        q = local[front, :2] / local[front, 2:]  # (rays, 2)
+        inside = ((q[:, 0] >= table.q0[0]) & (q[:, 0] <= table.q1[0])
+                  & (q[:, 1] >= table.q0[1]) & (q[:, 1] <= table.q1[1]))
+        front, q = front[inside], q[inside]
+        cx, cy = table._cell(q).T
+        cell = cy * table.n[0] + cx
+        first = table.cell_start[cell]
+        count = table.cell_start[cell + 1] - first
+        box = table.cell_faces[_ranges(first, count)]
+        qx, qy = np.repeat(q[:, 0], count), np.repeat(q[:, 1], count)
+        lox, loy, hix, hiy = table.box[:, box]
+        inbox = (qx >= lox) & (qx <= hix) & (qy >= loy) & (qy <= hiy)
+        ray_parts.append(np.repeat(front, count)[inbox])
+        face_parts.append(table.ahead[box[inbox]])
 
     # faces at or behind the origin's plane against every ray
-    straddle = np.flatnonzero(behind)
+    straddle = table.straddle
     ray_parts.append(np.repeat(np.arange(len(dirs)), len(straddle)))
     face_parts.append(np.tile(straddle, len(dirs)))
     return np.concatenate(ray_parts), np.concatenate(face_parts)

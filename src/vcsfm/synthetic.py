@@ -217,6 +217,8 @@ def render_surface_map(mesh_cam: TriangleMesh, k: CameraIntrinsics,
     sub_h, sub_w = uu.shape
     faces_img[v_lo : v_hi + 1, u_lo : u_hi + 1] = np.where(ok, face, -1).reshape(sub_h, sub_w)
     barys_img[v_lo : v_hi + 1, u_lo : u_hi + 1] = bary.reshape(sub_h, sub_w, 3)
+    # read-only arrays are adopted by the map, not copied
+    faces_img.flags.writeable = barys_img.flags.writeable = False
     return DenseSurfaceMap(faces_img, barys_img)
 
 
@@ -239,6 +241,7 @@ def _jitter_map(dsm: DenseSurfaceMap, mesh_cam: TriangleMesh, k: CameraIntrinsic
     sel = np.nonzero(ok)[0]
     faces[v[sel], u[sel]] = face[sel]
     barys[v[sel], u[sel]] = bary[sel]
+    faces.flags.writeable = barys.flags.writeable = False
     return DenseSurfaceMap(faces, barys)
 
 
@@ -263,6 +266,7 @@ def _inject_outliers(dsm: DenseSurfaceMap, num_faces: int, fraction: float, rng
     u, v = pix[mask, 0], pix[mask, 1]
     faces[v, u] = rand_faces
     barys[v, u] = np.column_stack([1.0 - r1 - r2, r1, r2])
+    faces.flags.writeable = barys.flags.writeable = False
     return DenseSurfaceMap(faces, barys)
 
 

@@ -101,6 +101,35 @@ def test_dense_map_ignores_weights_of_unmapped_pixels(rng):
     assert DenseSurfaceMap(faces, barys).num_mapped == 1
 
 
+def test_dense_map_adopts_read_only_arrays_and_copies_writeable_ones(rng):
+    faces = np.where(rng.random((6, 5)) < 0.5, 1, -1)
+    barys = rng.dirichlet(np.ones(3), size=(6, 5))
+    # a caller's writeable arrays are copied and stay writeable
+    dsm = DenseSurfaceMap(faces, barys)
+    assert faces.flags.writeable and barys.flags.writeable
+    assert not np.shares_memory(dsm.faces, faces) and not np.shares_memory(dsm.barys, barys)
+    mapped = dsm.faces.copy()
+    faces[:] = -1
+    assert np.array_equal(dsm.faces, mapped) and dsm.num_mapped > 0
+    # read-only arrays of the map's dtypes are adopted as they are
+    faces = np.where(rng.random((6, 5)) < 0.5, 0, -1)
+    faces.flags.writeable = barys.flags.writeable = False
+    dsm = DenseSurfaceMap(faces, barys)
+    assert dsm.faces is faces and dsm.barys is barys
+    # a read-only array of another dtype is still copied
+    assert DenseSurfaceMap(faces.astype(np.int32), barys).faces.dtype == np.int64
+    for a in (dsm.faces, dsm.barys):
+        assert not a.flags.writeable
+
+
+def test_mapped_index_is_computed_once_and_read_only(rng):
+    dsm = sparse_map(rng, 13, 7)
+    index = dsm.mapped_index()
+    assert dsm.mapped_index() is index and not index.flags.writeable
+    assert np.array_equal(index, np.flatnonzero(dsm.faces >= 0))
+    assert dsm.num_mapped == len(index)
+
+
 def test_surface_index_gathers_entries_in_row_major_order(rng):
     dsm = sparse_map(rng, 13, 7)
     mesh = unit_square_mesh()

@@ -346,3 +346,50 @@ def test_mesh_validation():
         TriangleMesh([[0, 0, 0], [1, 0, 0]], [[0, 1, 2]])
     with pytest.raises(ValueError):  # zero-area face
         TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
+
+
+def test_cast_table_is_kept_for_the_latest_origin_only(rng):
+    mesh = merged(icosphere_mesh(2), cube_mesh(center=(0.0, 0.0, 3.0)))
+    a, b = np.array([0.3, -0.2, -4.0]), np.array([4.0, 0.5, 1.0])
+    aims = rng.normal(size=(80, 3)) * 0.6
+    kept = {}
+    for name, origin in (("a", a), ("b", b), ("a", a)):
+        dirs = aims - origin
+        origins = np.broadcast_to(origin, dirs.shape)
+        got = cast_rays(mesh, origins, dirs, max_hits=3)
+        want = cast_rays(TriangleMesh(mesh.vertices, mesh.faces), origins, dirs, max_hits=3)
+        assert len(got[0]) > len(dirs)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        table = mesh._cast_table(origin)
+        assert mesh._cast_table(origin.copy()) is table
+        # casting from b replaced a's table, so the second cast from a rebuilt it
+        assert table is not kept.get(name)
+        kept[name] = table
+
+
+def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
+    # the projection axis runs from the origin to the vertex centroid, +z here
+    # by symmetry. Cubes sit 60-89 degrees off it on both sides and one lies
+    # behind the origin; a triangle ahead lies in a plane through the origin.
+    origin = np.zeros(3)
+    cubes = [cube_mesh(side=0.5, center=(s * 3.0 * np.sin(th), 0.0, 3.0 * np.cos(th)))
+             for th in np.radians([60.0, 75.0, 89.0]) for s in (-1.0, 1.0)]
+    in_plane = TriangleMesh([[-0.5, 0.0, 8.0], [0.5, 0.0, 8.0], [0.0, 0.0, 9.0]], [[0, 1, 2]])
+    mesh = merged(icosphere_mesh(2).transformed(translation=(0.0, 0.0, 5.0)), *cubes,
+                  cube_mesh(center=(0.0, 0.0, -3.0)), in_plane)
+    axis = mesh._cast_table(origin).frame[2]
+    assert np.allclose(axis, [0.0, 0.0, 1.0], atol=1e-12)
+
+    off_axis = np.vstack([c.vertices.mean(axis=0) + rng.normal(size=(10, 3)) * 0.1
+                          for c in cubes])
+    angles = np.degrees(np.arccos(off_axis @ axis / np.linalg.norm(off_axis, axis=1)))
+    assert angles.min() < 62.0 and angles.max() > 88.0
+    backward = [0.0, 0.0, -3.0] + rng.normal(size=(10, 3)) * 0.2
+    # rays in the triangle's plane graze it edge-on and hit the sphere behind it
+    grazing = np.column_stack([rng.uniform(-0.06, 0.06, 10), np.zeros(10), np.ones(10)])
+    forward = [0.0, 0.0, 5.0] + rng.normal(size=(20, 3)) * 0.5
+    dirs = np.vstack([off_axis, backward, grazing, forward])
+    assert assert_matches_oracle(mesh, origin, dirs) > 2 * len(dirs) - 20
+    # an origin at the vertex centroid has no axis to the mesh; the frame falls back to +z
+    assert assert_matches_oracle(cube_mesh(), np.zeros(3), rng.normal(size=(50, 3))) == 50

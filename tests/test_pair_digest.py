@@ -1,10 +1,11 @@
+import dataclasses
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import pair_digest  # noqa: E402
-from vcsfm.synthetic import SceneConfig, generate_scene  # noqa: E402
+from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene  # noqa: E402
 
 
 def test_pair_digest_is_exact_and_repeatable():
@@ -21,3 +22,22 @@ def test_pair_digest_is_exact_and_repeatable():
     assert int(iterations) == res.ba_iterations
     assert int(inliers) <= int(vcs) == len(res.vcs)
     assert len(pose) == 64 and int(pose, 16) >= 0
+
+
+def test_scene_digest_covers_maps_and_oracle():
+    cfg = SceneConfig(baseline_angles=(0.0, 150.0), image_size=(48, 36), focal_length=51.0,
+                      seed=7)
+    scene = generate_scene(cfg)
+    line = pair_digest.scene_digest(scene)
+    assert pair_digest.scene_digest(generate_scene(cfg)) == line
+    clean, maps, count, oracle = line.split()
+    assert int(count) == len(scene.oracle) > 0
+    assert clean == maps  # noise-free records carry the clean maps
+    assert all(len(h) == 64 and int(h, 16) >= 0 for h in (clean, oracle))
+    # jitter changes the records' maps and nothing else
+    jittered = pair_digest.scene_digest(generate_scene(cfg, NoiseConfig(pixel_sigma=0.5)))
+    assert jittered.split() == [clean, jittered.split()[1], count, oracle] != line.split()
+    # a changed oracle rank changes the oracle hash alone
+    scene.oracle[0] = dataclasses.replace(scene.oracle[0], rank_a=scene.oracle[0].rank_a + 1)
+    assert pair_digest.scene_digest(scene).split()[:3] == [clean, maps, count]
+    assert pair_digest.scene_digest(scene).split()[3] != oracle

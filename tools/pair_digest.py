@@ -2,13 +2,18 @@
 
     python3 tools/pair_digest.py > digest.txt
 
-Runs `bench/pipeline.run_pair` on the scenes of `clean-160`, `clean-640` and
-`noisy-160` for bench seeds 1-3 (75 pairs, about a minute) and prints one line
-per pair: the RANSAC and final pose errors and BA's initial and final
-objective as `float.hex`, BA's iteration count, the VC and RANSAC inlier
-counts, and a SHA-256 of the final pose's rotation and translation bytes.
+Builds the scenes of `clean-160`, `clean-640` and `noisy-160` for bench seeds
+1-3 and runs `bench/pipeline.run_pair` on each (75 pairs, about a minute). It
+prints two lines per pair:
+
+- `scene`: SHA-256s of the clean maps' bytes and of the records' map bytes,
+  the oracle's entry count and a SHA-256 of its pixels, points and ranks;
+- `pair`: the RANSAC and final pose errors and BA's initial and final
+  objective as `float.hex`, BA's iteration count, the VC and RANSAC inlier
+  counts, and a SHA-256 of the final pose's rotation and translation bytes.
+
 `diff` of two checkouts' outputs is empty exactly when no digested output of
-any pair changed by a bit.
+any scene or pair changed by a bit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,31 @@ def _hex(value) -> str:
     return "-" if value is None else float(value).hex()
 
 
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _map_arrays(maps):
+    return [a for dsm in maps for a in (dsm.faces, dsm.barys)]
+
+
+def scene_digest(scene) -> str:
+    """One line of bit-exact set-up outputs of one scene: the clean maps, the
+    records' (noisy) maps and the ground-truth oracle."""
+    noisy = [p.surface_map for rec in scene.records for p in rec.priors]
+    oracle = scene.oracle
+    pixels = np.array([(c.cam_a, c.cam_b, c.pixel_a.u, c.pixel_a.v, c.pixel_b.u, c.pixel_b.v)
+                       for c in oracle], dtype=np.float64)
+    points = np.array([c.point for c in oracle], dtype=np.float64)
+    ranks = np.array([c.rank_a for c in oracle], dtype=np.int64)
+    fields = [_sha(*_map_arrays(scene.clean_maps)), _sha(*_map_arrays(noisy)),
+              len(oracle), _sha(pixels, points, ranks)]
+    return " ".join(str(f) for f in fields)
+
+
 def pair_digest(scene, ransac_seed: int) -> str:
     """One line of bit-exact outputs of `run_pair` on one scene."""
     res = pipeline.run_pair(scene, ransac_seed, run.no_span)
@@ -57,8 +87,10 @@ def main() -> int:
         for seed in SEEDS:
             configs, ransac_seeds = run.scene_configs(wl, seed)
             for i, (cfg, ransac_seed) in enumerate(zip(configs, ransac_seeds)):
-                line = pair_digest(generate_scene(cfg, wl.noise), ransac_seed)
-                print(f"{name} seed={seed} pair={i} {line}", flush=True)
+                scene = generate_scene(cfg, wl.noise)
+                tag = f"{name} seed={seed} pair={i}"
+                print(f"{tag} scene {scene_digest(scene)}", flush=True)
+                print(f"{tag} pair {pair_digest(scene, ransac_seed)}", flush=True)
     return 0
 
 
