@@ -17,6 +17,12 @@ initializations.
 
 Tracks are columnar (VcTracks; soft mode's X2 is one (n, 3) array), so the
 parameter vector is packed and unpacked by index-array gathers and scatters.
+
+Unless two fixed cameras fix the scale, one free camera keeps its translation
+norm (the scale gauge; Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 1999, section 9). Its translation is the chart exp([B phi]x) t0
+on the sphere |t| = |t0|, a 2-parameter update on S^2 (Hertzberg et al.,
+Information Fusion 2013), so every parameter vector satisfies the gauge.
 """
 
 from __future__ import annotations
@@ -124,10 +130,12 @@ class BaProblem:
     # -- parameter vector layout ------------------------------------------
 
     def pack_params(self, lay: "_Layout") -> np.ndarray:
-        """Parameter vector of the problem as stored (rotation increments 0)."""
+        """Parameter vector of the problem as stored (rotation increments and
+        the gauge chart at 0)."""
         x = np.zeros(lay.size)
         for ci, off in lay.cam_offset.items():
-            x[off + 3 : off + 6] = self.cameras[ci].pose.translation
+            if ci != lay.gauge_cam:
+                x[off + 3 : off + 6] = self.cameras[ci].pose.translation
         tr = self.tracks
         x[lay.x1_idx] = tr.x1
         x[lay.ab_idx] = np.stack([tr.a, tr.b])[:, lay.virtual_rows]
@@ -137,11 +145,12 @@ class BaProblem:
 
     def apply_params(self, x, lay: "_Layout") -> list:
         """Cameras with the parameter vector's rotation increments and
-        translations folded in."""
+        translations (or gauge chart) folded in."""
         cams = list(self.cameras)
         for ci, off in lay.cam_offset.items():
-            rot = so3_exp(x[off : off + 3]) @ cams[ci].pose.rotation
-            cams[ci] = replace(cams[ci], pose=SE3Pose(rot, x[off + 3 : off + 6]))
+            pose = cams[ci].pose
+            rot = so3_exp(x[off : off + 3]) @ pose.rotation
+            cams[ci] = replace(cams[ci], pose=SE3Pose(rot, lay.translation(x, ci, pose)))
         return cams
 
 
@@ -150,20 +159,34 @@ class _Layout:
 
     The parameter vector holds (w, t) for each free camera in camera order,
     then per track X1, (a, b) for virtual tracks, and X2 for virtual tracks
-    in soft mode. Nothing here depends on camera poses or on x.
+    in soft mode. Unless two or more cameras are fixed, the first free camera
+    with a nonzero translation t0 is the gauge camera, whose block is
+    (w, phi) instead: its translation is the chart exp([B phi]x) t0 with B a
+    fixed orthonormal 3x2 basis normal to t0, so |t| = |t0| for every phi.
+    Nothing here depends on x.
     """
 
     def __init__(self, problem: BaProblem):
         tracks = problem.tracks
         free = [i for i, cam in enumerate(problem.cameras) if not cam.fixed]
-        self.cam_offset = {ci: 6 * k for k, ci in enumerate(free)}
+        self.gauge_cam = self.gauge_basis = None
+        if len(problem.cameras) - len(free) < 2:
+            for ci in free:
+                t0 = problem.cameras[ci].pose.translation
+                if np.linalg.norm(t0) > 1e-9:
+                    # rows 2 and 3 of V^T span the plane normal to t0
+                    self.gauge_cam, self.gauge_basis = ci, np.linalg.svd(t0[None, :])[2][1:].T
+                    break
+        cam_width = np.array([5 if ci == self.gauge_cam else 6 for ci in free], dtype=int)
+        cam_size = int(cam_width.sum())
+        self.cam_offset = dict(zip(free, (np.cumsum(cam_width) - cam_width).tolist()))
         self.n = len(tracks)
         virtual = ~tracks.classic
         self.soft = virtual & (problem.mode == "soft")  # tracks with an explicit X2
         self.any_soft = bool(self.soft.any())
         width = 3 + 2 * virtual + 3 * self.soft
-        start = 6 * len(free) + np.cumsum(width) - width
-        self.size = 6 * len(free) + int(width.sum())
+        start = cam_size + np.cumsum(width) - width
+        self.size = cam_size + int(width.sum())
         self.virtual_rows = np.flatnonzero(virtual)
         self.x1_idx = start[:, None] + np.arange(3)
         self.ab_idx = start[virtual] + np.array([[3], [4]])  # rows a, b
@@ -176,6 +199,13 @@ class _Layout:
         # rows fx, fy, cx, cy, skew of each track's two cameras
         self.k_a = np.ascontiguousarray(k[tracks.cam_a].T)
         self.k_b = np.ascontiguousarray(k[tracks.cam_b].T)
+
+    def translation(self, x, ci, pose):
+        """Free camera ci's translation in x; pose is its stored pose."""
+        off = self.cam_offset[ci] + 3
+        if ci != self.gauge_cam:
+            return x[off : off + 3]
+        return so3_exp(self.gauge_basis @ x[off : off + 2]) @ pose.translation
 
     def thickness(self, x):
         """Every track's (a, b) in x, zero on classic tracks."""
@@ -225,7 +255,7 @@ def _camera_arrays(cameras, x, lay):
         else:
             w = x[off : off + 3]
             rot[i] = so3_exp(w) @ cam.pose.rotation
-            trans[i] = x[off + 3 : off + 6]
+            trans[i] = lay.translation(x, i, cam.pose)
             jl[i] = so3_left_jacobian(w)
     centers = -np.einsum("cki,ck->ci", rot, trans)
     return rot, trans, jl, centers
@@ -328,7 +358,13 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     g = np.zeros(lay.size)
     for ci, off in lay.cam_offset.items():
         g[off : off + 3] = jl[ci].T @ g_w[ci]
-        g[off + 3 : off + 6] = g_t[ci]
+        if ci == lay.gauge_cam:
+            # t = exp([B phi]x) t0 moves by (J_l(B phi) B d) x t for a step d
+            basis = lay.gauge_basis
+            jl_t = so3_left_jacobian(basis @ x[off + 3 : off + 5])
+            g[off + 3 : off + 5] = basis.T @ (jl_t.T @ np.cross(trans[ci], g_t[ci]))
+        else:
+            g[off + 3 : off + 6] = g_t[ci]
     g[lay.x1_idx] = g_x1
     g[lay.ab_idx] = g_ab[:, lay.virtual_rows]
     g[lay.x2_idx] = g_x2e[lay.soft]
@@ -356,7 +392,8 @@ def ba_objective(problem: BaProblem, x) -> float:
     """Total squared reprojection error (pixel^2) at a parameter vector.
 
     Rotation blocks of x are tangent increments composed onto the problem's
-    stored rotations. Soft mode adds the weighted tuple-consistency penalty;
+    stored rotations, and the gauge camera's translation block is its chart
+    (see _Layout). Soft mode adds the weighted tuple-consistency penalty;
     points behind a camera contribute the smooth depth penalty instead of a
     reprojection term.
     """
@@ -386,46 +423,22 @@ class BaSolution:
 
 
 def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
-    """Refine cameras and tuples by projected limited-memory quasi-Newton.
+    """Refine cameras and tuples by unconstrained limited-memory quasi-Newton.
 
-    Gauge: fixed cameras are untouched (bit-identical), and unless two or
-    more cameras are fixed the first free camera keeps its initial
-    translation norm (the scale gauge), which the line search projects onto.
-    Thickness parameters are unbounded. The parameter layout (index arrays
-    and per-track constants) is built once per solve. Each free camera's
-    rotation is one tangent vector composed onto its stored rotation, in one
-    chart for the whole solve, and is folded in at the end. The problem is
-    not modified.
+    Fixed cameras are untouched (bit-identical), and the scale gauge is a
+    chart (see _Layout). Thickness parameters are unbounded. The parameter
+    layout is built once per solve. Each free camera's rotation is one
+    tangent vector composed onto its stored rotation, in one chart for the
+    whole solve; it and the gauge chart are folded in at the end. The
+    problem is not modified.
     """
     config = config or BaConfig()
     lay = _Layout(problem)
-    x0 = problem.pack_params(lay)
-
-    scale_cam = None
-    scale_norm = 0.0
-    if sum(c.fixed for c in problem.cameras) < 2:
-        for ci in sorted(lay.cam_offset):
-            norm = float(np.linalg.norm(problem.cameras[ci].pose.translation))
-            if norm > 1e-9:
-                scale_cam, scale_norm = ci, norm
-                break
-
-    def project(x):
-        x = np.array(x)
-        if scale_cam is not None:
-            off = lay.cam_offset[scale_cam]
-            t = x[off + 3 : off + 6]
-            norm = np.linalg.norm(t)
-            if norm > 1e-12:
-                x[off + 3 : off + 6] = t * (scale_norm / norm)
-        return x
-
     x_final, opt = minimize_lbfgs(
         lambda x: _evaluate(problem, lay, x, False)[0],
         lambda x: _evaluate(problem, lay, x, True)[1],
-        x0,
+        problem.pack_params(lay),
         max_iterations=config.max_iterations,
-        project=project,
     )
     return BaSolution(problem.apply_params(x_final, lay), opt)
 
@@ -447,8 +460,7 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
     person_ids = np.array([vc.person_id for vc in vcs], dtype=np.int64)
 
     def first_points(record, pixels):
-        k = record.intrinsics
-        dirs = np.column_stack([k.normalize(pixels), np.ones(len(pixels))])
+        dirs = record.intrinsics.pixel_rays(pixels)
         points = np.zeros((len(pixels), 3))
         hit = np.zeros(len(pixels), dtype=bool)
         for pid in np.unique(person_ids):

@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidCoordinateError, TopologyMismatchError
 from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
-from .mesh import TriangleMesh, batch_all_hits, surface_points
+from .mesh import TriangleMesh, batch_all_hits, run_ranks, surface_points
 
 MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
 TOLERANCE_FLOOR = 0.01  # smallest match tolerance suggest_surface_tolerance returns
@@ -250,16 +250,14 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     pix = dsm_c.mapped_pixels(params.stride)  # row-major
     if len(pix) == 0:
         return []
-    dirs = np.column_stack(
-        [cast.intrinsics.normalize(pix.astype(np.float64)), np.ones(len(pix))]
-    )
+    dirs = cast.intrinsics.pixel_rays(pix)
     # the row norm summed column by column, in the order np.linalg.norm sums
     dirs /= np.sqrt(dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
                     + dirs[:, 2] * dirs[:, 2])[:, None]
     ray, _, hit_face, hit_bary = batch_all_hits(
         mesh_c, np.zeros_like(dirs), dirs, max_hits=MAX_HITS_PER_RAY
     )
-    rank = np.arange(len(ray)) - np.searchsorted(ray, ray)
+    rank = run_ranks(ray)
     # evaluate positions from the coordinate address so they match the
     # observer-entry positions computed on the same (casting) mesh
     hit_pos = surface_points(mesh_c, hit_face, hit_bary)
@@ -276,8 +274,7 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     m = cand[back == cand]
 
     # cap VCs per casting pixel, lowest ranks first (m is ray- then rank-ordered)
-    r = ray[m]
-    m = m[np.arange(len(m)) - np.searchsorted(r, r) < params.max_per_pixel]
+    m = m[run_ranks(ray[m]) < params.max_per_pixel]
 
     # re-view the matched canonical point on the casting image's own prior
     e = near[m]

@@ -95,6 +95,12 @@ class CameraIntrinsics:
         x = (p[..., 0] - self.cx - self.skew * y) / self.fx
         return np.stack([x, y], axis=-1)
 
+    def pixel_rays(self, pixels: np.ndarray) -> np.ndarray:
+        """Camera-frame ray directions (n, 3) through pixels (n, 2): each
+        pixel's normalized image coordinates with a third coordinate 1."""
+        xy = self.normalize(pixels)
+        return np.column_stack([xy, np.ones(len(xy))])
+
     def denormalize(self, xy: np.ndarray) -> np.ndarray:
         """Inverse of normalize."""
         xy = np.asarray(xy, dtype=np.float64)

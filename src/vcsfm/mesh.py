@@ -70,8 +70,7 @@ class TriangleMesh:
         areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         if f.size and areas.min() <= 1e-12:
             raise ValueError(f"degenerate face (area {areas.min():.3g})")
-        self.face_areas = areas
-        for a in (self.vertices, self.faces, self.corners, areas):
+        for a in (self.vertices, self.faces, self.corners):
             a.flags.writeable = False
         self._cast_memo = None  # (origin bytes, _CastTable) of the latest origin
 
@@ -149,9 +148,7 @@ def cast_rays(mesh: TriangleMesh, origins, directions, max_hits: int | None = No
         keep = face == np.repeat(smallest, np.diff(np.r_[starts, len(ray)]))
         ray, face, t, u, v = ray[keep], face[keep], t[keep], u[keep], v[keep]
     if max_hits is not None and len(ray):
-        first = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
-        rank = np.arange(len(ray)) - np.repeat(first, np.diff(np.r_[first, len(ray)]))
-        keep = rank < max_hits
+        keep = run_ranks(ray) < max_hits
         ray, face, t, u, v = ray[keep], face[keep], t[keep], u[keep], v[keep]
     bary = np.clip(np.column_stack([1.0 - u - v, u, v]), 0.0, None)
     # column sums in the order of a row sum, without its per-row overhead
@@ -285,6 +282,11 @@ def _candidate_pairs(table: _CastTable, dirs):
     ray_parts.append(np.repeat(np.arange(len(dirs)), len(straddle)))
     face_parts.append(np.tile(straddle, len(dirs)))
     return np.concatenate(ray_parts), np.concatenate(face_parts)
+
+
+def run_ranks(keys) -> np.ndarray:
+    """Position of each entry of sorted keys within its run of equal keys."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys)
 
 
 def _ranges(starts, counts):

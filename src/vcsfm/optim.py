@@ -1,21 +1,13 @@
-"""Limited-memory quasi-Newton minimizer with projected backtracking.
+"""Unconstrained limited-memory quasi-Newton minimizer (L-BFGS).
 
-Supports the one hook bundle adjustment needs: a projection applied inside
-the line search (bound constraints, gauge renormalization). Descent is
-monotone by construction: a step is only accepted when it lowers the
-objective.
+Descent is monotone by construction: a step is only accepted when it lowers
+the objective.
 
 A rejected trial shrinks the step to the minimizer of the quadratic through
 f(x), the slope at x and f at the trial point, clipped to [_MIN_SHRINK, 0.5]
 (Nocedal & Wright, Numerical Optimization, 3.5), and halves it when that
 quadratic has no minimizer or the rise of f is below _RESOLUTION * |f|,
 mostly rounding error. A line search ends once its trial no longer moves x.
-
-Only a trial that the first-order model calls downhill, g . (x_try - x) < 0,
-is evaluated. A projection can turn a quasi-Newton direction uphill at every
-step length (renormalizing onto a sphere moves the step across the tangent
-plane); such a direction is dropped with its history for steepest descent,
-whose projected trials turn downhill once the step is short enough.
 """
 
 from __future__ import annotations
@@ -69,10 +61,9 @@ def _two_loop(history, g):
     return q
 
 
-def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None):
+def minimize_lbfgs(fun, grad, x0, *, max_iterations=300):
     """Minimize fun with analytic grad from x0.
 
-    project(x) -> x is applied to every trial point inside the line search.
     grad runs once at x0 and once per accepted step. Returns
     (x, LbfgsReport). The run ends as converged_gradient once |g|_inf <=
     _GRADIENT_TOLERANCE, and as converged_step once an accepted step is at
@@ -81,8 +72,6 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None):
     trials promised is below the resolution of f, else as line_search_failure.
     """
     x = np.array(x0, dtype=np.float64)
-    if project is not None:
-        x = project(x)
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=np.float64)
     report = LbfgsReport()
@@ -103,16 +92,9 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300, project=None):
         promised = 0.0  # largest decrease a trial's first-order model predicted
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + alpha * d
-            if project is not None:
-                x_try = project(x_try)
             if np.array_equal(x_try, x):
                 break  # the step no longer moves x: no trial is left
             predicted = float(g @ (x_try - x))
-            if predicted >= 0.0:
-                if history:
-                    break  # the projection turned d uphill: drop the history
-                alpha *= 0.5
-                continue
             promised = max(promised, -predicted)
             f_try = float(fun(x_try))
             if f_try <= f + _ARMIJO * predicted and f_try < f:

@@ -132,13 +132,11 @@ def five_point(x1, x2) -> list[np.ndarray]:
     return candidates
 
 
-def cheirality_votes(e_or_pose, x1, x2):
-    """Per-candidate count of pairs whose closest-approach ray parameters are
-    both positive (the cheirality test generalized to virtual pairs)."""
-    if isinstance(e_or_pose, SE3Pose):
-        poses = [e_or_pose]
-    else:
-        poses = decompose_essential(e_or_pose)
+def cheirality_votes(e, x1, x2):
+    """The four decompositions of e, and per candidate the count of pairs
+    whose closest-approach ray parameters are both positive (the cheirality
+    test generalized to virtual pairs)."""
+    poses = decompose_essential(e)
     q1 = _homogeneous(x1)
     q2 = _homogeneous(x2)
     u1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .extraction import DenseSurfaceMap, ImageRecord, ShapePrior
 from .geometry import CameraIntrinsics, Pixel, SE3Pose, project_points, so3_exp
-from .mesh import TriangleMesh, batch_all_hits, batch_first_hits
+from .mesh import TriangleMesh, batch_all_hits, batch_first_hits, run_ranks
 
 # relative position tolerance for the oracle's visibility test
 _VIS_TOL = 1e-6
@@ -211,8 +211,7 @@ def render_surface_map(mesh_cam: TriangleMesh, k: CameraIntrinsics,
         np.arange(u_lo, u_hi + 1, dtype=np.float64),
         np.arange(v_lo, v_hi + 1, dtype=np.float64),
     )
-    xy = k.normalize(np.stack([uu.ravel(), vv.ravel()], axis=1))
-    dirs = np.column_stack([xy, np.ones(len(xy))])
+    dirs = k.pixel_rays(np.stack([uu.ravel(), vv.ravel()], axis=1))
     _, face, bary, ok = batch_first_hits(mesh_cam, np.zeros_like(dirs), dirs)
     sub_h, sub_w = uu.shape
     faces_img[v_lo : v_hi + 1, u_lo : u_hi + 1] = np.where(ok, face, -1).reshape(sub_h, sub_w)
@@ -232,8 +231,7 @@ def _jitter_map(dsm: DenseSurfaceMap, mesh_cam: TriangleMesh, k: CameraIntrinsic
     if len(pix) == 0 or sigma == 0.0:
         return dsm
     jitter = rng.normal(scale=sigma, size=(len(pix), 2))
-    xy = k.normalize(pix.astype(np.float64) + jitter)
-    dirs = np.column_stack([xy, np.ones(len(xy))])
+    dirs = k.pixel_rays(pix + jitter)
     _, face, bary, ok = batch_first_hits(mesh_cam, np.zeros_like(dirs), dirs)
     faces = np.array(dsm.faces)
     barys = np.array(dsm.barys)
@@ -360,8 +358,7 @@ def _build_oracle(mesh, meshes_cam, poses, k, clean_maps):
         pix = clean_maps[i].mapped_pixels(_ORACLE_STRIDE)  # row-major
         if len(pix) == 0:
             continue
-        xy = k.normalize(pix.astype(np.float64))
-        dirs_cam = np.column_stack([xy, np.ones(len(xy))])
+        dirs_cam = k.pixel_rays(pix)
         dirs_cam /= np.linalg.norm(dirs_cam, axis=1, keepdims=True)
         dirs_world = dirs_cam @ poses[i].rotation  # R^T per row
         origin = -poses[i].rotation.T @ poses[i].translation
@@ -372,7 +369,7 @@ def _build_oracle(mesh, meshes_cam, poses, k, clean_maps):
             continue
         points = origin + depths[:, None] * dirs_world[ray]
         ray_pix = pix[ray].astype(np.float64).tolist()
-        ranks = (np.arange(len(ray)) - np.searchsorted(ray, ray)).tolist()
+        ranks = run_ranks(ray).tolist()
 
         for j in range(n):
             if j == i:
@@ -388,8 +385,7 @@ def _build_oracle(mesh, meshes_cam, poses, k, clean_maps):
             if not ok.any():
                 continue
             sel = np.nonzero(ok)[0]
-            xyj = k.normalize(uv[sel])
-            dirs_j = np.column_stack([xyj, np.ones(len(sel))])
+            dirs_j = k.pixel_rays(uv[sel])
             p_cam_j = poses[j].transform(points[sel])
             d_first, _, _, hit_ok = batch_first_hits(
                 meshes_cam[j], np.zeros_like(dirs_j), dirs_j

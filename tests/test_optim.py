@@ -1,5 +1,4 @@
 import numpy as np
-from scipy.optimize import nnls
 
 from vcsfm.optim import minimize_lbfgs
 
@@ -19,28 +18,6 @@ def test_ill_conditioned_quadratic_reaches_its_minimum(rng):
     # a step is accepted only if f falls, so x is good to about sqrt(eps * cond)
     np.testing.assert_allclose(x, np.linalg.solve(a, b), atol=1e-6)
     assert all(f1 < f0 for f0, f1 in zip(report.objective_trace, report.objective_trace[1:]))
-
-
-def test_projected_iterates_stay_feasible_and_reach_the_bound_optimum(rng):
-    # min 0.5 x'Ax - b'x over x >= 0, with a diagonal A so that projecting
-    # the quasi-Newton step is a valid method
-    a = np.diag(np.logspace(0.0, 2.0, 6))
-    b = np.array([3.0, -2.0, 5.0, -1.0, 0.5, -4.0])
-    seen = []
-
-    def fun(x):
-        seen.append(x)
-        return 0.5 * x @ a @ x - b @ x
-
-    def grad(x):
-        seen.append(x)
-        return a @ x - b
-
-    x, _ = minimize_lbfgs(fun, grad, -np.ones(6), project=lambda x: np.maximum(x, 0.0))
-    assert all(np.all(v >= 0.0) for v in seen)
-    # the same problem as a non-negative least-squares fit, ||A^1/2 x - A^-1/2 b||
-    ref, _ = nnls(np.sqrt(a), b / np.sqrt(np.diag(a)))
-    np.testing.assert_allclose(x, ref, atol=1e-9)
 
 
 def test_badly_scaled_first_step_is_cut_to_size_by_interpolation(rng):
@@ -82,20 +59,3 @@ def test_flat_objective_with_a_gradient_stops_early_as_a_line_search_failure():
     assert report.status == "line_search_failure"
     assert report.iterations == 0 and np.array_equal(x, x0)
     assert len(calls) < 60
-
-
-def test_projection_onto_a_sphere_reaches_a_stationary_point(rng):
-    # min 0.5 x'Ax - b'x on the unit sphere. Renormalizing a trial can turn
-    # a quasi-Newton direction uphill at every step length; accepting the
-    # rounding-level decrease found there stopped runs with a tangential
-    # gradient of 0.1 or more
-    a, b = _quadratic(rng, 3, 1.0)
-    b = 3.0 * b
-    x0 = rng.normal(size=3)
-    sphere = lambda x: x / np.linalg.norm(x)
-    x, report = minimize_lbfgs(lambda x: 0.5 * x @ a @ x - b @ x, lambda x: a @ x - b,
-                               x0, project=sphere, max_iterations=1000)
-    assert report.status.startswith("converged")
-    g = a @ x - b
-    assert np.abs(g - (g @ x) * x).max() < 1e-6
-    assert all(f1 < f0 for f0, f1 in zip(report.objective_trace, report.objective_trace[1:]))
