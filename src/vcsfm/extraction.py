@@ -157,6 +157,8 @@ class ExtractionParams:
     def __post_init__(self):
         if self.stride < 1 or self.surface_tolerance <= 0.0:
             raise ValueError("stride must be >= 1 and tolerance positive")
+        if self.max_per_pixel < 1:
+            raise ValueError("max_per_pixel must be >= 1")
 
 
 def suggest_surface_tolerance(records) -> float:

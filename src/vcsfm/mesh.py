@@ -20,7 +20,9 @@ Every cast goes through one kernel, `cast_rays`, on arrays of rays;
 - All per-face data of a cast (frame, face split, boxes, grid and the
   Moller-Trumbore table) depend on the mesh and the origin only. They are
   built once per (mesh, origin) and kept on the mesh for the latest origin,
-  so a cast costs time in proportion to its rays and candidate pairs.
+  so a cast costs time in proportion to its rays and candidate pairs. A
+  synthetic scene casts each camera-frame mesh from its origin only, so it
+  builds one table per camera.
 - The test is Moller-Trumbore (Moller & Trumbore, JGT 1997) with inclusive
   barycentric bounds (BARY_TOL), keeping hits deeper than EPS_MIN.
 - Depth is in units of the given direction vectors, which need not be unit.
@@ -318,7 +320,7 @@ def batch_all_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarr
 
     There is no single-ray variant: one ray is a batch of one. This stays a
     function of its own so that the all-hit casts of VC extraction and of the
-    synthetic oracle have one name to be wrapped by where those modules bind
+    synthetic render have one name to be wrapped by where those modules bind
     it (bench/tracing.py counts their rays).
     """
     return cast_rays(mesh, origins, directions, max_hits=max_hits)

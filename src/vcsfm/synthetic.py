@@ -1,6 +1,12 @@
 """Ground-truth scene generation for benchmarking: a built-in body proxy,
 camera rings, exact surface-map rendering (the dense-association oracle),
-noise injection, and a verified ground-truth correspondence oracle."""
+noise injection, and a verified ground-truth correspondence oracle.
+
+Each camera is cast once, from its origin on the scene mesh in its own frame:
+one all-hit cast gives both its surface map and the oracle's samples. The
+oracle's visibility checks cast those same camera-frame meshes from the same
+origin, so a scene builds one cast table per camera and never casts the
+world-frame mesh."""
 
 from __future__ import annotations
 
@@ -16,8 +22,10 @@ from .mesh import TriangleMesh, batch_all_hits, batch_first_hits, run_ranks
 
 # relative position tolerance for the oracle's visibility test
 _VIS_TOL = 1e-6
-# the oracle casts from every mapped pixel whose coordinates are multiples of this
+# the oracle samples every mapped pixel whose coordinates are multiples of this
 _ORACLE_STRIDE = 4
+# hits kept per ray of a render: the map takes the first, the oracle all of them
+_ORACLE_HITS = 4
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,11 @@ class SceneConfig:
     def __post_init__(self):
         if self.camera_count < 2:
             raise ValueError("need at least two cameras")
+        size = tuple(self.image_size)
+        if len(size) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in size):
+            raise ValueError("image size must be two positive integers")
+        if not (self.focal_length > 0.0 and self.fill_fraction > 0.0):
+            raise ValueError("focal length and fill fraction must be positive")
         angles = self.baseline_angles
         if angles is not None:
             if len(angles) != self.camera_count:
@@ -194,31 +207,52 @@ def render_surface_map(mesh_cam: TriangleMesh, k: CameraIntrinsics,
 
     Only pixels inside the mesh's projected bounding rectangle are cast.
     """
+    return _render(mesh_cam, k, width, height)[0]
+
+
+def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int):
+    """`render_surface_map` and the oracle's samples, from one all-hit cast.
+
+    The map takes each ray's nearest hit. The samples are the hits of the rays
+    through pixels whose coordinates are multiples of `_ORACLE_STRIDE`:
+    (pixel (K, 2), rank (K,), camera-frame point (K, 3)), in row-major pixel
+    order, nearest first. Only these are kept, not the hits of every ray.
+    """
     v = mesh_cam.vertices
-    faces_img = np.full((height, width), -1, dtype=np.int64)
-    barys_img = np.zeros((height, width, 3))
     if np.all(v[:, 2] > 0.0):
         uv = k.denormalize(v[:, :2] / v[:, 2:3])
         u_lo = max(0, int(np.floor(uv[:, 0].min())) - 1)
         u_hi = min(width - 1, int(np.ceil(uv[:, 0].max())) + 1)
         v_lo = max(0, int(np.floor(uv[:, 1].min())) - 1)
         v_hi = min(height - 1, int(np.ceil(uv[:, 1].max())) + 1)
-        if u_lo > u_hi or v_lo > v_hi:
-            return DenseSurfaceMap(faces_img, barys_img)
+        # a rectangle off the image casts no rays
+        u_hi, v_hi = max(u_hi, u_lo - 1), max(v_hi, v_lo - 1)
     else:
         u_lo, u_hi, v_lo, v_hi = 0, width - 1, 0, height - 1
-    uu, vv = np.meshgrid(
-        np.arange(u_lo, u_hi + 1, dtype=np.float64),
-        np.arange(v_lo, v_hi + 1, dtype=np.float64),
-    )
-    dirs = k.pixel_rays(np.stack([uu.ravel(), vv.ravel()], axis=1))
-    _, face, bary, ok = batch_first_hits(mesh_cam, np.zeros_like(dirs), dirs)
-    sub_h, sub_w = uu.shape
-    faces_img[v_lo : v_hi + 1, u_lo : u_hi + 1] = np.where(ok, face, -1).reshape(sub_h, sub_w)
-    barys_img[v_lo : v_hi + 1, u_lo : u_hi + 1] = bary.reshape(sub_h, sub_w, 3)
+    us = np.arange(u_lo, u_hi + 1, dtype=np.float64)
+    vs = np.arange(v_lo, v_hi + 1, dtype=np.float64)
+    dirs = k.pixel_rays(np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
+    ray, depth, face, bary = batch_all_hits(mesh_cam, np.zeros_like(dirs), dirs,
+                                            max_hits=_ORACLE_HITS)
+    rank = run_ranks(ray)
+    row, col = np.divmod(ray, len(us))
+
+    # the images are allocated after the cast, whose candidate pairs set the
+    # peak of memory
+    first = np.flatnonzero(rank == 0)
+    faces_img = np.full((height, width), -1, dtype=np.int64)
+    barys_img = np.zeros((height, width, 3))
+    at = (v_lo + row[first]) * width + (u_lo + col[first])
+    faces_img.reshape(-1)[at] = face[first]
+    barys_img.reshape(-1, 3)[at] = bary[first]
     # read-only arrays are adopted by the map, not copied
     faces_img.flags.writeable = barys_img.flags.writeable = False
-    return DenseSurfaceMap(faces_img, barys_img)
+
+    sampled = np.flatnonzero((us[col] % _ORACLE_STRIDE == 0) & (vs[row] % _ORACLE_STRIDE == 0))
+    row, col = row[sampled], col[sampled]
+    samples = (np.column_stack([us[col], vs[row]]), rank[sampled],
+               depth[sampled, None] * dirs[ray[sampled]])
+    return DenseSurfaceMap(faces_img, barys_img), samples
 
 
 def _jitter_map(dsm: DenseSurfaceMap, mesh_cam: TriangleMesh, k: CameraIntrinsics,
@@ -289,8 +323,9 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None) -> Synt
     """Build ground-truth poses, per-image records, and the GT VC oracle.
 
     Cameras sit on a ring around the subject at the configured angles (plus a
-    seeded elevation within the configured range), surface maps are rendered
-    by exact first-hit ray casting, prior meshes are the ground-truth mesh in
+    seeded elevation within the configured range). Each camera's surface map
+    is the first hit of one exact all-hit cast, whose sampled hits also seed
+    the oracle (see `_render`). Prior meshes are the ground-truth mesh in
     each camera frame perturbed per the noise config.
     """
     noise = noise or NoiseConfig()
@@ -319,11 +354,13 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None) -> Synt
     records = []
     clean_maps = []
     meshes_cam = []
+    samples = []
     for idx, pose in enumerate(poses):
         mesh_cam = mesh.transformed(rotation=pose.rotation, translation=pose.translation)
         meshes_cam.append(mesh_cam)
-        clean = render_surface_map(mesh_cam, k, width, height)
+        clean, sampled = _render(mesh_cam, k, width, height)
         clean_maps.append(clean)
+        samples.append(sampled)
         noisy = _jitter_map(clean, mesh_cam, k, noise.pixel_sigma, rng)
         noisy = _inject_outliers(noisy, mesh.num_faces, noise.outlier_fraction, rng)
         prior = _perturb_prior(mesh_cam, noise, rng)
@@ -335,7 +372,7 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None) -> Synt
             )
         )
 
-    oracle = _build_oracle(mesh, meshes_cam, poses, k, clean_maps)
+    oracle = _build_oracle(meshes_cam, poses, k, width, height, samples)
     return SyntheticScene(
         config=scene,
         noise=noise,
@@ -347,29 +384,25 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None) -> Synt
     )
 
 
-def _build_oracle(mesh, meshes_cam, poses, k, clean_maps):
-    """Verified cross-image pairs: sampled pixels of a, all ray hits, exact
-    reprojections into every b where the hit point is the visible surface.
-    meshes_cam holds the world-frame `mesh` in each camera's frame."""
+def _build_oracle(meshes_cam, poses, k, width, height, samples):
+    """Verified cross-image pairs: every sampled hit of camera a, reprojected
+    exactly into every other camera b where the hit point is b's visible
+    surface.
+
+    `samples[a]` holds camera a's sampled hits from its render (see `_render`)
+    and `meshes_cam[b]` the scene mesh in camera b's frame. The visibility
+    casts are first-hit casts on `meshes_cam[b]` from its origin, so they use
+    the cast table of b's render.
+    """
     n = len(poses)
-    width, height = clean_maps[0].width, clean_maps[0].height
     out = []
     for i in range(n):
-        pix = clean_maps[i].mapped_pixels(_ORACLE_STRIDE)  # row-major
+        pix, ranks, points_cam = samples[i]
         if len(pix) == 0:
             continue
-        dirs_cam = k.pixel_rays(pix)
-        dirs_cam /= np.linalg.norm(dirs_cam, axis=1, keepdims=True)
-        dirs_world = dirs_cam @ poses[i].rotation  # R^T per row
-        origin = -poses[i].rotation.T @ poses[i].translation
-        ray, depths, _, _ = batch_all_hits(
-            mesh, np.tile(origin, (len(pix), 1)), dirs_world, max_hits=4
-        )
-        if len(ray) == 0:
-            continue
-        points = origin + depths[:, None] * dirs_world[ray]
-        ray_pix = pix[ray].astype(np.float64).tolist()
-        ranks = run_ranks(ray).tolist()
+        points = poses[i].inverse_transform(points_cam)
+        ray_pix = pix.tolist()
+        ranks = ranks.tolist()
 
         for j in range(n):
             if j == i:

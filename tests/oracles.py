@@ -209,3 +209,52 @@ def vc_extraction_oracle(a, b, params):
             vcs.append(VirtualCorrespondence(pixel_a=pa, pixel_b=pb, hit_rank=rank,
                                              person_id=person))
     return vcs
+
+
+def world_frame_oracle(scene):
+    """A scene's ground-truth oracle, cast on the world-frame mesh.
+
+    Each camera's sampled pixels are cast as unit world rays from the
+    camera centre on `scene.gt_mesh`, where the library reads the hits of its
+    camera-frame render. Visibility is checked as the library does, by a
+    first-hit cast in the other camera's frame.
+    """
+    from vcsfm.geometry import Pixel, project_points
+    from vcsfm.mesh import batch_all_hits, batch_first_hits, run_ranks
+    from vcsfm.synthetic import _ORACLE_HITS, _ORACLE_STRIDE, _VIS_TOL, GtCorrespondence
+
+    mesh, poses, maps = scene.gt_mesh, scene.gt_poses, scene.clean_maps
+    k = scene.records[0].intrinsics
+    width, height = maps[0].width, maps[0].height
+    meshes_cam = [mesh.transformed(rotation=p.rotation, translation=p.translation) for p in poses]
+    out = []
+    for i, pose_a in enumerate(poses):
+        pix = maps[i].mapped_pixels(_ORACLE_STRIDE)
+        if len(pix) == 0:
+            continue
+        dirs_cam = k.pixel_rays(pix)
+        dirs_cam /= np.linalg.norm(dirs_cam, axis=1, keepdims=True)
+        dirs_world = dirs_cam @ pose_a.rotation
+        origin = -pose_a.rotation.T @ pose_a.translation
+        ray, depths, _, _ = batch_all_hits(mesh, np.tile(origin, (len(pix), 1)), dirs_world,
+                                           max_hits=_ORACLE_HITS)
+        points = origin + depths[:, None] * dirs_world[ray]
+        ranks = run_ranks(ray)
+        for j, pose_b in enumerate(poses):
+            if j == i:
+                continue
+            uv, depth = project_points(pose_b, k, points)
+            ok = ((depth > 1e-6) & (uv[:, 0] >= 0.0) & (uv[:, 0] <= width - 1)
+                  & (uv[:, 1] >= 0.0) & (uv[:, 1] <= height - 1))
+            sel = np.nonzero(ok)[0]
+            dirs_j = k.pixel_rays(uv[sel])
+            p_cam_j = pose_b.transform(points[sel])
+            d_first, _, _, hit_ok = batch_first_hits(meshes_cam[j], np.zeros_like(dirs_j), dirs_j)
+            visible = hit_ok & (
+                np.linalg.norm(d_first[:, None] * dirs_j - p_cam_j, axis=1)
+                <= _VIS_TOL * np.maximum(1.0, np.linalg.norm(p_cam_j, axis=1)))
+            for s in sel[visible]:
+                out.append(GtCorrespondence(
+                    cam_a=i, cam_b=j, pixel_a=Pixel(*pix[ray[s]].astype(np.float64).tolist()),
+                    pixel_b=Pixel(*uv[s].tolist()), point=points[s], rank_a=int(ranks[s])))
+    return out

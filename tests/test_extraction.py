@@ -269,6 +269,14 @@ def test_extraction_matches_dense_oracle(scene, change, request):
     assert got == want  # dataclass equality: pixels bit for bit, ranks and person ids
 
 
+@pytest.mark.parametrize("change", [
+    {"stride": 0}, {"surface_tolerance": 0.0}, {"max_per_pixel": 0}, {"max_per_pixel": -1},
+], ids=["stride", "tolerance", "cap-0", "cap-negative"])
+def test_extraction_params_reject_invalid_values(change):
+    with pytest.raises(ValueError):
+        ExtractionParams(**change)
+
+
 def test_extraction_symmetry_under_role_swap(opposed_scene):
     a, b = opposed_scene.records
     params = scene_params(opposed_scene)

@@ -2,6 +2,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import pair_digest  # noqa: E402
@@ -30,14 +32,22 @@ def test_scene_digest_covers_maps_and_oracle():
     scene = generate_scene(cfg)
     line = pair_digest.scene_digest(scene)
     assert pair_digest.scene_digest(generate_scene(cfg)) == line
-    clean, maps, count, oracle = line.split()
+    clean, maps, count, exact, floats = line.split()
     assert int(count) == len(scene.oracle) > 0
     assert clean == maps  # noise-free records carry the clean maps
-    assert all(len(h) == 64 and int(h, 16) >= 0 for h in (clean, oracle))
+    assert all(len(h) == 64 and int(h, 16) >= 0 for h in (clean, exact, floats))
     # jitter changes the records' maps and nothing else
     jittered = pair_digest.scene_digest(generate_scene(cfg, NoiseConfig(pixel_sigma=0.5)))
-    assert jittered.split() == [clean, jittered.split()[1], count, oracle] != line.split()
-    # a changed oracle rank changes the oracle hash alone
-    scene.oracle[0] = dataclasses.replace(scene.oracle[0], rank_a=scene.oracle[0].rank_a + 1)
-    assert pair_digest.scene_digest(scene).split()[:3] == [clean, maps, count]
-    assert pair_digest.scene_digest(scene).split()[3] != oracle
+    assert jittered.split() == [clean, jittered.split()[1], count, exact, floats] != line.split()
+    # a changed oracle rank changes the exact hash alone, a moved point or
+    # pixel_b the float hash alone
+    first = scene.oracle[0]
+    scene.oracle[0] = dataclasses.replace(first, rank_a=first.rank_a + 1)
+    changed = pair_digest.scene_digest(scene).split()
+    assert changed[:3] + changed[4:] == [clean, maps, count, floats] and changed[3] != exact
+    pixel_b = first.pixel_b
+    for moved in ({"point": np.nextafter(first.point, np.inf)},
+                  {"pixel_b": dataclasses.replace(pixel_b, u=np.nextafter(pixel_b.u, np.inf))}):
+        scene.oracle[0] = dataclasses.replace(first, **moved)
+        changed = pair_digest.scene_digest(scene).split()
+        assert changed[:4] == [clean, maps, count, exact] and changed[4] != floats

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import vcsfm.mesh
 import vcsfm.synthetic
-from oracles import collapsed_hits_oracle
+from oracles import collapsed_hits_oracle, world_frame_oracle
 from vcsfm.extraction import ray_gap
 from vcsfm.geometry import project_points, ray_through_pixel, SE3Pose
 from vcsfm.mesh import DEPTH_TIE, cast_rays, surface_points
@@ -106,6 +107,40 @@ def test_scene_from_shared_proxy_mesh_equals_scene_from_fresh_mesh(monkeypatch):
     assert_scenes_equal(shared, fresh)
 
 
+@pytest.mark.parametrize("camera_count", [2, 3])
+def test_scene_builds_one_cast_table_per_camera(monkeypatch, camera_count):
+    built = []
+    table = vcsfm.mesh._CastTable
+
+    def counted(mesh, origin):
+        built.append(mesh)
+        return table(mesh, origin)
+
+    monkeypatch.setattr(vcsfm.mesh, "_CastTable", counted)
+    monkeypatch.setattr(vcsfm.synthetic, "builtin_proxy_mesh", builtin_proxy_mesh.__wrapped__)
+    cfg = SceneConfig(camera_count=camera_count, elevation_range=10.0, seed=4, **SMALL)
+    scene = generate_scene(cfg, NoiseConfig(pixel_sigma=0.5))
+    assert len(scene.oracle) > 0
+    assert len(built) == len({id(m) for m in built}) == camera_count
+    assert scene.gt_mesh._cast_memo is None  # the world-frame mesh is never cast
+
+
+@pytest.mark.parametrize("cfg, noise", [
+    *((SceneConfig(baseline_angles=(0.0, a), **SMALL), NoiseConfig()) for a in (30.0, 90.0, 180.0)),
+    (SceneConfig(camera_count=3, elevation_range=10.0, seed=42, **SMALL),
+     NoiseConfig(pixel_sigma=0.5, prior_rotation_sigma=1.0, outlier_fraction=0.1)),
+], ids=["30", "90", "180", "3-cam-noisy"])
+def test_oracle_matches_world_frame_oracle(cfg, noise):
+    scene = generate_scene(cfg, noise)
+    want = world_frame_oracle(scene)
+    assert len(scene.oracle) == len(want) > 0
+    for got, ref in zip(scene.oracle, want):
+        assert (got.cam_a, got.cam_b, got.pixel_a, got.rank_a) == (
+            ref.cam_a, ref.cam_b, ref.pixel_a, ref.rank_a)
+        assert np.abs(got.point - ref.point).max() <= 1e-12
+        assert max(abs(got.pixel_b.u - ref.pixel_b.u), abs(got.pixel_b.v - ref.pixel_b.v)) <= 1e-9
+
+
 def test_scene_determinism_byte_identical():
     cfg = SceneConfig(camera_count=3, elevation_range=10.0, seed=42, **SMALL)
     noise = NoiseConfig(pixel_sigma=0.5, prior_rotation_sigma=1.0, outlier_fraction=0.1)
@@ -205,6 +240,13 @@ def test_scene_config_validation():
         SceneConfig(camera_count=2, baseline_angles=(0.0,))
     with pytest.raises(ValueError):
         SceneConfig(camera_count=2, baseline_angles=(0.0, 400.0))
+    for bad in ({"image_size": (0, 120)}, {"image_size": (160, -1)}, {"image_size": (160,)},
+                {"image_size": (160.0, 120)}, {"image_size": (160, 120, 3)},
+                {"focal_length": 0.0}, {"focal_length": -170.0},
+                {"fill_fraction": 0.0}, {"fill_fraction": -0.3}):
+        with pytest.raises(ValueError):
+            SceneConfig(camera_count=2, **bad)
+    SceneConfig(camera_count=2, image_size=(np.int64(160), 120))
     with pytest.raises(ValueError):
         NoiseConfig(outlier_fraction=1.0)
     with pytest.raises(ValueError):
