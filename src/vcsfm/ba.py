@@ -465,9 +465,7 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
         hit = np.zeros(len(pixels), dtype=bool)
         for pid in np.unique(person_ids):
             rows = np.flatnonzero(person_ids == pid)
-            depth, _, _, ok = batch_first_hits(
-                record.posed_mesh(int(pid)), np.zeros((len(rows), 3)), dirs[rows]
-            )
+            depth, _, _, ok = batch_first_hits(record.posed_mesh(int(pid)), dirs[rows])
             rows = rows[ok]
             points[rows] = depth[ok, None] * dirs[rows]
             hit[rows] = True

@@ -57,10 +57,6 @@ class DenseSurfaceMap:
             np.full((height, width), -1, dtype=np.int64), np.zeros((height, width, 3))
         )
 
-    @property
-    def num_mapped(self) -> int:
-        return len(self._mapped)
-
     def mapped_index(self) -> np.ndarray:
         """Flat row-major indices of the mapped pixels, ascending; read-only,
         computed once per map."""
@@ -256,9 +252,7 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     # the row norm summed column by column, in the order np.linalg.norm sums
     dirs /= np.sqrt(dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
                     + dirs[:, 2] * dirs[:, 2])[:, None]
-    ray, _, hit_face, hit_bary = batch_all_hits(
-        mesh_c, np.zeros_like(dirs), dirs, max_hits=MAX_HITS_PER_RAY
-    )
+    ray, _, hit_face, hit_bary = batch_all_hits(mesh_c, dirs, max_hits=MAX_HITS_PER_RAY)
     rank = run_ranks(ray)
     # evaluate positions from the coordinate address so they match the
     # observer-entry positions computed on the same (casting) mesh

@@ -18,7 +18,7 @@ ROTATION_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
+    """Freeze a fresh float64 array in place and return it."""
     a.flags.writeable = False
     return a
 
@@ -84,7 +84,10 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy", "skew"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError("focal lengths must be positive")
 
@@ -129,6 +132,8 @@ class SE3Pose:
         t = np.array(self.translation, dtype=np.float64).reshape(3)
         if R.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
+        if not np.isfinite(R).all():  # NaN would pass both checks below
+            raise ValueError("rotation must be finite")
         if np.linalg.norm(R.T @ R - np.eye(3)) > ROTATION_TOL:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > ROTATION_TOL:
@@ -183,9 +188,6 @@ class Ray:
             d = d / n
         object.__setattr__(self, "origin", _readonly(o))
         object.__setattr__(self, "direction", _readonly(d))
-
-    def point_at(self, d: float) -> np.ndarray:
-        return self.origin + d * self.direction
 
 
 def camera_center(pose: SE3Pose) -> np.ndarray:

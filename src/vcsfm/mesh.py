@@ -4,25 +4,24 @@ evaluation of surface coordinates (face + barycentric weights), all on arrays.
 A surface coordinate addresses a point on the canonical topology, so the same
 coordinate names the same body point on every posed copy of a mesh.
 
-Every cast goes through one kernel, `cast_rays`, on arrays of rays;
-`batch_first_hits` and `batch_all_hits` only reshape its result. Its contract:
+Every ray is cast from the origin of the mesh's frame: a camera casts its
+pixel rays on the mesh posed in its own frame. One kernel, `batch_all_hits`,
+casts arrays of rays; `batch_first_hits` only reshapes its result. Its
+contract:
 
-- Candidates are conservative. Rays are cast one origin group at a time.
-  Face vertices and ray directions are projected centrally onto the plane
-  normal to the direction from the origin to the mesh's vertex centroid, and
-  a face is tested only against the rays whose projection falls in its
-  projected bounding box, padded far past the barycentric slack. The boxes
-  are binned on a uniform grid of about FACES_PER_CELL faces per cell, and a
-  ray is box-tested against the faces listed in its own cell. A face with a
-  vertex at or behind the origin's plane is tested against every ray; a ray
-  pointing away from that plane only against such faces. The result is that
-  of testing every (ray, face) pair.
+- Candidates are conservative. Face vertices and ray directions are
+  projected centrally onto the plane normal to the direction from the origin
+  to the mesh's vertex centroid, and a face is tested only against the rays
+  whose projection falls in its projected bounding box, padded far past the
+  barycentric slack. The boxes are binned on a uniform grid of about
+  FACES_PER_CELL faces per cell, and a ray is box-tested against the faces
+  listed in its own cell. A face with a vertex at or behind the origin's
+  plane is tested against every ray; a ray pointing away from that plane only
+  against such faces. The result is that of testing every (ray, face) pair.
 - All per-face data of a cast (frame, face split, boxes, grid and the
-  Moller-Trumbore table) depend on the mesh and the origin only. They are
-  built once per (mesh, origin) and kept on the mesh for the latest origin,
-  so a cast costs time in proportion to its rays and candidate pairs. A
-  synthetic scene casts each camera-frame mesh from its origin only, so it
-  builds one table per camera.
+  Moller-Trumbore table) depend on the mesh only. They are built on the
+  mesh's first cast and kept for its life, so a cast costs time in
+  proportion to its rays and candidate pairs.
 - The test is Moller-Trumbore (Moller & Trumbore, JGT 1997) with inclusive
   barycentric bounds (BARY_TOL), keeping hits deeper than EPS_MIN.
 - Depth is in units of the given direction vectors, which need not be unit.
@@ -33,6 +32,8 @@ Every cast goes through one kernel, `cast_rays`, on arrays of rays;
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -56,11 +57,13 @@ FACES_PER_CELL = 1
 
 class TriangleMesh:
     """Immutable triangle mesh with each face's corner coordinates, and the
-    cast table of the origin it was last cast from (`_cast_table`)."""
+    cast table built on its first cast (`_cast_table`)."""
 
     def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=np.float64).reshape(-1, 3)
         f = np.array(faces, dtype=np.int64).reshape(-1, 3)
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face index out of range")
         self.vertices = v
@@ -74,7 +77,6 @@ class TriangleMesh:
             raise ValueError(f"degenerate face (area {areas.min():.3g})")
         for a in (self.vertices, self.faces, self.corners):
             a.flags.writeable = False
-        self._cast_memo = None  # (origin bytes, _CastTable) of the latest origin
 
     @property
     def num_faces(self) -> int:
@@ -89,19 +91,11 @@ class TriangleMesh:
             v = v + np.asarray(translation, dtype=np.float64)
         return TriangleMesh(v, self.faces)
 
-    def _cast_table(self, origin) -> "_CastTable":
-        """Per-face data of casts from `origin`, kept for the latest origin.
-
-        One origin at a time, so a mesh cast from many origins in turn holds
-        one table; the mesh's arrays are read-only, so a kept table stays valid.
-        """
-        origin = np.asarray(origin, dtype=np.float64)
-        key = origin.tobytes()
-        memo = self._cast_memo  # read once: another thread may replace it
-        if memo is None or memo[0] != key:
-            memo = (key, _CastTable(self, origin))
-            self._cast_memo = memo
-        return memo[1]
+    @cached_property
+    def _cast_table(self) -> "_CastTable":
+        """Per-face data of casts from the origin; the mesh's arrays are
+        read-only, so the table stays valid for the mesh's life."""
+        return _CastTable(self)
 
 
 def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> np.ndarray:
@@ -113,30 +107,24 @@ def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> 
     return np.einsum("nk,nkj->nj", np.asarray(barys, dtype=np.float64), tris)
 
 
-def cast_rays(mesh: TriangleMesh, origins, directions, max_hits: int | None = None):
-    """Hits of many rays, nearest first, at most `max_hits` per ray.
+def batch_all_hits(mesh: TriangleMesh, directions, max_hits: int | None = None):
+    """Hits of many rays from the origin, nearest first, at most `max_hits`
+    per ray.
 
-    origins, directions: (N, 3). Returns (ray (K,), depth (K,), face (K,),
-    bary (K, 3)) over the K hits kept, ordered by ray index, then depth.
+    directions: (N, 3). Returns (ray (K,), depth (K,), face (K,), bary (K, 3))
+    over the K hits kept, ordered by ray index, then depth. There is no
+    single-ray variant: one ray is a batch of one.
     """
-    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
-    if len(origins) == 0 or mesh.num_faces == 0:
-        groups = []
-    elif np.all(origins == origins[0]):
-        groups = [(origins[0], np.arange(len(origins)))]
+    if len(directions) and mesh.num_faces:
+        table = mesh._cast_table
+        ray, face = _candidate_pairs(table, directions)
+        t, u, v, valid = _moller_trumbore(table, directions, ray, face)
+        ray, face, t, u, v = ray[valid], face[valid], t[valid], u[valid], v[valid]
+        face = face.astype(np.int64)  # the table's indices are int32
     else:
-        uniq, group = np.unique(origins, axis=0, return_inverse=True)
-        group = group.ravel()
-        groups = [(o, np.flatnonzero(group == g)) for g, o in enumerate(uniq)]
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-              np.empty(0), np.empty(0), np.empty(0))]
-    for origin, rows in groups:
-        table = mesh._cast_table(origin)
-        ray, face = _candidate_pairs(table, directions[rows])
-        t, u, v, valid = _moller_trumbore(table, directions[rows], ray, face)
-        parts.append((rows[ray[valid]], face[valid], t[valid], u[valid], v[valid]))
-    ray, face, t, u, v = (np.concatenate(p) for p in zip(*parts))
+        ray = face = np.empty(0, dtype=np.int64)
+        t = u = v = np.empty(0)
 
     order = np.lexsort((face, t, ray))
     ray, face, t, u, v = ray[order], face[order], t[order], u[order], v[order]
@@ -159,13 +147,13 @@ def cast_rays(mesh: TriangleMesh, origins, directions, max_hits: int | None = No
 
 
 class _CastTable:
-    """Per-face data of casts from one origin on one mesh (see the module
+    """Per-face data of casts from the origin on one mesh (see the module
     contract): the projection frame, the ahead/straddle face split, the
     padded projected boxes of the ahead faces on a uniform grid, and the
     Moller-Trumbore table. Index arrays are int32 to keep tables small."""
 
-    def __init__(self, mesh: TriangleMesh, origin: np.ndarray):
-        axis = mesh.vertices.mean(axis=0) - origin
+    def __init__(self, mesh: TriangleMesh):
+        axis = mesh.vertices.mean(axis=0)
         if not np.linalg.norm(axis) > 0.0:
             axis = np.array([0.0, 0.0, 1.0])
         axis = axis / np.linalg.norm(axis)
@@ -173,7 +161,7 @@ class _CastTable:
         side /= np.linalg.norm(side)
         self.frame = np.stack([side, np.cross(axis, side), axis])  # rows: plane x, y, normal
 
-        vert = (mesh.vertices - origin) @ self.frame.T
+        vert = mesh.vertices @ self.frame.T
         on_plane = vert[:, 2] <= PLANE_TOL * np.abs(vert).max()
         corners = mesh.faces.T  # (3, F)
         behind = on_plane[corners[0]] | on_plane[corners[1]] | on_plane[corners[2]]
@@ -184,7 +172,7 @@ class _CastTable:
 
         v0 = mesh.corners[:, 0]
         e1, e2 = mesh.corners[:, 1] - v0, mesh.corners[:, 2] - v0
-        tvec = origin - v0
+        tvec = -v0
         qvec = np.cross(tvec, e1)
         # (F, 3, 3), columns: a ray direction times them gives -det and the
         # numerators of u and v
@@ -237,12 +225,12 @@ class _CastTable:
 
 
 def _moller_trumbore(table: _CastTable, dirs, ray, face):
-    """(t, u, v, hit-mask) of rays `dirs` from the table's origin on the
-    (ray, face) pairs.
+    """(t, u, v, hit-mask) of rays `dirs` from the origin on the (ray, face)
+    pairs.
 
-    With one origin the triple products factor into per-face vectors, so the
-    determinant and the numerators of u and v are dot products of the ray
-    direction with a per-face (3, 3) table.
+    With all rays from the origin the triple products factor into per-face
+    vectors, so the determinant and the numerators of u and v are dot
+    products of the ray direction with a per-face (3, 3) table.
     """
     dots = (dirs[ray][:, None, :] @ table.mt[face])[:, 0]  # -det, u and v numerators
     det = -dots[:, 0]
@@ -256,7 +244,7 @@ def _moller_trumbore(table: _CastTable, dirs, ray, face):
 
 
 def _candidate_pairs(table: _CastTable, dirs):
-    """(ray, face) index pairs that may intersect, for rays from the table's
+    """(ray, face) index pairs that may intersect, for rays `dirs` from the
     origin."""
     local = dirs @ table.frame.T
     ray_parts, face_parts = [], []
@@ -297,30 +285,17 @@ def _ranges(starts, counts):
     return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def batch_first_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarray):
-    """First hit of many rays.
+def batch_first_hits(mesh: TriangleMesh, directions: np.ndarray):
+    """First hit of many rays from the origin.
 
-    origins, directions: (N, 3); depths are in units of the given direction
-    vectors. Returns (depth (N,), face (N,), bary (N, 3), hit-mask (N,)), with
-    depth inf, face -1 and bary 0 on a miss.
+    directions: (N, 3); depths are in units of the given direction vectors.
+    Returns (depth (N,), face (N,), bary (N, 3), hit-mask (N,)), with depth
+    inf, face -1 and bary 0 on a miss.
     """
     n = len(np.asarray(directions).reshape(-1, 3))
-    ray, t, f, b = cast_rays(mesh, origins, directions, max_hits=1)
+    ray, t, f, b = batch_all_hits(mesh, directions, max_hits=1)
     depth = np.full(n, np.inf)
     face = np.full(n, -1, dtype=np.int64)
     bary = np.zeros((n, 3))
     depth[ray], face[ray], bary[ray] = t, f, b
     return depth, face, bary, face >= 0
-
-
-def batch_all_hits(mesh: TriangleMesh, origins: np.ndarray, directions: np.ndarray,
-                   max_hits: int | None = None):
-    """All hits of many rays, at most `max_hits` per ray: `cast_rays`' flat
-    (ray (K,), depth (K,), face (K,), bary (K, 3)), ordered by ray, then depth.
-
-    There is no single-ray variant: one ray is a batch of one. This stays a
-    function of its own so that the all-hit casts of VC extraction and of the
-    synthetic render have one name to be wrapped by where those modules bind
-    it (bench/tracing.py counts their rays).
-    """
-    return cast_rays(mesh, origins, directions, max_hits=max_hits)

@@ -2,11 +2,11 @@
 camera rings, exact surface-map rendering (the dense-association oracle),
 noise injection, and a verified ground-truth correspondence oracle.
 
-Each camera is cast once, from its origin on the scene mesh in its own frame:
-one all-hit cast gives both its surface map and the oracle's samples. The
-oracle's visibility checks cast those same camera-frame meshes from the same
-origin, so a scene builds one cast table per camera and never casts the
-world-frame mesh."""
+Each camera casts its pixel rays from its origin on the scene mesh posed in
+its own frame: one all-hit cast gives both its surface map and the oracle's
+samples, and the oracle's visibility checks cast those same camera-frame
+meshes. A mesh keeps the cast table built on its first cast, so a scene
+builds one table per camera and never casts the world-frame mesh."""
 
 from __future__ import annotations
 
@@ -109,12 +109,6 @@ class SyntheticScene:
     records: list  # ImageRecord per camera
     clean_maps: list  # DenseSurfaceMap per camera, before noise
     oracle: list = field(default_factory=list)  # GtCorrespondence entries
-
-    def oracle_pairs(self, cam_a: int, cam_b: int) -> list:
-        return [c for c in self.oracle if (c.cam_a, c.cam_b) == (cam_a, cam_b)]
-
-    def classic_oracle_pairs(self, cam_a: int, cam_b: int) -> list:
-        return [c for c in self.oracle_pairs(cam_a, cam_b) if c.rank_a == 0]
 
 
 def _capsule(p0, p1, radius, segments=16, cap_rings=6, side_rings=4):
@@ -232,8 +226,7 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
     us = np.arange(u_lo, u_hi + 1, dtype=np.float64)
     vs = np.arange(v_lo, v_hi + 1, dtype=np.float64)
     dirs = k.pixel_rays(np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
-    ray, depth, face, bary = batch_all_hits(mesh_cam, np.zeros_like(dirs), dirs,
-                                            max_hits=_ORACLE_HITS)
+    ray, depth, face, bary = batch_all_hits(mesh_cam, dirs, max_hits=_ORACLE_HITS)
     rank = run_ranks(ray)
     row, col = np.divmod(ray, len(us))
 
@@ -266,7 +259,7 @@ def _jitter_map(dsm: DenseSurfaceMap, mesh_cam: TriangleMesh, k: CameraIntrinsic
         return dsm
     jitter = rng.normal(scale=sigma, size=(len(pix), 2))
     dirs = k.pixel_rays(pix + jitter)
-    _, face, bary, ok = batch_first_hits(mesh_cam, np.zeros_like(dirs), dirs)
+    _, face, bary, ok = batch_first_hits(mesh_cam, dirs)
     faces = np.array(dsm.faces)
     barys = np.array(dsm.barys)
     u, v = pix[:, 0], pix[:, 1]
@@ -391,8 +384,8 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
 
     `samples[a]` holds camera a's sampled hits from its render (see `_render`)
     and `meshes_cam[b]` the scene mesh in camera b's frame. The visibility
-    casts are first-hit casts on `meshes_cam[b]` from its origin, so they use
-    the cast table of b's render.
+    casts are first-hit casts on `meshes_cam[b]`, so they use the cast table
+    of b's render.
     """
     n = len(poses)
     out = []
@@ -420,9 +413,7 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
             sel = np.nonzero(ok)[0]
             dirs_j = k.pixel_rays(uv[sel])
             p_cam_j = poses[j].transform(points[sel])
-            d_first, _, _, hit_ok = batch_first_hits(
-                meshes_cam[j], np.zeros_like(dirs_j), dirs_j
-            )
+            d_first, _, _, hit_ok = batch_first_hits(meshes_cam[j], dirs_j)
             first_points = d_first[:, None] * dirs_j
             visible = hit_ok & (
                 np.linalg.norm(first_points - p_cam_j, axis=1)

@@ -44,6 +44,13 @@ def looking_at_origin_pose(center, up=(0.0, 1.0, 0.0)):
     return SE3Pose(R, -R @ center)
 
 
+def seen_from(mesh, origin):
+    """`mesh` in the frame of a point `origin`: the library casts every ray
+    from the origin of the mesh's frame, so a cast from `origin` is a cast on
+    this copy. Depths, faces and barycentric weights carry over."""
+    return mesh.transformed(translation=-np.asarray(origin, dtype=np.float64))
+
+
 def unit_square_mesh():
     """Unit square in the z=0 plane, split along the (0,0)-(1,1) diagonal."""
     v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])

@@ -215,8 +215,9 @@ def world_frame_oracle(scene):
     """A scene's ground-truth oracle, cast on the world-frame mesh.
 
     Each camera's sampled pixels are cast as unit world rays from the
-    camera centre on `scene.gt_mesh`, where the library reads the hits of its
-    camera-frame render. Visibility is checked as the library does, by a
+    camera centre on `scene.gt_mesh`, translated so that the centre is its
+    origin, where the library reads the hits of its rotated camera-frame
+    render. Visibility is checked as the library does, by a
     first-hit cast in the other camera's frame.
     """
     from vcsfm.geometry import Pixel, project_points
@@ -236,7 +237,7 @@ def world_frame_oracle(scene):
         dirs_cam /= np.linalg.norm(dirs_cam, axis=1, keepdims=True)
         dirs_world = dirs_cam @ pose_a.rotation
         origin = -pose_a.rotation.T @ pose_a.translation
-        ray, depths, _, _ = batch_all_hits(mesh, np.tile(origin, (len(pix), 1)), dirs_world,
+        ray, depths, _, _ = batch_all_hits(mesh.transformed(translation=-origin), dirs_world,
                                            max_hits=_ORACLE_HITS)
         points = origin + depths[:, None] * dirs_world[ray]
         ranks = run_ranks(ray)
@@ -249,7 +250,7 @@ def world_frame_oracle(scene):
             sel = np.nonzero(ok)[0]
             dirs_j = k.pixel_rays(uv[sel])
             p_cam_j = pose_b.transform(points[sel])
-            d_first, _, _, hit_ok = batch_first_hits(meshes_cam[j], np.zeros_like(dirs_j), dirs_j)
+            d_first, _, _, hit_ok = batch_first_hits(meshes_cam[j], dirs_j)
             visible = hit_ok & (
                 np.linalg.norm(d_first[:, None] * dirs_j - p_cam_j, axis=1)
                 <= _VIS_TOL * np.maximum(1.0, np.linalg.norm(p_cam_j, axis=1)))

@@ -66,7 +66,7 @@ def test_project_ray_roundtrip_reproduces_point(rng):
         pix = project(pose, k, x_world)
         ray = ray_through_pixel(pose, k, pix)
         depth = np.linalg.norm(x_world - ray.origin)
-        assert np.linalg.norm(ray.point_at(depth) - x_world) < 1e-9
+        assert np.linalg.norm(ray.origin + depth * ray.direction - x_world) < 1e-9
 
 
 def test_principal_ray_is_forward_axis():
@@ -91,7 +91,7 @@ def test_ray_projection_consistency_many_depths(rng):
         ray = ray_through_pixel(pose, k, pix)
         assert np.allclose(ray.origin, camera_center(pose), atol=1e-12)
         for d in (0.1, 1.0, 10.0):
-            back = project(pose, k, ray.point_at(d))
+            back = project(pose, k, ray.origin + d * ray.direction)
             assert abs(back.u - pix.u) < 1e-9
             assert abs(back.v - pix.v) < 1e-9
 
@@ -313,6 +313,34 @@ def test_pose_validation_rejects_bad_rotation():
         SE3Pose(np.eye(3) * 1.1, np.zeros(3))
     with pytest.raises(ValueError):
         SE3Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+def test_pose_validation_rejects_non_finite_rotation():
+    for bad in (np.nan, np.inf):
+        r = np.eye(3)
+        r[0, 0] = bad  # NaN compares False, so it would pass both rotation checks
+        with pytest.raises(ValueError, match="finite"):
+            SE3Pose(r)
+
+
+def test_intrinsics_reject_non_finite_values():
+    good = dict(fx=100.0, fy=100.0, cx=320.0, cy=240.0, skew=0.0)
+    for name in good:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CameraIntrinsics(**{**good, name: bad})
+
+
+def test_pose_and_ray_hold_read_only_copies_of_their_inputs(rng):
+    r, t = random_rotation(rng), rng.normal(size=3)
+    pose = SE3Pose(r, t)
+    ray = Ray(t, [0.0, 0.0, 2.0])
+    for got, given_ in ((pose.rotation, r), (pose.translation, t), (ray.origin, t)):
+        assert np.array_equal(got, given_) and not np.shares_memory(got, given_)
+        assert not got.flags.writeable
+    assert not ray.direction.flags.writeable and ray.direction.tolist() == [0.0, 0.0, 1.0]
+    r[0, 0] = t[0] = np.nan  # the caller's arrays stay writeable and apart
+    assert np.isfinite(pose.rotation).all() and np.isfinite(ray.origin).all()
 
 
 def test_pose_compose_inverse(rng):

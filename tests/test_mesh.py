@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
 
-from conftest import cube_mesh, icosphere_mesh, unit_square_mesh
+import vcsfm.mesh
+from conftest import cube_mesh, icosphere_mesh, seen_from, unit_square_mesh
 from oracles import collapsed_hits_oracle, ray_triangle_hits_oracle
 from vcsfm.errors import InvalidCoordinateError
-from vcsfm.mesh import (
-    DEPTH_TIE,
-    TriangleMesh,
-    batch_all_hits,
-    batch_first_hits,
-    cast_rays,
-    surface_points,
-)
+from vcsfm.mesh import DEPTH_TIE, TriangleMesh, batch_all_hits, batch_first_hits, surface_points
 
 
 def one_ray(mesh, origin, direction):
     """(depth, face, bary) of every hit of one ray, nearest first."""
-    ray, depth, face, bary = cast_rays(mesh, [origin], [direction])
+    ray, depth, face, bary = batch_all_hits(seen_from(mesh, origin), [direction])
     assert np.all(ray == 0)
     return depth, face, bary
+
+
+def bundles(rng, count, radius, rays, spread):
+    """`count` origins at `radius` from the centre, each with `rays` ray
+    directions aimed at the centre plus normal noise of scale `spread`."""
+    origins = rng.normal(size=(count, 3))
+    for origin in origins / np.linalg.norm(origins, axis=1, keepdims=True) * radius:
+        yield origin, rng.normal(size=(rays, 3)) * spread - origin
 
 
 def ray_runs(ray, n):
@@ -62,14 +64,15 @@ def test_first_hit_is_head_of_all_hits():
     mesh = cube_mesh()
     origin, direction = [0.1, -0.2, -5.0], [0.0, 0.0, 1.0]
     depth, face, bary, ok = batch_first_hits(
-        mesh, [origin, [0.0, 0.0, -5.0]], [direction, [0.0, 0.0, -1.0]]
+        seen_from(mesh, origin), [direction, [0.0, 0.0, -1.0]]
     )
     all_depth, all_face, all_bary = one_ray(mesh, origin, direction)
     assert ok.tolist() == [True, False]
     assert (depth[0], face[0]) == (all_depth[0], all_face[0])
     assert np.array_equal(bary[0], all_bary[0])
     assert (depth[1], face[1]) == (np.inf, -1) and not bary[1].any()
-    depth, _, _, _ = batch_first_hits(unit_square_mesh(), [[0.5, 0.25, -1.0]], [[0, 0, 1]])
+    square = seen_from(unit_square_mesh(), [0.5, 0.25, -1.0])
+    depth, _, _, _ = batch_first_hits(square, [[0, 0, 1]])
     assert depth[0] == 1.0
 
 
@@ -82,13 +85,12 @@ def test_surface_point_vertices_and_centroid():
 
 def test_surface_point_roundtrip_from_hits(rng):
     mesh = icosphere_mesh(2)
-    origins = rng.normal(size=(50, 3))
-    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 3.0
-    dirs = -origins / 3.0
-    ray, depth, face, bary = cast_rays(mesh, origins, dirs)
-    assert len(ray) == 2 * len(origins)  # through the centre of the sphere
-    points = origins[ray] + depth[:, None] * dirs[ray]
-    assert np.abs(surface_points(mesh, face, bary) - points).max() < 1e-9
+    for origin, dirs in bundles(rng, 5, 3.0, 10, 0.1):
+        ray, depth, face, bary = batch_all_hits(seen_from(mesh, origin), dirs)
+        assert len(ray) == 2 * len(dirs)  # through the inside of the sphere
+        points = origin + depth[:, None] * dirs[ray]
+        # the surface coordinates of hits on the moved copy name the same points
+        assert np.abs(surface_points(mesh, face, bary) - points).max() < 1e-9
 
 
 def test_surface_point_invalid_face():
@@ -126,23 +128,22 @@ def test_surface_points_vectorized(rng):
 @pytest.mark.parametrize("maker", [cube_mesh, lambda: icosphere_mesh(2)])
 def test_watertight_hit_parity(maker, rng):
     mesh = maker()
-    origins = rng.normal(size=(100, 3))
-    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 4.0
-    dirs = rng.normal(size=(100, 3)) * 0.3 - origins
-    ray, _, _, _ = cast_rays(mesh, origins, dirs)
-    counts = np.bincount(ray, minlength=len(dirs))
-    assert np.all(counts % 2 == 0) and counts.any()
+    hits = 0
+    for origin, dirs in bundles(rng, 4, 4.0, 25, 0.3):
+        ray, _, _, _ = batch_all_hits(seen_from(mesh, origin), dirs)
+        counts = np.bincount(ray, minlength=len(dirs))
+        assert np.all(counts % 2 == 0)
+        hits += len(ray)
+    assert hits
 
 
 def test_hit_ordering_strictly_increasing(rng):
     mesh = icosphere_mesh(2)
-    origins = rng.normal(size=(50, 3))
-    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 4.0
-    dirs = rng.normal(size=(50, 3)) * 0.2 - origins
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ray, depth, _, _ = cast_rays(mesh, origins, dirs)
-    for run in ray_runs(ray, len(dirs)):
-        assert np.all(np.diff(depth[run]) > 1e-12)
+    for origin, dirs in bundles(rng, 5, 4.0, 10, 0.2):
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ray, depth, _, _ = batch_all_hits(seen_from(mesh, origin), dirs)
+        for run in ray_runs(ray, len(dirs)):
+            assert np.all(np.diff(depth[run]) > 1e-12)
 
 
 def test_shared_edge_grazing_single_hit_smallest_face():
@@ -157,47 +158,44 @@ def test_shared_edge_grazing_single_hit_smallest_face():
 
 def test_kernel_matches_oracle_on_large_mesh(rng):
     mesh = icosphere_mesh(3)  # 1280 faces
-    origins = rng.normal(size=(100, 3))
-    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 3.0
-    dirs = rng.normal(size=(100, 3)) * 0.4 - origins
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ray, depth, face, bary = cast_rays(mesh, origins, dirs)
-    for i, run in enumerate(ray_runs(ray, len(dirs))):
-        oracle = ray_triangle_hits_oracle(mesh.vertices, mesh.faces, origins[i], dirs[i])
-        assert len(depth[run]) == len(oracle)
-        for t, f, b, (t_want, f_want, b_want) in zip(depth[run], face[run], bary[run], oracle):
-            assert abs(t - t_want) < 1e-9
-            assert f == f_want
-            assert np.allclose(b, b_want, atol=1e-9)
+    for origin, dirs in bundles(rng, 4, 3.0, 25, 0.4):
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ray, depth, face, bary = batch_all_hits(seen_from(mesh, origin), dirs)
+        for i, run in enumerate(ray_runs(ray, len(dirs))):
+            oracle = ray_triangle_hits_oracle(mesh.vertices, mesh.faces, origin, dirs[i])
+            assert len(depth[run]) == len(oracle)
+            for t, f, b, (t_want, f_want, b_want) in zip(depth[run], face[run], bary[run],
+                                                         oracle):
+                assert abs(t - t_want) < 1e-9
+                assert f == f_want
+                assert np.allclose(b, b_want, atol=1e-9)
 
 
 def test_batch_first_hits_matches_single(rng):
     mesh = icosphere_mesh(2)
-    origins = rng.normal(size=(40, 3))
-    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 3.0
-    dirs = rng.normal(size=(40, 3)) * 0.3 - origins
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs[-5:] *= -1.0  # away from the sphere
-    depth, face, bary, ok = batch_first_hits(mesh, origins, dirs)
-    assert ok.any() and not ok.all()
-    for i in range(40):
-        want = collapsed_hits_oracle(mesh.vertices, mesh.faces, origins[i], dirs[i], DEPTH_TIE, 1)
-        if not want:
-            assert not ok[i] and (depth[i], face[i]) == (np.inf, -1)
-        else:
-            assert ok[i]
-            assert depth[i] == pytest.approx(want[0][0], abs=1e-9)
-            assert face[i] == want[0][1]
-            assert np.allclose(bary[i], want[0][2], atol=1e-9)
+    for origin, dirs in bundles(rng, 4, 3.0, 10, 0.3):
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs[-2:] *= -1.0  # away from the sphere
+        depth, face, bary, ok = batch_first_hits(seen_from(mesh, origin), dirs)
+        assert ok.any() and not ok.all()
+        for i in range(len(dirs)):
+            want = collapsed_hits_oracle(mesh.vertices, mesh.faces, origin, dirs[i], DEPTH_TIE, 1)
+            if not want:
+                assert not ok[i] and (depth[i], face[i]) == (np.inf, -1)
+            else:
+                assert ok[i]
+                assert depth[i] == pytest.approx(want[0][0], abs=1e-9)
+                assert face[i] == want[0][1]
+                assert np.allclose(bary[i], want[0][2], atol=1e-9)
 
 
 def test_batch_all_hits_matches_single(rng):
     mesh = cube_mesh()
-    origins = np.tile([[0.0, 0.0, -4.0]], (9, 1)) + rng.normal(size=(9, 3)) * 0.1
-    dirs = np.tile([[0.0, 0.0, 1.0]], (9, 1))
-    ray, _, _, _ = batch_all_hits(mesh, origins, dirs)
-    assert np.all(np.diff(ray) >= 0)
-    assert assert_matches_oracle(mesh, origins, dirs) == 2 * len(dirs)
+    for origin in [0.0, 0.0, -4.0] + rng.normal(size=(3, 3)) * 0.1:
+        dirs = [0.0, 0.0, 1.0] + rng.normal(size=(3, 3)) * 0.01
+        ray, _, _, _ = batch_all_hits(seen_from(mesh, origin), dirs)
+        assert np.all(np.diff(ray) >= 0)
+        assert assert_matches_oracle(mesh, origin, dirs) == 2 * len(dirs)
 
 
 def test_batch_all_hits_respects_cap():
@@ -208,22 +206,10 @@ def test_batch_all_hits_respects_cap():
         np.vstack([mesh.faces, inner.faces + len(mesh.vertices)]),
     )
     ray, depth, face, bary = batch_all_hits(
-        both, [[0.05, 0.04, -4.0]], [[0.0, 0.0, 1.0]], max_hits=3
+        seen_from(both, [0.05, 0.04, -4.0]), [[0.0, 0.0, 1.0]], max_hits=3
     )
     assert list(ray) == [0, 0, 0] and len(depth) == len(face) == len(bary) == 3
     assert np.all(np.diff(depth) > 0.0)
-
-
-def test_batch_all_hits_equals_cast_rays(rng):
-    mesh = merged(cube_mesh(), icosphere_mesh(2))
-    origins = np.tile([[0.0, 0.0, -4.0]], (50, 1))
-    dirs = rng.normal(size=(50, 3)) * 0.15 + [0.0, 0.0, 1.0]
-    for cap in (None, 1, 3):
-        got = batch_all_hits(mesh, origins, dirs, max_hits=cap)
-        want = cast_rays(mesh, origins, dirs, max_hits=cap)
-        assert len(got) == len(want) == 4
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def merged(*meshes):
@@ -235,13 +221,14 @@ def merged(*meshes):
     return TriangleMesh(np.vstack(verts), np.vstack(faces))
 
 
-def assert_matches_oracle(mesh, origins, dirs, max_hits=None):
-    origins = np.broadcast_to(origins, np.shape(dirs))
-    ray, depth, face, bary = batch_all_hits(mesh, origins, dirs, max_hits=max_hits)
+def assert_matches_oracle(mesh, origin, dirs, max_hits=None):
+    """Check a cast of rays `dirs` from `origin` against the oracle on `mesh`
+    as given; returns the number of hits."""
+    ray, depth, face, bary = batch_all_hits(seen_from(mesh, origin), dirs, max_hits=max_hits)
     n_hits = 0
-    for run, o, d in zip(ray_runs(ray, len(dirs)), origins, dirs):
+    for run, d in zip(ray_runs(ray, len(dirs)), dirs):
         depths, faces, barys = depth[run], face[run], bary[run]
-        want = collapsed_hits_oracle(mesh.vertices, mesh.faces, o, d, DEPTH_TIE, max_hits)
+        want = collapsed_hits_oracle(mesh.vertices, mesh.faces, origin, d, DEPTH_TIE, max_hits)
         assert len(depths) == len(want)
         for j, (t, f, b) in enumerate(want):
             assert depths[j] == pytest.approx(t, abs=1e-9)
@@ -290,8 +277,8 @@ def test_kernel_shared_edge_tie_keeps_smallest_face():
     origin = np.array([0.2, 0.7, -2.0])
     on_diagonal = np.array([[a, a, 0.0] for a in (0.1, 0.35, 0.5, 0.9)]) - origin
     off_diagonal = np.array([[0.7, 0.2, 0.0], [0.2, 0.7, 0.0]]) - origin
-    ray, _, face, _ = cast_rays(mesh, np.broadcast_to(origin, (6, 3)),
-                                np.vstack([on_diagonal, off_diagonal]))
+    ray, _, face, _ = batch_all_hits(seen_from(mesh, origin),
+                                     np.vstack([on_diagonal, off_diagonal]))
     assert list(ray) == [0, 1, 2, 3, 4, 5]
     assert list(face) == [0, 0, 0, 0, 0, 1]
     assert_matches_oracle(mesh, origin, on_diagonal)
@@ -304,7 +291,7 @@ def test_kernel_depth_tie_prefers_smallest_face_over_nearest():
     # face 1 lies 5e-13 nearer than face 0: within DEPTH_TIE, so face 0 wins
     tri = np.array([[-1.0, -1.0, 0.0], [2.0, -1.0, 0.0], [-1.0, 2.0, 0.0]])
     mesh = TriangleMesh(np.vstack([tri + [0.0, 0.0, 5e-13], tri]), [[0, 1, 2], [3, 4, 5]])
-    depth, face, _, ok = batch_first_hits(mesh, [[0.1, 0.2, -2.0]], [[0.0, 0.0, 1.0]])
+    depth, face, _, ok = batch_first_hits(seen_from(mesh, [0.1, 0.2, -2.0]), [[0.0, 0.0, 1.0]])
     assert ok[0] and face[0] == 0
     assert depth[0] == pytest.approx(2.0 + 5e-13, abs=1e-15)
 
@@ -315,10 +302,9 @@ def test_kernel_max_hits_cap_vs_oracle(rng):
     dirs = rng.normal(size=(40, 3)) * 0.01 + [0.0, 0.0, 1.0]
     for cap in (1, 2, 5):
         assert assert_matches_oracle(mesh, origin, dirs, max_hits=cap) == cap * len(dirs)
-    depth, face, bary, ok = batch_first_hits(mesh, np.broadcast_to(origin, dirs.shape), dirs)
-    ray, first_depth, first_face, first_bary = batch_all_hits(
-        mesh, np.broadcast_to(origin, dirs.shape), dirs, max_hits=1
-    )
+    seen = seen_from(mesh, origin)
+    depth, face, bary, ok = batch_first_hits(seen, dirs)
+    ray, first_depth, first_face, first_bary = batch_all_hits(seen, dirs, max_hits=1)
     assert ok.all()
     assert np.array_equal(ray, np.arange(len(dirs)))
     assert np.array_equal(depth, first_depth)
@@ -328,17 +314,14 @@ def test_kernel_max_hits_cap_vs_oracle(rng):
 
 def test_kernel_zero_rays_and_distinct_origins(rng):
     mesh = icosphere_mesh(2)
-    ray, depth, face, bary = cast_rays(mesh, np.empty((0, 3)), np.empty((0, 3)))
-    assert len(ray) == len(depth) == len(face) == len(bary) == 0
-    ray, depth, face, bary = batch_all_hits(mesh, np.empty((0, 3)), np.empty((0, 3)))
+    ray, depth, face, bary = batch_all_hits(mesh, np.empty((0, 3)))
     assert ray.shape == depth.shape == face.shape == (0,) and bary.shape == (0, 3)
-    depth, face, bary, ok = batch_first_hits(mesh, np.empty((0, 3)), np.empty((0, 3)))
+    assert ray.dtype == face.dtype == np.int64
+    depth, face, bary, ok = batch_first_hits(mesh, np.empty((0, 3)))
     assert depth.shape == face.shape == ok.shape == (0,) and bary.shape == (0, 3)
-    origins = rng.normal(size=(60, 3))
-    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 3.0
-    origins[30:] = origins[0]  # half the rays share one origin
-    dirs = rng.normal(size=(60, 3)) * 0.5 - origins
-    assert assert_matches_oracle(mesh, origins, dirs) > 40
+    hits = sum(assert_matches_oracle(mesh, origin, dirs)
+               for origin, dirs in bundles(rng, 2, 3.0, 30, 0.5))
+    assert hits > 40
 
 
 def test_mesh_validation():
@@ -346,26 +329,31 @@ def test_mesh_validation():
         TriangleMesh([[0, 0, 0], [1, 0, 0]], [[0, 1, 2]])
     with pytest.raises(ValueError):  # zero-area face
         TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
+    for bad in (np.nan, np.inf, -np.inf):  # a NaN area passes the area check
+        with pytest.raises(ValueError, match="finite"):
+            TriangleMesh([[0, 0, 0], [1, 0, 0], [0, bad, 0]], [[0, 1, 2]])
 
 
-def test_cast_table_is_kept_for_the_latest_origin_only(rng):
-    mesh = merged(icosphere_mesh(2), cube_mesh(center=(0.0, 0.0, 3.0)))
-    a, b = np.array([0.3, -0.2, -4.0]), np.array([4.0, 0.5, 1.0])
-    aims = rng.normal(size=(80, 3)) * 0.6
-    kept = {}
-    for name, origin in (("a", a), ("b", b), ("a", a)):
-        dirs = aims - origin
-        origins = np.broadcast_to(origin, dirs.shape)
-        got = cast_rays(mesh, origins, dirs, max_hits=3)
-        want = cast_rays(TriangleMesh(mesh.vertices, mesh.faces), origins, dirs, max_hits=3)
-        assert len(got[0]) > len(dirs)
-        for g, w in zip(got, want):
+def test_mesh_builds_one_cast_table_for_its_first_and_all_hit_casts(monkeypatch, rng):
+    builds = []
+    table = vcsfm.mesh._CastTable
+    monkeypatch.setattr(vcsfm.mesh, "_CastTable", lambda m: builds.append(m) or table(m))
+    mesh = seen_from(merged(icosphere_mesh(2), cube_mesh(center=(0.0, 0.0, 3.0))),
+                     [0.3, -0.2, -4.0])
+    dirs = rng.normal(size=(80, 3)) * 0.6 + [-0.3, 0.2, 4.0]
+    batch_all_hits(mesh, np.empty((0, 3)))
+    assert builds == [] and "_cast_table" not in mesh.__dict__  # built on a first cast
+    got = [batch_first_hits(mesh, dirs), batch_all_hits(mesh, dirs, max_hits=3),
+           batch_all_hits(mesh, dirs)]
+    assert len(builds) == 1 and builds[0] is mesh
+    assert len(got[1][0]) > len(dirs)
+    fresh = TriangleMesh(mesh.vertices, mesh.faces)
+    want = [batch_first_hits(fresh, dirs), batch_all_hits(fresh, dirs, max_hits=3),
+            batch_all_hits(fresh, dirs)]
+    assert len(builds) == 2 and builds[1] is fresh
+    for got_cast, want_cast in zip(got, want):
+        for g, w in zip(got_cast, want_cast):
             assert g.dtype == w.dtype and np.array_equal(g, w)
-        table = mesh._cast_table(origin)
-        assert mesh._cast_table(origin.copy()) is table
-        # casting from b replaced a's table, so the second cast from a rebuilt it
-        assert table is not kept.get(name)
-        kept[name] = table
 
 
 def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
@@ -378,7 +366,7 @@ def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
     in_plane = TriangleMesh([[-0.5, 0.0, 8.0], [0.5, 0.0, 8.0], [0.0, 0.0, 9.0]], [[0, 1, 2]])
     mesh = merged(icosphere_mesh(2).transformed(translation=(0.0, 0.0, 5.0)), *cubes,
                   cube_mesh(center=(0.0, 0.0, -3.0)), in_plane)
-    axis = mesh._cast_table(origin).frame[2]
+    axis = mesh._cast_table.frame[2]
     assert np.allclose(axis, [0.0, 0.0, 1.0], atol=1e-12)
 
     off_axis = np.vstack([c.vertices.mean(axis=0) + rng.normal(size=(10, 3)) * 0.1

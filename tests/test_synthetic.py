@@ -3,10 +3,11 @@ import pytest
 
 import vcsfm.mesh
 import vcsfm.synthetic
+from conftest import seen_from
 from oracles import collapsed_hits_oracle, world_frame_oracle
 from vcsfm.extraction import ray_gap
 from vcsfm.geometry import project_points, ray_through_pixel, SE3Pose
-from vcsfm.mesh import DEPTH_TIE, cast_rays, surface_points
+from vcsfm.mesh import DEPTH_TIE, batch_all_hits, surface_points
 from vcsfm.synthetic import (
     NoiseConfig,
     SceneConfig,
@@ -21,11 +22,14 @@ SMALL = dict(image_size=(96, 72), focal_length=110.0)
 def test_proxy_mesh_is_closed_and_sized(rng):
     mesh = builtin_proxy_mesh()
     assert 1000 < mesh.num_faces < 3500
-    origins = rng.normal(size=(60, 3))
-    origins = origins / np.linalg.norm(origins, axis=1, keepdims=True) * 4.0
-    ray, _, _, _ = cast_rays(mesh, origins, rng.normal(size=(60, 3)) * 0.3 - origins)
-    counts = np.bincount(ray, minlength=len(origins))
-    assert np.all(counts % 2 == 0) and counts.any()
+    origins = rng.normal(size=(4, 3))
+    hits = 0
+    for origin in origins / np.linalg.norm(origins, axis=1, keepdims=True) * 4.0:
+        dirs = rng.normal(size=(15, 3)) * 0.3 - origin
+        ray, _, _, _ = batch_all_hits(seen_from(mesh, origin), dirs)
+        assert np.all(np.bincount(ray, minlength=len(dirs)) % 2 == 0)
+        hits += len(ray)
+    assert hits
 
 
 def test_proxy_mesh_is_asymmetric():
@@ -52,15 +56,16 @@ def test_scene_opposed_pair_has_no_classic_matches():
     scene = generate_scene(
         SceneConfig(camera_count=2, baseline_angles=(0.0, 180.0), **SMALL)
     )
-    assert len(scene.classic_oracle_pairs(0, 1)) == 0
-    assert len(scene.oracle_pairs(0, 1)) > 0
+    pairs = [c for c in scene.oracle if (c.cam_a, c.cam_b) == (0, 1)]
+    assert len(pairs) > 0
+    assert not any(c.rank_a == 0 for c in pairs)
 
 
 def test_scene_narrow_baseline_has_classic_matches():
     scene = generate_scene(
         SceneConfig(camera_count=2, baseline_angles=(0.0, 20.0), **SMALL)
     )
-    assert len(scene.classic_oracle_pairs(0, 1)) > 10
+    assert sum((c.cam_a, c.cam_b, c.rank_a) == (0, 1, 0) for c in scene.oracle) > 10
 
 
 def test_rendered_map_is_self_consistent():
@@ -112,9 +117,9 @@ def test_scene_builds_one_cast_table_per_camera(monkeypatch, camera_count):
     built = []
     table = vcsfm.mesh._CastTable
 
-    def counted(mesh, origin):
+    def counted(mesh):
         built.append(mesh)
-        return table(mesh, origin)
+        return table(mesh)
 
     monkeypatch.setattr(vcsfm.mesh, "_CastTable", counted)
     monkeypatch.setattr(vcsfm.synthetic, "builtin_proxy_mesh", builtin_proxy_mesh.__wrapped__)
@@ -122,7 +127,7 @@ def test_scene_builds_one_cast_table_per_camera(monkeypatch, camera_count):
     scene = generate_scene(cfg, NoiseConfig(pixel_sigma=0.5))
     assert len(scene.oracle) > 0
     assert len(built) == len({id(m) for m in built}) == camera_count
-    assert scene.gt_mesh._cast_memo is None  # the world-frame mesh is never cast
+    assert "_cast_table" not in scene.gt_mesh.__dict__  # the world-frame mesh is never cast
 
 
 @pytest.mark.parametrize("cfg, noise", [
@@ -201,11 +206,11 @@ def test_render_prescreen_matches_full_frame():
     )
     k = scene.records[0].intrinsics
     dsm = render_surface_map(mesh_cam, k, 96, 72)
-    assert dsm.num_mapped == scene.clean_maps[0].num_mapped
+    assert np.array_equal(dsm.mapped_index(), scene.clean_maps[0].mapped_index())
     # spot-check pixels against the nearest of all hits of each pixel's ray
     pix = dsm.mapped_pixels()[::17]
     dirs = np.column_stack([k.normalize(pix.astype(float)), np.ones(len(pix))])
-    ray, _, face, _ = cast_rays(mesh_cam, np.zeros_like(dirs), dirs)
+    ray, _, face, _ = batch_all_hits(mesh_cam, dirs)
     first = np.searchsorted(ray, np.arange(len(pix)))
     assert np.array_equal(ray[first], np.arange(len(pix)))
     assert np.array_equal(face[first], dsm.faces[pix[:, 1], pix[:, 0]])
@@ -219,7 +224,7 @@ def test_render_matches_per_pixel_oracle():
         mesh_cam = scene.gt_mesh.transformed(rotation=pose.rotation, translation=pose.translation)
         k = scene.records[cam].intrinsics
         dsm = scene.clean_maps[cam]
-        assert dsm.num_mapped > 150
+        assert len(dsm.mapped_index()) > 150
         for v in range(24):
             for u in range(32):
                 d = np.append(k.normalize(np.array([u, v], dtype=float)), 1.0)
