@@ -51,12 +51,6 @@ class DenseSurfaceMap:
         mapped.flags.writeable = False
         self._mapped = mapped
 
-    @staticmethod
-    def empty(width: int, height: int) -> "DenseSurfaceMap":
-        return DenseSurfaceMap(
-            np.full((height, width), -1, dtype=np.int64), np.zeros((height, width, 3))
-        )
-
     def mapped_index(self) -> np.ndarray:
         """Flat row-major indices of the mapped pixels, ascending; read-only,
         computed once per map."""
@@ -231,12 +225,14 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
                         params: ExtractionParams):
     """VCs found by casting rays from `cast` and matching in `obs`.
 
-    Every mapped pixel of `cast` on the `stride` grid casts a ray through its
-    prior. A hit matches the observer-map entry nearest to it when that entry
-    lies within `surface_tolerance` (distance <= tolerance) and the hit is in
-    turn the entry's nearest hit. Each casting pixel keeps its first
-    `max_per_pixel` matches in rank order; of those, matches whose point lies
-    behind the casting camera or projects outside its frame are dropped.
+    Every mapped pixel of `cast` on the `stride` grid casts its unnormalized
+    pixel ray (z = 1) through its prior; only the hits' faces and barycentric
+    weights are read, never their depths. A hit matches the observer-map
+    entry nearest to it when that entry lies within `surface_tolerance`
+    (distance <= tolerance) and the hit is in turn the entry's nearest hit.
+    Each casting pixel keeps its first `max_per_pixel` matches in rank order;
+    of those, matches whose point lies behind the casting camera or projects
+    outside its frame are dropped.
 
     Returns rows (cast_uv, obs_uv, rank) of plain Python values, in
     row-major order of the casting pixel and ascending hit rank; the caller
@@ -249,9 +245,6 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     if len(pix) == 0:
         return []
     dirs = cast.intrinsics.pixel_rays(pix)
-    # the row norm summed column by column, in the order np.linalg.norm sums
-    dirs /= np.sqrt(dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
-                    + dirs[:, 2] * dirs[:, 2])[:, None]
     ray, _, hit_face, hit_bary = batch_all_hits(mesh_c, dirs, max_hits=MAX_HITS_PER_RAY)
     rank = run_ranks(ray)
     # evaluate positions from the coordinate address so they match the

@@ -8,7 +8,7 @@ coordinates are continuous pixels, epipolar operations run on normalized
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,20 +112,12 @@ class CameraIntrinsics:
         return np.stack([u, v], axis=-1)
 
 
-def _identity_rotation():
-    return _readonly(np.eye(3))
-
-
-def _zero_translation():
-    return _readonly(np.zeros(3))
-
-
 @dataclass(frozen=True)
 class SE3Pose:
     """World-to-camera rigid transform (x_cam = rotation @ x_world + translation)."""
 
-    rotation: np.ndarray = field(default_factory=_identity_rotation)
-    translation: np.ndarray = field(default_factory=_zero_translation)
+    rotation: np.ndarray
+    translation: np.ndarray
 
     def __post_init__(self):
         R = np.array(self.rotation, dtype=np.float64)
@@ -143,7 +135,7 @@ class SE3Pose:
 
     @staticmethod
     def identity() -> "SE3Pose":
-        return SE3Pose()
+        return SE3Pose(np.eye(3), np.zeros(3))
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to world points (..., 3), returning camera-frame points."""
@@ -181,6 +173,8 @@ class Ray:
     def __post_init__(self):
         o = np.array(self.origin, dtype=np.float64).reshape(3)
         d = np.array(self.direction, dtype=np.float64).reshape(3)
+        if not (np.isfinite(o).all() and np.isfinite(d).all()):
+            raise ValueError("ray origin and direction must be finite")
         n = np.linalg.norm(d)
         if abs(n - 1.0) > 1e-12:
             if n == 0.0:

@@ -10,15 +10,15 @@ casts arrays of rays; `batch_first_hits` only reshapes its result. Its
 contract:
 
 - Candidates are conservative. Face vertices and ray directions are
-  projected centrally onto the plane normal to the direction from the origin
-  to the mesh's vertex centroid, and a face is tested only against the rays
-  whose projection falls in its projected bounding box, padded far past the
-  barycentric slack. The boxes are binned on a uniform grid of about
-  FACES_PER_CELL faces per cell, and a ray is box-tested against the faces
-  listed in its own cell. A face with a vertex at or behind the origin's
-  plane is tested against every ray; a ray pointing away from that plane only
-  against such faces. The result is that of testing every (ray, face) pair.
-- All per-face data of a cast (frame, face split, boxes, grid and the
+  projected centrally onto the plane z = 1, the casting camera's normalized
+  image plane, and a face is tested only against the rays whose projection
+  falls in its projected bounding box, padded far past the barycentric
+  slack. The boxes are binned on a uniform grid of about FACES_PER_CELL
+  faces per cell, and a ray is box-tested against the faces listed in its
+  own cell. A face with a vertex at or behind the plane z = 0 is tested
+  against every ray; a ray with z <= 0 only against such faces. The result
+  is that of testing every (ray, face) pair.
+- All per-face data of a cast (face split, boxes, grid and the
   Moller-Trumbore table) depend on the mesh only. They are built on the
   mesh's first cast and kept for its life, so a cast costs time in
   proportion to its rays and candidate pairs.
@@ -48,7 +48,7 @@ BARY_TOL = 1e-10
 # pad of a projected face box, in box extents per unit vertex-depth ratio;
 # the barycentric slack needs at most 2 * BARY_TOL
 BOX_PAD = 1e-8
-# vertices closer than this to the origin's plane, relative to the mesh's
+# vertices closer than this to the plane z = 0, relative to the mesh's
 # extent about the origin, count as on it
 PLANE_TOL = 1e-12
 # faces per cell of the grid the projected face boxes are binned on
@@ -148,20 +148,13 @@ def batch_all_hits(mesh: TriangleMesh, directions, max_hits: int | None = None):
 
 class _CastTable:
     """Per-face data of casts from the origin on one mesh (see the module
-    contract): the projection frame, the ahead/straddle face split, the
-    padded projected boxes of the ahead faces on a uniform grid, and the
-    Moller-Trumbore table. Index arrays are int32 to keep tables small."""
+    contract): the ahead/straddle face split about the plane z = 0, the
+    padded boxes of the ahead faces projected onto z = 1 on a uniform grid,
+    and the Moller-Trumbore table. Index arrays are int32 to keep tables
+    small."""
 
     def __init__(self, mesh: TriangleMesh):
-        axis = mesh.vertices.mean(axis=0)
-        if not np.linalg.norm(axis) > 0.0:
-            axis = np.array([0.0, 0.0, 1.0])
-        axis = axis / np.linalg.norm(axis)
-        side = np.cross(np.eye(3)[np.argmin(np.abs(axis))], axis)
-        side /= np.linalg.norm(side)
-        self.frame = np.stack([side, np.cross(axis, side), axis])  # rows: plane x, y, normal
-
-        vert = mesh.vertices @ self.frame.T
+        vert = mesh.vertices
         on_plane = vert[:, 2] <= PLANE_TOL * np.abs(vert).max()
         corners = mesh.faces.T  # (3, F)
         behind = on_plane[corners[0]] | on_plane[corners[1]] | on_plane[corners[2]]
@@ -246,13 +239,12 @@ def _moller_trumbore(table: _CastTable, dirs, ray, face):
 def _candidate_pairs(table: _CastTable, dirs):
     """(ray, face) index pairs that may intersect, for rays `dirs` from the
     origin."""
-    local = dirs @ table.frame.T
     ray_parts, face_parts = [], []
 
-    # rays into the far half-space against the ahead faces listed in their cell
-    front = np.flatnonzero(local[:, 2] > 0.0)
+    # rays into z > 0 against the ahead faces listed in their cell
+    front = np.flatnonzero(dirs[:, 2] > 0.0)
     if len(table.ahead) and len(front):
-        q = local[front, :2] / local[front, 2:]  # (rays, 2)
+        q = dirs[front, :2] / dirs[front, 2:]  # (rays, 2)
         inside = ((q[:, 0] >= table.q0[0]) & (q[:, 0] <= table.q1[0])
                   & (q[:, 1] >= table.q0[1]) & (q[:, 1] <= table.q1[1]))
         front, q = front[inside], q[inside]
@@ -267,7 +259,7 @@ def _candidate_pairs(table: _CastTable, dirs):
         ray_parts.append(np.repeat(front, count)[inbox])
         face_parts.append(table.ahead[box[inbox]])
 
-    # faces at or behind the origin's plane against every ray
+    # faces at or behind the plane z = 0 against every ray
     straddle = table.straddle
     ray_parts.append(np.repeat(np.arange(len(dirs)), len(straddle)))
     face_parts.append(np.tile(straddle, len(dirs)))

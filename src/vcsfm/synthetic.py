@@ -195,19 +195,12 @@ def _look_at_pose(center, target, up=(0.0, 1.0, 0.0)) -> SE3Pose:
     return SE3Pose(rot, -rot @ center)
 
 
-def render_surface_map(mesh_cam: TriangleMesh, k: CameraIntrinsics,
-                       width: int, height: int) -> DenseSurfaceMap:
-    """Exact per-pixel first-hit map of a camera-frame mesh.
-
-    Only pixels inside the mesh's projected bounding rectangle are cast.
-    """
-    return _render(mesh_cam, k, width, height)[0]
-
-
 def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int):
-    """`render_surface_map` and the oracle's samples, from one all-hit cast.
+    """Exact per-pixel first-hit map of a camera-frame mesh and the oracle's
+    samples, from one all-hit cast.
 
-    The map takes each ray's nearest hit. The samples are the hits of the rays
+    Only pixels inside the mesh's projected bounding rectangle are cast. The
+    map takes each ray's nearest hit. The samples are the hits of the rays
     through pixels whose coordinates are multiples of `_ORACLE_STRIDE`:
     (pixel (K, 2), rank (K,), camera-frame point (K, 3)), in row-major pixel
     order, nearest first. Only these are kept, not the hits of every ray.

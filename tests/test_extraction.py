@@ -47,6 +47,11 @@ def scene_params(scene):
 # ---------------------------------------------------------------- index
 
 
+def empty_map(width, height):
+    """A map with no mapped pixel."""
+    return DenseSurfaceMap(np.full((height, width), -1), np.zeros((height, width, 3)))
+
+
 def sparse_map(rng, width, height, fraction=0.3):
     """A map with random entries and some rows and columns left empty."""
     faces = np.where(rng.random((height, width)) < fraction,
@@ -58,14 +63,14 @@ def sparse_map(rng, width, height, fraction=0.3):
 
 
 def test_mapped_pixels_match_two_dimensional_nonzero(rng):
-    for dsm in (sparse_map(rng, 13, 7), sparse_map(rng, 5, 11), DenseSurfaceMap.empty(9, 4)):
+    for dsm in (sparse_map(rng, 13, 7), sparse_map(rng, 5, 11), empty_map(9, 4)):
         want = np.column_stack(np.nonzero(dsm.faces >= 0)[::-1])
         got = dsm.mapped_pixels()
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         v, u = np.divmod(dsm.mapped_index(), dsm.width)
         assert np.array_equal(np.column_stack([u, v]), want)
-    assert DenseSurfaceMap.empty(9, 4).mapped_pixels().shape == (0, 2)
+    assert empty_map(9, 4).mapped_pixels().shape == (0, 2)
 
 
 def test_strided_mapped_pixels_match_modulo_filter(rng):
@@ -180,7 +185,7 @@ def test_surface_index_matches_linear_scan(opposed_scene, rng):
 
 
 def test_surface_index_of_empty_map_finds_nothing():
-    idx = SurfaceIndex(DenseSurfaceMap.empty(8, 8), unit_square_mesh())
+    idx = SurfaceIndex(empty_map(8, 8), unit_square_mesh())
     dist, got = idx.nearest(np.zeros((2, 3)), 10.0)
     assert len(idx) == 0 and np.all(dist == np.inf) and np.all(got == len(idx))
 
@@ -231,7 +236,7 @@ def test_empty_observer_map_yields_nothing(opposed_scene):
             ShapePrior(
                 person_id=0,
                 mesh=b.priors[0].mesh,
-                surface_map=DenseSurfaceMap.empty(dsm_b.width, dsm_b.height),
+                surface_map=empty_map(dsm_b.width, dsm_b.height),
             ),
         ),
     )
@@ -343,7 +348,7 @@ def test_topology_mismatch_raises(opposed_scene):
             ShapePrior(
                 person_id=0,
                 mesh=square,
-                surface_map=DenseSurfaceMap.empty(dsm_b.width, dsm_b.height),
+                surface_map=empty_map(dsm_b.width, dsm_b.height),
             ),
         ),
     )

@@ -320,7 +320,7 @@ def test_pose_validation_rejects_non_finite_rotation():
         r = np.eye(3)
         r[0, 0] = bad  # NaN compares False, so it would pass both rotation checks
         with pytest.raises(ValueError, match="finite"):
-            SE3Pose(r)
+            SE3Pose(r, np.zeros(3))
 
 
 def test_intrinsics_reject_non_finite_values():
@@ -357,6 +357,16 @@ def test_ray_normalizes_direction():
     r = Ray(np.zeros(3), [0.0, 0.0, 5.0])
     assert np.allclose(r.direction, [0.0, 0.0, 1.0])
     assert abs(np.linalg.norm(r.direction) - 1.0) < 1e-12
+
+
+def test_ray_rejects_non_finite_origin_or_direction():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Ray([0.0, bad, 0.0], [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Ray(np.zeros(3), [bad, 0.0, 1.0])
+    with pytest.raises(ValueError, match="nonzero"):
+        Ray(np.zeros(3), np.zeros(3))
 
 
 def test_skew_matches_cross(rng):

@@ -4,8 +4,11 @@ import pytest
 import vcsfm.mesh
 from conftest import cube_mesh, icosphere_mesh, seen_from, unit_square_mesh
 from oracles import collapsed_hits_oracle, ray_triangle_hits_oracle
+from vcsfm.ba import lift_vcs_to_tracks
 from vcsfm.errors import InvalidCoordinateError
+from vcsfm.extraction import ExtractionParams, extract_vcs, suggest_surface_tolerance
 from vcsfm.mesh import DEPTH_TIE, TriangleMesh, batch_all_hits, batch_first_hits, surface_points
+from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
 
 
 def one_ray(mesh, origin, direction):
@@ -356,18 +359,41 @@ def test_mesh_builds_one_cast_table_for_its_first_and_all_hit_casts(monkeypatch,
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def test_scene_extraction_and_lift_casts_build_no_straddling_faces(monkeypatch):
+    # each of these casts is a camera's pixel rays on a mesh posed in front of
+    # it, so no face reaches the plane z = 0 and every cast takes the grid path
+    tables = []
+    table = vcsfm.mesh._CastTable
+    monkeypatch.setattr(vcsfm.mesh, "_CastTable", lambda m: tables.append(table(m)) or tables[-1])
+    noise = NoiseConfig(pixel_sigma=0.5, outlier_fraction=0.6, prior_rotation_sigma=1.0,
+                        prior_translation_sigma=0.01)
+    for angle, seed in ((30.0, 1), (180.0, 2)):
+        scene = generate_scene(SceneConfig(baseline_angles=(0.0, angle), elevation_range=10.0,
+                                           seed=seed), noise)
+        a, b = scene.records
+        vcs = extract_vcs(a, b, ExtractionParams(
+            surface_tolerance=suggest_surface_tolerance(scene.records)))
+        tracks, _, _ = lift_vcs_to_tracks(vcs, a, b, *scene.gt_poses, 0, 1)
+        assert len(tracks.x1) > 50
+    assert len(tables) == 8  # per scene: two camera-frame meshes and two priors
+    assert all(len(t.straddle) == 0 and len(t.ahead) for t in tables)
+
+
 def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
-    # the projection axis runs from the origin to the vertex centroid, +z here
-    # by symmetry. Cubes sit 60-89 degrees off it on both sides and one lies
-    # behind the origin; a triangle ahead lies in a plane through the origin.
+    # casts project onto the plane z = 1, the axis +z. Cubes sit 60-89 degrees
+    # off it on both sides and one lies behind the origin; a triangle ahead
+    # lies in a plane through the origin.
     origin = np.zeros(3)
+    axis = np.array([0.0, 0.0, 1.0])
+    sphere = icosphere_mesh(2).transformed(translation=(0.0, 0.0, 5.0))
     cubes = [cube_mesh(side=0.5, center=(s * 3.0 * np.sin(th), 0.0, 3.0 * np.cos(th)))
              for th in np.radians([60.0, 75.0, 89.0]) for s in (-1.0, 1.0)]
     in_plane = TriangleMesh([[-0.5, 0.0, 8.0], [0.5, 0.0, 8.0], [0.0, 0.0, 9.0]], [[0, 1, 2]])
-    mesh = merged(icosphere_mesh(2).transformed(translation=(0.0, 0.0, 5.0)), *cubes,
-                  cube_mesh(center=(0.0, 0.0, -3.0)), in_plane)
-    axis = mesh._cast_table.frame[2]
-    assert np.allclose(axis, [0.0, 0.0, 1.0], atol=1e-12)
+    mesh = merged(sphere, *cubes, cube_mesh(center=(0.0, 0.0, -3.0)), in_plane)
+    # the sphere lies ahead of the plane z = 0, the cube behind it straddles
+    behind = sphere.num_faces + sum(c.num_faces for c in cubes) + np.arange(12)
+    assert np.isin(np.arange(sphere.num_faces), mesh._cast_table.ahead).all()
+    assert np.isin(behind, mesh._cast_table.straddle).all()
 
     off_axis = np.vstack([c.vertices.mean(axis=0) + rng.normal(size=(10, 3)) * 0.1
                           for c in cubes])
@@ -379,5 +405,6 @@ def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
     forward = [0.0, 0.0, 5.0] + rng.normal(size=(20, 3)) * 0.5
     dirs = np.vstack([off_axis, backward, grazing, forward])
     assert assert_matches_oracle(mesh, origin, dirs) > 2 * len(dirs) - 20
-    # an origin at the vertex centroid has no axis to the mesh; the frame falls back to +z
+    # a mesh about the origin: its faces with a vertex at or below z = 0 meet
+    # every ray, and the rays with z <= 0 meet only those
     assert assert_matches_oracle(cube_mesh(), np.zeros(3), rng.normal(size=(50, 3))) == 50

@@ -9,7 +9,7 @@ from conftest import random_pose, random_rotation
 from oracles import auc_trapezoid_oracle, pose_error_quaternion_oracle
 from vcsfm.errors import EmptyInputError
 from vcsfm.geometry import SE3Pose, so3_exp
-from vcsfm.metrics import auc, evaluate_pose_set, pose_error
+from vcsfm.metrics import auc, pose_error
 
 
 def test_pose_error_zero_for_identical():
@@ -51,6 +51,17 @@ def test_pose_error_undefined_translation_flag():
     err = pose_error(est, gt)
     assert not err.translation_defined
     assert err.combined_deg == pytest.approx(math.degrees(0.05), abs=1e-9)
+
+
+def test_pose_error_propagates_nan_translation():
+    gt = SE3Pose(np.eye(3), [1.0, 0.0, 0.0])
+    # max(rot, nan) is rot, so a NaN estimate would score as perfect
+    err = pose_error(SE3Pose(np.eye(3), [np.nan, 0.0, 0.0]), gt)
+    assert err.translation_defined
+    assert math.isnan(err.translation_deg) and math.isnan(err.combined_deg)
+    err = pose_error(SE3Pose(so3_exp([0.0, 0.0, 0.1]), [1.0, np.nan, 0.0]), gt)
+    assert err.rotation_deg == pytest.approx(math.degrees(0.1), abs=1e-9)
+    assert math.isnan(err.combined_deg)
 
 
 def test_pose_error_invariant_to_common_rigid_transform(rng):
@@ -113,20 +124,8 @@ def test_auc_empty_raises():
         auc([], 30.0)
 
 
-def test_evaluate_pose_set_failures_score_180(rng):
-    gt = {f"c{i}": random_pose(rng) for i in range(3)}
-    est = {k: v for k, v in gt.items() if k != "c2"}
-    report = evaluate_pose_set(est, gt)
-    by_pair = dict(zip(report.pairs, report.combined_deg))
-    assert by_pair[("c0", "c1")] == pytest.approx(0.0, abs=1e-9)
-    assert by_pair[("c0", "c2")] == 180.0
-    assert by_pair[("c1", "c2")] == 180.0
-    assert report.auc_at[30.0] == pytest.approx(1.0 / 3.0, abs=1e-9)
-
-
-def test_evaluate_pose_set_gauge_free(rng):
-    gt = {f"c{i}": random_pose(rng) for i in range(4)}
-    g = random_pose(rng)
-    est = {k: v.compose(g) for k, v in gt.items()}
-    report = evaluate_pose_set(est, gt)
-    assert report.max_combined_deg < 1e-6
+def test_auc_rejects_nan_and_negative_errors():
+    # NaN passes a test for e < 0 and would make the area NaN
+    for errors in ([np.nan, 0.0], [0.0, np.nan], [5.0, -1.0]):
+        with pytest.raises(ValueError, match="non-negative"):
+            auc(errors, 30.0)

@@ -7,13 +7,12 @@ from conftest import seen_from
 from oracles import collapsed_hits_oracle, world_frame_oracle
 from vcsfm.extraction import ray_gap
 from vcsfm.geometry import project_points, ray_through_pixel, SE3Pose
-from vcsfm.mesh import DEPTH_TIE, batch_all_hits, surface_points
+from vcsfm.mesh import DEPTH_TIE, batch_all_hits, batch_first_hits, surface_points
 from vcsfm.synthetic import (
     NoiseConfig,
     SceneConfig,
     builtin_proxy_mesh,
     generate_scene,
-    render_surface_map,
 )
 
 SMALL = dict(image_size=(96, 72), focal_length=110.0)
@@ -205,8 +204,13 @@ def test_render_prescreen_matches_full_frame():
         rotation=scene.gt_poses[0].rotation, translation=scene.gt_poses[0].translation
     )
     k = scene.records[0].intrinsics
-    dsm = render_surface_map(mesh_cam, k, 96, 72)
-    assert np.array_equal(dsm.mapped_index(), scene.clean_maps[0].mapped_index())
+    dsm = scene.clean_maps[0]
+    # the render casts only the mesh's bounding rectangle; casting every pixel
+    # of the frame gives the same map
+    pix = np.stack(np.meshgrid(np.arange(96.0), np.arange(72.0)), axis=-1).reshape(-1, 2)
+    _, face, _, _ = batch_first_hits(mesh_cam, k.pixel_rays(pix))
+    assert np.array_equal(face.reshape(72, 96), dsm.faces)
+    assert len(dsm.mapped_index()) < 0.5 * face.size
     # spot-check pixels against the nearest of all hits of each pixel's ray
     pix = dsm.mapped_pixels()[::17]
     dirs = np.column_stack([k.normalize(pix.astype(float)), np.ones(len(pix))])
