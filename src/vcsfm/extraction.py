@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidCoordinateError, TopologyMismatchError
 from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
-from .mesh import TriangleMesh, batch_all_hits, run_ranks, surface_points
+from .mesh import TriangleMesh, batch_all_hits, read_only, run_ranks, surface_points
 
 MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
 TOLERANCE_FLOOR = 0.01  # smallest match tolerance suggest_surface_tolerance returns
@@ -24,54 +24,50 @@ TOLERANCE_FACTOR = 1.6  # its tolerance as a multiple of the median footprint
 
 
 class DenseSurfaceMap:
-    """Per-pixel optional surface coordinate (the dense 2D-3D association).
+    """Surface coordinates of the mapped pixels of a (height, width) image,
+    the dense 2D-3D association over the pixels the subject covers.
 
-    Stored as a face-index image (-1 marks unmapped pixels) plus barycentric
-    weights. Immutable after construction: a read-only int64 `faces` or
-    float64 `barys` array is adopted as it is, anything else is copied. The
-    weights of every mapped pixel must be at least -1e-9 and sum to 1 within
-    1e-9 (InvalidCoordinateError); those of unmapped pixels are not read.
+    Only the mapped entries are stored, in three aligned arrays: the flat
+    row-major pixel `index` (N,), strictly ascending and inside the image;
+    `faces` (N,), non-negative face indices; and `barys` (N, 3), barycentric
+    weights, each at least -1e-9 and summing to 1 within 1e-9
+    (InvalidCoordinateError). Unmapped pixels hold nothing, so a map's
+    memory grows with its entries, not with the image. Immutable: a
+    read-only array of its dtype (int64, int64, float64) is adopted
+    as it is, anything else is copied.
     """
 
-    def __init__(self, faces: np.ndarray, barys: np.ndarray):
-        faces = _read_only(faces, np.int64)
-        barys = _read_only(barys, np.float64)
-        if faces.ndim != 2 or barys.shape != faces.shape + (3,):
-            raise ValueError("faces must be (H, W) and barys (H, W, 3)")
-        mapped = np.flatnonzero(faces.ravel() >= 0)
-        # a flat gather and column sums take half the time of a 2-D mask
-        w = barys.reshape(-1, 3)[mapped]
-        total = w[:, 0] + w[:, 1] + w[:, 2]
-        if len(w) and not (w.min() >= -1e-9 and np.abs(total - 1.0).max() <= 1e-9):
-            raise InvalidCoordinateError("mapped pixels need barycentric weights "
-                                         ">= 0 that sum to 1")
+    def __init__(self, width: int, height: int, index, faces, barys):
+        index = read_only(index, np.int64)
+        faces = read_only(faces, np.int64)
+        barys = read_only(barys, np.float64)
+        if index.ndim != 1 or faces.shape != index.shape or barys.shape != index.shape + (3,):
+            raise ValueError("index and faces must be (N,) and barys (N, 3)")
+        if len(index):
+            if not (index[0] >= 0 and index[-1] < width * height
+                    and np.all(index[1:] > index[:-1])):
+                raise ValueError("index must ascend strictly inside the image")
+            if faces.min() < 0:
+                raise ValueError("face indices must be >= 0")
+            total = barys[:, 0] + barys[:, 1] + barys[:, 2]
+            if not (barys.min() >= -1e-9 and np.abs(total - 1.0).max() <= 1e-9):
+                raise InvalidCoordinateError("mapped pixels need barycentric weights "
+                                             ">= 0 that sum to 1")
+        self.width, self.height = int(width), int(height)
+        self._index = index
         self.faces = faces
         self.barys = barys
-        self.height, self.width = faces.shape
-        mapped.flags.writeable = False
-        self._mapped = mapped
 
     def mapped_index(self) -> np.ndarray:
-        """Flat row-major indices of the mapped pixels, ascending; read-only,
-        computed once per map."""
-        return self._mapped
+        """Flat row-major indices of the mapped pixels, ascending; read-only."""
+        return self._index
 
     def mapped_pixels(self, stride: int = 1) -> np.ndarray:
         """(N, 2) integer (u, v) of mapped pixels in row-major order, only
         those with both coordinates multiples of `stride`."""
-        grid = self.faces[::stride, ::stride]
-        # a 1-D scan and a divmod are cheaper than a 2-D np.nonzero
-        v, u = np.divmod(np.flatnonzero(grid >= 0), grid.shape[1])
-        return np.column_stack([u, v]) * stride
-
-
-def _read_only(a, dtype) -> np.ndarray:
-    """`a` itself when it is a read-only array of `dtype`, else a read-only copy."""
-    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
-        return a
-    a = np.array(a, dtype=dtype)
-    a.flags.writeable = False
-    return a
+        v, u = np.divmod(self._index, self.width)
+        on_grid = (u % stride == 0) & (v % stride == 0)
+        return np.column_stack([u[on_grid], v[on_grid]])
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,7 @@ class ShapePrior:
 
     def __post_init__(self):
         f = self.surface_map.faces
-        bad = f[f >= 0]
-        if bad.size and bad.max() >= self.mesh.num_faces:
+        if f.size and f.max() >= self.mesh.num_faces:
             raise ValueError("surface map references faces beyond the mesh")
 
 
@@ -163,13 +158,12 @@ def suggest_surface_tolerance(records) -> float:
         f = 0.5 * (rec.intrinsics.fx + rec.intrinsics.fy)
         for prior in rec.priors:
             dsm = prior.surface_map
-            flat = dsm.mapped_index()
-            if len(flat) == 0:
+            if len(dsm.faces) == 0:
                 continue
             # only depth is needed: the z column of surface_points, summed in the
             # same order so the median is bit for bit the same
-            z = np.take(prior.mesh.corners[:, :, 2], dsm.faces.ravel()[flat], axis=0)
-            depth = float(np.median((dsm.barys.reshape(-1, 3)[flat] * z).sum(axis=1)))
+            z = np.take(prior.mesh.corners[:, :, 2], dsm.faces, axis=0)
+            depth = float(np.median((dsm.barys * z).sum(axis=1)))
             if depth > 0.0:
                 footprints.append(depth / f)
     if not footprints:
@@ -182,18 +176,14 @@ class SurfaceIndex:
     lookup.
 
     Extraction builds one per cast direction and queries it with a few
-    thousand hits, so the build is what costs: the entries are gathered
-    through the map's flat index, and the KD-tree splits at sliding
-    midpoints (Maneewongvatana & Mount, 1999), which builds in about half
-    the time of median splits and answers the same exact queries.
+    thousand hits, so the build is what costs: the KD-tree splits at
+    sliding midpoints (Maneewongvatana & Mount, 1999), which builds in about
+    half the time of median splits and answers the same exact queries.
     """
 
     def __init__(self, dsm: DenseSurfaceMap, mesh: TriangleMesh):
-        flat = dsm.mapped_index()
-        v, u = np.divmod(flat, dsm.width)
-        self.pixels = np.column_stack([u, v])
-        self.positions = surface_points(mesh, dsm.faces.ravel()[flat],
-                                        dsm.barys.reshape(-1, 3)[flat])
+        self.pixels = dsm.mapped_pixels()
+        self.positions = surface_points(mesh, dsm.faces, dsm.barys)
         self._tree = cKDTree(self.positions, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:

@@ -57,13 +57,18 @@ FACES_PER_CELL = 1
 
 class TriangleMesh:
     """Immutable triangle mesh with each face's corner coordinates, and the
-    cast table built on its first cast (`_cast_table`)."""
+    cast table built on its first cast (`_cast_table`).
+
+    A read-only int64 (F, 3) `faces` array is adopted as it is, so
+    transformed copies share one topology; anything else is copied."""
 
     def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=np.float64).reshape(-1, 3)
-        f = np.array(faces, dtype=np.int64).reshape(-1, 3)
+        f = read_only(faces, np.int64)
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
+        if f.ndim != 2 or f.shape[1] != 3:
+            raise ValueError("faces must be (F, 3)")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face index out of range")
         self.vertices = v
@@ -75,8 +80,7 @@ class TriangleMesh:
         areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         if f.size and areas.min() <= 1e-12:
             raise ValueError(f"degenerate face (area {areas.min():.3g})")
-        for a in (self.vertices, self.faces, self.corners):
-            a.flags.writeable = False
+        v.flags.writeable = self.corners.flags.writeable = False
 
     @property
     def num_faces(self) -> int:
@@ -96,6 +100,15 @@ class TriangleMesh:
         """Per-face data of casts from the origin; the mesh's arrays are
         read-only, so the table stays valid for the mesh's life."""
         return _CastTable(self)
+
+
+def read_only(a, dtype) -> np.ndarray:
+    """`a` itself when it is a read-only array of `dtype`, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ Each camera casts its pixel rays from its origin on the scene mesh posed in
 its own frame: one all-hit cast gives both its surface map and the oracle's
 samples, and the oracle's visibility checks cast those same camera-frame
 meshes. A mesh keeps the cast table built on its first cast, so a scene
-builds one table per camera and never casts the world-frame mesh."""
+builds one table per camera and never casts the world-frame mesh. Maps are
+built from the hits as entry arrays (see `DenseSurfaceMap`); no image is
+allocated, and the noise injectors edit copies of those arrays."""
 
 from __future__ import annotations
 
@@ -200,8 +202,9 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
     samples, from one all-hit cast.
 
     Only pixels inside the mesh's projected bounding rectangle are cast. The
-    map takes each ray's nearest hit. The samples are the hits of the rays
-    through pixels whose coordinates are multiples of `_ORACLE_STRIDE`:
+    map's entries are the rays' nearest hits in row-major pixel order; a
+    pixel whose ray misses has no entry. The samples are the hits of the
+    rays through pixels whose coordinates are multiples of `_ORACLE_STRIDE`:
     (pixel (K, 2), rank (K,), camera-frame point (K, 3)), in row-major pixel
     order, nearest first. Only these are kept, not the hits of every ray.
     """
@@ -223,69 +226,54 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
     rank = run_ranks(ray)
     row, col = np.divmod(ray, len(us))
 
-    # the images are allocated after the cast, whose candidate pairs set the
-    # peak of memory
     first = np.flatnonzero(rank == 0)
-    faces_img = np.full((height, width), -1, dtype=np.int64)
-    barys_img = np.zeros((height, width, 3))
-    at = (v_lo + row[first]) * width + (u_lo + col[first])
-    faces_img.reshape(-1)[at] = face[first]
-    barys_img.reshape(-1, 3)[at] = bary[first]
-    # read-only arrays are adopted by the map, not copied
-    faces_img.flags.writeable = barys_img.flags.writeable = False
+    entries = ((v_lo + row[first]) * width + (u_lo + col[first]), face[first], bary[first])
+    for a in entries:
+        a.flags.writeable = False  # adopted by the map, not copied
 
     sampled = np.flatnonzero((us[col] % _ORACLE_STRIDE == 0) & (vs[row] % _ORACLE_STRIDE == 0))
     row, col = row[sampled], col[sampled]
     samples = (np.column_stack([us[col], vs[row]]), rank[sampled],
                depth[sampled, None] * dirs[ray[sampled]])
-    return DenseSurfaceMap(faces_img, barys_img), samples
+    return DenseSurfaceMap(width, height, *entries), samples
 
 
 def _jitter_map(dsm: DenseSurfaceMap, mesh_cam: TriangleMesh, k: CameraIntrinsics,
                 sigma: float, rng) -> DenseSurfaceMap:
     """Displace each entry by re-casting through a jittered subpixel location.
 
-    A jittered ray that misses the surface keeps the clean entry.
+    The map keeps its pixels; a jittered ray that misses the surface keeps
+    the clean entry's face and weights.
     """
-    pix = dsm.mapped_pixels()
-    if len(pix) == 0 or sigma == 0.0:
+    if len(dsm.faces) == 0 or sigma == 0.0:
         return dsm
+    pix = dsm.mapped_pixels()
     jitter = rng.normal(scale=sigma, size=(len(pix), 2))
     dirs = k.pixel_rays(pix + jitter)
     _, face, bary, ok = batch_first_hits(mesh_cam, dirs)
-    faces = np.array(dsm.faces)
-    barys = np.array(dsm.barys)
-    u, v = pix[:, 0], pix[:, 1]
-    sel = np.nonzero(ok)[0]
-    faces[v[sel], u[sel]] = face[sel]
-    barys[v[sel], u[sel]] = bary[sel]
-    faces.flags.writeable = barys.flags.writeable = False
-    return DenseSurfaceMap(faces, barys)
+    return DenseSurfaceMap(dsm.width, dsm.height, dsm.mapped_index(),
+                           np.where(ok, face, dsm.faces), np.where(ok[:, None], bary, dsm.barys))
 
 
 def _inject_outliers(dsm: DenseSurfaceMap, num_faces: int, fraction: float, rng
                      ) -> DenseSurfaceMap:
     """Replace a fraction of entries with uniformly random surface coordinates."""
-    pix = dsm.mapped_pixels()
-    if len(pix) == 0 or fraction == 0.0:
+    if len(dsm.faces) == 0 or fraction == 0.0:
         return dsm
-    mask = rng.random(len(pix)) < fraction
+    mask = rng.random(len(dsm.faces)) < fraction
     n = int(np.count_nonzero(mask))
     if n == 0:
         return dsm
-    faces = np.array(dsm.faces)
-    barys = np.array(dsm.barys)
-    rand_faces = rng.integers(0, num_faces, size=n)
+    faces = dsm.faces.copy()
+    barys = dsm.barys.copy()
+    faces[mask] = rng.integers(0, num_faces, size=n)
     r1 = rng.random(n)
     r2 = rng.random(n)
     fold = r1 + r2 > 1.0  # fold the unit square onto the triangle
     r1[fold] = 1.0 - r1[fold]
     r2[fold] = 1.0 - r2[fold]
-    u, v = pix[mask, 0], pix[mask, 1]
-    faces[v, u] = rand_faces
-    barys[v, u] = np.column_stack([1.0 - r1 - r2, r1, r2])
-    faces.flags.writeable = barys.flags.writeable = False
-    return DenseSurfaceMap(faces, barys)
+    barys[mask] = np.column_stack([1.0 - r1 - r2, r1, r2])
+    return DenseSurfaceMap(dsm.width, dsm.height, dsm.mapped_index(), faces, barys)
 
 
 def _perturb_prior(mesh_cam: TriangleMesh, noise: NoiseConfig, rng) -> TriangleMesh:

@@ -51,6 +51,16 @@ def seen_from(mesh, origin):
     return mesh.transformed(translation=-np.asarray(origin, dtype=np.float64))
 
 
+def entry_index(dsm, pixels):
+    """Position of each (u, v) pixel's entry in `dsm`'s entry arrays, -1
+    where the pixel is unmapped; `pixels` is (..., 2)."""
+    pixels = np.asarray(pixels, dtype=np.int64)
+    flat = pixels[..., 1] * dsm.width + pixels[..., 0]
+    index = dsm.mapped_index()
+    at = np.searchsorted(index, flat)
+    return np.where(np.append(index, -1)[at] == flat, at, -1)
+
+
 def unit_square_mesh():
     """Unit square in the z=0 plane, split along the (0,0)-(1,1) diagonal."""
     v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])

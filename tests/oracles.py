@@ -157,6 +157,7 @@ def vc_extraction_oracle(a, b, params):
     Entry positions are evaluated with `surface_points`, as the library does,
     so the re-viewed pixels can be compared bit for bit.
     """
+    from conftest import entry_index
     from vcsfm.extraction import MAX_HITS_PER_RAY, VirtualCorrespondence
     from vcsfm.geometry import Pixel
     from vcsfm.mesh import DEPTH_TIE, surface_points
@@ -170,7 +171,7 @@ def vc_extraction_oracle(a, b, params):
         hits = []  # (casting pixel, rank, position)
         for v in range(0, dsm_c.height, params.stride):
             for u in range(0, dsm_c.width, params.stride):
-                if dsm_c.faces[v, u] < 0:
+                if entry_index(dsm_c, (u, v)) < 0:
                     continue
                 x, y = cast.intrinsics.normalize(np.array([u, v], dtype=np.float64))
                 d = np.array([x, y, 1.0]) / np.linalg.norm([x, y, 1.0])
@@ -178,10 +179,10 @@ def vc_extraction_oracle(a, b, params):
                                               DEPTH_TIE, MAX_HITS_PER_RAY)
                 for rank, (_, face, bary) in enumerate(found):
                     hits.append(((u, v), rank, surface_points(mesh, [face], [bary])[0]))
-        ov, ou = np.nonzero(dsm_o.faces >= 0)
+        ov, ou = np.divmod(dsm_o.mapped_index(), dsm_o.width)
         if not hits or len(ou) == 0:
             continue
-        entry_pos = surface_points(mesh, dsm_o.faces[ov, ou], dsm_o.barys[ov, ou])
+        entry_pos = surface_points(mesh, dsm_o.faces, dsm_o.barys)
         hit_pos = np.array([h[2] for h in hits])
         dist2 = np.zeros((len(hit_pos), len(entry_pos)))
         for k in range(3):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vcsfm.ba
-from conftest import looking_at_origin_pose
+from conftest import entry_index, looking_at_origin_pose
 from oracles import classic_ba_oracle
 from vcsfm.ba import (
     BaCamera,
@@ -259,7 +259,7 @@ def test_lift_counts_missed_ray_as_dropped_without_warnings():
     # and its direction has an exact zero component
     cx = int(a.intrinsics.cx)
     dsm = a.priors[0].surface_map
-    row = next(v for v in range(dsm.height) if dsm.faces[v, cx] < 0)
+    row = next(v for v in range(dsm.height) if entry_index(dsm, (cx, v)) < 0)
     miss = VirtualCorrespondence(
         pixel_a=Pixel(float(cx), float(row)), pixel_b=vcs[0].pixel_b,
         hit_rank=0,
@@ -281,7 +281,8 @@ def test_lift_with_every_ray_missing_returns_no_tracks():
     tracks, x2, dropped = lift_vcs_to_tracks([], a, b, *poses, 0, 1)
     assert (len(tracks), x2.shape, dropped) == (0, (0, 3), 0)
     # the image corners lie off the body in both maps
-    assert a.priors[0].surface_map.faces[0, 0] < 0 and b.priors[0].surface_map.faces[-1, -1] < 0
+    assert (entry_index(a.priors[0].surface_map, (0, 0)) < 0
+            and entry_index(b.priors[0].surface_map, (95, 71)) < 0)
     misses = [
         VirtualCorrespondence(
             pixel_a=Pixel(0.0, float(v)), pixel_b=Pixel(95.0, 71.0),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import unit_square_mesh
+from conftest import entry_index, unit_square_mesh
 from oracles import ray_gap_grid_oracle, vc_extraction_oracle
 from vcsfm.errors import InvalidCoordinateError, TopologyMismatchError
 from vcsfm.extraction import (
@@ -49,22 +49,36 @@ def scene_params(scene):
 
 def empty_map(width, height):
     """A map with no mapped pixel."""
-    return DenseSurfaceMap(np.full((height, width), -1), np.zeros((height, width, 3)))
+    return DenseSurfaceMap(width, height, [], [], np.zeros((0, 3)))
 
 
-def sparse_map(rng, width, height, fraction=0.3):
-    """A map with random entries and some rows and columns left empty."""
+def map_from_images(faces, barys):
+    """The map of a face image (-1 where unmapped) and a weight image."""
+    index = np.flatnonzero(faces >= 0)
+    height, width = faces.shape
+    return DenseSurfaceMap(width, height, index, faces.ravel()[index],
+                           barys.reshape(-1, 3)[index])
+
+
+def sparse_images(rng, width, height, fraction=0.3):
+    """Face and weight images with random entries and some rows and columns
+    left empty."""
     faces = np.where(rng.random((height, width)) < fraction,
                      rng.integers(0, 2, (height, width)), -1)
     faces[1] = -1
     faces[:, [0, width // 2]] = -1
-    barys = rng.dirichlet(np.ones(3), size=(height, width))
-    return DenseSurfaceMap(faces, barys)
+    return faces, rng.dirichlet(np.ones(3), size=(height, width))
+
+
+def sparse_map(rng, width, height, fraction=0.3):
+    return map_from_images(*sparse_images(rng, width, height, fraction))
 
 
 def test_mapped_pixels_match_two_dimensional_nonzero(rng):
-    for dsm in (sparse_map(rng, 13, 7), sparse_map(rng, 5, 11), empty_map(9, 4)):
-        want = np.column_stack(np.nonzero(dsm.faces >= 0)[::-1])
+    empty = np.full((4, 9), -1), np.zeros((4, 9, 3))
+    for faces, barys in (sparse_images(rng, 13, 7), sparse_images(rng, 5, 11), empty):
+        dsm = map_from_images(faces, barys)
+        want = np.column_stack(np.nonzero(faces >= 0)[::-1])
         got = dsm.mapped_pixels()
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -83,66 +97,85 @@ def test_strided_mapped_pixels_match_modulo_filter(rng):
 
 
 def test_dense_map_rejects_bad_weights_of_mapped_pixels():
-    faces = np.full((3, 4), -1)
-    faces[1, 2] = 0
-    barys = np.zeros((3, 4, 3))
-    barys[1, 2] = [0.2, 0.3, 0.5]
-    DenseSurfaceMap(faces, barys)
+    index, faces = [6], [0]  # pixel (2, 1) of a 4 x 3 image
+    barys = np.array([[0.2, 0.3, 0.5]])
+    DenseSurfaceMap(4, 3, index, faces, barys)
     for bad in ([0.5, 0.5, 0.5], [-0.2, 0.6, 0.6], [np.nan, 0.5, 0.5], [0.0, 0.0, 0.0]):
-        barys[1, 2] = bad
+        barys[0] = bad
         with pytest.raises(InvalidCoordinateError):
-            DenseSurfaceMap(faces, barys)
-    barys[1, 2] = [-5e-10, 0.5, 0.5 + 5e-10]  # within the 1e-9 slack
-    DenseSurfaceMap(faces, barys)
+            DenseSurfaceMap(4, 3, index, faces, barys)
+    barys[0] = [-5e-10, 0.5, 0.5 + 5e-10]  # within the 1e-9 slack
+    DenseSurfaceMap(4, 3, index, faces, barys)
 
 
-def test_dense_map_ignores_weights_of_unmapped_pixels(rng):
-    faces = np.full((3, 4), -1)
-    barys = rng.normal(size=(3, 4, 3)) * 5.0
-    barys[2, 3] = np.nan
-    assert len(DenseSurfaceMap(faces, barys).mapped_index()) == 0
-    faces[0, 0] = 1
-    barys[0, 0] = [1.0, 0.0, 0.0]
-    assert len(DenseSurfaceMap(faces, barys).mapped_index()) == 1
+@pytest.mark.parametrize("index, faces, rows", [
+    pytest.param([5, 3], [0, 1], 2, id="descending"),
+    pytest.param([3, 3], [0, 1], 2, id="repeated"),
+    pytest.param([-1, 3], [0, 1], 2, id="before-image"),
+    pytest.param([3, 12], [0, 1], 2, id="past-image"),
+    pytest.param([3, 5], [0, -1], 2, id="negative-face"),
+    pytest.param([3, 5], [0], 2, id="faces-length"),
+    pytest.param([3, 5], [0, 1], 3, id="barys-length"),
+    pytest.param([[3, 5]], [[0, 1]], 2, id="index-not-flat"),
+])
+def test_dense_map_rejects_invalid_entries(index, faces, rows):
+    barys = np.tile([0.2, 0.3, 0.5], (rows, 1))
+    DenseSurfaceMap(4, 3, [3, 5], [0, 1], barys[:2])
+    with pytest.raises(ValueError):
+        DenseSurfaceMap(4, 3, index, faces, barys)
+
+
+def test_dense_map_holds_its_entries_only():
+    index = np.arange(10) * 30_000 + 7
+    dsm = DenseSurfaceMap(640, 480, index, np.zeros(10), np.full((10, 3), 1.0 / 3.0))
+    held = sum(a.nbytes for a in vars(dsm).values() if isinstance(a, np.ndarray))
+    assert held < 1024
+    assert np.array_equal(dsm.mapped_pixels(), np.column_stack([index % 640, index // 640]))
 
 
 def test_dense_map_adopts_read_only_arrays_and_copies_writeable_ones(rng):
-    faces = np.where(rng.random((6, 5)) < 0.5, 1, -1)
-    barys = rng.dirichlet(np.ones(3), size=(6, 5))
+    index = np.flatnonzero(rng.random(30) < 0.5)
+    faces = np.ones(len(index), dtype=np.int64)
+    barys = rng.dirichlet(np.ones(3), size=len(index))
     # a caller's writeable arrays are copied and stay writeable
-    dsm = DenseSurfaceMap(faces, barys)
-    assert faces.flags.writeable and barys.flags.writeable
-    assert not np.shares_memory(dsm.faces, faces) and not np.shares_memory(dsm.barys, barys)
-    mapped = dsm.faces.copy()
+    dsm = DenseSurfaceMap(5, 6, index, faces, barys)
+    assert all(a.flags.writeable for a in (index, faces, barys))
+    assert not any(np.shares_memory(a, b) for a, b in
+                   ((dsm.mapped_index(), index), (dsm.faces, faces), (dsm.barys, barys)))
+    kept = dsm.mapped_index().copy(), dsm.faces.copy(), dsm.barys.copy()
+    index[:] = 0
     faces[:] = -1
-    assert np.array_equal(dsm.faces, mapped) and len(dsm.mapped_index()) > 0
+    barys[:] = np.nan
+    for a, b in zip((dsm.mapped_index(), dsm.faces, dsm.barys), kept):
+        assert np.array_equal(a, b)
     # read-only arrays of the map's dtypes are adopted as they are
-    faces = np.where(rng.random((6, 5)) < 0.5, 0, -1)
-    faces.flags.writeable = barys.flags.writeable = False
-    dsm = DenseSurfaceMap(faces, barys)
-    assert dsm.faces is faces and dsm.barys is barys
+    index, faces, barys = kept
+    for a in kept:
+        a.flags.writeable = False
+    dsm = DenseSurfaceMap(5, 6, index, faces, barys)
+    assert dsm.mapped_index() is index and dsm.faces is faces and dsm.barys is barys
     # a read-only array of another dtype is still copied
-    assert DenseSurfaceMap(faces.astype(np.int32), barys).faces.dtype == np.int64
-    for a in (dsm.faces, dsm.barys):
+    assert DenseSurfaceMap(5, 6, index, faces.astype(np.int32), barys).faces.dtype == np.int64
+    for a in (dsm.mapped_index(), dsm.faces, dsm.barys):
         assert not a.flags.writeable
 
 
 def test_mapped_index_is_computed_once_and_read_only(rng):
-    dsm = sparse_map(rng, 13, 7)
+    faces, barys = sparse_images(rng, 13, 7)
+    dsm = map_from_images(faces, barys)
     index = dsm.mapped_index()
     assert dsm.mapped_index() is index and not index.flags.writeable
-    assert np.array_equal(index, np.flatnonzero(dsm.faces >= 0))
+    assert np.array_equal(index, np.flatnonzero(faces >= 0))
 
 
 def test_surface_index_gathers_entries_in_row_major_order(rng):
-    dsm = sparse_map(rng, 13, 7)
+    faces, barys = sparse_images(rng, 13, 7)
+    dsm = map_from_images(faces, barys)
     mesh = unit_square_mesh()
     idx = SurfaceIndex(dsm, mesh)
-    pix = dsm.mapped_pixels()
-    u, v = pix[:, 0], pix[:, 1]
-    assert np.array_equal(idx.pixels, pix)
-    assert np.array_equal(idx.positions, surface_points(mesh, dsm.faces[v, u], dsm.barys[v, u]))
-
+    v, u = np.nonzero(faces >= 0)
+    assert np.array_equal(idx.pixels, np.column_stack([u, v]))
+    assert np.array_equal(idx.positions, surface_points(mesh, faces[v, u], barys[v, u]))
 
 
 def test_surface_index_matches_linear_scan(opposed_scene, rng):
@@ -151,7 +184,8 @@ def test_surface_index_matches_linear_scan(opposed_scene, rng):
     mesh = rec.priors[0].mesh
     idx = SurfaceIndex(dsm, mesh)
     pix = dsm.mapped_pixels()
-    pos_all = surface_points(mesh, dsm.faces[pix[:, 1], pix[:, 0]], dsm.barys[pix[:, 1], pix[:, 0]])
+    e = entry_index(dsm, pix)
+    pos_all = surface_points(mesh, dsm.faces[e], dsm.barys[e])
     # one query steps straight back from the deepest entry (positive depth):
     # the step is exact, so that entry sits exactly at the tolerance and no
     # other entry is as close
@@ -319,7 +353,9 @@ def test_classic_subsumption(narrow_scene):
         if (c.cam_a, c.cam_b, c.rank_a) != (0, 1, 0):
             continue
         u, v = round(c.pixel_a.u), round(c.pixel_a.v)
-        pos = surface_points(mesh_a, [dsm_a.faces[v, u]], [dsm_a.barys[v, u]])
+        e = entry_index(dsm_a, (u, v))
+        assert e >= 0
+        pos = surface_points(mesh_a, [dsm_a.faces[e]], [dsm_a.barys[e]])
         dist, _ = index_b.nearest(pos, params.surface_tolerance)
         if dist[0] <= params.surface_tolerance:
             classic.append(c)
@@ -478,8 +514,8 @@ def test_suggest_surface_tolerance_equals_full_surface_points(rng):
         for rec in records:
             dsm = rec.priors[0].surface_map
             pix = dsm.mapped_pixels()
-            pos = surface_points(rec.posed_mesh(0), dsm.faces[pix[:, 1], pix[:, 0]],
-                                 dsm.barys[pix[:, 1], pix[:, 0]])
+            e = entry_index(dsm, pix)
+            pos = surface_points(rec.posed_mesh(0), dsm.faces[e], dsm.barys[e])
             footprints.append(float(np.median(pos[:, 2])) / k.fx)
         want = max(0.01, 1.6 * float(np.median(footprints)))
         assert suggest_surface_tolerance(records) == want

@@ -337,6 +337,23 @@ def test_mesh_validation():
             TriangleMesh([[0, 0, 0], [1, 0, 0], [0, bad, 0]], [[0, 1, 2]])
 
 
+def test_mesh_adopts_read_only_faces_and_copies_writeable_ones():
+    mesh = cube_mesh()
+    moved = mesh.transformed(rotation=np.diag([1.0, -1.0, -1.0]), translation=[0.0, 0.0, 5.0])
+    assert moved.faces is mesh.faces and not mesh.faces.flags.writeable
+    faces = np.array(mesh.faces)
+    copied = TriangleMesh(mesh.vertices, faces)
+    assert copied.faces is not faces and not copied.faces.flags.writeable
+    faces[:] = faces[:, ::-1]
+    assert np.array_equal(copied.faces, mesh.faces)
+    # a read-only array of another dtype is copied to int64
+    narrow = mesh.faces.astype(np.int32)
+    narrow.flags.writeable = False
+    assert TriangleMesh(mesh.vertices, narrow).faces.dtype == np.int64
+    with pytest.raises(ValueError):
+        TriangleMesh(mesh.vertices, mesh.faces.ravel())
+
+
 def test_mesh_builds_one_cast_table_for_its_first_and_all_hit_casts(monkeypatch, rng):
     builds = []
     table = vcsfm.mesh._CastTable

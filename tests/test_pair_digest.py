@@ -7,6 +7,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import pair_digest  # noqa: E402
+from vcsfm.extraction import DenseSurfaceMap  # noqa: E402
 from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene  # noqa: E402
 
 
@@ -35,6 +36,13 @@ def test_scene_digest_covers_maps_and_oracle():
     clean, maps, count, exact, floats = line.split()
     assert int(count) == len(scene.oracle) > 0
     assert clean == maps  # noise-free records carry the clean maps
+    # a map's hash covers its pixels as well as their faces and weights
+    dsm = scene.clean_maps[0]
+    assert clean == pair_digest._sha(*pair_digest._map_arrays(scene.clean_maps))
+    scene.clean_maps[0] = DenseSurfaceMap(dsm.width, dsm.height, dsm.mapped_index() + 1,
+                                          dsm.faces, dsm.barys)
+    assert pair_digest.scene_digest(scene).split()[0] != clean
+    scene.clean_maps[0] = dsm
     assert all(len(h) == 64 and int(h, 16) >= 0 for h in (clean, exact, floats))
     # jitter changes the records' maps and nothing else
     jittered = pair_digest.scene_digest(generate_scene(cfg, NoiseConfig(pixel_sigma=0.5)))

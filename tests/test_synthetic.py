@@ -3,7 +3,7 @@ import pytest
 
 import vcsfm.mesh
 import vcsfm.synthetic
-from conftest import seen_from
+from conftest import entry_index, seen_from
 from oracles import collapsed_hits_oracle, world_frame_oracle
 from vcsfm.extraction import ray_gap
 from vcsfm.geometry import project_points, ray_through_pixel, SE3Pose
@@ -75,7 +75,8 @@ def test_rendered_map_is_self_consistent():
     )
     dsm = scene.clean_maps[0]
     pix = dsm.mapped_pixels()[::7]
-    pos = surface_points(mesh_cam, dsm.faces[pix[:, 1], pix[:, 0]], dsm.barys[pix[:, 1], pix[:, 0]])
+    e = entry_index(dsm, pix)
+    pos = surface_points(mesh_cam, dsm.faces[e], dsm.barys[e])
     uv, depth = project_points(SE3Pose.identity(), rec.intrinsics, pos)
     assert np.all(depth > 0)
     assert np.abs(uv - pix).max() < 1e-6
@@ -88,8 +89,10 @@ def test_proxy_mesh_is_built_once():
 
 def assert_scenes_equal(a, b):
     for ra, rb in zip(a.records, b.records, strict=True):
-        assert np.array_equal(ra.priors[0].surface_map.faces, rb.priors[0].surface_map.faces)
-        assert np.array_equal(ra.priors[0].surface_map.barys, rb.priors[0].surface_map.barys)
+        ma, mb = ra.priors[0].surface_map, rb.priors[0].surface_map
+        assert np.array_equal(ma.mapped_index(), mb.mapped_index())
+        assert np.array_equal(ma.faces, mb.faces)
+        assert np.array_equal(ma.barys, mb.barys)
         assert np.array_equal(ra.priors[0].mesh.vertices, rb.priors[0].mesh.vertices)
     for pa, pb in zip(a.gt_poses, b.gt_poses, strict=True):
         assert np.array_equal(pa.rotation, pb.rotation)
@@ -161,8 +164,10 @@ def test_pixel_jitter_displacement_statistics():
     dsm_c = clean.clean_maps[0]
     dsm_n = noisy.records[0].priors[0].surface_map
     pix = dsm_c.mapped_pixels()
-    pc = surface_points(mesh_cam, dsm_c.faces[pix[:, 1], pix[:, 0]], dsm_c.barys[pix[:, 1], pix[:, 0]])
-    pn = surface_points(mesh_cam, dsm_n.faces[pix[:, 1], pix[:, 0]], dsm_n.barys[pix[:, 1], pix[:, 0]])
+    ec, en = entry_index(dsm_c, pix), entry_index(dsm_n, pix)
+    assert np.all(en >= 0)  # jitter keeps every mapped pixel
+    pc = surface_points(mesh_cam, dsm_c.faces[ec], dsm_c.barys[ec])
+    pn = surface_points(mesh_cam, dsm_n.faces[en], dsm_n.barys[en])
     disp = pn - pc
     moved = np.linalg.norm(disp, axis=1) > 0
     assert moved.mean() > 0.5  # most entries displaced
@@ -178,9 +183,9 @@ def test_outlier_injection_fraction():
     dsm_c = clean.clean_maps[0]
     dsm_n = noisy.records[0].priors[0].surface_map
     pix = dsm_c.mapped_pixels()
-    changed = (
-        dsm_n.faces[pix[:, 1], pix[:, 0]] != dsm_c.faces[pix[:, 1], pix[:, 0]]
-    )
+    en = entry_index(dsm_n, pix)
+    assert np.all(en >= 0)  # outliers keep every mapped pixel
+    changed = dsm_n.faces[en] != dsm_c.faces[entry_index(dsm_c, pix)]
     # a random face coincides with the original rarely; 0.3 +- sampling noise
     assert 0.2 < changed.mean() < 0.4
 
@@ -206,10 +211,13 @@ def test_render_prescreen_matches_full_frame():
     k = scene.records[0].intrinsics
     dsm = scene.clean_maps[0]
     # the render casts only the mesh's bounding rectangle; casting every pixel
-    # of the frame gives the same map
+    # of the frame gives the same map: a missed pixel has no entry, and a hit
+    # pixel's entry holds the cast's face
     pix = np.stack(np.meshgrid(np.arange(96.0), np.arange(72.0)), axis=-1).reshape(-1, 2)
-    _, face, _, _ = batch_first_hits(mesh_cam, k.pixel_rays(pix))
-    assert np.array_equal(face.reshape(72, 96), dsm.faces)
+    _, face, _, hit = batch_first_hits(mesh_cam, k.pixel_rays(pix))
+    e = entry_index(dsm, pix)
+    assert np.all(e[~hit] == -1) and np.all(e[hit] >= 0)
+    assert np.array_equal(dsm.faces[e[hit]], face[hit])
     assert len(dsm.mapped_index()) < 0.5 * face.size
     # spot-check pixels against the nearest of all hits of each pixel's ray
     pix = dsm.mapped_pixels()[::17]
@@ -217,7 +225,7 @@ def test_render_prescreen_matches_full_frame():
     ray, _, face, _ = batch_all_hits(mesh_cam, dirs)
     first = np.searchsorted(ray, np.arange(len(pix)))
     assert np.array_equal(ray[first], np.arange(len(pix)))
-    assert np.array_equal(face[first], dsm.faces[pix[:, 1], pix[:, 0]])
+    assert np.array_equal(face[first], dsm.faces[entry_index(dsm, pix)])
 
 
 def test_render_matches_per_pixel_oracle():
@@ -234,12 +242,13 @@ def test_render_matches_per_pixel_oracle():
                 d = np.append(k.normalize(np.array([u, v], dtype=float)), 1.0)
                 want = collapsed_hits_oracle(mesh_cam.vertices, mesh_cam.faces, np.zeros(3), d,
                                              DEPTH_TIE, max_hits=1)
+                e = entry_index(dsm, (u, v))
                 if not want:
-                    assert dsm.faces[v, u] == -1
+                    assert e == -1
                     continue
                 _, face, bary = want[0]
-                assert dsm.faces[v, u] == face
-                assert np.allclose(dsm.barys[v, u], bary, atol=1e-9)
+                assert e >= 0 and dsm.faces[e] == face
+                assert np.allclose(dsm.barys[e], bary, atol=1e-9)
 
 
 def test_scene_config_validation():

@@ -6,8 +6,9 @@ Builds the scenes of `clean-160`, `clean-640` and `noisy-160` for bench seeds
 1-3 and runs `bench/pipeline.run_pair` on each (75 pairs, about a minute). It
 prints two lines per pair:
 
-- `scene`: SHA-256s of the clean maps' bytes and of the records' map bytes,
-  the oracle's entry count, a SHA-256 of its exact part (cameras, `pixel_a`
+- `scene`: SHA-256s of the clean maps and of the records' maps, each over
+  every map's entry arrays (`mapped_index()`, `faces`, `barys`), then the
+  oracle's entry count, a SHA-256 of its exact part (cameras, `pixel_a`
   and ranks) and one of its float part (`pixel_b` and points), so a change
   that only moves the oracle's rounding shows in the last field alone;
 - `pair`: the RANSAC and final pose errors and BA's initial and final
@@ -50,7 +51,7 @@ def _sha(*arrays) -> str:
 
 
 def _map_arrays(maps):
-    return [a for dsm in maps for a in (dsm.faces, dsm.barys)]
+    return [a for dsm in maps for a in (dsm.mapped_index(), dsm.faces, dsm.barys)]
 
 
 def scene_digest(scene) -> str:
