@@ -224,16 +224,32 @@ def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
 
 def fit_thickness(x1, x2, o1, o2) -> np.ndarray:
     """Least-squares (a, b) of the tuple reparameterization for each row of
-    the (n, 3) points x1, x2: an (n, 2) array. Exact when X2 lies in the
-    plane of X1 and the two centers; the minimum-norm solution when X1 - o1
-    is parallel to o2 - o1."""
+    the (n, 3) points x1, x2: an (n, 2) array, exact when X2 lies in the
+    plane of X1 and the two centers. With u = X1 - o1, w = o2 - o1,
+    r = X2 - X1 and n = u x w, a = ((r x w) . n) / |n|^2 and
+    b = ((u x r) . n) / |n|^2. Rows where [u, w] has rank one under
+    lstsq(rcond=None)'s cutoff, such as X1 - o1 parallel to o2 - o1, get
+    pinv's minimum-norm solution."""
     x1 = np.asarray(x1, dtype=np.float64)
     o1 = np.asarray(o1, dtype=np.float64)
-    rhs = np.asarray(x2, dtype=np.float64) - x1
-    basis = np.stack([x1 - o1, np.broadcast_to(np.asarray(o2) - o1, x1.shape)], axis=2)
-    # the singular-value cutoff of lstsq(rcond=None): max(M, N) * eps
-    pinv = np.linalg.pinv(basis, rcond=3 * np.finfo(np.float64).eps)
-    return (pinv @ rhs[:, :, None])[:, :, 0]
+    r = np.asarray(x2, dtype=np.float64) - x1
+    u = x1 - o1
+    w = np.broadcast_to(np.asarray(o2, dtype=np.float64) - o1, x1.shape)
+    n = np.cross(u, w)
+    nn = np.einsum("ij,ij->i", n, n)
+    ab = np.column_stack([np.einsum("ij,ij->i", np.cross(r, w), n),
+                          np.einsum("ij,ij->i", np.cross(u, r), n)])
+    # |n| = s1 s2 and s1^2 + s2^2 = |u|^2 + |w|^2 for the singular values
+    # s1 >= s2 of [u, w], so |n| > 4 eps (|u|^2 + |w|^2) keeps s2 > 3 eps s1
+    eps = np.finfo(np.float64).eps
+    cut = 4.0 * eps * (np.einsum("ij,ij->i", u, u) + np.einsum("ij,ij->i", w, w))
+    thin = nn <= cut * cut
+    ab /= np.where(thin, 1.0, nn)[:, None]
+    if thin.any():
+        basis = np.stack([u[thin], w[thin]], axis=2)
+        pinv = np.linalg.pinv(basis, rcond=3 * eps)
+        ab[thin] = (pinv @ r[thin, :, None])[:, :, 0]
+    return ab
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidCoordinateError, TopologyMismatchError
 from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
-from .mesh import TriangleMesh, batch_all_hits, read_only, run_ranks, surface_points
+from .mesh import (
+    TriangleMesh,
+    batch_all_hits,
+    concat_ranges,
+    read_only,
+    run_ranks,
+    surface_points,
+)
 
 MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
 TOLERANCE_FLOOR = 0.01  # smallest match tolerance suggest_surface_tolerance returns
 TOLERANCE_FACTOR = 1.6  # its tolerance as a multiple of the median footprint
+JOIN_CELLS_MAX = 1 << 20  # cells per axis of the radius join's grid: keys fit int64
+# (dx, dy) of the nine cell columns around a cell
+_COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
 class DenseSurfaceMap:
@@ -173,35 +182,121 @@ def suggest_surface_tolerance(records) -> float:
 
 class SurfaceIndex:
     """A dense surface map's entries as points on a mesh, for nearest-entry
-    lookup.
-
-    Extraction builds one per cast direction and queries it with a few
-    thousand hits, so the build is what costs: the KD-tree splits at
-    sliding midpoints (Maneewongvatana & Mount, 1999), which builds in about
-    half the time of median splits and answers the same exact queries.
-    """
+    lookup within a tolerance (a reduction of the radius join
+    `_pairs_within`)."""
 
     def __init__(self, dsm: DenseSurfaceMap, mesh: TriangleMesh):
         self.pixels = dsm.mapped_pixels()
         self.positions = surface_points(mesh, dsm.faces, dsm.barys)
-        self._tree = cKDTree(self.positions, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:
         return len(self.pixels)
 
     def nearest(self, positions: np.ndarray, tolerance: float):
-        """Nearest entry within `tolerance` (inclusive) of each query position.
+        """Nearest entry within `tolerance` (inclusive) of each query position,
+        the smallest index among equally near ones.
 
         Returns (distances, indices), with inf and len(self) where no entry
         is that close.
         """
-        # the tree's bound is strict: one ulp above keeps distance == tolerance
-        dist, idx = self._tree.query(
-            np.atleast_2d(positions), distance_upper_bound=np.nextafter(tolerance, np.inf)
-        )
-        far = dist > tolerance
-        dist[far], idx[far] = np.inf, len(self)
+        positions = np.atleast_2d(positions)
+        query, entry, d2 = _pairs_within(self.positions, positions, tolerance)
+        query, entry, d2 = _nearest_of_groups(query, entry, d2)
+        dist = np.full(len(positions), np.inf)
+        idx = np.full(len(positions), len(self), dtype=np.int64)
+        dist[query], idx[query] = np.sqrt(d2), entry
         return dist, idx
+
+
+def _pairs_within(points, queries, radius: float):
+    """Every (query, point) pair at most `radius` (finite, >= 0) apart,
+    inclusive: sqrt(d2) <= radius, rounded as a scan would round it.
+    Returns (query, point, d2), grouped by ascending query.
+
+    The points are hashed on a grid of cubes a hair wider than `radius`, so
+    a pair within it is at most one cell apart per axis. Two empty cells pad
+    the points' cells on every side: a query in the inner pad cell may have
+    points in reach, one farther out has none and is dropped. Keys run x-,
+    y-, then z-major, so each of a query's nine (x, y) columns of three
+    cells is one run of the sorted point keys, found by one binary search
+    in the occupied cells; the queries are sorted first so that the
+    searches run in order.
+    """
+    if not 0.0 <= radius < np.inf:
+        raise ValueError("radius must be finite and >= 0")
+    # (3, N) rows: reductions and gathers run several times faster on them
+    pt = np.asarray(points, dtype=np.float64).reshape(-1, 3).T.copy()
+    qt = np.asarray(queries, dtype=np.float64).reshape(-1, 3).T.copy()
+    if pt.shape[1] == 0 or qt.shape[1] == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    lo, hi = pt.min(axis=1), pt.max(axis=1)
+    # any side will do when all points coincide and the radius is zero
+    side = max(radius * (1.0 + 1e-6), float((hi - lo).max()) / JOIN_CELLS_MAX) or 1.0
+    origin = (lo - 2.0 * side)[:, None]
+    n = np.floor((hi[:, None] - origin) / side).astype(np.int64) + 3
+    place = np.array([n[1] * n[2], n[2], [1]])  # key = place . cell
+
+    # points fill cells [2, n - 3]; the clip only undoes rounding at lo
+    pcell = np.clip(np.floor((pt - origin) / side), 2, n - 3).astype(np.int64)
+    pkey = (pcell * place).sum(axis=0)
+    order = np.argsort(pkey)
+    pkey = pkey[order]
+    qcell = np.clip(np.floor((qt - origin) / side), -1, n)
+    valid = np.flatnonzero(((qcell >= 1) & (qcell <= n - 2)).all(axis=0))
+    qkey = (qcell[:, valid].astype(np.int64) * place).sum(axis=0)
+    qorder = np.argsort(qkey)
+    qkey = qkey[qorder]
+
+    # occupied cells and their first points, closed by sentinels
+    head = np.flatnonzero(np.r_[True, pkey[1:] != pkey[:-1]])
+    cells = np.r_[pkey[head], [np.iinfo(np.int64).max] * 3]
+    head = np.r_[head, [len(pkey)] * 4]
+    # column (x + dx, y + dy, z - 1 .. z + 1): up to three cells from `low`
+    low = qkey + (_COLUMNS @ place[:2, 0] - 1)[:, None]  # (9, queries)
+    i = np.searchsorted(cells[:-3], low)
+    high = low + 2
+    end = i + (cells[i] <= high) + (cells[i + 1] <= high) + (cells[i + 2] <= high)
+    rank = np.empty_like(qorder)  # back from key order to query order
+    rank[qorder] = np.arange(len(qorder))
+    first = head[i][:, rank].T
+    count = head[end][:, rank].T - first
+    point = order[concat_ranges(first.ravel(), count.ravel())]
+    query = np.repeat(valid, count.sum(axis=1))
+    dx, dy, dz = (p[point] - q[query] for p, q in zip(pt, qt))
+    d2 = dx * dx + dy * dy + dz * dz
+    keep = np.sqrt(d2) <= radius
+    return query[keep], point[keep], d2[keep]
+
+
+def _nearest_of_groups(query, entry, d2):
+    """Per group of `_pairs_within`'s output: the query, its nearest entry
+    (the smallest index among ties) and their squared distance."""
+    if len(query) == 0:
+        return query, entry, d2
+    starts = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
+    best = np.minimum.reduceat(d2, starts)
+    ties = d2 == np.repeat(best, np.diff(np.r_[starts, len(d2)]))
+    nearest = np.minimum.reduceat(np.where(ties, entry, np.iinfo(np.int64).max), starts)
+    return query[starts], nearest, best
+
+
+def _mutual_nearest(points, queries, radius: float):
+    """(query, point) index pairs within `radius` of each other, inclusive,
+    where each is the other's nearest; the smallest index wins a tie on
+    either side. Ordered by ascending query.
+
+    A point's nearest query is no farther than a query it is nearest to,
+    so within `radius`, and the one radius join holds both directions.
+    """
+    query, point, d2 = _pairs_within(points, queries, radius)
+    q, p, _ = _nearest_of_groups(query, point, d2)
+    point_d2 = np.full(len(points), np.inf)
+    np.minimum.at(point_d2, point, d2)
+    tied = d2 == point_d2[point]
+    point_query = np.full(len(points), len(queries), dtype=np.int64)
+    np.minimum.at(point_query, point[tied], query[tied])
+    mutual = point_query[p] == q
+    return q[mutual], p[mutual]
 
 
 def _check_shared_topology(mesh_a: TriangleMesh, mesh_b: TriangleMesh):
@@ -219,9 +314,10 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     pixel ray (z = 1) through its prior; only the hits' faces and barycentric
     weights are read, never their depths. A hit matches the observer-map
     entry nearest to it when that entry lies within `surface_tolerance`
-    (distance <= tolerance) and the hit is in turn the entry's nearest hit.
-    Each casting pixel keeps its first `max_per_pixel` matches in rank order;
-    of those, matches whose point lies behind the casting camera or projects
+    (distance <= tolerance) and the hit is in turn the entry's nearest hit;
+    the smallest index wins a tie on either side (`_mutual_nearest`). Each
+    casting pixel keeps its first `max_per_pixel` matches in rank order; of
+    those, matches whose point lies behind the casting camera or projects
     outside its frame are dropped.
 
     Returns rows (cast_uv, obs_uv, rank) of plain Python values, in
@@ -244,19 +340,13 @@ def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
     # positions of the observer's entries, evaluated on the casting mesh so
     # distances are canonical-topology distances
     index_o = SurfaceIndex(obs.prior_for(person_id).surface_map, mesh_c)
-    _, near = index_o.nearest(hit_pos, params.surface_tolerance)
-    cand = np.flatnonzero(near < len(index_o))
-    # a point's nearest neighbour does not depend on the other queries, so
-    # the reverse test needs only the candidates' entries
-    back_tree = cKDTree(hit_pos, balanced_tree=False, compact_nodes=False)
-    _, back = back_tree.query(index_o.positions[near[cand]])
-    m = cand[back == cand]
+    m, e = _mutual_nearest(index_o.positions, hit_pos, params.surface_tolerance)
 
     # cap VCs per casting pixel, lowest ranks first (m is ray- then rank-ordered)
-    m = m[run_ranks(ray[m]) < params.max_per_pixel]
+    capped = run_ranks(ray[m]) < params.max_per_pixel
+    m, e = m[capped], e[capped]
 
     # re-view the matched canonical point on the casting image's own prior
-    e = near[m]
     y = index_o.positions[e]  # already in the casting camera frame
     front = y[:, 2] > 0.0
     m, e, y = m[front], e[front], y[front]

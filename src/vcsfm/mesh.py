@@ -53,6 +53,8 @@ BOX_PAD = 1e-8
 PLANE_TOL = 1e-12
 # faces per cell of the grid the projected face boxes are binned on
 FACES_PER_CELL = 1
+# rays cast at once; bounds the candidate pairs a cast holds in memory
+CAST_BLOCK = 4096
 
 
 class TriangleMesh:
@@ -126,18 +128,31 @@ def batch_all_hits(mesh: TriangleMesh, directions, max_hits: int | None = None):
 
     directions: (N, 3). Returns (ray (K,), depth (K,), face (K,), bary (K, 3))
     over the K hits kept, ordered by ray index, then depth. There is no
-    single-ray variant: one ray is a batch of one.
+    single-ray variant: one ray is a batch of one. Rays are cast in blocks
+    of CAST_BLOCK, which bounds the memory of a cast's candidate pairs; a
+    ray's hits do not depend on the other rays, so the blocks' results are
+    concatenated as they are.
     """
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
-    if len(directions) and mesh.num_faces:
-        table = mesh._cast_table
-        ray, face = _candidate_pairs(table, directions)
-        t, u, v, valid = _moller_trumbore(table, directions, ray, face)
-        ray, face, t, u, v = ray[valid], face[valid], t[valid], u[valid], v[valid]
-        face = face.astype(np.int64)  # the table's indices are int32
-    else:
-        ray = face = np.empty(0, dtype=np.int64)
-        t = u = v = np.empty(0)
+    blocks = []
+    if mesh.num_faces:
+        for start in range(0, len(directions), CAST_BLOCK):
+            ray, t, face, bary = _cast_block(mesh._cast_table,
+                                             directions[start:start + CAST_BLOCK], max_hits)
+            blocks.append((ray + start, t, face, bary))
+    if not blocks:
+        return (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64),
+                np.empty((0, 3)))
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _cast_block(table: "_CastTable", directions, max_hits):
+    """`batch_all_hits` on one block of rays, with `table` its mesh's cast
+    table."""
+    ray, face = _candidate_pairs(table, directions)
+    t, u, v, valid = _moller_trumbore(table, directions, ray, face)
+    ray, face, t, u, v = ray[valid], face[valid], t[valid], u[valid], v[valid]
+    face = face.astype(np.int64)  # the table's indices are int32
 
     order = np.lexsort((face, t, ray))
     ray, face, t, u, v = ray[order], face[order], t[order], u[order], v[order]
@@ -219,7 +234,8 @@ class _CastTable:
         rows = c1[1] - c0[1] + 1
         row_face = np.repeat(np.arange(faces), rows)  # one entry per (face, cell row)
         width = (c1[0] - c0[0] + 1)[row_face]
-        cells = np.repeat(_ranges(c0[1], rows) * n[0], width) + _ranges(c0[0, row_face], width)
+        cells = (np.repeat(concat_ranges(c0[1], rows) * n[0], width)
+                 + concat_ranges(c0[0, row_face], width))
         order = np.argsort(cells)  # the order within a cell does not matter
         self.cell_faces = np.repeat(row_face, width)[order].astype(np.int32)
         per_cell = np.bincount(cells, minlength=n[0] * n[1])
@@ -265,7 +281,7 @@ def _candidate_pairs(table: _CastTable, dirs):
         cell = cy * table.n[0] + cx
         first = table.cell_start[cell]
         count = table.cell_start[cell + 1] - first
-        box = table.cell_faces[_ranges(first, count)]
+        box = table.cell_faces[concat_ranges(first, count)]
         qx, qy = np.repeat(q[:, 0], count), np.repeat(q[:, 1], count)
         lox, loy, hix, hiy = table.box[:, box]
         inbox = (qx >= lox) & (qx <= hix) & (qy >= loy) & (qy <= hiy)
@@ -284,7 +300,7 @@ def run_ranks(keys) -> np.ndarray:
     return np.arange(len(keys)) - np.searchsorted(keys, keys)
 
 
-def _ranges(starts, counts):
+def concat_ranges(starts, counts):
     """Concatenation of the integer ranges [starts[i], starts[i] + counts[i])."""
     ends = np.cumsum(counts)
     return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)

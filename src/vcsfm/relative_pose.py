@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AmbiguousCheiralityError,
@@ -24,6 +23,8 @@ from .geometry import SE3Pose, decompose_essential, essential_from_pose, sampson
 
 MAX_ITERATIONS = 2000  # RANSAC samples drawn at most
 CONFIDENCE = 0.999  # probability of an all-inlier sample behind the adaptive stop
+# (cos t, sin t) of the angle t that five_point turns its pencil by
+_TURN = (math.cos(0.5), math.sin(0.5))
 
 # Monomials of degree <= 3 in the nullspace coordinates (x, y, z), degree by
 # degree and lexicographic within a degree: the ten cubics
@@ -87,14 +88,19 @@ def five_point(x1, x2) -> list[np.ndarray]:
     The monomial vectors of their ten solutions span the nullspace N of the
     10x20 cubic-constraint matrix. Multiplying the quotient basis
     [x2, xy, xz, y2, yz, z2, x, y, z, 1] by x lands on monomials again, so
-    each solution is an eigenpair (x, c) of the pencil N[x * basis] c =
-    x N[basis] c. The 10x10 action matrix N[x * basis] N[basis]^-1 is never
-    formed: inverting N[basis], or the cubic block of the constraint matrix,
-    loses accuracy when a solution lies far out in the (x, y, z) chart.
+    each solution is an eigenpair (x, c) of the pencil A c = x B c, with
+    A = N[x * basis] and B = N[basis]. B, like the cubic block of the
+    constraint matrix, is near singular when a solution lies far out in the
+    (x, y, z) chart, and its inverse then loses that solution. So the pencil
+    is turned by the fixed angle t of _TURN, to A' = cos t A - sin t B and
+    B' = sin t A + cos t B, and B'^-1 A' goes to a plain eigensolver: the
+    eigenvectors stay, each eigenvalue mu maps to x = tan(t + arctan mu),
+    and B' is singular only at the finite root x = -cot t.
 
     Returns up to 10 matrices with unit Frobenius norm, each satisfying
     det(E) ~ 0, the trace constraint, and all five epipolar equations.
-    Raises DegenerateSampleError when the 5x9 system is rank deficient.
+    Raises DegenerateSampleError when the 5x9 system or the constraint
+    system is rank deficient, or the turned pencil cannot be solved.
     """
     x1 = np.asarray(x1, dtype=np.float64).reshape(-1, 2)
     x2 = np.asarray(x2, dtype=np.float64).reshape(-1, 2)
@@ -111,7 +117,13 @@ def five_point(x1, x2) -> list[np.ndarray]:
     if s[9] <= 1e-12 * s[0]:
         raise DegenerateSampleError("constraint system is rank deficient")
     null = vt[10:].T
-    values, vectors = scipy.linalg.eig(null[_TIMES_X], null[10:], check_finite=False)
+    cos, sin = _TURN
+    try:
+        turned = np.linalg.solve(sin * null[_TIMES_X] + cos * null[10:],
+                                 cos * null[_TIMES_X] - sin * null[10:])
+    except np.linalg.LinAlgError:
+        raise DegenerateSampleError("turned five-point pencil is singular") from None
+    values, vectors = np.linalg.eig(turned)
 
     candidates = []
     for b in (null[10:] @ vectors[:, values.imag == 0.0].real).T:

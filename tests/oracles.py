@@ -5,9 +5,15 @@ scipy least_squares instead of the in-package quasi-Newton solver, quaternion
 algebra instead of trace formulas, grid searches instead of closed forms.
 """
 
+import importlib
+
 import numpy as np
+import scipy.linalg
 from scipy.optimize import least_squares, minimize
 from scipy.spatial.transform import Rotation
+
+# the package exports a function of this name, so ask for the module itself
+relative_pose = importlib.import_module("vcsfm.relative_pose")
 
 
 def ray_triangle_hits_oracle(vertices, faces, origin, direction):
@@ -35,6 +41,48 @@ def collapsed_hits_oracle(vertices, faces, origin, direction, depth_tie, max_hit
         else:
             groups.append([hit])
     return [min(g, key=lambda h: h[1]) for g in groups][:max_hits]
+
+
+def pairs_within_oracle(points, queries, radius):
+    """Sorted (query, point, squared distance) triples at most `radius`
+    apart, by scanning every pair."""
+    out = []
+    for qi, q in enumerate(np.asarray(queries, dtype=np.float64).reshape(-1, 3)):
+        d2 = ((np.asarray(points, dtype=np.float64).reshape(-1, 3) - q) ** 2).sum(axis=1)
+        out.extend((qi, int(j), float(d2[j])) for j in np.flatnonzero(np.sqrt(d2) <= radius))
+    return sorted(out)
+
+
+def mutual_nearest_oracle(points, queries, radius):
+    """(query, point) pairs that are each other's nearest, the first index
+    winning ties, and at most `radius` apart, by scanning every pair."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    out = []
+    for qi, q in enumerate(queries):
+        if len(points) == 0:
+            break
+        d2 = ((points - q) ** 2).sum(axis=1)
+        j = int(np.argmin(d2))
+        if np.sqrt(d2[j]) <= radius and np.argmin(((queries - points[j]) ** 2).sum(axis=1)) == qi:
+            out.append((qi, j))
+    return out
+
+
+def five_point_pencil_oracle(x1, x2):
+    """Unit-norm essential matrices of every real eigenvector of
+    `five_point`'s pencil A c = x B c, solved as a generalized eigenproblem
+    by scipy's QZ rather than as a turned standard one, and not filtered."""
+    q = relative_pose._epipolar_matrix(x1, x2)
+    basis = np.linalg.svd(q)[2][-4:][::-1]
+    null = np.linalg.svd(relative_pose._constraint_matrix(basis))[2][10:].T
+    values, vectors = scipy.linalg.eig(null[relative_pose._TIMES_X], null[10:])
+    out = []
+    for b in (null[10:] @ vectors[:, values.imag == 0.0].real).T:
+        ww = b[relative_pose._OUTER]
+        e = (basis.T @ ww[np.argmax(np.abs(np.diag(ww)))]).reshape(3, 3)
+        out.append(e / np.linalg.norm(e))
+    return out
 
 
 def ray_gap_grid_oracle(o1, d1, o2, d2, d_max=50.0, coarse=400, refine_iters=3):

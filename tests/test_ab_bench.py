@@ -1,0 +1,60 @@
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import ab_bench  # noqa: E402
+
+METRICS = [{"name": "pair_s_p50", "better": "lower"}, {"name": "auc30", "better": "higher"},
+           {"name": "absent", "better": "lower"}]
+
+
+def _runs(text):
+    """Metric values of canned bench output lines, as bench_once returns them."""
+    return [{name: m["value"] for name, m in json.loads(line)["metrics"].items()}
+            for line in text.strip().splitlines()]
+
+
+BASE = _runs("""
+{"correct": true, "metrics": {"pair_s_p50": {"value": 1.0}, "auc30": {"value": 0.5}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 2.0}, "auc30": {"value": 0.5}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 3.0}, "auc30": {"value": 0.5}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 4.0}, "auc30": {"value": 0.5}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 5.0}, "auc30": {"value": 0.5}}}
+""")
+CHANGE = _runs("""
+{"correct": true, "metrics": {"pair_s_p50": {"value": 0.5}, "auc30": {"value": 0.5}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 1.0}, "auc30": {"value": 0.75}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 1.5}, "auc30": {"value": 0.25}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 4.0}, "auc30": {"value": 0.75}}}
+{"correct": true, "metrics": {"pair_s_p50": {"value": 4.5}, "auc30": {"value": 0.5}}}
+""")
+
+
+def test_summary_reports_medians_ratio_iqr_and_wins():
+    time, auc = ab_bench.summarize(BASE, CHANGE, METRICS)
+    # base quartiles 2 and 4: IQR 2, over the median 3
+    # per-pair ratios 0.5, 0.5, 0.5, 1 and 0.9
+    assert time == pytest.approx({"name": "pair_s_p50", "base": 3.0, "change": 1.5, "ratio": 0.5,
+                                  "pair_ratio": 0.5, "base_iqr": 2.0 / 3.0, "resolved": False,
+                                  "wins": 4, "pairs": 5})
+    # higher is better: two pairs up, one down, two tied; a constant base has IQR 0
+    assert auc == {"name": "auc30", "base": 0.5, "change": 0.5, "ratio": 1.0, "pair_ratio": 1.0,
+                   "base_iqr": 0.0, "resolved": False, "wins": 2, "pairs": 5}
+
+
+def test_summary_resolves_medians_further_apart_than_the_base_iqr():
+    shifted = [{"pair_s_p50": r["pair_s_p50"] - 2.5} for r in BASE]
+    (row,) = ab_bench.summarize(BASE, shifted, METRICS[:1])
+    assert (row["resolved"], row["wins"], row["ratio"]) == (True, 5, pytest.approx(0.5 / 3.0))
+    text = ab_bench.format_rows([row])
+    assert text.splitlines()[1].split() == ["pair_s_p50", "3", "0.5", "0.1667", "0.1667",
+                                            "0.6667", "True", "5/5"]
+
+
+def test_metric_missing_from_a_run_is_skipped():
+    rows = ab_bench.summarize(BASE, CHANGE[:-1] + [{"auc30": 0.5}], METRICS)
+    assert [r["name"] for r in rows] == ["auc30"]

@@ -319,6 +319,24 @@ def test_fit_thickness_matches_per_row_lstsq():
     assert fit_thickness(np.empty((0, 3)), np.empty((0, 3)), o1, o2).shape == (0, 2)
 
 
+def test_fit_thickness_matches_lstsq_to_relative_precision():
+    # rows at scales from 1e-3 to 1e3 about centres off the origin, X2 in
+    # and out of the plane of X1 and the centres, and rows with X1 - o1 an
+    # exact multiple of the baseline
+    rng = np.random.default_rng(8)
+    o1, o2 = np.array([3.0, -2.0, 1.0]), np.array([3.5, -1.0, 0.5])
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(400, 1))
+    x1 = o1 + scale * rng.normal(size=(400, 3))
+    x2 = x1 + scale * rng.normal(size=(400, 3))
+    a, b = rng.normal(size=(2, 200, 1))
+    x2[::2] = x1[::2] + a * (x1[::2] - o1) + b * (o2 - o1)
+    x1[::25] = o1 + rng.choice([-2.0, 0.5, 1.0, 4.0], size=(16, 1)) * (o2 - o1)  # exact
+    got = fit_thickness(x1, x2, o1, o2)
+    for row, p, q in zip(got, x1, x2):
+        want = np.linalg.lstsq(np.column_stack([p - o1, o2 - o1]), q - p, rcond=None)[0]
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def _ground_truth_problem(mode, angle, start_rotation=(0.0, 0.0, 0.0)):
     """Two-camera problem lifted from extracted VCs at a start pose: the
     truth with its rotation turned by the rotation vector start_rotation."""

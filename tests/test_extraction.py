@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import entry_index, unit_square_mesh
-from oracles import ray_gap_grid_oracle, vc_extraction_oracle
+from oracles import (
+    mutual_nearest_oracle,
+    pairs_within_oracle,
+    ray_gap_grid_oracle,
+    vc_extraction_oracle,
+)
 from vcsfm.errors import InvalidCoordinateError, TopologyMismatchError
 from vcsfm.extraction import (
     DenseSurfaceMap,
@@ -11,6 +16,8 @@ from vcsfm.extraction import (
     ShapePrior,
     SurfaceIndex,
     VirtualCorrespondence,
+    _mutual_nearest,
+    _pairs_within,
     extract_vcs,
     ray_gap,
     suggest_surface_tolerance,
@@ -222,6 +229,67 @@ def test_surface_index_of_empty_map_finds_nothing():
     idx = SurfaceIndex(empty_map(8, 8), unit_square_mesh())
     dist, got = idx.nearest(np.zeros((2, 3)), 10.0)
     assert len(idx) == 0 and np.all(dist == np.inf) and np.all(got == len(idx))
+
+
+def _join(points, queries, radius):
+    query, point, d2 = _pairs_within(points, queries, radius)
+    assert np.all(query[1:] >= query[:-1])  # grouped by ascending query
+    return sorted(zip(query.tolist(), point.tolist(), d2.tolist()))
+
+
+def _join_cases(rng):
+    """(name, points, queries, radius) of the radius join's edge cases."""
+    # the points' box has a point at its low corner and one on its low x face
+    cloud = np.vstack([rng.uniform(-1.0, 1.0, size=(300, 3)), [[-1.2, 0.0, 0.0], [-1.2] * 3]])
+    near = cloud[rng.integers(0, 300, 200)] + rng.normal(scale=0.05, size=(200, 3))
+    # queries beyond that corner and face: inside, about at and past the
+    # radius, and farther out
+    lo = cloud.min(axis=0)
+    outside = np.array([lo - s * 0.1 / np.sqrt(3.0) for s in (0.5, 0.999, 1.001, 1.5, 30.0)]
+                       + [[lo[0] - s * 0.1, 0.0, 0.0] for s in (0.999, 1.0, 1.001, 2.5)])
+    # a point exactly at the radius and one an ulp past it; exact ties at
+    # the radius and inside it
+    exact = np.array([[0.5, 0.5, 0.75], [0.5, 0.5, np.nextafter(0.75, 1.0)],
+                      [0.25, 0.5, 0.5], [0.75, 0.5, 0.5], [0.5, 0.625, 0.5], [0.5, 0.375, 0.5]])
+    lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+    return [
+        ("cloud", cloud, near, 0.08),
+        ("outside-box", cloud, outside, 0.1),
+        ("exact", exact, np.array([[0.5, 0.5, 0.5]]), 0.25),
+        ("lattice", lattice, lattice[::3] + 0.5, 1.0),
+        ("lattice-far", lattice, lattice + 0.5, 3.0),
+        ("no-points", np.empty((0, 3)), near, 0.1),
+        ("no-queries", cloud, np.empty((0, 3)), 0.1),
+        ("coincident", np.zeros((3, 3)), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-300]]), 0.0),
+    ]
+
+
+def test_pairs_within_matches_brute_force(rng):
+    for name, points, queries, radius in _join_cases(rng):
+        assert _join(points, queries, radius) == pairs_within_oracle(points, queries, radius), name
+    # the exact case keeps the point at the radius and both ties, and drops
+    # the one an ulp past it
+    _, points, queries, radius = _join_cases(rng)[2]
+    assert [p for _, p, _ in _join(points, queries, radius)] == [0, 2, 3, 4, 5]
+
+
+def test_mutual_nearest_matches_brute_force(rng):
+    for name, points, queries, radius in _join_cases(rng):
+        query, point = _mutual_nearest(points, queries, radius)
+        assert list(zip(query.tolist(), point.tolist())) == mutual_nearest_oracle(
+            points, queries, radius), name
+    # each query is as near to eight lattice points and takes the first,
+    # 0 = (0, 0, 0) and 13 = (1, 1, 1); point 13 is as near to both queries
+    # and takes the first, so the second query matches nothing
+    lattice = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    query, point = _mutual_nearest(lattice, np.array([[0.5, 0.5, 0.5], [1.5, 1.5, 1.5]]), 1.0)
+    assert (query.tolist(), point.tolist()) == ([0], [0])
+
+
+def test_pairs_within_rejects_a_radius_it_cannot_grid():
+    for radius in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            _pairs_within(np.zeros((1, 3)), np.zeros((1, 3)), radius)
 
 
 # ---------------------------------------------------------------- extraction

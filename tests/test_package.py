@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import vcsfm
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +24,19 @@ def test_every_console_script_target_is_callable():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_importing_every_module_loads_numpy_only():
+    # the test oracles load scipy into this process, so import in a fresh one
+    code = (
+        "import importlib, pkgutil, sys, vcsfm\n"
+        "names = [m.name for m in pkgutil.iter_modules(vcsfm.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('vcsfm.' + name)\n"
+        "print(len(names), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split(maxsplit=1)
+    assert int(out[0]) >= 9 and out[1].strip() == "[]"

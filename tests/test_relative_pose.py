@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
+from oracles import five_point_pencil_oracle, relative_pose
 from vcsfm.errors import (
     AmbiguousCheiralityError,
     DegenerateSampleError,
@@ -122,6 +123,43 @@ def test_five_point_recovers_solution_far_out_in_its_chart():
     )
     e_gt = unit_essential(rel)
     assert min(e_distance(c, e_gt) for c in five_point(x1, x2)) < 1e-6
+
+
+def _best_distance(candidates, e_gt):
+    return min((e_distance(c, e_gt) for c in candidates), default=np.inf)
+
+
+def test_five_point_keeps_a_root_that_the_plain_action_matrix_loses(monkeypatch):
+    # draw 6859 of this narrow, far stream: B^-1 A, the unturned pencil's
+    # action matrix, loses the true E (best distance 0.73), while scipy's QZ
+    # and the turned pencil both keep it
+    gen = np.random.default_rng(12345)
+    for _ in range(6860):
+        rel = covisible_pose(gen)
+        x1, x2 = make_pairs(gen, rel, 5, half_width=0.05, depth=(20.0, 60.0))
+    e_gt = unit_essential(rel)
+    assert _best_distance(five_point_pencil_oracle(x1, x2), e_gt) < 1e-7
+    assert _best_distance(five_point(x1, x2), e_gt) < 1e-7
+    monkeypatch.setattr(relative_pose, "_TURN", (1.0, 0.0))  # no turn: solve(B, A)
+    assert _best_distance(five_point(x1, x2), e_gt) > 0.5
+
+
+@pytest.mark.parametrize(
+    "half_width, depth",
+    [(None, (2.0, 6.0)), (0.05, (2.0, 6.0)), (None, (20.0, 60.0)), (0.05, (20.0, 60.0))],
+    ids=["normal", "narrow", "far", "narrow+far"],
+)
+def test_five_point_recovers_the_truth_wherever_scipy_qz_does(half_width, depth):
+    gen = np.random.default_rng(2206)
+    oracle_found = 0
+    for _ in range(400):
+        rel = covisible_pose(gen)
+        x1, x2 = make_pairs(gen, rel, 5, half_width=half_width, depth=depth)
+        e_gt = unit_essential(rel)
+        if _best_distance(five_point_pencil_oracle(x1, x2), e_gt) < 1e-6:
+            oracle_found += 1
+            assert _best_distance(five_point(x1, x2), e_gt) < 1e-6
+    assert oracle_found >= 396
 
 
 def test_constraint_matrix_matches_direct_evaluation(rng):
