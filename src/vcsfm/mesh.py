@@ -19,11 +19,14 @@ contract:
   against every ray; a ray with z <= 0 only against such faces. The result
   is that of testing every (ray, face) pair.
 - All per-face data of a cast (face split, boxes, grid and the
-  Moller-Trumbore table) depend on the mesh only. They are built on the
-  mesh's first cast and kept for its life, so a cast costs time in
+  Moller-Trumbore coefficient rows) depend on the mesh only. They are built
+  on the mesh's first cast and kept for its life, so a cast costs time in
   proportion to its rays and candidate pairs.
 - The test is Moller-Trumbore (Moller & Trumbore, JGT 1997) with inclusive
-  barycentric bounds (BARY_TOL), keeping hits deeper than EPS_MIN.
+  barycentric bounds (BARY_TOL), keeping hits deeper than EPS_MIN. From
+  the origin, its determinant and the numerators of u and v are dot
+  products of the ray direction with three per-face vectors, edge
+  functions as in Pineda (SIGGRAPH 1988), read from nine coefficient rows.
 - Depth is in units of the given direction vectors, which need not be unit.
 - Hits of one ray that follow each other within DEPTH_TIE in depth (a ray
   through a shared edge or vertex) collapse to the smallest face index.
@@ -147,27 +150,27 @@ def batch_all_hits(mesh: TriangleMesh, directions, max_hits: int | None = None):
 
 
 def _cast_block(table: "_CastTable", directions, max_hits):
-    """`batch_all_hits` on one block of rays, with `table` its mesh's cast
-    table."""
+    """`batch_all_hits` on one block of rays, on its mesh's cast `table`."""
     ray, face = _candidate_pairs(table, directions)
     t, u, v, valid = _moller_trumbore(table, directions, ray, face)
-    ray, face, t, u, v = ray[valid], face[valid], t[valid], u[valid], v[valid]
-    face = face.astype(np.int64)  # the table's indices are int32
-
-    order = np.lexsort((face, t, ray))
-    ray, face, t, u, v = ray[order], face[order], t[order], u[order], v[order]
+    # valid hits by ray, then depth; hits of equal depth may come in any order
+    hit = np.flatnonzero(valid)
+    hit = hit[np.argsort(t[hit])]
+    hit = hit[np.argsort(ray[hit], kind="stable")]
+    ray, depth, hit_face = ray[hit], t[hit], face[hit]
     # tie groups; a ray meets a face at most once, so the group's smallest
-    # face names its one survivor
+    # face names its one survivor, whatever order the sort left the group in
     new_group = np.ones(len(ray), dtype=bool)
-    new_group[1:] = (ray[1:] != ray[:-1]) | (t[1:] - t[:-1] > DEPTH_TIE)
+    new_group[1:] = (ray[1:] != ray[:-1]) | (depth[1:] - depth[:-1] > DEPTH_TIE)
     starts = np.flatnonzero(new_group)
-    if len(starts):
-        smallest = np.minimum.reduceat(face, starts)
-        keep = face == np.repeat(smallest, np.diff(np.r_[starts, len(ray)]))
-        ray, face, t, u, v = ray[keep], face[keep], t[keep], u[keep], v[keep]
-    if max_hits is not None and len(ray):
+    smallest = np.minimum.reduceat(hit_face, starts)
+    keep = hit_face == np.repeat(smallest, np.diff(np.r_[starts, len(ray)]))
+    hit, ray = hit[keep], ray[keep]
+    if max_hits is not None:
         keep = run_ranks(ray) < max_hits
-        ray, face, t, u, v = ray[keep], face[keep], t[keep], u[keep], v[keep]
+        hit, ray = hit[keep], ray[keep]
+    t, u, v = t[hit], u[hit], v[hit]
+    face = face[hit].astype(np.int64)  # the table's indices are int32
     bary = np.clip(np.column_stack([1.0 - u - v, u, v]), 0.0, None)
     # column sums in the order of a row sum, without its per-row overhead
     bary /= (bary[:, 0] + bary[:, 1] + bary[:, 2])[:, None]
@@ -178,8 +181,10 @@ class _CastTable:
     """Per-face data of casts from the origin on one mesh (see the module
     contract): the ahead/straddle face split about the plane z = 0, the
     padded boxes of the ahead faces projected onto z = 1 on a uniform grid,
-    and the Moller-Trumbore table. Index arrays are int32 to keep tables
-    small."""
+    and the Moller-Trumbore rows: `coef` (9, F), whose row 3j + k holds
+    component j of the vector that gives -det (k = 0) or the numerator of u
+    (1) or v (2), and the depth numerators `t_num` (F,). Index arrays are
+    int32 to keep tables small."""
 
     def __init__(self, mesh: TriangleMesh):
         vert = mesh.vertices
@@ -191,14 +196,12 @@ class _CastTable:
         if len(self.ahead):
             self._bin_boxes(vert, np.where(on_plane, 1.0, vert[:, 2]), corners[:, self.ahead])
 
-        v0 = mesh.corners[:, 0]
-        e1, e2 = mesh.corners[:, 1] - v0, mesh.corners[:, 2] - v0
-        tvec = -v0
-        qvec = np.cross(tvec, e1)
-        # (F, 3, 3), columns: a ray direction times them gives -det and the
-        # numerators of u and v
-        self.mt = np.stack([np.cross(e1, e2), np.cross(e2, tvec), qvec], axis=2)
-        self.t_num = np.einsum("fj,fj->f", qvec, e2)
+        v0, v1, v2 = mesh.corners.transpose(1, 2, 0)  # (3, F) each
+        e1, e2, tvec = v1 - v0, v2 - v0, -v0
+        normal, u_row, v_row = (a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+                                for a, b in ((e1, e2), (e2, tvec), (tvec, e1)))  # a x b
+        self.coef = np.stack([normal, u_row, v_row], axis=1).reshape(9, -1)
+        self.t_num = v_row[0] * e2[0] + v_row[1] * e2[1] + v_row[2] * e2[2]
 
     def _bin_boxes(self, vert, z, corners):
         """Padded projected boxes of the ahead faces (corner indices
@@ -236,7 +239,9 @@ class _CastTable:
         width = (c1[0] - c0[0] + 1)[row_face]
         cells = (np.repeat(concat_ranges(c0[1], rows) * n[0], width)
                  + concat_ranges(c0[0, row_face], width))
-        order = np.argsort(cells)  # the order within a cell does not matter
+        # a counting sort by cell: numpy sorts integers of at most 16 bits
+        # stably by radix; the order within a cell does not matter
+        order = np.argsort(cells.astype(np.min_scalar_type(n[0] * n[1])), kind="stable")
         self.cell_faces = np.repeat(row_face, width)[order].astype(np.int32)
         per_cell = np.bincount(cells, minlength=n[0] * n[1])
         self.cell_start = np.r_[0, np.cumsum(per_cell)].astype(np.int32)
@@ -248,18 +253,15 @@ class _CastTable:
 
 def _moller_trumbore(table: _CastTable, dirs, ray, face):
     """(t, u, v, hit-mask) of rays `dirs` from the origin on the (ray, face)
-    pairs.
-
-    With all rays from the origin the triple products factor into per-face
-    vectors, so the determinant and the numerators of u and v are dot
-    products of the ray direction with a per-face (3, 3) table.
-    """
-    dots = (dirs[ray][:, None, :] @ table.mt[face])[:, 0]  # -det, u and v numerators
-    det = -dots[:, 0]
-    ok = np.abs(det) > 1e-14
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    u = dots[:, 1] * inv
-    v = dots[:, 2] * inv
+    pairs, from the faces' coefficient rows (see the module contract)."""
+    dx, dy, dz = (d[ray] for d in dirs.T)
+    m = table.coef
+    neg_det, u, v = (dx * m[k][face] + dy * m[3 + k][face] + dz * m[6 + k][face]
+                     for k in range(3))
+    ok = np.abs(neg_det) > 1e-14
+    inv = np.divide(-1.0, neg_det, out=np.zeros_like(neg_det), where=ok)  # 1 / det
+    u *= inv
+    v *= inv
     t = table.t_num[face] * inv
     valid = ok & (u >= -BARY_TOL) & (v >= -BARY_TOL) & (u + v <= 1.0 + BARY_TOL) & (t > EPS_MIN)
     return t, u, v, valid
@@ -283,16 +285,17 @@ def _candidate_pairs(table: _CastTable, dirs):
         count = table.cell_start[cell + 1] - first
         box = table.cell_faces[concat_ranges(first, count)]
         qx, qy = np.repeat(q[:, 0], count), np.repeat(q[:, 1], count)
-        lox, loy, hix, hiy = table.box[:, box]
+        lox, loy, hix, hiy = (np.take(b, box) for b in table.box)
         inbox = (qx >= lox) & (qx <= hix) & (qy >= loy) & (qy <= hiy)
         ray_parts.append(np.repeat(front, count)[inbox])
         face_parts.append(table.ahead[box[inbox]])
 
     # faces at or behind the plane z = 0 against every ray
     straddle = table.straddle
-    ray_parts.append(np.repeat(np.arange(len(dirs)), len(straddle)))
-    face_parts.append(np.tile(straddle, len(dirs)))
-    return np.concatenate(ray_parts), np.concatenate(face_parts)
+    if len(straddle) or not ray_parts:
+        ray_parts.append(np.repeat(np.arange(len(dirs)), len(straddle)))
+        face_parts.append(np.tile(straddle, len(dirs)))
+    return tuple(p[0] if len(p) == 1 else np.concatenate(p) for p in (ray_parts, face_parts))
 
 
 def run_ranks(keys) -> np.ndarray:

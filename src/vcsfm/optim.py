@@ -44,19 +44,25 @@ class LbfgsReport:
         return self.objective_trace[-1]
 
 
+def _dot(a, b) -> float:
+    # einsum's own loop: BLAS's `a @ b` can stall for milliseconds waking its
+    # threads between other work on vectors as long as a large BA's
+    return float(np.einsum("i,i->", a, b))
+
+
 def _two_loop(history, g):
     q = g.copy()
     work = np.empty_like(q)  # one buffer for every scaled s or y
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * (s @ q)
+        a = rho * _dot(s, q)
         alphas.append(a)
         q -= np.multiply(a, y, out=work)
     if history:
         s, y, _ = history[-1]
-        q *= (s @ y) / (y @ y)
+        q *= _dot(s, y) / _dot(y, y)
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * (y @ q)
+        b = rho * _dot(y, q)
         q += np.multiply(a - b, s, out=work)
     return q
 
@@ -83,10 +89,10 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300):
             report.status = "converged_gradient"
             break
         d = -_two_loop(history, g) if history else -g
-        if g @ d >= 0.0:  # not a descent direction: restart from steepest descent
+        if _dot(g, d) >= 0.0:  # not a descent direction: restart from steepest descent
             history.clear()
             d = -g
-        alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, float(np.linalg.norm(g))))
+        alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, np.sqrt(_dot(g, g))))
 
         accepted = False
         promised = 0.0  # largest decrease a trial's first-order model predicted
@@ -94,7 +100,7 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300):
             x_try = x + alpha * d
             if np.array_equal(x_try, x):
                 break  # the step no longer moves x: no trial is left
-            predicted = float(g @ (x_try - x))
+            predicted = _dot(g, x_try - x)
             promised = max(promised, -predicted)
             f_try = float(fun(x_try))
             if f_try <= f + _ARMIJO * predicted and f_try < f:
@@ -119,10 +125,10 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300):
         g_try = np.asarray(grad(x_try), dtype=np.float64)
         s = x_try - x
         y = g_try - g
-        sy = float(s @ y)
-        if sy > _CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
+        sy = _dot(s, y)
+        if sy > _CURVATURE_EPS * np.sqrt(_dot(s, s) * _dot(y, y)):
             history.append((s, y, 1.0 / sy))
-        small_step = np.linalg.norm(s) <= _STEP_TOLERANCE * max(1.0, np.linalg.norm(x))
+        small_step = _dot(s, s) <= _STEP_TOLERANCE**2 * max(1.0, _dot(x, x))
 
         x, g, f = x_try, g_try, f_try
         report.iterations = it

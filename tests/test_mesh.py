@@ -425,3 +425,51 @@ def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
     # a mesh about the origin: its faces with a vertex at or below z = 0 meet
     # every ray, and the rays with z <= 0 meet only those
     assert assert_matches_oracle(cube_mesh(), np.zeros(3), rng.normal(size=(50, 3))) == 50
+
+
+def test_casts_in_blocks_of_seven_match_one_block(monkeypatch, rng):
+    # a sphere ahead of the origin and a cube whose faces straddle the plane
+    # z = 0; rays at the sphere, wide of it (misses) and backward at the cube
+    mesh = merged(icosphere_mesh(2).transformed(translation=(0.0, 0.0, 5.0)),
+                  cube_mesh(center=(0.0, 0.0, -3.0)))
+    dirs = np.vstack([[0.0, 0.0, 5.0] + rng.normal(size=(200, 3)) * 0.8,
+                      [0.0, 0.0, 1.0] + rng.normal(size=(50, 3)) * 3.0,
+                      [0.0, 0.0, -3.0] + rng.normal(size=(50, 3)) * 0.1])
+    assert len(mesh._cast_table.straddle)
+    casts = [lambda: batch_all_hits(mesh, dirs), lambda: batch_all_hits(mesh, dirs, max_hits=2),
+             lambda: batch_first_hits(mesh, dirs)]
+    want = [cast() for cast in casts]
+    _, _, _, ok = want[2]
+    assert ok[:200].sum() > 100 and not ok.all() and ok[250:].all()
+    monkeypatch.setattr(vcsfm.mesh, "CAST_BLOCK", 7)
+    for cast, want_cast in zip(casts, want):
+        for g, w in zip(cast(), want_cast):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_kernel_matches_oracle_on_a_scene_camera(rng):
+    # one clean-160 camera's render rectangle: every pixel on the body's
+    # silhouette, where rays graze it, and a sample of the rest, with the
+    # render's cap of 4 hits
+    scene = generate_scene(SceneConfig(baseline_angles=(0.0, 90.0), elevation_range=10.0,
+                                       image_size=(160, 120), focal_length=170.0, seed=1))
+    pose, k, dsm = scene.gt_poses[0], scene.records[0].intrinsics, scene.clean_maps[0]
+    mesh = scene.gt_mesh.transformed(rotation=pose.rotation, translation=pose.translation)
+    uv = k.denormalize(mesh.vertices[:, :2] / mesh.vertices[:, 2:])
+    (u_lo, v_lo), (u_hi, v_hi) = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 1
+    assert 0 <= u_lo and u_hi < dsm.width and 0 <= v_lo and v_hi < dsm.height
+    mapped = np.zeros(dsm.height * dsm.width, dtype=bool)
+    mapped[dsm.mapped_index()] = True
+    mapped = mapped.reshape(dsm.height, dsm.width)
+    ring = np.pad(mapped, 1, mode="edge")
+    silhouette = ((ring[:-2, 1:-1] != mapped) | (ring[2:, 1:-1] != mapped)
+                  | (ring[1:-1, :-2] != mapped) | (ring[1:-1, 2:] != mapped))
+    v, u = np.nonzero(silhouette)
+    inside = (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi)
+    rest = np.column_stack([rng.integers(u_lo, u_hi + 1, 150), rng.integers(v_lo, v_hi + 1, 150)])
+    pixels = np.vstack([np.column_stack([u, v])[inside], rest]).astype(np.float64)
+    assert inside.all() and len(pixels) >= 300
+    dirs = k.pixel_rays(pixels)
+    assert assert_matches_oracle(mesh, np.zeros(3), dirs, max_hits=4) > 300
+    _, _, _, ok = batch_first_hits(mesh, dirs)
+    assert 0.2 < ok.mean() < 0.9

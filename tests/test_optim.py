@@ -59,3 +59,15 @@ def test_flat_objective_with_a_gradient_stops_early_as_a_line_search_failure():
     assert report.status == "line_search_failure"
     assert report.iterations == 0 and np.array_equal(x, x0)
     assert len(calls) < 60
+
+
+def test_separable_quadratic_with_twenty_thousand_variables_reaches_its_minimum(rng):
+    # a parameter vector longer than a large BA's, where the inner products
+    # and norms run on vectors of this length
+    h = np.logspace(0.0, 2.0, 20_000)
+    c = rng.normal(size=20_000)
+    x, report = minimize_lbfgs(lambda x: 0.5 * (x - c) @ (h * (x - c)), lambda x: h * (x - c),
+                               np.zeros(20_000))
+    assert report.status.startswith("converged")
+    np.testing.assert_allclose(x, c, atol=1e-8)
+    assert all(f1 < f0 for f0, f1 in zip(report.objective_trace, report.objective_trace[1:]))

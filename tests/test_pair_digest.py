@@ -33,29 +33,39 @@ def test_scene_digest_covers_maps_and_oracle():
     scene = generate_scene(cfg)
     line = pair_digest.scene_digest(scene)
     assert pair_digest.scene_digest(generate_scene(cfg)) == line
-    clean, maps, count, exact, floats = line.split()
-    assert int(count) == len(scene.oracle) > 0
+    fields = line.split()
+    clean, maps, count, exact, floats = fields[:2], fields[2:4], fields[4], fields[5], fields[6]
+    assert len(fields) == 7 and int(count) == len(scene.oracle) > 0
     assert clean == maps  # noise-free records carry the clean maps
-    # a map's hash covers its pixels as well as their faces and weights
+    assert clean == pair_digest._map_hashes(scene.clean_maps)
+    assert all(len(h) == 64 and int(h, 16) >= 0 for h in (*clean, exact, floats))
+    # a map's exact hash covers its pixels and faces, its float hash its
+    # weights alone
     dsm = scene.clean_maps[0]
-    assert clean == pair_digest._sha(*pair_digest._map_arrays(scene.clean_maps))
-    scene.clean_maps[0] = DenseSurfaceMap(dsm.width, dsm.height, dsm.mapped_index() + 1,
-                                          dsm.faces, dsm.barys)
-    assert pair_digest.scene_digest(scene).split()[0] != clean
+    barys = dsm.barys.copy()
+    barys[0, 0] = np.nextafter(barys[0, 0], np.inf)
+    for changed_field, moved in ((0, (dsm.mapped_index() + 1, dsm.faces, dsm.barys)),
+                                 (0, (dsm.mapped_index(), dsm.faces + 1, dsm.barys)),
+                                 (1, (dsm.mapped_index(), dsm.faces, barys))):
+        scene.clean_maps[0] = DenseSurfaceMap(dsm.width, dsm.height, *moved)
+        changed = pair_digest.scene_digest(scene).split()
+        assert changed[changed_field] != fields[changed_field]
+        assert changed[:changed_field] + changed[changed_field + 1:] == (
+            fields[:changed_field] + fields[changed_field + 1:])
     scene.clean_maps[0] = dsm
-    assert all(len(h) == 64 and int(h, 16) >= 0 for h in (clean, exact, floats))
     # jitter changes the records' maps and nothing else
     jittered = pair_digest.scene_digest(generate_scene(cfg, NoiseConfig(pixel_sigma=0.5)))
-    assert jittered.split() == [clean, jittered.split()[1], count, exact, floats] != line.split()
+    assert jittered.split()[:2] + jittered.split()[4:] == clean + fields[4:]
+    assert jittered.split()[2:4] != maps
     # a changed oracle rank changes the exact hash alone, a moved point or
     # pixel_b the float hash alone
     first = scene.oracle[0]
     scene.oracle[0] = dataclasses.replace(first, rank_a=first.rank_a + 1)
     changed = pair_digest.scene_digest(scene).split()
-    assert changed[:3] + changed[4:] == [clean, maps, count, floats] and changed[3] != exact
+    assert changed[:5] + changed[6:] == fields[:5] + [floats] and changed[5] != exact
     pixel_b = first.pixel_b
     for moved in ({"point": np.nextafter(first.point, np.inf)},
                   {"pixel_b": dataclasses.replace(pixel_b, u=np.nextafter(pixel_b.u, np.inf))}):
         scene.oracle[0] = dataclasses.replace(first, **moved)
         changed = pair_digest.scene_digest(scene).split()
-        assert changed[:4] == [clean, maps, count, exact] and changed[4] != floats
+        assert changed[:6] == fields[:6] and changed[6] != floats

@@ -6,11 +6,12 @@ Builds the scenes of `clean-160`, `clean-640` and `noisy-160` for bench seeds
 1-3 and runs `bench/pipeline.run_pair` on each (75 pairs, about a minute). It
 prints two lines per pair:
 
-- `scene`: SHA-256s of the clean maps and of the records' maps, each over
-  every map's entry arrays (`mapped_index()`, `faces`, `barys`), then the
-  oracle's entry count, a SHA-256 of its exact part (cameras, `pixel_a`
-  and ranks) and one of its float part (`pixel_b` and points), so a change
-  that only moves the oracle's rounding shows in the last field alone;
+- `scene`: for the clean maps and then for the records' maps, a SHA-256 of
+  their exact part (every map's `mapped_index()` and `faces`) and one of
+  their float part (`barys`); then the oracle's entry count, a SHA-256 of
+  its exact part (cameras, `pixel_a` and ranks) and one of its float part
+  (`pixel_b` and points). A change that only moves rounding shows in the
+  float fields alone;
 - `pair`: the RANSAC and final pose errors and BA's initial and final
   objective as `float.hex`, BA's iteration count, the VC and RANSAC inlier
   counts, and a SHA-256 of the final pose's rotation and translation bytes.
@@ -50,8 +51,10 @@ def _sha(*arrays) -> str:
     return h.hexdigest()
 
 
-def _map_arrays(maps):
-    return [a for dsm in maps for a in (dsm.mapped_index(), dsm.faces, dsm.barys)]
+def _map_hashes(maps) -> list:
+    """SHA-256s of the maps' exact part (index, faces) and float part (barys)."""
+    return [_sha(*(a for dsm in maps for a in (dsm.mapped_index(), dsm.faces))),
+            _sha(*(dsm.barys for dsm in maps))]
 
 
 def scene_digest(scene) -> str:
@@ -63,7 +66,7 @@ def scene_digest(scene) -> str:
                      dtype=np.float64)
     pixels_b = np.array([(c.pixel_b.u, c.pixel_b.v) for c in oracle], dtype=np.float64)
     points = np.array([c.point for c in oracle], dtype=np.float64)
-    fields = [_sha(*_map_arrays(scene.clean_maps)), _sha(*_map_arrays(noisy)),
+    fields = [*_map_hashes(scene.clean_maps), *_map_hashes(noisy),
               len(oracle), _sha(exact), _sha(pixels_b, points)]
     return " ".join(str(f) for f in fields)
 
