@@ -114,11 +114,12 @@ class ImageRecord:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate person_id within a record")
 
-    def prior_for(self, person_id: int) -> ShapePrior | None:
+    def prior_for(self, person_id: int) -> ShapePrior:
+        """Prior of one person; KeyError if the record has none."""
         for p in self.priors:
             if p.person_id == person_id:
                 return p
-        return None
+        raise KeyError(f"image {self.image_id!r} has no prior of person {person_id}")
 
     def posed_mesh(self, person_id: int) -> TriangleMesh:
         """Prior mesh of one person, in the camera frame."""
@@ -142,17 +143,16 @@ class VirtualCorrespondence:
 
 @dataclass(frozen=True)
 class ExtractionParams:
-    """Casting grid, match tolerance and per-pixel cap of the extraction pass."""
+    """Casting grid and match tolerance of the extraction pass: pixels on
+    every `stride`-th row and column cast, and a hit matches an observer
+    entry at most `surface_tolerance` (finite, > 0) from it."""
 
     stride: int = 4
     surface_tolerance: float = 0.01
-    max_per_pixel: int = 4
 
     def __post_init__(self):
-        if self.stride < 1 or self.surface_tolerance <= 0.0:
-            raise ValueError("stride must be >= 1 and tolerance positive")
-        if self.max_per_pixel < 1:
-            raise ValueError("max_per_pixel must be >= 1")
+        if not (self.stride >= 1 and 0.0 < self.surface_tolerance < np.inf):
+            raise ValueError("stride must be >= 1 and tolerance positive and finite")
 
 
 def suggest_surface_tolerance(records) -> float:
@@ -178,34 +178,6 @@ def suggest_surface_tolerance(records) -> float:
     if not footprints:
         return TOLERANCE_FLOOR
     return max(TOLERANCE_FLOOR, TOLERANCE_FACTOR * float(np.median(footprints)))
-
-
-class SurfaceIndex:
-    """A dense surface map's entries as points on a mesh, for nearest-entry
-    lookup within a tolerance (a reduction of the radius join
-    `_pairs_within`)."""
-
-    def __init__(self, dsm: DenseSurfaceMap, mesh: TriangleMesh):
-        self.pixels = dsm.mapped_pixels()
-        self.positions = surface_points(mesh, dsm.faces, dsm.barys)
-
-    def __len__(self) -> int:
-        return len(self.pixels)
-
-    def nearest(self, positions: np.ndarray, tolerance: float):
-        """Nearest entry within `tolerance` (inclusive) of each query position,
-        the smallest index among equally near ones.
-
-        Returns (distances, indices), with inf and len(self) where no entry
-        is that close.
-        """
-        positions = np.atleast_2d(positions)
-        query, entry, d2 = _pairs_within(self.positions, positions, tolerance)
-        query, entry, d2 = _nearest_of_groups(query, entry, d2)
-        dist = np.full(len(positions), np.inf)
-        idx = np.full(len(positions), len(self), dtype=np.int64)
-        dist[query], idx[query] = np.sqrt(d2), entry
-        return dist, idx
 
 
 def _pairs_within(points, queries, radius: float):
@@ -306,55 +278,42 @@ def _check_shared_topology(mesh_a: TriangleMesh, mesh_b: TriangleMesh):
         raise TopologyMismatchError("prior meshes do not share canonical topology")
 
 
-def _cast_one_direction(cast: ImageRecord, obs: ImageRecord, person_id: int,
+def _cast_one_direction(mesh_c: TriangleMesh, k_c: CameraIntrinsics,
+                        dsm_c: DenseSurfaceMap, dsm_o: DenseSurfaceMap,
                         params: ExtractionParams):
-    """VCs found by casting rays from `cast` and matching in `obs`.
+    """Matches found by casting rays through the casting prior (`mesh_c`,
+    camera `k_c`, map `dsm_c`) and matching in the observer's map `dsm_o`.
 
-    Every mapped pixel of `cast` on the `stride` grid casts its unnormalized
-    pixel ray (z = 1) through its prior; only the hits' faces and barycentric
-    weights are read, never their depths. A hit matches the observer-map
-    entry nearest to it when that entry lies within `surface_tolerance`
-    (distance <= tolerance) and the hit is in turn the entry's nearest hit;
-    the smallest index wins a tie on either side (`_mutual_nearest`). Each
-    casting pixel keeps its first `max_per_pixel` matches in rank order; of
-    those, matches whose point lies behind the casting camera or projects
-    outside its frame are dropped.
+    Every mapped pixel of `dsm_c` on the `stride` grid casts its
+    unnormalized pixel ray (z = 1) through `mesh_c`; only the hits' faces and
+    barycentric weights are read, never their depths. The observer's entries
+    are placed on `mesh_c` too, so distances are canonical-topology
+    distances. A hit matches the entry nearest to it when that entry lies
+    within `surface_tolerance` (distance <= tolerance) and the hit is in
+    turn the entry's nearest hit; the smallest index wins a tie on either
+    side (`_mutual_nearest`). Matches whose entry lies behind the casting
+    camera or projects outside its frame are dropped.
 
-    Returns rows (cast_uv, obs_uv, rank) of plain Python values, in
-    row-major order of the casting pixel and ascending hit rank; the caller
-    orients them into (pixel_a, pixel_b) order.
+    Returns `cast_uv` (n, 2), the entry re-viewed in the casting image;
+    `obs_uv` (n, 2), the entry's integer pixel; and `rank` (n,), the hit's
+    index along its ray. Rows run in row-major order of the casting pixel
+    and ascending rank.
     """
-    mesh_c = cast.posed_mesh(person_id)
-    dsm_c = cast.prior_for(person_id).surface_map
-
     pix = dsm_c.mapped_pixels(params.stride)  # row-major
-    if len(pix) == 0:
-        return []
-    dirs = cast.intrinsics.pixel_rays(pix)
-    ray, _, hit_face, hit_bary = batch_all_hits(mesh_c, dirs, max_hits=MAX_HITS_PER_RAY)
-    rank = run_ranks(ray)
-    # evaluate positions from the coordinate address so they match the
-    # observer-entry positions computed on the same (casting) mesh
+    ray, _, hit_face, hit_bary = batch_all_hits(mesh_c, k_c.pixel_rays(pix),
+                                                max_hits=MAX_HITS_PER_RAY)
     hit_pos = surface_points(mesh_c, hit_face, hit_bary)
+    entry_pos = surface_points(mesh_c, dsm_o.faces, dsm_o.barys)
+    m, e = _mutual_nearest(entry_pos, hit_pos, params.surface_tolerance)
 
-    # positions of the observer's entries, evaluated on the casting mesh so
-    # distances are canonical-topology distances
-    index_o = SurfaceIndex(obs.prior_for(person_id).surface_map, mesh_c)
-    m, e = _mutual_nearest(index_o.positions, hit_pos, params.surface_tolerance)
-
-    # cap VCs per casting pixel, lowest ranks first (m is ray- then rank-ordered)
-    capped = run_ranks(ray[m]) < params.max_per_pixel
-    m, e = m[capped], e[capped]
-
-    # re-view the matched canonical point on the casting image's own prior
-    y = index_o.positions[e]  # already in the casting camera frame
+    # re-view the matched entry, already in the casting camera's frame
+    y = entry_pos[e]
     front = y[:, 2] > 0.0
     m, e, y = m[front], e[front], y[front]
-    uv = cast.intrinsics.denormalize(y[:, :2] / y[:, 2:])
+    uv = k_c.denormalize(y[:, :2] / y[:, 2:])
     inside = ((uv[:, 0] >= 0.0) & (uv[:, 0] <= dsm_c.width - 1)
               & (uv[:, 1] >= 0.0) & (uv[:, 1] <= dsm_c.height - 1))
-    m, e, uv = m[inside], e[inside], uv[inside]
-    return list(zip(uv.tolist(), index_o.pixels[e].tolist(), rank[m].tolist()))
+    return uv[inside], dsm_o.mapped_pixels()[e[inside]], run_ranks(ray)[m[inside]]
 
 
 def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None = None
@@ -366,34 +325,28 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
     other, inclusive (see `_cast_one_direction`). Output is deterministic:
     for each shared person in ascending id, a-cast VCs first, then b-cast,
     each in row-major order of the sampled casting pixel and ascending hit
-    rank; exact duplicates are dropped.
+    rank. Of equal (pixel_a, pixel_b, rank) rows of one person only the
+    first is kept.
     """
     params = params or ExtractionParams()
     shared = sorted(
         {p.person_id for p in a.priors} & {p.person_id for p in b.priors}
     )
     vcs = []
-    seen = set()
     for person_id in shared:
-        _check_shared_topology(
-            a.prior_for(person_id).mesh, b.prior_for(person_id).mesh
-        )
-        for cast, obs, forward in ((a, b, True), (b, a, False)):
-            for cast_uv, obs_uv, rank in _cast_one_direction(
-                cast, obs, person_id, params
-            ):
-                pa, pb = Pixel(*cast_uv), Pixel(*obs_uv)
-                if not forward:
-                    pa, pb = pb, pa
-                key = (pa.u, pa.v, pb.u, pb.v, rank, person_id)
-                if key in seen:
-                    continue
-                seen.add(key)
-                vcs.append(
-                    VirtualCorrespondence(
-                        pixel_a=pa, pixel_b=pb, hit_rank=rank, person_id=person_id
-                    )
-                )
+        pa, pb = a.prior_for(person_id), b.prior_for(person_id)
+        _check_shared_topology(pa.mesh, pb.mesh)
+        a_cast, b_obs, a_rank = _cast_one_direction(pa.mesh, a.intrinsics, pa.surface_map,
+                                                    pb.surface_map, params)
+        b_cast, a_obs, b_rank = _cast_one_direction(pb.mesh, b.intrinsics, pb.surface_map,
+                                                    pa.surface_map, params)
+        # (ua, va, ub, vb, rank); dict keys keep the first of equal rows
+        rows = np.vstack([np.column_stack([a_cast, b_obs, a_rank]),
+                          np.column_stack([a_obs, b_cast, b_rank])])
+        vcs += [
+            VirtualCorrespondence(Pixel(ua, va), Pixel(ub, vb), int(rank), person_id)
+            for ua, va, ub, vb, rank in dict.fromkeys(map(tuple, rows.tolist()))
+        ]
     return vcs
 
 

@@ -13,9 +13,10 @@ contract:
   projected centrally onto the plane z = 1, the casting camera's normalized
   image plane, and a face is tested only against the rays whose projection
   falls in its projected bounding box, padded far past the barycentric
-  slack. The boxes are binned on a uniform grid of about FACES_PER_CELL
-  faces per cell, and a ray is box-tested against the faces listed in its
-  own cell. A face with a vertex at or behind the plane z = 0 is tested
+  slack. The boxes are binned on a uniform grid whose cell area is
+  FACES_PER_CELL times the boxes' union area per face; each box spans
+  several cells and is listed in each. A ray is box-tested against the
+  faces listed in its own cell. A face with a vertex at or behind the plane z = 0 is tested
   against every ray; a ray with z <= 0 only against such faces. The result
   is that of testing every (ray, face) pair.
 - All per-face data of a cast (face split, boxes, grid and the
@@ -54,7 +55,9 @@ BOX_PAD = 1e-8
 # vertices closer than this to the plane z = 0, relative to the mesh's
 # extent about the origin, count as on it
 PLANE_TOL = 1e-12
-# faces per cell of the grid the projected face boxes are binned on
+# cell area of the grid the projected face boxes are binned on, as a multiple
+# of the boxes' union area per face; a box spans several cells, so a cell
+# lists several faces
 FACES_PER_CELL = 1
 # rays cast at once; bounds the candidate pairs a cast holds in memory
 CAST_BLOCK = 4096
@@ -225,7 +228,7 @@ class _CastTable:
         faces = lo.shape[1]
         self.q0, self.q1 = lo.min(axis=1), hi.max(axis=1)  # the boxes' union
         span = self.q1 - self.q0
-        # near-square cells, about FACES_PER_CELL faces each
+        # near-square cells of FACES_PER_CELL times the union area per face
         cell = np.sqrt(span[0] * span[1] * FACES_PER_CELL / faces)
         n = np.clip(np.ceil(span / cell), 1, faces) if cell > 0.0 else np.ones(2)
         self.n = n = n.astype(np.int64)

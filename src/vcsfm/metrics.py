@@ -53,7 +53,7 @@ def auc(errors, threshold: float) -> float:
     e = np.asarray(list(errors), dtype=np.float64)
     if e.size == 0:
         raise EmptyInputError("auc of an empty error list")
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     if not np.all(e >= 0.0):  # NaN fails this test, where it passes e < 0
         raise ValueError("errors must be non-negative and not NaN")

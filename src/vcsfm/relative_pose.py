@@ -198,7 +198,7 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0.0:
+        if not self.inlier_threshold > 0.0:  # NaN fails this test
             raise ValueError("inlier threshold must be positive")
 
 

@@ -82,7 +82,7 @@ class NoiseConfig:
             self.prior_scale_sigma,
             self.outlier_fraction,
         )
-        if any(v < 0.0 for v in vals) or self.outlier_fraction >= 1.0:
+        if not (all(v >= 0.0 for v in vals) and self.outlier_fraction < 1.0):  # NaN fails
             raise ValueError("noise magnitudes must be >= 0, outlier fraction < 1")
 
 

@@ -200,8 +200,8 @@ def vc_extraction_oracle(a, b, params):
     """`extract_vcs` for records with one shared person, hit by hit.
 
     Rays are cast by `collapsed_hits_oracle`; mutual nearest neighbours come
-    from the full hit x observer-entry distance matrix; the per-pixel cap,
-    the behind-camera check and the frame check then run one hit at a time.
+    from the full hit x observer-entry distance matrix; the behind-camera
+    check and the frame check then run one hit at a time.
     Entry positions are evaluated with `surface_points`, as the library does,
     so the re-viewed pixels can be compared bit for bit.
     """
@@ -216,7 +216,7 @@ def vc_extraction_oracle(a, b, params):
     for cast, obs, forward in ((a, b, True), (b, a, False)):
         mesh = cast.posed_mesh(person)
         dsm_c, dsm_o = cast.prior_for(person).surface_map, obs.prior_for(person).surface_map
-        hits = []  # (casting pixel, rank, position)
+        hits = []  # (rank, position)
         for v in range(0, dsm_c.height, params.stride):
             for u in range(0, dsm_c.width, params.stride):
                 if entry_index(dsm_c, (u, v)) < 0:
@@ -226,24 +226,20 @@ def vc_extraction_oracle(a, b, params):
                 found = collapsed_hits_oracle(mesh.vertices, mesh.faces, np.zeros(3), d,
                                               DEPTH_TIE, MAX_HITS_PER_RAY)
                 for rank, (_, face, bary) in enumerate(found):
-                    hits.append(((u, v), rank, surface_points(mesh, [face], [bary])[0]))
+                    hits.append((rank, surface_points(mesh, [face], [bary])[0]))
         ov, ou = np.divmod(dsm_o.mapped_index(), dsm_o.width)
         if not hits or len(ou) == 0:
             continue
         entry_pos = surface_points(mesh, dsm_o.faces, dsm_o.barys)
-        hit_pos = np.array([h[2] for h in hits])
+        hit_pos = np.array([h[1] for h in hits])
         dist2 = np.zeros((len(hit_pos), len(entry_pos)))
         for k in range(3):
             dist2 += (hit_pos[:, None, k] - entry_pos[None, :, k]) ** 2
         dist = np.sqrt(dist2)
-        per_pixel = {}
-        for j, (pixel, rank, _) in enumerate(hits):
+        for j, (rank, _) in enumerate(hits):
             e = int(np.argmin(dist[j]))
             if dist[j, e] > params.surface_tolerance or int(np.argmin(dist[:, e])) != j:
                 continue
-            if per_pixel.get(pixel, 0) >= params.max_per_pixel:
-                continue
-            per_pixel[pixel] = per_pixel.get(pixel, 0) + 1
             y = entry_pos[e]
             if y[2] <= 0.0:
                 continue

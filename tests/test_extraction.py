@@ -14,7 +14,6 @@ from vcsfm.extraction import (
     ExtractionParams,
     ImageRecord,
     ShapePrior,
-    SurfaceIndex,
     VirtualCorrespondence,
     _mutual_nearest,
     _pairs_within,
@@ -175,70 +174,15 @@ def test_mapped_index_is_computed_once_and_read_only(rng):
     assert np.array_equal(index, np.flatnonzero(faces >= 0))
 
 
-def test_surface_index_gathers_entries_in_row_major_order(rng):
-    faces, barys = sparse_images(rng, 13, 7)
-    dsm = map_from_images(faces, barys)
-    mesh = unit_square_mesh()
-    idx = SurfaceIndex(dsm, mesh)
-    v, u = np.nonzero(faces >= 0)
-    assert np.array_equal(idx.pixels, np.column_stack([u, v]))
-    assert np.array_equal(idx.positions, surface_points(mesh, faces[v, u], barys[v, u]))
-
-
-def test_surface_index_matches_linear_scan(opposed_scene, rng):
-    rec = opposed_scene.records[0]
-    dsm = rec.priors[0].surface_map
-    mesh = rec.priors[0].mesh
-    idx = SurfaceIndex(dsm, mesh)
-    pix = dsm.mapped_pixels()
-    e = entry_index(dsm, pix)
-    pos_all = surface_points(mesh, dsm.faces[e], dsm.barys[e])
-    # one query steps straight back from the deepest entry (positive depth):
-    # the step is exact, so that entry sits exactly at the tolerance and no
-    # other entry is as close
-    back = int(pos_all[:, 2].argmax())
-    at_tol = pos_all[back] + [0.0, 0.0, 0.05]
-    tol = at_tol[2] - pos_all[back, 2]
-    queries = pos_all[rng.integers(0, len(pix), 100)] + rng.normal(scale=0.03, size=(100, 3))
-    queries = np.vstack([queries, at_tol])
-    dist, got = idx.nearest(queries, tol)
-    for q, d, i in zip(queries, dist, got):
-        scan = np.sqrt(((pos_all - q) ** 2).sum(axis=1))
-        j = int(np.argmin(scan))
-        if scan[j] <= tol:
-            assert (d, i) == (scan[j], j)
-        else:
-            assert (d, i) == (np.inf, len(idx))
-    assert (dist[-1], got[-1]) == (tol, back)
-    assert np.isinf(dist).any() and np.isfinite(dist[:-1]).any()
-    # one ulp beyond the tolerance: the tree's squared bound can still admit
-    # an entry whose rounded distance exceeds the tolerance
-    for q in queries:
-        sq = ((pos_all - q) ** 2).sum(axis=1)
-        j = int(np.argmin(sq))
-        d = np.sqrt(sq[j])
-        if d * d > sq[j]:
-            break
-    else:
-        pytest.fail("no query with a rounded-up distance")
-    dist, got = idx.nearest(q, np.nextafter(d, 0.0))
-    assert (dist[0], got[0]) == (np.inf, len(idx))
-
-
-def test_surface_index_of_empty_map_finds_nothing():
-    idx = SurfaceIndex(empty_map(8, 8), unit_square_mesh())
-    dist, got = idx.nearest(np.zeros((2, 3)), 10.0)
-    assert len(idx) == 0 and np.all(dist == np.inf) and np.all(got == len(idx))
-
-
 def _join(points, queries, radius):
     query, point, d2 = _pairs_within(points, queries, radius)
     assert np.all(query[1:] >= query[:-1])  # grouped by ascending query
     return sorted(zip(query.tolist(), point.tolist(), d2.tolist()))
 
 
-def _join_cases(rng):
-    """(name, points, queries, radius) of the radius join's edge cases."""
+def _join_cases(rng, scene):
+    """(name, points, queries, radius) of the radius join's edge cases; the
+    last two are on the entries of `scene`'s first map."""
     # the points' box has a point at its low corner and one on its low x face
     cloud = np.vstack([rng.uniform(-1.0, 1.0, size=(300, 3)), [[-1.2, 0.0, 0.0], [-1.2] * 3]])
     near = cloud[rng.integers(0, 300, 200)] + rng.normal(scale=0.05, size=(200, 3))
@@ -261,20 +205,56 @@ def _join_cases(rng):
         ("no-points", np.empty((0, 3)), near, 0.1),
         ("no-queries", cloud, np.empty((0, 3)), 0.1),
         ("coincident", np.zeros((3, 3)), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-300]]), 0.0),
+        *_map_join_cases(rng, scene),
     ]
 
 
-def test_pairs_within_matches_brute_force(rng):
-    for name, points, queries, radius in _join_cases(rng):
+def _map_join_cases(rng, scene):
+    """Radius-join cases on a real map's entries: an entry exactly at the
+    radius, and one whose rounded distance exceeds a radius an ulp below it
+    although its squared distance may not."""
+    prior = scene.records[0].priors[0]
+    entries = surface_points(prior.mesh, prior.surface_map.faces, prior.surface_map.barys)
+    queries = entries[rng.integers(0, len(entries), 100)] + rng.normal(scale=0.03, size=(100, 3))
+    # one query steps straight back from the deepest entry (positive depth):
+    # the step is exact, so that entry sits exactly at the radius and no
+    # other entry is as close
+    back = int(entries[:, 2].argmax())
+    at_radius = entries[back] + [0.0, 0.0, 0.05]
+    radius = at_radius[2] - entries[back, 2]
+    for q in queries:
+        sq = ((entries - q) ** 2).sum(axis=1)
+        d = np.sqrt(sq.min())
+        if d * d > sq.min():
+            break
+    else:
+        pytest.fail("no query with a rounded-up distance")
+    return [
+        ("map-at-radius", entries, np.vstack([queries, at_radius]), radius),
+        ("map-ulp-below", entries, q[None], np.nextafter(d, 0.0)),
+    ]
+
+
+def test_pairs_within_matches_brute_force(opposed_scene, rng):
+    cases = _join_cases(rng, opposed_scene)
+    for name, points, queries, radius in cases:
         assert _join(points, queries, radius) == pairs_within_oracle(points, queries, radius), name
     # the exact case keeps the point at the radius and both ties, and drops
     # the one an ulp past it
-    _, points, queries, radius = _join_cases(rng)[2]
+    _, points, queries, radius = cases[2]
     assert [p for _, p, _ in _join(points, queries, radius)] == [0, 2, 3, 4, 5]
+    # the map's entry at the radius is the nearest to the last query, and
+    # the query an ulp past its nearest entry finds nothing
+    _, points, queries, radius = cases[-2]
+    _, point, d2 = _pairs_within(points, queries[-1:], radius)
+    nearest = np.argmin(d2)
+    assert (point[nearest], np.sqrt(d2[nearest])) == (points[:, 2].argmax(), radius)
+    _, points, queries, radius = cases[-1]
+    assert len(_pairs_within(points, queries, radius)[0]) == 0
 
 
-def test_mutual_nearest_matches_brute_force(rng):
-    for name, points, queries, radius in _join_cases(rng):
+def test_mutual_nearest_matches_brute_force(opposed_scene, rng):
+    for name, points, queries, radius in _join_cases(rng, opposed_scene):
         query, point = _mutual_nearest(points, queries, radius)
         assert list(zip(query.tolist(), point.tolist())) == mutual_nearest_oracle(
             points, queries, radius), name
@@ -345,6 +325,13 @@ def test_empty_observer_map_yields_nothing(opposed_scene):
     assert extract_vcs(a, empty, scene_params(opposed_scene)) == []
 
 
+def test_missing_person_raises_a_key_error_naming_it(opposed_scene):
+    rec = opposed_scene.records[0]
+    for lookup in (rec.prior_for, rec.posed_mesh):
+        with pytest.raises(KeyError, match="person 7"):
+            lookup(7)
+
+
 def test_rays_that_miss_yield_nothing(opposed_scene):
     # both priors moved far to the side: no sampled ray meets either mesh
     a, b = (
@@ -361,7 +348,7 @@ def test_rays_that_miss_yield_nothing(opposed_scene):
 @pytest.mark.parametrize("scene, change", [
     pytest.param(scene, change, id=f"{scene}-{name}")
     for scene in ("opposed_scene", "narrow_scene")
-    for name, change in (("defaults", {}), ("cap1", {"max_per_pixel": 1}), ("stride2", {"stride": 2}))
+    for name, change in (("defaults", {}), ("stride2", {"stride": 2}))
 ] + [pytest.param("cropped_scene", {}, id="cropped_scene-defaults")])
 def test_extraction_matches_dense_oracle(scene, change, request):
     scene = request.getfixturevalue(scene)
@@ -376,8 +363,9 @@ def test_extraction_matches_dense_oracle(scene, change, request):
 
 
 @pytest.mark.parametrize("change", [
-    {"stride": 0}, {"surface_tolerance": 0.0}, {"max_per_pixel": 0}, {"max_per_pixel": -1},
-], ids=["stride", "tolerance", "cap-0", "cap-negative"])
+    {"stride": 0}, {"surface_tolerance": 0.0}, {"surface_tolerance": np.nan},
+    {"surface_tolerance": np.inf},
+], ids=["stride", "tolerance", "tolerance-nan", "tolerance-inf"])
 def test_extraction_params_reject_invalid_values(change):
     with pytest.raises(ValueError):
         ExtractionParams(**change)
@@ -414,19 +402,14 @@ def test_classic_subsumption(narrow_scene):
     # pairs whose surface point has a map entry within tolerance in b too
     # (grazing silhouette points may genuinely be unresolved in b's map)
     mesh_a = a.posed_mesh(0)
-    dsm_a = a.priors[0].surface_map
-    index_b = SurfaceIndex(b.priors[0].surface_map, mesh_a)
-    classic = []
-    for c in narrow_scene.oracle:
-        if (c.cam_a, c.cam_b, c.rank_a) != (0, 1, 0):
-            continue
-        u, v = round(c.pixel_a.u), round(c.pixel_a.v)
-        e = entry_index(dsm_a, (u, v))
-        assert e >= 0
-        pos = surface_points(mesh_a, [dsm_a.faces[e]], [dsm_a.barys[e]])
-        dist, _ = index_b.nearest(pos, params.surface_tolerance)
-        if dist[0] <= params.surface_tolerance:
-            classic.append(c)
+    dsm_a, dsm_b = a.priors[0].surface_map, b.priors[0].surface_map
+    candidates = [c for c in narrow_scene.oracle if (c.cam_a, c.cam_b, c.rank_a) == (0, 1, 0)]
+    e = entry_index(dsm_a, [(round(c.pixel_a.u), round(c.pixel_a.v)) for c in candidates])
+    assert np.all(e >= 0)
+    within, _, _ = _pairs_within(surface_points(mesh_a, dsm_b.faces, dsm_b.barys),
+                                 surface_points(mesh_a, dsm_a.faces[e], dsm_a.barys[e]),
+                                 params.surface_tolerance)
+    classic = [candidates[i] for i in np.unique(within)]
     assert len(classic) > 10
     missing = 0
     for c in classic:

@@ -129,3 +129,10 @@ def test_auc_rejects_nan_and_negative_errors():
     for errors in ([np.nan, 0.0], [0.0, np.nan], [5.0, -1.0]):
         with pytest.raises(ValueError, match="non-negative"):
             auc(errors, 30.0)
+
+
+def test_auc_rejects_a_threshold_that_is_not_positive():
+    # NaN passes a test for threshold <= 0 and would make the area NaN
+    for threshold in (0.0, -30.0, np.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            auc([1.0, 2.0], threshold)

@@ -332,6 +332,14 @@ def test_ransac_scale_invariance(rng):
     assert np.allclose(t1, t2, atol=1e-15)
 
 
+def test_ransac_params_reject_a_threshold_that_is_not_positive():
+    # NaN passes a test for threshold <= 0, and every hypothesis then
+    # scores 0 against it
+    for threshold in (0.0, -1e-4, np.nan):
+        with pytest.raises(ValueError):
+            RansacParams(inlier_threshold=threshold)
+
+
 def test_ransac_adaptive_early_stop(rng):
     rel = covisible_pose(rng)
     x1, x2 = make_pairs(rng, rel, 80)

@@ -269,3 +269,8 @@ def test_scene_config_validation():
         NoiseConfig(outlier_fraction=1.0)
     with pytest.raises(ValueError):
         NoiseConfig(pixel_sigma=-1.0)
+    # NaN passes a test for v < 0 in every field
+    for field in ("pixel_sigma", "prior_rotation_sigma", "prior_translation_sigma",
+                  "prior_scale_sigma", "outlier_fraction"):
+        with pytest.raises(ValueError):
+            NoiseConfig(**{field: np.nan})
