@@ -145,13 +145,11 @@ class BaProblem:
 
     def apply_params(self, x, lay: "_Layout") -> list:
         """Cameras with the parameter vector's rotation increments and
-        translations (or gauge chart) folded in."""
-        cams = list(self.cameras)
-        for ci, off in lay.cam_offset.items():
-            pose = cams[ci].pose
-            rot = so3_exp(x[off : off + 3]) @ pose.rotation
-            cams[ci] = replace(cams[ci], pose=SE3Pose(rot, lay.translation(x, ci, pose)))
-        return cams
+        translations (or gauge chart) folded in, as the objective reads them;
+        fixed cameras are returned as they are."""
+        rot, trans, _, _ = _camera_arrays(self.cameras, x, lay)
+        return [cam if cam.fixed else replace(cam, pose=SE3Pose(r, t))
+                for cam, r, t in zip(self.cameras, rot, trans)]
 
 
 class _Layout:

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCoordinateError, TopologyMismatchError
-from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel
-from .mesh import (
-    TriangleMesh,
-    batch_all_hits,
-    concat_ranges,
-    read_only,
-    run_ranks,
-    surface_points,
-)
+from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel, read_only
+from .mesh import TriangleMesh, batch_all_hits, concat_ranges, run_ranks, surface_points
 
 MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
 TOLERANCE_FLOOR = 0.01  # smallest match tolerance suggest_surface_tolerance returns
@@ -47,6 +40,8 @@ class DenseSurfaceMap:
     """
 
     def __init__(self, width: int, height: int, index, faces, barys):
+        if not all(isinstance(s, (int, np.integer)) and s > 0 for s in (width, height)):
+            raise ValueError("width and height must be positive integers")
         index = read_only(index, np.int64)
         faces = read_only(faces, np.int64)
         barys = read_only(barys, np.float64)
@@ -144,15 +139,17 @@ class VirtualCorrespondence:
 @dataclass(frozen=True)
 class ExtractionParams:
     """Casting grid and match tolerance of the extraction pass: pixels on
-    every `stride`-th row and column cast, and a hit matches an observer
-    entry at most `surface_tolerance` (finite, > 0) from it."""
+    every `stride`-th row and column cast (an int >= 1, not a bool), and a
+    hit matches an observer entry at most `surface_tolerance` (finite, > 0)
+    from it."""
 
     stride: int = 4
     surface_tolerance: float = 0.01
 
     def __post_init__(self):
-        if not (self.stride >= 1 and 0.0 < self.surface_tolerance < np.inf):
-            raise ValueError("stride must be >= 1 and tolerance positive and finite")
+        if not (isinstance(self.stride, (int, np.integer)) and not isinstance(self.stride, bool)
+                and self.stride >= 1 and 0.0 < self.surface_tolerance < np.inf):
+            raise ValueError("stride must be an int >= 1 and tolerance positive and finite")
 
 
 def suggest_surface_tolerance(records) -> float:
@@ -310,7 +307,7 @@ def _cast_one_direction(mesh_c: TriangleMesh, k_c: CameraIntrinsics,
     y = entry_pos[e]
     front = y[:, 2] > 0.0
     m, e, y = m[front], e[front], y[front]
-    uv = k_c.denormalize(y[:, :2] / y[:, 2:])
+    uv = k_c.project(y)
     inside = ((uv[:, 0] >= 0.0) & (uv[:, 0] <= dsm_c.width - 1)
               & (uv[:, 1] >= 0.0) & (uv[:, 1] <= dsm_c.height - 1))
     return uv[inside], dsm_o.mapped_pixels()[e[inside]], run_ranks(ray)[m[inside]]

@@ -17,10 +17,21 @@ from .errors import NotEssentialError, ZeroTranslationError
 ROTATION_TOL = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """Freeze a fresh float64 array in place and return it."""
+def read_only(a, dtype) -> np.ndarray:
+    """`a` itself when it is a read-only array of `dtype`, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def homogeneous(xy) -> np.ndarray:
+    """Rows (x, y, 1) of the points xy (n, 2): an (n, 3) array."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    out = np.ones((len(xy), 3))
+    out[:, :2] = xy
+    return out
 
 
 def skew(v) -> np.ndarray:
@@ -101,8 +112,14 @@ class CameraIntrinsics:
     def pixel_rays(self, pixels: np.ndarray) -> np.ndarray:
         """Camera-frame ray directions (n, 3) through pixels (n, 2): each
         pixel's normalized image coordinates with a third coordinate 1."""
-        xy = self.normalize(pixels)
-        return np.column_stack([xy, np.ones(len(xy))])
+        return homogeneous(self.normalize(pixels))
+
+    def project(self, points_cam: np.ndarray) -> np.ndarray:
+        """Pixels (..., 2) of camera-frame points (..., 3), the inverse of pixel_rays."""
+        p = np.asarray(points_cam, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xy = p[..., :2] / p[..., 2:]
+        return self.denormalize(xy)
 
     def denormalize(self, xy: np.ndarray) -> np.ndarray:
         """Inverse of normalize."""
@@ -114,14 +131,15 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class SE3Pose:
-    """World-to-camera rigid transform (x_cam = rotation @ x_world + translation)."""
+    """World-to-camera rigid transform (x_cam = rotation @ x_world + translation).
+    Immutable: read-only float64 inputs are adopted, anything else copied."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        R = np.array(self.rotation, dtype=np.float64)
-        t = np.array(self.translation, dtype=np.float64).reshape(3)
+        R = read_only(self.rotation, np.float64)
+        t = read_only(self.translation, np.float64).reshape(3)
         if R.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
         if not np.isfinite(R).all():  # NaN would pass both checks below
@@ -130,8 +148,8 @@ class SE3Pose:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > ROTATION_TOL:
             raise ValueError("rotation must have det +1")
-        object.__setattr__(self, "rotation", _readonly(R))
-        object.__setattr__(self, "translation", _readonly(t))
+        object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "translation", t)
 
     @staticmethod
     def identity() -> "SE3Pose":
@@ -165,23 +183,23 @@ def relative_pose(pose_a: SE3Pose, pose_b: SE3Pose) -> SE3Pose:
 
 @dataclass(frozen=True)
 class Ray:
-    """Half-line in the world frame with unit direction."""
+    """Half-line in the world frame with unit direction; immutable, as SE3Pose."""
 
     origin: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        o = np.array(self.origin, dtype=np.float64).reshape(3)
-        d = np.array(self.direction, dtype=np.float64).reshape(3)
+        o = read_only(self.origin, np.float64).reshape(3)
+        d = read_only(self.direction, np.float64).reshape(3)
         if not (np.isfinite(o).all() and np.isfinite(d).all()):
             raise ValueError("ray origin and direction must be finite")
         n = np.linalg.norm(d)
         if abs(n - 1.0) > 1e-12:
             if n == 0.0:
                 raise ValueError("ray direction must be nonzero")
-            d = d / n
-        object.__setattr__(self, "origin", _readonly(o))
-        object.__setattr__(self, "direction", _readonly(d))
+            d = read_only(d / n, np.float64)
+        object.__setattr__(self, "origin", o)
+        object.__setattr__(self, "direction", d)
 
 
 def camera_center(pose: SE3Pose) -> np.ndarray:
@@ -192,18 +210,12 @@ def camera_center(pose: SE3Pose) -> np.ndarray:
 def project_points(pose: SE3Pose, k: CameraIntrinsics, points: np.ndarray):
     """Project world points (..., 3); returns (pixels (..., 2), depths (...))."""
     pc = pose.transform(points)
-    z = pc[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = pc[..., 0] / z
-        y = pc[..., 1] / z
-    return k.denormalize(np.stack([x, y], axis=-1)), z
+    return k.project(pc), pc[..., 2]
 
 
 def ray_through_pixel(pose: SE3Pose, k: CameraIntrinsics, p: Pixel) -> Ray:
     """World-frame viewing ray from the camera center through pixel p."""
-    xy = k.normalize(np.array([p.u, p.v]))
-    dir_cam = np.array([xy[0], xy[1], 1.0])
-    dir_world = pose.rotation.T @ dir_cam
+    dir_world = pose.rotation.T @ k.pixel_rays([(p.u, p.v)])[0]
     return Ray(camera_center(pose), dir_world / np.linalg.norm(dir_world))
 
 
@@ -222,8 +234,8 @@ def sampson_errors(e: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     denominator vanishes come back as +inf.
     """
     e = np.asarray(e, dtype=np.float64)
-    x1h = np.column_stack([np.atleast_2d(x1), np.ones(len(np.atleast_2d(x1)))])
-    x2h = np.column_stack([np.atleast_2d(x2), np.ones(len(np.atleast_2d(x2)))])
+    x1h = homogeneous(x1)
+    x2h = homogeneous(x2)
     ex1 = x1h @ e.T
     etx2 = x2h @ e
     num = np.sum(x2h * ex1, axis=1) ** 2

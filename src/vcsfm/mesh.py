@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidCoordinateError
+from .geometry import read_only
 
 # hits closer than this are treated as self-intersections of a re-cast ray
 EPS_MIN = 1e-9
@@ -108,15 +109,6 @@ class TriangleMesh:
         """Per-face data of casts from the origin; the mesh's arrays are
         read-only, so the table stays valid for the mesh's life."""
         return _CastTable(self)
-
-
-def read_only(a, dtype) -> np.ndarray:
-    """`a` itself when it is a read-only array of `dtype`, else a read-only copy."""
-    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
-        return a
-    a = np.array(a, dtype=dtype)
-    a.flags.writeable = False
-    return a
 
 
 def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import (
     InsufficientCorrespondencesError,
     NoValidHypothesisError,
 )
-from .geometry import SE3Pose, decompose_essential, essential_from_pose, sampson_errors
+from .geometry import SE3Pose, decompose_essential, homogeneous, sampson_errors
 
 MAX_ITERATIONS = 2000  # RANSAC samples drawn at most
 CONFIDENCE = 0.999  # probability of an all-inlier sample behind the adaptive stop
@@ -48,15 +48,10 @@ _TIMES_X = [_COLUMN[(i + 1, j, k)] for i, j, k in _MONOMIALS[10:]]
 _OUTER = np.array([[_COLUMN[tuple(map(sum, zip(p, q)))] - 10 for q in _COORDS] for p in _COORDS])
 
 
-def _homogeneous(points):
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    return np.column_stack([pts, np.ones(len(pts))])
-
-
 def _epipolar_matrix(x1, x2):
     """Rows of the linear system q2^T E q1 = 0, E flattened row-major."""
-    q1 = _homogeneous(x1)
-    q2 = _homogeneous(x2)
+    q1 = homogeneous(x1)
+    q2 = homogeneous(x2)
     return np.einsum("ni,nj->nij", q2, q1).reshape(len(q1), 9)
 
 
@@ -147,13 +142,15 @@ def five_point(x1, x2) -> list[np.ndarray]:
 def cheirality_votes(e, x1, x2):
     """The four decompositions of e, and per candidate the count of pairs
     whose closest-approach ray parameters are both positive (the cheirality
-    test generalized to virtual pairs)."""
+    test generalized to virtual pairs). The candidates come as (R1, t),
+    (R1, -t), (R2, t), (R2, -t); negating t negates w, d, e and both ray
+    parameters exactly, so one solve per rotation votes for t and for -t."""
     poses = decompose_essential(e)
-    q1 = _homogeneous(x1)
-    q2 = _homogeneous(x2)
+    q1 = homogeneous(x1)
+    q2 = homogeneous(x2)
     u1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
     votes = []
-    for pose in poses:
+    for pose in poses[::2]:
         r, t = pose.rotation, pose.translation
         u2 = q2 @ r  # rows: R^T q2
         u2 = u2 / np.linalg.norm(u2, axis=1, keepdims=True)
@@ -166,7 +163,8 @@ def cheirality_votes(e, x1, x2):
         with np.errstate(divide="ignore", invalid="ignore"):
             d1 = (b * ecomp - d) / denom
             d2 = (ecomp - b * d) / denom
-        votes.append(int(np.count_nonzero(ok & (d1 > 0.0) & (d2 > 0.0))))
+        votes += [int(np.count_nonzero(ok & (d1 > 0.0) & (d2 > 0.0))),
+                  int(np.count_nonzero(ok & (d1 < 0.0) & (d2 < 0.0)))]
     return poses, votes
 
 
@@ -225,12 +223,18 @@ def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePose
 
     The best hypothesis maximizes the inlier count under the Sampson
     threshold; ties break on lower mean inlier error, then on the earlier
-    iteration. Deterministic for a fixed seed.
+    iteration. The estimate carries that hypothesis's inliers and the pose
+    its cheirality vote picks. Deterministic for a fixed seed. ValueError
+    when the two sides differ in length or hold a non-finite coordinate.
     """
     params = params or RansacParams()
     x1 = np.asarray(x1, dtype=np.float64).reshape(-1, 2)
     x2 = np.asarray(x2, dtype=np.float64).reshape(-1, 2)
     n = len(x1)
+    if len(x2) != n:
+        raise ValueError(f"{n} points in the first image but {len(x2)} in the second")
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise ValueError("pairs must be finite")
     if n < 5:
         raise InsufficientCorrespondencesError(f"{n} pairs < minimal sample of 5")
     rng = np.random.default_rng(params.seed)
@@ -261,10 +265,4 @@ def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePose
 
     _, e_best, mask = best
     pose = recover_pose(e_best, x1[mask], x2[mask])
-    essential = essential_from_pose(pose)
-    essential = essential / np.linalg.norm(essential)
-    err = sampson_errors(essential, x1, x2)
-    final_mask = err < params.inlier_threshold
-    if not final_mask.any():
-        final_mask = mask  # keep the hypothesis support if recomputation thins out
-    return RelativePoseEstimate(pose=pose, inlier_mask=final_mask, iterations=it)
+    return RelativePoseEstimate(pose=pose, inlier_mask=mask, iterations=it)

@@ -48,8 +48,10 @@ class SceneConfig:
         size = tuple(self.image_size)
         if len(size) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in size):
             raise ValueError("image size must be two positive integers")
-        if not (self.focal_length > 0.0 and self.fill_fraction > 0.0):
-            raise ValueError("focal length and fill fraction must be positive")
+        if not (self.focal_length > 0.0 and self.fill_fraction > 0.0
+                and math.isfinite(self.elevation_range)):
+            raise ValueError("focal length and fill fraction must be positive, "
+                             "elevation range finite")
         angles = self.baseline_angles
         if angles is not None:
             if len(angles) != self.camera_count:
@@ -210,7 +212,7 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
     """
     v = mesh_cam.vertices
     if np.all(v[:, 2] > 0.0):
-        uv = k.denormalize(v[:, :2] / v[:, 2:3])
+        uv = k.project(v)
         u_lo = max(0, int(np.floor(uv[:, 0].min())) - 1)
         u_hi = min(width - 1, int(np.ceil(uv[:, 0].max())) + 1)
         v_lo = max(0, int(np.floor(uv[:, 1].min())) - 1)
@@ -372,8 +374,6 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
     out = []
     for i in range(n):
         pix, ranks, points_cam = samples[i]
-        if len(pix) == 0:
-            continue
         points = poses[i].inverse_transform(points_cam)
         ray_pix = pix.tolist()
         ranks = ranks.tolist()
@@ -389,8 +389,6 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
                 & (uv[:, 1] >= 0.0)
                 & (uv[:, 1] <= height - 1)
             )
-            if not ok.any():
-                continue
             sel = np.nonzero(ok)[0]
             dirs_j = k.pixel_rays(uv[sel])
             p_cam_j = poses[j].transform(points[sel])

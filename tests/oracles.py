@@ -151,6 +151,26 @@ def sampson_geometric_oracle(e, x1, x2):
     return float(res.fun)
 
 
+def closest_approach_oracle(pose, x1, x2):
+    """(n, 2) closest-approach parameters of each pair's two rays under the
+    relative pose (R, t): camera 1's from the origin along (x1, 1), camera
+    2's from its centre -R^T t along R^T (x2, 1). Each row is a 3x2 least
+    squares problem, s1 q1 - s2 R^T q2 = -R^T t."""
+    r, t = pose.rotation, pose.translation
+    rows = []
+    for p1, p2 in zip(x1, x2):
+        a = np.column_stack([[p1[0], p1[1], 1.0], -r.T @ [p2[0], p2[1], 1.0]])
+        rows.append(np.linalg.lstsq(a, -r.T @ t, rcond=None)[0])
+    return np.array(rows).reshape(-1, 2)
+
+
+def cheirality_votes_oracle(poses, x1, x2):
+    """Per candidate pose, the pairs whose two closest-approach parameters
+    are both positive."""
+    return [int(np.count_nonzero((closest_approach_oracle(p, x1, x2) > 0.0).all(axis=1)))
+            for p in poses]
+
+
 def classic_ba_oracle(poses, intrinsics, fixed, points, observations, max_nfev=400):
     """Classic bundle adjustment with scipy's trust-region least squares.
 

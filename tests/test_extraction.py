@@ -15,6 +15,7 @@ from vcsfm.extraction import (
     ImageRecord,
     ShapePrior,
     VirtualCorrespondence,
+    _cast_one_direction,
     _mutual_nearest,
     _pairs_within,
     extract_vcs,
@@ -22,8 +23,8 @@ from vcsfm.extraction import (
     suggest_surface_tolerance,
     vc_ray_gap,
 )
-from vcsfm.geometry import Pixel, Ray, project_points
-from vcsfm.mesh import surface_points
+from vcsfm.geometry import CameraIntrinsics, Pixel, Ray, project_points
+from vcsfm.mesh import TriangleMesh, surface_points
 from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
 
 SMALL = dict(image_size=(96, 72), focal_length=110.0)
@@ -114,21 +115,25 @@ def test_dense_map_rejects_bad_weights_of_mapped_pixels():
     DenseSurfaceMap(4, 3, index, faces, barys)
 
 
-@pytest.mark.parametrize("index, faces, rows", [
-    pytest.param([5, 3], [0, 1], 2, id="descending"),
-    pytest.param([3, 3], [0, 1], 2, id="repeated"),
-    pytest.param([-1, 3], [0, 1], 2, id="before-image"),
-    pytest.param([3, 12], [0, 1], 2, id="past-image"),
-    pytest.param([3, 5], [0, -1], 2, id="negative-face"),
-    pytest.param([3, 5], [0], 2, id="faces-length"),
-    pytest.param([3, 5], [0, 1], 3, id="barys-length"),
-    pytest.param([[3, 5]], [[0, 1]], 2, id="index-not-flat"),
+@pytest.mark.parametrize("index, faces, rows, size", [
+    pytest.param([5, 3], [0, 1], 2, (4, 3), id="descending"),
+    pytest.param([3, 3], [0, 1], 2, (4, 3), id="repeated"),
+    pytest.param([-1, 3], [0, 1], 2, (4, 3), id="before-image"),
+    pytest.param([3, 12], [0, 1], 2, (4, 3), id="past-image"),
+    pytest.param([3, 5], [0, -1], 2, (4, 3), id="negative-face"),
+    pytest.param([3, 5], [0], 2, (4, 3), id="faces-length"),
+    pytest.param([3, 5], [0, 1], 3, (4, 3), id="barys-length"),
+    pytest.param([[3, 5]], [[0, 1]], 2, (4, 3), id="index-not-flat"),
+    # 4.7 x 3 passes a bounds check of 14.1, and index 5 reads back as (1, 1)
+    pytest.param([0, 5], [0, 1], 2, (4.7, 3), id="fractional-width"),
+    pytest.param([3, 5], [0, 1], 2, (4, 3.0), id="float-height"),
+    pytest.param([3, 5], [0, 1], 2, (-4, -3), id="negative-size"),
 ])
-def test_dense_map_rejects_invalid_entries(index, faces, rows):
+def test_dense_map_rejects_invalid_entries(index, faces, rows, size):
     barys = np.tile([0.2, 0.3, 0.5], (rows, 1))
     DenseSurfaceMap(4, 3, [3, 5], [0, 1], barys[:2])
     with pytest.raises(ValueError):
-        DenseSurfaceMap(4, 3, index, faces, barys)
+        DenseSurfaceMap(*size, index, faces, barys)
 
 
 def test_dense_map_holds_its_entries_only():
@@ -345,6 +350,29 @@ def test_rays_that_miss_yield_nothing(opposed_scene):
     assert extract_vcs(a, b, scene_params(opposed_scene)) == []
 
 
+@pytest.mark.parametrize("face, bary, want", [
+    # (-0.01, 0, 0.013), in front of the casting camera: re-viewed at u = 31.2
+    pytest.param(1, [0.5, 0.495, 0.005], [[10.0 * -0.01 / 0.013 + 32.0, 24.0, 5.0, 0.0, 0.0]],
+                 id="in-front"),
+    # (0.01, 0, -0.005), behind it: it would re-view at (12, 24), inside the frame
+    pytest.param(0, [0.495, 0.005, 0.5], [], id="behind"),
+])
+def test_cast_drops_a_match_behind_the_casting_camera(face, bary, want):
+    # the plane z = 0.004 - 0.9 x crosses z = 0 at x = 0.0044; the ray
+    # through the principal point hits it at (0, 0, 0.004), and both
+    # entries lie 0.0135 from that hit, within the tolerance
+    mesh_c = TriangleMesh([[x, y, 0.004 - 0.9 * x] for x, y in
+                           ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))],
+                          [[0, 1, 2], [0, 2, 3]])
+    k_c = CameraIntrinsics(fx=10.0, fy=10.0, cx=32.0, cy=24.0)
+    dsm_c = DenseSurfaceMap(64, 48, [24 * 64 + 32], [0], [[1.0, 0.0, 0.0]])
+    dsm_o = DenseSurfaceMap(64, 48, [5], [face], [bary])
+    cast_uv, obs_uv, rank = _cast_one_direction(
+        mesh_c, k_c, dsm_c, dsm_o, ExtractionParams(stride=1, surface_tolerance=0.02))
+    got = np.column_stack([cast_uv, obs_uv, rank])
+    assert got.shape == (len(want), 5) and np.allclose(got, np.reshape(want, (-1, 5)))
+
+
 @pytest.mark.parametrize("scene, change", [
     pytest.param(scene, change, id=f"{scene}-{name}")
     for scene in ("opposed_scene", "narrow_scene")
@@ -364,8 +392,8 @@ def test_extraction_matches_dense_oracle(scene, change, request):
 
 @pytest.mark.parametrize("change", [
     {"stride": 0}, {"surface_tolerance": 0.0}, {"surface_tolerance": np.nan},
-    {"surface_tolerance": np.inf},
-], ids=["stride", "tolerance", "tolerance-nan", "tolerance-inf"])
+    {"surface_tolerance": np.inf}, {"stride": 2.5}, {"stride": True},
+], ids=["stride", "tolerance", "tolerance-nan", "tolerance-inf", "stride-float", "stride-bool"])
 def test_extraction_params_reject_invalid_values(change):
     with pytest.raises(ValueError):
         ExtractionParams(**change)

@@ -343,6 +343,15 @@ def test_pose_and_ray_hold_read_only_copies_of_their_inputs(rng):
     assert np.isfinite(pose.rotation).all() and np.isfinite(ray.origin).all()
 
 
+def test_pose_and_ray_adopt_read_only_float64_inputs(rng):
+    r, t = random_rotation(rng), rng.normal(size=3)
+    r.flags.writeable = t.flags.writeable = False
+    pose, ray = SE3Pose(r, t), Ray(t, t / np.linalg.norm(t))
+    for got, given_ in ((pose.rotation, r), (pose.translation, t), (ray.origin, t)):
+        assert np.shares_memory(got, given_) and not got.flags.writeable
+    assert not SE3Pose(r, t.astype(np.float32)).translation.flags.writeable
+
+
 def test_pose_compose_inverse(rng):
     a, b = random_pose(rng), random_pose(rng)
     rel = relative_pose(a, b)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
-from oracles import five_point_pencil_oracle, relative_pose
+from oracles import (
+    cheirality_votes_oracle,
+    closest_approach_oracle,
+    five_point_pencil_oracle,
+    relative_pose,
+)
 from vcsfm.errors import (
     AmbiguousCheiralityError,
     DegenerateSampleError,
@@ -222,6 +227,36 @@ def test_cheirality_vote_sees_four_candidates(rng):
     assert max(votes) == 20
 
 
+def test_cheirality_votes_match_the_least_squares_oracle(rng):
+    # virtual pairs: cameras 150-180 deg apart about a common point at depth
+    # 3, each pair's rays passing 1e-3 to 0.05 from a point near it
+    for _ in range(20):
+        turn = so3_exp(rng.normal(scale=0.1, size=3)) @ so3_exp(
+            [0.0, math.radians(rng.uniform(150.0, 180.0)), 0.0])
+        centre = np.array([0.0, 0.0, 3.0]) - 3.0 * turn[:, 2]
+        rel = SE3Pose(turn.T, -turn.T @ centre)
+        points = np.array([0.0, 0.0, 3.0]) + rng.uniform(-0.3, 0.3, size=(60, 3))
+        apart = rng.normal(size=(2, 60, 3))
+        apart *= rng.uniform(1e-3, 0.05, size=(2, 60, 1)) / np.linalg.norm(apart, axis=2,
+                                                                           keepdims=True)
+        p1, p2 = points + apart[0], rel.transform(points + apart[1])
+        x1, x2 = p1[:, :2] / p1[:, 2:], p2[:, :2] / p2[:, 2:]
+        e = unit_essential(rel)
+        # keep rows far from the parallel cut and from zero parameters
+        q1 = np.column_stack([x1, np.ones(len(x1))])
+        keep = np.ones(len(x1), dtype=bool)
+        for pose in decompose_essential(e):
+            q2 = np.column_stack([x2, np.ones(len(x2))]) @ pose.rotation
+            sin = np.linalg.norm(np.cross(q1, q2), axis=1) / (
+                np.linalg.norm(q1, axis=1) * np.linalg.norm(q2, axis=1))
+            keep &= (sin > 1e-3) & (np.abs(closest_approach_oracle(pose, x1, x2)) > 1e-6).all(1)
+        assert keep.sum() > 40
+        poses, votes = cheirality_votes(e, x1[keep], x2[keep])
+        assert votes == cheirality_votes_oracle(poses, x1[keep], x2[keep])
+        # the true pose holds every row, its mirror (R, -t) none
+        assert max(votes) == keep.sum() and min(votes) == 0
+
+
 def test_recover_pose_mirrored_scene_flagged_or_flipped(rng):
     # every pair generated from points behind both cameras
     rel = covisible_pose(rng)
@@ -338,6 +373,19 @@ def test_ransac_params_reject_a_threshold_that_is_not_positive():
     for threshold in (0.0, -1e-4, np.nan):
         with pytest.raises(ValueError):
             RansacParams(inlier_threshold=threshold)
+
+
+def test_ransac_rejects_unequal_or_non_finite_pairs(rng):
+    rel = covisible_pose(rng)
+    x1, x2 = make_pairs(rng, rel, 40)
+    with pytest.raises(ValueError, match="40 points in the first image but 35"):
+        ransac_essential(x1, x2[:35])
+    # seed 1 never samples row 7, which would silently score as an outlier
+    x1[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ransac_essential(x1, x2, RansacParams(seed=1))
+    with pytest.raises(ValueError, match="finite"):
+        ransac_essential(x2, x1, RansacParams(seed=1))
 
 
 def test_ransac_adaptive_early_stop(rng):

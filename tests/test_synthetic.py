@@ -261,7 +261,8 @@ def test_scene_config_validation():
     for bad in ({"image_size": (0, 120)}, {"image_size": (160, -1)}, {"image_size": (160,)},
                 {"image_size": (160.0, 120)}, {"image_size": (160, 120, 3)},
                 {"focal_length": 0.0}, {"focal_length": -170.0},
-                {"fill_fraction": 0.0}, {"fill_fraction": -0.3}):
+                {"fill_fraction": 0.0}, {"fill_fraction": -0.3},
+                {"elevation_range": np.nan}, {"elevation_range": np.inf}):
         with pytest.raises(ValueError):
             SceneConfig(camera_count=2, **bad)
     SceneConfig(camera_count=2, image_size=(np.int64(160), 120))

@@ -10,8 +10,10 @@ and the side that runs first alternates from pair to pair. Prints, per
 end-to-end metric of BENCHMARK.json: both medians, their ratio (this
 checkout over REV) and the median of the per-pair ratios, REV's
 interquartile range over its median, whether the medians differ by more
-than that range, and in how many pairs this checkout did better. With REV
-= HEAD and a clean tree, it is an A/A run that measures the host's noise.
+than that range, in how many pairs this checkout did better, how much
+worse its median is (the relative change in the metric's bad direction)
+and whether that stays within the metric's `bound`. With REV = HEAD and a
+clean tree, it is an A/A run that measures the host's noise.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ def summarize(base_runs: list, change_runs: list, metrics: list) -> list:
     """Per metric, the statistics of paired runs.
 
     base_runs and change_runs are lists of {metric: value}, paired by
-    position; metrics is BENCHMARK.json's end_to_end list (name, better).
-    Returns one dict per metric present in both sides: base and change
-    medians, ratio (change over base), pair_ratio (the median of the
+    position; metrics is BENCHMARK.json's end_to_end list (name, better,
+    bound). Returns one dict per metric present in both sides: base and
+    change medians, ratio (change over base), pair_ratio (the median of the
     per-pair ratios, which cancels drift that both sides of a pair share),
     base_iqr (REV's interquartile range over its median), resolved (the
     medians further apart than that range), wins (pairs where the change is
-    strictly better) and pairs.
+    strictly better), pairs, worse (the change of the median over the base
+    median, positive when it moved in the bad direction) and within_bound
+    (worse at most the metric's bound; False when worse is NaN).
     """
     rows = []
     for spec in metrics:
@@ -60,7 +64,9 @@ def summarize(base_runs: list, change_runs: list, metrics: list) -> list:
         change = np.array([r[name] for r in change_runs], dtype=float)
         b50, c50 = float(np.median(base)), float(np.median(change))
         q1, q3 = np.percentile(base, [25.0, 75.0])
-        better = change < base if spec["better"] == "lower" else change > base
+        lower = spec["better"] == "lower"
+        better = change < base if lower else change > base
+        worse = (c50 - b50 if lower else b50 - c50) / abs(b50) if b50 else float("nan")
         rows.append({
             "name": name,
             "base": b50,
@@ -71,17 +77,20 @@ def summarize(base_runs: list, change_runs: list, metrics: list) -> list:
             "resolved": bool(abs(c50 - b50) > q3 - q1),
             "wins": int(np.count_nonzero(better)),
             "pairs": len(base),
+            "worse": worse,
+            "within_bound": bool(worse <= spec["bound"]),
         })
     return rows
 
 
 def format_rows(rows: list) -> str:
     lines = [f"{'metric':14s} {'base':>12s} {'change':>12s} {'ratio':>7s} {'pair':>7s} "
-             f"{'base IQR':>8s} {'resolved':>8s} {'wins':>6s}"]
+             f"{'base IQR':>8s} {'resolved':>8s} {'wins':>6s} {'worse':>7s} {'in bound':>8s}"]
     for r in rows:
         lines.append(f"{r['name']:14s} {r['base']:12.6g} {r['change']:12.6g} {r['ratio']:7.4f} "
                      f"{r['pair_ratio']:7.4f} {r['base_iqr']:8.4f} {str(r['resolved']):>8s} "
-                     f"{r['wins']:>3d}/{r['pairs']:<2d}")
+                     f"{r['wins']:>3d}/{r['pairs']:<2d} {r['worse']:7.4f} "
+                     f"{str(r['within_bound']):>8s}")
     return "\n".join(lines)
 
 
