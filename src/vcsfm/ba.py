@@ -28,6 +28,7 @@ Information Fusion 2013), so every parameter vector satisfies the gauge.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -470,8 +471,13 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
     and fit_thickness their (a, b). Returns (tracks, x2, dropped): a VcTracks
     of the VCs whose rays both hit, in VC order, their (n, 3) X2 for soft
     mode, and the count of VCs dropped because a ray missed its prior.
+    `vcs` is a sequence of `VirtualCorrespondence` records, read as tuples.
     """
-    person_ids = np.array([vc.person_id for vc in vcs], dtype=np.int64)
+    n_vcs = len(vcs)
+    pixels_a, pixels_b, _, person = zip(*vcs) if n_vcs else ((),) * 4
+    pix_a = np.fromiter(chain.from_iterable(pixels_a), np.float64, 2 * n_vcs).reshape(-1, 2)
+    pix_b = np.fromiter(chain.from_iterable(pixels_b), np.float64, 2 * n_vcs).reshape(-1, 2)
+    person_ids = np.fromiter(person, np.int64, n_vcs)
 
     def first_points(record, pixels):
         dirs = record.intrinsics.pixel_rays(pixels)
@@ -485,8 +491,6 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
             hit[rows] = True
         return points, hit
 
-    pix_a = np.array([(vc.pixel_a.u, vc.pixel_a.v) for vc in vcs]).reshape(-1, 2)
-    pix_b = np.array([(vc.pixel_b.u, vc.pixel_b.v) for vc in vcs]).reshape(-1, 2)
     pts_a, ok_a = first_points(record_a, pix_a)
     pts_b, ok_b = first_points(record_b, pix_b)
     keep = np.flatnonzero(ok_a & ok_b)
@@ -496,4 +500,4 @@ def lift_vcs_to_tracks(vcs, record_a, record_b, pose_a: SE3Pose, pose_b: SE3Pose
     n = len(keep)
     tracks = VcTracks(x1, ab[:, 0], ab[:, 1], np.full(n, cam_a), np.full(n, cam_b),
                       pix_a[keep], pix_b[keep], np.zeros(n, dtype=bool))
-    return tracks, x2, len(vcs) - n
+    return tracks, x2, n_vcs - n

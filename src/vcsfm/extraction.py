@@ -10,6 +10,8 @@ topology; no appearance is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
 TOLERANCE_FLOOR = 0.01  # smallest match tolerance suggest_surface_tolerance returns
 TOLERANCE_FACTOR = 1.6  # its tolerance as a multiple of the median footprint
 JOIN_CELLS_MAX = 1 << 20  # cells per axis of the radius join's grid: keys fit int64
+_PARALLEL = np.finfo(np.float64).eps ** 2  # |u1 x u2|^2 of rays parallel to rounding
 # (dx, dy) of the nine cell columns around a cell
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
@@ -68,7 +71,10 @@ class DenseSurfaceMap:
 
     def mapped_pixels(self, stride: int = 1) -> np.ndarray:
         """(N, 2) integer (u, v) of mapped pixels in row-major order, only
-        those with both coordinates multiples of `stride`."""
+        those with both coordinates multiples of `stride` (an int >= 1, not a
+        bool; ValueError otherwise)."""
+        if not _is_stride(stride):
+            raise ValueError("stride must be an int >= 1")
         v, u = np.divmod(self._index, self.width)
         on_grid = (u % stride == 0) & (v % stride == 0)
         return np.column_stack([u[on_grid], v[on_grid]])
@@ -121,9 +127,10 @@ class ImageRecord:
         return self.prior_for(person_id).mesh
 
 
-@dataclass(frozen=True)
-class VirtualCorrespondence:
-    """Pixel pair whose camera rays meet on the hallucinated surface.
+class VirtualCorrespondence(NamedTuple):
+    """Pixel pair whose camera rays meet on the hallucinated surface: a
+    (pixel_a, pixel_b, hit_rank, person_id) tuple, so equality compares the
+    four fields as a tuple does.
 
     hit_rank is the index of the intersecting surface point along the casting
     ray (0 = also visible in the casting image). The point's surface
@@ -147,9 +154,14 @@ class ExtractionParams:
     surface_tolerance: float = 0.01
 
     def __post_init__(self):
-        if not (isinstance(self.stride, (int, np.integer)) and not isinstance(self.stride, bool)
-                and self.stride >= 1 and 0.0 < self.surface_tolerance < np.inf):
+        if not (_is_stride(self.stride) and 0.0 < self.surface_tolerance < np.inf):
             raise ValueError("stride must be an int >= 1 and tolerance positive and finite")
+
+
+def _is_stride(stride) -> bool:
+    """Whether `stride` is an int >= 1 and not a bool."""
+    return (isinstance(stride, (int, np.integer)) and not isinstance(stride, bool)
+            and stride >= 1)
 
 
 def suggest_surface_tolerance(records) -> float:
@@ -310,7 +322,8 @@ def _cast_one_direction(mesh_c: TriangleMesh, k_c: CameraIntrinsics,
     uv = k_c.project(y)
     inside = ((uv[:, 0] >= 0.0) & (uv[:, 0] <= dsm_c.width - 1)
               & (uv[:, 1] >= 0.0) & (uv[:, 1] <= dsm_c.height - 1))
-    return uv[inside], dsm_o.mapped_pixels()[e[inside]], run_ranks(ray)[m[inside]]
+    obs_v, obs_u = np.divmod(dsm_o.mapped_index()[e[inside]], dsm_o.width)
+    return uv[inside], np.column_stack([obs_u, obs_v]), run_ranks(ray)[m[inside]]
 
 
 def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None = None
@@ -337,14 +350,39 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
                                                     pb.surface_map, params)
         b_cast, a_obs, b_rank = _cast_one_direction(pb.mesh, b.intrinsics, pb.surface_map,
                                                     pa.surface_map, params)
-        # (ua, va, ub, vb, rank); dict keys keep the first of equal rows
-        rows = np.vstack([np.column_stack([a_cast, b_obs, a_rank]),
-                          np.column_stack([a_obs, b_cast, b_rank])])
-        vcs += [
-            VirtualCorrespondence(Pixel(ua, va), Pixel(ub, vb), int(rank), person_id)
-            for ua, va, ub, vb, rank in dict.fromkeys(map(tuple, rows.tolist()))
-        ]
+        # (ua, va, ub, vb) per row, then rank
+        rows = np.vstack([np.column_stack([a_cast, b_obs]), np.column_stack([a_obs, b_cast])])
+        rank = np.concatenate([a_rank, b_rank])
+        if not np.isfinite(rows).all():
+            raise ValueError("pixel coordinates must be finite")
+        keep = _first_of_equal_rows(rows, rank)
+        ua, va, ub, vb = rows[keep].T.tolist()
+        # tuple.__new__ skips Pixel's per-record check, which the one above
+        # stands for; zipped column lists build faster than row lists
+        pixels_a = map(tuple.__new__, repeat(Pixel), zip(ua, va))
+        pixels_b = map(tuple.__new__, repeat(Pixel), zip(ub, vb))
+        vcs += map(tuple.__new__, repeat(VirtualCorrespondence),
+                   zip(pixels_a, pixels_b, rank[keep].tolist(), repeat(person_id)))
     return vcs
+
+
+def _first_of_equal_rows(rows, rank) -> np.ndarray:
+    """Indices of the rows to keep, ascending: of equal (rows, rank) entries
+    only the first.
+
+    Rows of one cast direction are distinct, since each holds a different
+    observer entry. The observer's pixel is whole, so an a-cast row can
+    equal a b-cast row only when all four coordinates are whole; only those
+    rows are compared.
+    """
+    whole = np.flatnonzero((rows == np.floor(rows)).all(axis=1))
+    keys = map(tuple, np.column_stack([rows[whole], rank[whole]]).tolist())
+    seen, dup = set(), []
+    for i, key in zip(whole.tolist(), keys):
+        if key in seen:
+            dup.append(i)
+        seen.add(key)
+    return np.delete(np.arange(len(rows)), dup)
 
 
 def vc_ray_gap(vc: VirtualCorrespondence, pose_a: SE3Pose, pose_b: SE3Pose,
@@ -356,24 +394,29 @@ def vc_ray_gap(vc: VirtualCorrespondence, pose_a: SE3Pose, pose_b: SE3Pose,
 
 
 def ray_gap(ray_a: Ray, ray_b: Ray) -> float:
-    """Minimum distance between two half-lines."""
+    """Minimum distance between two half-lines.
+
+    When the closest points o_a + s u1 and o_b + t u2 of the two lines lie on
+    both half-lines (s, t >= 0), it is the lines' distance along their common
+    normal n = u1 x u2; forming the closest points instead cancels when the
+    rays are nearly opposed. s and t are solved against n too, and n is used
+    until the directions are parallel to rounding.
+    """
     u1, u2 = ray_a.direction, ray_b.direction
     w = ray_a.origin - ray_b.origin
-    b = float(u1 @ u2)
-    d = float(u1 @ w)
-    e = float(u2 @ w)
-    normal = np.cross(u1, u2)
-    denom = float(normal @ normal)  # 1 - b^2, without its cancellation
+    # u1 x u2 written as u1 x (u2 +- u1): the sum (difference) of nearly
+    # opposed (equal) unit vectors takes no cancellation error, so n keeps
+    # its relative precision
+    normal = np.cross(u1, u2 + u1 if u1 @ u2 < 0.0 else u2 - u1)
+    denom = float(normal @ normal)
     gaps = []
-    if denom > 1e-12:
-        s = (b * e - d) / denom
-        t = (e - b * d) / denom
+    if denom > _PARALLEL:
+        s = float(np.cross(u2, w) @ normal) / denom
+        t = float(np.cross(u1, w) @ normal) / denom
         if s >= 0.0 and t >= 0.0:
-            # distance of the lines along their common normal; forming the two
-            # closest points instead cancels when the rays are nearly opposed
             gaps.append(abs(float(w @ normal)) / np.sqrt(denom))
-    t0 = max(0.0, e)  # best t when s is clamped to 0
+    t0 = max(0.0, float(u2 @ w))  # best t when s is clamped to 0
     gaps.append(np.linalg.norm(w - t0 * u2))
-    s0 = max(0.0, -d)  # best s when t is clamped to 0
+    s0 = max(0.0, -float(u1 @ w))  # best s when t is clamped to 0
     gaps.append(np.linalg.norm(w + s0 * u1))
     return float(min(gaps))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,18 +70,26 @@ def so3_left_jacobian(w) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Pixel:
-    """Continuous image coordinates in pixels."""
-
+class _PixelFields(NamedTuple):
     u: float
     v: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
+
+class Pixel(_PixelFields):
+    """Continuous image coordinates in pixels: a (u, v) tuple of floats.
+
+    The constructor converts both coordinates to float and rejects a
+    non-finite one (ValueError); `_make` and `_replace` skip both. Equality
+    and hashing are those of the tuple, so Pixel(1, 2) == (1.0, 2.0).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u, v):
+        u, v = float(u), float(v)
+        if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError("pixel coordinates must be finite")
+        return tuple.__new__(cls, (u, v))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,9 +90,9 @@ class NoiseConfig:
             raise ValueError("noise magnitudes must be >= 0, outlier fraction < 1")
 
 
-@dataclass(frozen=True)
-class GtCorrespondence:
-    """Oracle pixel pair: cam_a's ray pierces `point`, cam_b observes it.
+class GtCorrespondence(NamedTuple):
+    """Oracle pixel pair: cam_a's ray pierces `point`, cam_b observes it; a
+    (cam_a, cam_b, pixel_a, pixel_b, point, rank_a) tuple.
 
     rank_a is the hit index along cam_a's ray; rank 0 entries are co-visible
     classic correspondences.
@@ -375,8 +377,6 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
     for i in range(n):
         pix, ranks, points_cam = samples[i]
         points = poses[i].inverse_transform(points_cam)
-        ray_pix = pix.tolist()
-        ranks = ranks.tolist()
 
         for j in range(n):
             if j == i:
@@ -399,15 +399,13 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
                 <= _VIS_TOL * np.maximum(1.0, np.linalg.norm(p_cam_j, axis=1))
             )
             seen = sel[visible]
-            out.extend(
-                GtCorrespondence(
-                    cam_a=i,
-                    cam_b=j,
-                    pixel_a=Pixel(*ray_pix[s]),
-                    pixel_b=Pixel(u, v),
-                    point=points[s],
-                    rank_a=ranks[s],
-                )
-                for s, (u, v) in zip(seen.tolist(), uv[seen].tolist())
-            )
+            pix_a, pix_b = pix[seen], uv[seen]
+            if not (np.isfinite(pix_a).all() and np.isfinite(pix_b).all()):
+                raise ValueError("pixel coordinates must be finite")
+            # tuple.__new__ skips Pixel's per-record check, which the one above stands for
+            out += map(tuple.__new__, repeat(GtCorrespondence), zip(
+                repeat(i), repeat(j),
+                map(tuple.__new__, repeat(Pixel), zip(*pix_a.T.tolist())),
+                map(tuple.__new__, repeat(Pixel), zip(*pix_b.T.tolist())),
+                map(points.__getitem__, seen.tolist()), ranks[seen].tolist()))
     return out

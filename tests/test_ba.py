@@ -21,6 +21,8 @@ from vcsfm.ba import (
 )
 from vcsfm.extraction import (
     ExtractionParams,
+    ImageRecord,
+    ShapePrior,
     VirtualCorrespondence,
     extract_vcs,
     suggest_surface_tolerance,
@@ -292,6 +294,33 @@ def test_lift_with_every_ray_missing_returns_no_tracks():
     ]
     tracks, x2, dropped = lift_vcs_to_tracks(misses, a, b, *poses, 0, 1)
     assert (len(tracks), x2.shape, dropped) == (0, (0, 3), 3)
+
+
+def test_lift_routes_each_vc_to_its_own_person():
+    scene = generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, 150.0),
+                                       image_size=(96, 72), focal_length=110.0))
+    a, b = scene.records
+    poses = scene.gt_poses
+    vcs = extract_vcs(a, b, ExtractionParams(
+        surface_tolerance=suggest_surface_tolerance(scene.records)))[:40]
+    # person 1 shares person 0's prior in a; in b it stands far off, where
+    # every ray misses it
+    (pa,), (pb,) = a.priors, b.priors
+    a_two = ImageRecord(a.image_id, a.intrinsics, (pa, ShapePrior(1, pa.mesh, pa.surface_map)))
+    far = pb.mesh.transformed(translation=[100.0, 0.0, 0.0])
+    b_two = ImageRecord(b.image_id, b.intrinsics, (pb, ShapePrior(1, far, pb.surface_map)))
+    mixed = [vc._replace(person_id=i % 2) for i, vc in enumerate(vcs)]
+    got = lift_vcs_to_tracks(mixed, a_two, b_two, *poses, 0, 1)
+    want = lift_vcs_to_tracks(vcs[::2], a, b, *poses, 0, 1)
+    assert got[2] == len(vcs) // 2 and want[2] == 0
+    for name in ("x1", "a", "b", "cam_a", "cam_b", "obs_a", "obs_b", "classic"):
+        g, w = getattr(got[0], name), getattr(want[0], name)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(got[1], want[1])
+    # no VC: empty columns of the usual shapes and types
+    tracks, x2, dropped = lift_vcs_to_tracks([], a_two, b_two, *poses, 0, 1)
+    assert (tracks.obs_a.shape, tracks.obs_a.dtype, x2.shape, dropped) == (
+        (0, 2), np.float64, (0, 3), 0)
 
 
 def test_fit_thickness_matches_per_row_lstsq():

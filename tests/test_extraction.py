@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vcsfm.extraction
 from conftest import entry_index, unit_square_mesh
 from oracles import (
     mutual_nearest_oracle,
@@ -101,6 +102,13 @@ def test_strided_mapped_pixels_match_modulo_filter(rng):
         want = pix[(pix[:, 0] % stride == 0) & (pix[:, 1] % stride == 0)]
         got = dsm.mapped_pixels(stride)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(dsm.mapped_pixels(np.int64(3)), dsm.mapped_pixels(3))
+
+
+@pytest.mark.parametrize("stride", [0, -1, 2.5, 2.0, True, None])
+def test_mapped_pixels_rejects_a_stride_that_is_not_an_int_of_at_least_one(stride, rng):
+    with pytest.raises(ValueError):
+        sparse_map(rng, 9, 7).mapped_pixels(stride)
 
 
 def test_dense_map_rejects_bad_weights_of_mapped_pixels():
@@ -415,6 +423,63 @@ def test_extraction_symmetry_under_role_swap(opposed_scene):
     assert key_set(ab, swap=False) == key_set(ba, swap=True)
 
 
+def test_extracted_records_are_typed_tuples_equal_to_constructed_ones(opposed_scene):
+    a, b = opposed_scene.records
+    vcs = extract_vcs(a, b, scene_params(opposed_scene))
+    assert type(vcs) is list and vcs
+    for vc in vcs:
+        assert type(vc) is VirtualCorrespondence
+        assert type(vc.pixel_a) is Pixel and type(vc.pixel_b) is Pixel
+        assert all(type(c) is float for c in (*vc.pixel_a, *vc.pixel_b))
+        assert type(vc.hit_rank) is int and type(vc.person_id) is int
+        assert vc == VirtualCorrespondence(Pixel(*vc.pixel_a), Pixel(*vc.pixel_b),
+                                           vc.hit_rank, vc.person_id)
+
+
+def fake_casts(monkeypatch, casts):
+    """Make `_cast_one_direction` return `casts[0]`, then `casts[1]`, ...:
+    (cast_uv, obs_uv, rank) per call."""
+    calls = iter(casts)
+    monkeypatch.setattr(vcsfm.extraction, "_cast_one_direction",
+                        lambda *args: tuple(np.asarray(x) for x in next(calls)))
+
+
+def test_row_found_in_both_directions_is_kept_once(opposed_scene, monkeypatch):
+    a, b = opposed_scene.records
+    # (3, 4, 7, 8) at rank 0 is found both ways; the other b-cast rows differ
+    # from an a-cast row in rank or in a coordinate
+    fake_casts(monkeypatch, [
+        ([[3.0, 4.0], [5.5, 6.0]], [[7, 8], [9, 10]], [0, 1]),
+        ([[8.0, 7.0], [7.0, 8.0], [9.0, 10.0], [7.0, 8.0]],
+         [[1, 2], [3, 4], [5, 6], [3, 5]], [0, 0, 1, 1]),
+    ])
+    got = [(*vc.pixel_a, *vc.pixel_b, vc.hit_rank) for vc in extract_vcs(a, b)]
+    assert got == [(3.0, 4.0, 7.0, 8.0, 0), (5.5, 6.0, 9.0, 10.0, 1),
+                   (1.0, 2.0, 8.0, 7.0, 0), (5.0, 6.0, 9.0, 10.0, 1),
+                   (3.0, 5.0, 7.0, 8.0, 1)]
+
+
+def test_de_duplication_keeps_the_first_of_equal_rows(opposed_scene, monkeypatch, rng):
+    a, b = opposed_scene.records
+    grid = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+    def one_direction():
+        # distinct observer pixels; cast pixels on a half-pixel grid
+        return rng.integers(0, 3, (4, 2)) / 2.0, grid[rng.permutation(4)], rng.integers(0, 2, 4)
+
+    dropped = 0
+    for _ in range(50):
+        (a_cast, b_obs, a_rank), (b_cast, a_obs, b_rank) = one_direction(), one_direction()
+        fake_casts(monkeypatch, [(a_cast, b_obs, a_rank), (b_cast, a_obs, b_rank)])
+        rows = np.vstack([np.column_stack([a_cast, b_obs, a_rank]),
+                          np.column_stack([a_obs, b_cast, b_rank])])
+        want = list(dict.fromkeys(map(tuple, rows.tolist())))
+        got = [(*vc.pixel_a, *vc.pixel_b, vc.hit_rank) for vc in extract_vcs(a, b)]
+        assert got == want
+        dropped += len(rows) - len(want)
+    assert dropped > 0
+
+
 def test_extraction_deterministic(opposed_scene):
     a, b = opposed_scene.records
     params = scene_params(opposed_scene)
@@ -550,6 +615,19 @@ def test_ray_gap_nearly_opposed_rays():
             want = ray_gap_grid_oracle(ray_a.origin, ray_a.direction, ray_b.origin, ray_b.direction)
             assert got <= want + 1e-9
             assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("angle", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8])
+def test_ray_gap_of_rays_meeting_nearly_opposed_is_zero(angle, rng):
+    # two cameras 5 apart look at one point from nearly opposite sides
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        u1, side = q[:, 0], q[:, 1]
+        u2 = -np.cos(angle) * u1 + np.sin(angle) * side
+        p = rng.normal(size=3)
+        ray_a, ray_b = Ray(p - 2.5 * u1, u1), Ray(p - 2.5 * u2, u2)
+        assert ray_gap(ray_a, ray_b) <= 1e-8
+        assert ray_gap(ray_b, ray_a) <= 1e-8
 
 
 def test_vc_ray_gap_same_world_point(rng):

@@ -36,6 +36,20 @@ def project(pose, k, x):
     return Pixel(*uv)
 
 
+def test_pixel_is_a_tuple_of_floats_and_rejects_non_finite():
+    for u, v in ((3, 4), (np.float64(2.5), np.int64(-1)), (True, 0.25)):
+        pix = Pixel(u, v)
+        assert type(pix.u) is float and type(pix.v) is float
+        assert pix == (float(u), float(v)) and hash(pix) == hash((float(u), float(v)))
+        assert isinstance(pix, tuple) and pix == Pixel(*pix)
+    for bad in (np.nan, np.inf, -np.inf, float("nan")):
+        for args in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError):
+                Pixel(*args)
+    with pytest.raises(AttributeError):
+        Pixel(1.0, 2.0).u = 3.0
+
+
 def test_project_optical_axis_hits_principal_point():
     uv, depth = project_points(SE3Pose.identity(), K100, np.array([[0.0, 0.0, 2.0]]))
     assert uv[0] == pytest.approx([320.0, 240.0], abs=1e-12)

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -60,12 +59,12 @@ def test_scene_digest_covers_maps_and_oracle():
     # a changed oracle rank changes the exact hash alone, a moved point or
     # pixel_b the float hash alone
     first = scene.oracle[0]
-    scene.oracle[0] = dataclasses.replace(first, rank_a=first.rank_a + 1)
+    scene.oracle[0] = first._replace(rank_a=first.rank_a + 1)
     changed = pair_digest.scene_digest(scene).split()
     assert changed[:5] + changed[6:] == fields[:5] + [floats] and changed[5] != exact
     pixel_b = first.pixel_b
     for moved in ({"point": np.nextafter(first.point, np.inf)},
-                  {"pixel_b": dataclasses.replace(pixel_b, u=np.nextafter(pixel_b.u, np.inf))}):
-        scene.oracle[0] = dataclasses.replace(first, **moved)
+                  {"pixel_b": pixel_b._replace(u=np.nextafter(pixel_b.u, np.inf))}):
+        scene.oracle[0] = first._replace(**moved)
         changed = pair_digest.scene_digest(scene).split()
         assert changed[:6] == fields[:6] and changed[6] != floats

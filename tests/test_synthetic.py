@@ -6,9 +6,10 @@ import vcsfm.synthetic
 from conftest import entry_index, seen_from
 from oracles import collapsed_hits_oracle, world_frame_oracle
 from vcsfm.extraction import ray_gap
-from vcsfm.geometry import project_points, ray_through_pixel, SE3Pose
+from vcsfm.geometry import Pixel, project_points, ray_through_pixel, SE3Pose
 from vcsfm.mesh import DEPTH_TIE, batch_all_hits, batch_first_hits, surface_points
 from vcsfm.synthetic import (
+    GtCorrespondence,
     NoiseConfig,
     SceneConfig,
     builtin_proxy_mesh,
@@ -49,6 +50,18 @@ def test_scene_opposed_pair_oracle_nonempty_and_exact():
         ray_a = ray_through_pixel(scene.gt_poses[c.cam_a], k, c.pixel_a)
         ray_b = ray_through_pixel(scene.gt_poses[c.cam_b], k, c.pixel_b)
         assert ray_gap(ray_a, ray_b) < 1e-9
+
+
+def test_oracle_records_are_typed_tuples_equal_to_constructed_ones():
+    scene = generate_scene(SceneConfig(camera_count=3, **SMALL))
+    assert scene.oracle
+    for c in scene.oracle:
+        assert type(c) is GtCorrespondence and type(c.pixel_a) is Pixel
+        assert all(type(x) is float for x in (*c.pixel_a, *c.pixel_b))
+        assert all(type(x) is int for x in (c.cam_a, c.cam_b, c.rank_a))
+        assert c.point.shape == (3,) and c.point.dtype == np.float64
+        assert c == GtCorrespondence(c.cam_a, c.cam_b, Pixel(*c.pixel_a), Pixel(*c.pixel_b),
+                                     c.point, c.rank_a)
 
 
 def test_scene_opposed_pair_has_no_classic_matches():
