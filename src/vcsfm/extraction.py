@@ -16,14 +16,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidCoordinateError, TopologyMismatchError
-from .geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, ray_through_pixel, read_only
+from .geometry import (CameraIntrinsics, Pixel, Ray, SE3Pose, closest_approach, pixel_records,
+                       ray_through_pixel, read_only)
 from .mesh import TriangleMesh, batch_all_hits, concat_ranges, run_ranks, surface_points
 
 MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
 TOLERANCE_FLOOR = 0.01  # smallest match tolerance suggest_surface_tolerance returns
 TOLERANCE_FACTOR = 1.6  # its tolerance as a multiple of the median footprint
 JOIN_CELLS_MAX = 1 << 20  # cells per axis of the radius join's grid: keys fit int64
-_PARALLEL = np.finfo(np.float64).eps ** 2  # |u1 x u2|^2 of rays parallel to rounding
 # (dx, dy) of the nine cell columns around a cell
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
@@ -249,16 +249,15 @@ def _pairs_within(points, queries, radius: float):
     return query[keep], point[keep], d2[keep]
 
 
-def _nearest_of_groups(query, entry, d2):
-    """Per group of `_pairs_within`'s output: the query, its nearest entry
-    (the smallest index among ties) and their squared distance."""
-    if len(query) == 0:
-        return query, entry, d2
-    starts = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
-    best = np.minimum.reduceat(d2, starts)
-    ties = d2 == np.repeat(best, np.diff(np.r_[starts, len(d2)]))
-    nearest = np.minimum.reduceat(np.where(ties, entry, np.iinfo(np.int64).max), starts)
-    return query[starts], nearest, best
+def _nearest(key, other, d2, size: int) -> np.ndarray:
+    """Per key in range(size): its nearest `other` over the (key, other, d2)
+    pairs, the smallest index among ties (int64 max for a key without pairs)."""
+    best = np.full(size, np.inf)
+    np.minimum.at(best, key, d2)
+    tied = d2 == best[key]
+    nearest = np.full(size, np.iinfo(np.int64).max)
+    np.minimum.at(nearest, key[tied], other[tied])
+    return nearest
 
 
 def _mutual_nearest(points, queries, radius: float):
@@ -270,14 +269,9 @@ def _mutual_nearest(points, queries, radius: float):
     so within `radius`, and the one radius join holds both directions.
     """
     query, point, d2 = _pairs_within(points, queries, radius)
-    q, p, _ = _nearest_of_groups(query, point, d2)
-    point_d2 = np.full(len(points), np.inf)
-    np.minimum.at(point_d2, point, d2)
-    tied = d2 == point_d2[point]
-    point_query = np.full(len(points), len(queries), dtype=np.int64)
-    np.minimum.at(point_query, point[tied], query[tied])
-    mutual = point_query[p] == q
-    return q[mutual], p[mutual]
+    mutual = ((_nearest(query, point, d2, len(queries))[query] == point)
+              & (_nearest(point, query, d2, len(points))[point] == query))
+    return query[mutual], point[mutual]
 
 
 def _check_shared_topology(mesh_a: TriangleMesh, mesh_b: TriangleMesh):
@@ -353,16 +347,10 @@ def extract_vcs(a: ImageRecord, b: ImageRecord, params: ExtractionParams | None 
         # (ua, va, ub, vb) per row, then rank
         rows = np.vstack([np.column_stack([a_cast, b_obs]), np.column_stack([a_obs, b_cast])])
         rank = np.concatenate([a_rank, b_rank])
-        if not np.isfinite(rows).all():
-            raise ValueError("pixel coordinates must be finite")
         keep = _first_of_equal_rows(rows, rank)
-        ua, va, ub, vb = rows[keep].T.tolist()
-        # tuple.__new__ skips Pixel's per-record check, which the one above
-        # stands for; zipped column lists build faster than row lists
-        pixels_a = map(tuple.__new__, repeat(Pixel), zip(ua, va))
-        pixels_b = map(tuple.__new__, repeat(Pixel), zip(ub, vb))
         vcs += map(tuple.__new__, repeat(VirtualCorrespondence),
-                   zip(pixels_a, pixels_b, rank[keep].tolist(), repeat(person_id)))
+                   zip(pixel_records(rows[keep, :2]), pixel_records(rows[keep, 2:]),
+                       rank[keep].tolist(), repeat(person_id)))
     return vcs
 
 
@@ -376,13 +364,9 @@ def _first_of_equal_rows(rows, rank) -> np.ndarray:
     rows are compared.
     """
     whole = np.flatnonzero((rows == np.floor(rows)).all(axis=1))
-    keys = map(tuple, np.column_stack([rows[whole], rank[whole]]).tolist())
-    seen, dup = set(), []
-    for i, key in zip(whole.tolist(), keys):
-        if key in seen:
-            dup.append(i)
-        seen.add(key)
-    return np.delete(np.arange(len(rows)), dup)
+    _, first = np.unique(np.column_stack([rows[whole], rank[whole]]), axis=0,
+                         return_index=True)
+    return np.delete(np.arange(len(rows)), np.setdiff1d(whole, whole[first]))
 
 
 def vc_ray_gap(vc: VirtualCorrespondence, pose_a: SE3Pose, pose_b: SE3Pose,
@@ -397,26 +381,13 @@ def ray_gap(ray_a: Ray, ray_b: Ray) -> float:
     """Minimum distance between two half-lines.
 
     When the closest points o_a + s u1 and o_b + t u2 of the two lines lie on
-    both half-lines (s, t >= 0), it is the lines' distance along their common
-    normal n = u1 x u2; forming the closest points instead cancels when the
-    rays are nearly opposed. s and t are solved against n too, and n is used
-    until the directions are parallel to rounding.
+    both half-lines (s, t >= 0), it is the lines' distance
+    (`closest_approach`); otherwise one parameter is clamped to 0.
     """
     u1, u2 = ray_a.direction, ray_b.direction
     w = ray_a.origin - ray_b.origin
-    # u1 x u2 written as u1 x (u2 +- u1): the sum (difference) of nearly
-    # opposed (equal) unit vectors takes no cancellation error, so n keeps
-    # its relative precision
-    normal = np.cross(u1, u2 + u1 if u1 @ u2 < 0.0 else u2 - u1)
-    denom = float(normal @ normal)
-    gaps = []
-    if denom > _PARALLEL:
-        s = float(np.cross(u2, w) @ normal) / denom
-        t = float(np.cross(u1, w) @ normal) / denom
-        if s >= 0.0 and t >= 0.0:
-            gaps.append(abs(float(w @ normal)) / np.sqrt(denom))
+    s, t, gap = (float(a[0]) for a in closest_approach(w[None], u1[None], u2[None]))
     t0 = max(0.0, float(u2 @ w))  # best t when s is clamped to 0
-    gaps.append(np.linalg.norm(w - t0 * u2))
     s0 = max(0.0, -float(u1 @ w))  # best s when t is clamped to 0
-    gaps.append(np.linalg.norm(w + s0 * u1))
-    return float(min(gaps))
+    clamped = float(min(np.linalg.norm(w - t0 * u2), np.linalg.norm(w + s0 * u1)))
+    return min(gap, clamped) if s >= 0.0 and t >= 0.0 else clamped  # NaN fails the test

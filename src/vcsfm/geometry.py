@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import NotEssentialError, ZeroTranslationError
 
 ROTATION_TOL = 1e-9
+_PARALLEL = np.finfo(np.float64).eps ** 2  # |u1 x u2|^2 of lines parallel to rounding
 
 
 def read_only(a, dtype) -> np.ndarray:
@@ -27,9 +29,17 @@ def read_only(a, dtype) -> np.ndarray:
     return a
 
 
+def image_points(xy) -> np.ndarray:
+    """xy as an (n, 2) float64 array, n >= 0; ValueError for any other shape."""
+    xy = np.asarray(xy, dtype=np.float64)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"image points must be an (n, 2) array, not {xy.shape}")
+    return xy
+
+
 def homogeneous(xy) -> np.ndarray:
     """Rows (x, y, 1) of the points xy (n, 2): an (n, 3) array."""
-    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    xy = image_points(xy)
     out = np.ones((len(xy), 3))
     out[:, :2] = xy
     return out
@@ -90,6 +100,16 @@ class Pixel(_PixelFields):
         if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError("pixel coordinates must be finite")
         return tuple.__new__(cls, (u, v))
+
+
+def pixel_records(uv) -> list:
+    """One `Pixel` per row of uv (n, 2), after one check that every
+    coordinate is finite (ValueError); tuple.__new__ then skips the
+    constructor's per-record check."""
+    uv = image_points(uv)
+    if not np.isfinite(uv).all():
+        raise ValueError("pixel coordinates must be finite")
+    return list(map(tuple.__new__, repeat(Pixel), zip(*uv.T.tolist())))
 
 
 @dataclass(frozen=True)
@@ -209,6 +229,22 @@ class Ray:
             d = read_only(d / n, np.float64)
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "direction", d)
+
+
+def closest_approach(w, u1, u2):
+    """Per row of the (n, 3) arrays w = o_a - o_b and unit u1, u2: the
+    parameters s, t of the closest points o_a + s u1, o_b + t u2 of the two
+    lines, and the lines' distance, all solved against the common normal
+    n = u1 x u2 taken as u1 x (u2 +- u1), which keeps its relative precision
+    for nearly opposed or equal directions. NaN where |n|^2 <= eps^2."""
+    flip = np.einsum("ni,ni->n", u1, u2) < 0.0
+    normal = np.cross(u1, u2 + np.where(flip[:, None], u1, -u1))
+    denom = np.einsum("ni,ni->n", normal, normal)
+    denom[denom <= _PARALLEL] = np.nan
+    m = np.cross(w, normal)  # (u2 x w) . n = u2 . (w x n), and so for u1
+    s = np.einsum("ni,ni->n", u2, m) / denom
+    t = np.einsum("ni,ni->n", u1, m) / denom
+    return s, t, np.abs(np.einsum("ni,ni->n", w, normal)) / np.sqrt(denom)
 
 
 def camera_center(pose: SE3Pose) -> np.ndarray:

@@ -19,7 +19,8 @@ from .errors import (
     InsufficientCorrespondencesError,
     NoValidHypothesisError,
 )
-from .geometry import SE3Pose, decompose_essential, homogeneous, sampson_errors
+from .geometry import (SE3Pose, closest_approach, decompose_essential, homogeneous, image_points,
+                       sampson_errors)
 
 MAX_ITERATIONS = 2000  # RANSAC samples drawn at most
 CONFIDENCE = 0.999  # probability of an all-inlier sample behind the adaptive stop
@@ -97,8 +98,7 @@ def five_point(x1, x2) -> list[np.ndarray]:
     Raises DegenerateSampleError when the 5x9 system or the constraint
     system is rank deficient, or the turned pencil cannot be solved.
     """
-    x1 = np.asarray(x1, dtype=np.float64).reshape(-1, 2)
-    x2 = np.asarray(x2, dtype=np.float64).reshape(-1, 2)
+    x1, x2 = image_points(x1), image_points(x2)
     if len(x1) != 5 or len(x2) != 5:
         raise ValueError("five_point needs exactly 5 pairs")
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
@@ -143,7 +143,7 @@ def cheirality_votes(e, x1, x2):
     """The four decompositions of e, and per candidate the count of pairs
     whose closest-approach ray parameters are both positive (the cheirality
     test generalized to virtual pairs). The candidates come as (R1, t),
-    (R1, -t), (R2, t), (R2, -t); negating t negates w, d, e and both ray
+    (R1, -t), (R2, t), (R2, -t); negating t negates w and both ray
     parameters exactly, so one solve per rotation votes for t and for -t."""
     poses = decompose_essential(e)
     q1 = homogeneous(x1)
@@ -154,17 +154,10 @@ def cheirality_votes(e, x1, x2):
         r, t = pose.rotation, pose.translation
         u2 = q2 @ r  # rows: R^T q2
         u2 = u2 / np.linalg.norm(u2, axis=1, keepdims=True)
-        w = r.T @ t  # o1 - o2 with camera 1 at the origin
-        b = np.einsum("ni,ni->n", u1, u2)
-        d = u1 @ w
-        ecomp = u2 @ w
-        denom = 1.0 - b * b
-        ok = denom > 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d1 = (b * ecomp - d) / denom
-            d2 = (ecomp - b * d) / denom
-        votes += [int(np.count_nonzero(ok & (d1 > 0.0) & (d2 > 0.0))),
-                  int(np.count_nonzero(ok & (d1 < 0.0) & (d2 < 0.0)))]
+        w = np.broadcast_to(r.T @ t, u1.shape)  # o1 - o2 with camera 1 at the origin
+        d1, d2, _ = closest_approach(w, u1, u2)
+        votes += [int(np.count_nonzero((d1 > 0.0) & (d2 > 0.0))),
+                  int(np.count_nonzero((d1 < 0.0) & (d2 < 0.0)))]
     return poses, votes
 
 
@@ -196,8 +189,8 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.inlier_threshold > 0.0:  # NaN fails this test
-            raise ValueError("inlier threshold must be positive")
+        if not 0.0 < self.inlier_threshold < math.inf:  # NaN fails this test
+            raise ValueError("inlier threshold must be positive and finite")
 
 
 @dataclass
@@ -225,11 +218,10 @@ def ransac_essential(x1, x2, params: RansacParams | None = None) -> RelativePose
     threshold; ties break on lower mean inlier error, then on the earlier
     iteration. The estimate carries that hypothesis's inliers and the pose
     its cheirality vote picks. Deterministic for a fixed seed. ValueError
-    when the two sides differ in length or hold a non-finite coordinate.
+    unless both sides are finite (n, 2) arrays of one length.
     """
     params = params or RansacParams()
-    x1 = np.asarray(x1, dtype=np.float64).reshape(-1, 2)
-    x2 = np.asarray(x2, dtype=np.float64).reshape(-1, 2)
+    x1, x2 = image_points(x1), image_points(x2)
     n = len(x1)
     if len(x2) != n:
         raise ValueError(f"{n} points in the first image but {len(x2)} in the second")

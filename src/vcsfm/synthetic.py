@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .extraction import DenseSurfaceMap, ImageRecord, ShapePrior
-from .geometry import CameraIntrinsics, Pixel, SE3Pose, project_points, so3_exp
+from .geometry import CameraIntrinsics, Pixel, SE3Pose, pixel_records, project_points, so3_exp
 from .mesh import TriangleMesh, batch_all_hits, batch_first_hits, run_ranks
 
 # relative position tolerance for the oracle's visibility test
@@ -50,9 +50,9 @@ class SceneConfig:
         size = tuple(self.image_size)
         if len(size) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in size):
             raise ValueError("image size must be two positive integers")
-        if not (self.focal_length > 0.0 and self.fill_fraction > 0.0
+        if not (0.0 < self.focal_length < math.inf and 0.0 < self.fill_fraction < math.inf
                 and math.isfinite(self.elevation_range)):
-            raise ValueError("focal length and fill fraction must be positive, "
+            raise ValueError("focal length and fill fraction must be positive and finite, "
                              "elevation range finite")
         angles = self.baseline_angles
         if angles is not None:
@@ -86,8 +86,9 @@ class NoiseConfig:
             self.prior_scale_sigma,
             self.outlier_fraction,
         )
-        if not (all(v >= 0.0 for v in vals) and self.outlier_fraction < 1.0):  # NaN fails
-            raise ValueError("noise magnitudes must be >= 0, outlier fraction < 1")
+        # NaN fails every comparison
+        if not (all(0.0 <= v < math.inf for v in vals) and self.outlier_fraction < 1.0):
+            raise ValueError("noise magnitudes must be finite and >= 0, outlier fraction < 1")
 
 
 class GtCorrespondence(NamedTuple):
@@ -399,13 +400,7 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
                 <= _VIS_TOL * np.maximum(1.0, np.linalg.norm(p_cam_j, axis=1))
             )
             seen = sel[visible]
-            pix_a, pix_b = pix[seen], uv[seen]
-            if not (np.isfinite(pix_a).all() and np.isfinite(pix_b).all()):
-                raise ValueError("pixel coordinates must be finite")
-            # tuple.__new__ skips Pixel's per-record check, which the one above stands for
             out += map(tuple.__new__, repeat(GtCorrespondence), zip(
-                repeat(i), repeat(j),
-                map(tuple.__new__, repeat(Pixel), zip(*pix_a.T.tolist())),
-                map(tuple.__new__, repeat(Pixel), zip(*pix_b.T.tolist())),
+                repeat(i), repeat(j), pixel_records(pix[seen]), pixel_records(uv[seen]),
                 map(points.__getitem__, seen.tolist()), ranks[seen].tolist()))
     return out

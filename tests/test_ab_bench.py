@@ -74,3 +74,14 @@ def test_summary_checks_each_median_against_its_bound():
 def test_metric_missing_from_a_run_is_skipped():
     rows = ab_bench.summarize(BASE, CHANGE[:-1] + [{"auc30": 0.5}], METRICS)
     assert [r["name"] for r in rows] == ["auc30"]
+
+
+def test_failed_run_reports_checkout_seed_exit_code_and_stderr(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\nprint('check failed: auc30 0.1 < 0.9', file=sys.stderr)\nsys.exit(1)\n")
+    with pytest.raises(RuntimeError) as failure:
+        ab_bench.bench_once(tmp_path, "clean-160", 7, 0.1)
+    message = str(failure.value)
+    assert f"bench run in {tmp_path} with seed 7 exited with code 1" in message
+    assert "check failed: auc30 0.1 < 0.9" in message

@@ -14,8 +14,11 @@ from vcsfm.geometry import (
     Ray,
     SE3Pose,
     camera_center,
+    closest_approach,
     decompose_essential,
     essential_from_pose,
+    homogeneous,
+    pixel_records,
     project_points,
     ray_through_pixel,
     relative_pose,
@@ -48,6 +51,65 @@ def test_pixel_is_a_tuple_of_floats_and_rejects_non_finite():
                 Pixel(*args)
     with pytest.raises(AttributeError):
         Pixel(1.0, 2.0).u = 3.0
+
+
+def test_pixel_records_are_pixels_built_after_one_finiteness_check():
+    uv = [[3, 4], [2.5, -1.0], [0.0, 0.25]]
+    got = pixel_records(uv)
+    assert got == [Pixel(u, v) for u, v in uv] and pixel_records(np.empty((0, 2))) == []
+    for pix in got:
+        assert type(pix) is Pixel and type(pix.u) is float and type(pix.v) is float
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                pixel_records([[1.0, 2.0], row])
+
+
+def _lstsq_approach(w, u1, u2):
+    """Per row, the least-squares s, t of s u1 - t u2 = -w and its residual's norm."""
+    rows = []
+    for wi, a, b in zip(w, u1, u2):
+        (s, t), *_ = np.linalg.lstsq(np.column_stack([a, -b]), -wi, rcond=None)
+        rows.append((s, t, np.linalg.norm(wi + s * a - t * b)))
+    return np.array(rows).T
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_closest_approach_matches_least_squares(rng):
+    u1, u2 = _unit(rng.normal(size=(2, 200, 3)))
+    w = 3.0 * rng.normal(size=(200, 3))
+    for got, want in zip(closest_approach(w, u1, u2), _lstsq_approach(w, u1, u2)):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("angle", [1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_closest_approach_of_nearly_parallel_lines(angle, sign, rng):
+    # lines `angle` rad from parallel (sign 1) or anti-parallel (sign -1)
+    # that meet at parameters s, t of size 0.5-2: the input's rounding moves
+    # s and t by about eps / angle, and the form (b e - d) / (1 - b^2)
+    # misses by eps / angle^2
+    n = 50
+    u1 = _unit(rng.normal(size=(n, 3)))
+    turn = _unit(np.cross(u1, rng.normal(size=(n, 3))))
+    u2 = sign * (np.cos(angle) * u1 + np.sin(angle) * turn)
+    s, t = rng.uniform(0.5, 2.0, size=(2, n)) * rng.choice([-1.0, 1.0], size=(2, n))
+    w = t[:, None] * u2 - s[:, None] * u1
+    got_s, got_t, gap = closest_approach(w, u1, u2)
+    want_s, want_t, _ = _lstsq_approach(w, u1, u2)
+    np.testing.assert_allclose(got_s, want_s, rtol=0.0, atol=1e-14 / angle)
+    np.testing.assert_allclose(got_t, want_t, rtol=0.0, atol=1e-14 / angle)
+    assert gap.max() <= 1e-14
+
+
+def test_closest_approach_of_parallel_lines_is_nan(rng):
+    u1 = _unit(rng.normal(size=(4, 3)))
+    u2 = np.vstack([u1[:2], -u1[2:]])
+    for value in closest_approach(rng.normal(size=(4, 3)), u1, u2):
+        assert np.isnan(value).all()
 
 
 def test_project_optical_axis_hits_principal_point():
@@ -224,6 +286,22 @@ def test_sampson_degenerate_denominator():
     e = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     err = sampson_errors(e, [[0.0, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.0, 0.1]])
     assert err[0] == np.inf and np.isfinite(err[1])
+
+
+def test_epipolar_helpers_take_only_n_by_2_points(rng):
+    rel = _covisible_rel_pose(rng)
+    e = essential_from_pose(rel)
+    x1, x2 = _synthetic_pairs(rng, rel, 40)
+    # 40 homogeneous rows hold 120 numbers: 60 pairs if read as pairs
+    h1, h2 = homogeneous(x1), homogeneous(x2)
+    for bad in (h1, x1.ravel(), x1[None]):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            homogeneous(bad)
+    for pairs in ((h1, h2), (h1, x2), (x1, h2)):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            sampson_errors(e, *pairs)
+    assert homogeneous(np.empty((0, 2))).shape == (0, 3)
+    assert sampson_errors(e, np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
 
 
 def test_sampson_errors_vectorized_matches_scalar(rng):

@@ -257,6 +257,27 @@ def test_cheirality_votes_match_the_least_squares_oracle(rng):
         assert max(votes) == keep.sum() and min(votes) == 0
 
 
+@pytest.mark.parametrize("offset", [1e-7, 1e-9])
+def test_opposed_pair_near_the_baseline_votes_for_the_truth(offset, rng):
+    # camera b faces camera a from 2 units down its optical axis, and every
+    # point lies within `offset` of that baseline, so each pair's rays are
+    # opposed to within about 2 offset rad: 1 - b^2 there is below 1e-12
+    rel = SE3Pose(np.diag([-1.0, 1.0, -1.0]), [0.0, 0.0, 2.0])
+    angle = rng.uniform(0.0, 2.0 * math.pi, 50)
+    radius = offset * rng.uniform(0.1, 1.0, 50)
+    points = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                              rng.uniform(0.2, 1.8, 50)])
+    seen = rel.transform(points)
+    x1, x2 = points[:, :2] / points[:, 2:], seen[:, :2] / seen[:, 2:]
+    poses, votes = cheirality_votes(unit_essential(rel), x1, x2)
+    truth = [rotation_angle_deg(p.rotation, rel.rotation) < 1e-6
+             and np.linalg.norm(p.translation - [0.0, 0.0, 1.0]) < 1e-9 for p in poses]
+    assert votes == [50 if t else 0 for t in truth] and sum(truth) == 1
+    pose, want = recover_pose(unit_essential(rel), x1, x2), poses[truth.index(True)]
+    assert np.array_equal(pose.rotation, want.rotation)
+    assert np.array_equal(pose.translation, want.translation)
+
+
 def test_recover_pose_mirrored_scene_flagged_or_flipped(rng):
     # every pair generated from points behind both cameras
     rel = covisible_pose(rng)
@@ -369,8 +390,8 @@ def test_ransac_scale_invariance(rng):
 
 def test_ransac_params_reject_a_threshold_that_is_not_positive():
     # NaN passes a test for threshold <= 0, and every hypothesis then
-    # scores 0 against it
-    for threshold in (0.0, -1e-4, np.nan):
+    # scores 0 against it; inf makes every pair an inlier
+    for threshold in (0.0, -1e-4, np.nan, np.inf):
         with pytest.raises(ValueError):
             RansacParams(inlier_threshold=threshold)
 
@@ -386,6 +407,21 @@ def test_ransac_rejects_unequal_or_non_finite_pairs(rng):
         ransac_essential(x1, x2, RansacParams(seed=1))
     with pytest.raises(ValueError, match="finite"):
         ransac_essential(x2, x1, RansacParams(seed=1))
+
+
+def test_ransac_and_five_point_take_only_n_by_2_points(rng):
+    rel = covisible_pose(rng)
+    x1, x2 = make_pairs(rng, rel, 40)
+    # 40 homogeneous rows hold 120 numbers: 60 pairs if read as pairs
+    h1, h2 = (np.column_stack([x, np.ones(40)]) for x in (x1, x2))
+    for pairs in ((h1, h2), (x1.ravel(), x2.ravel()), (x1[None], x2[None])):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            ransac_essential(*pairs)
+    for pairs in ((h1[:5], h2[:5]), (x1[:5].ravel(), x2[:5].ravel())):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            five_point(*pairs)
+    with pytest.raises(InsufficientCorrespondencesError):
+        ransac_essential(np.empty((0, 2)), np.empty((0, 2)))
 
 
 def test_ransac_adaptive_early_stop(rng):

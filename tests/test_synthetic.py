@@ -273,8 +273,8 @@ def test_scene_config_validation():
         SceneConfig(camera_count=2, baseline_angles=(0.0, 400.0))
     for bad in ({"image_size": (0, 120)}, {"image_size": (160, -1)}, {"image_size": (160,)},
                 {"image_size": (160.0, 120)}, {"image_size": (160, 120, 3)},
-                {"focal_length": 0.0}, {"focal_length": -170.0},
-                {"fill_fraction": 0.0}, {"fill_fraction": -0.3},
+                {"focal_length": 0.0}, {"focal_length": -170.0}, {"focal_length": np.inf},
+                {"fill_fraction": 0.0}, {"fill_fraction": -0.3}, {"fill_fraction": np.inf},
                 {"elevation_range": np.nan}, {"elevation_range": np.inf}):
         with pytest.raises(ValueError):
             SceneConfig(camera_count=2, **bad)
@@ -283,8 +283,10 @@ def test_scene_config_validation():
         NoiseConfig(outlier_fraction=1.0)
     with pytest.raises(ValueError):
         NoiseConfig(pixel_sigma=-1.0)
-    # NaN passes a test for v < 0 in every field
+    # NaN passes a test for v < 0 in every field; an infinite pixel sigma
+    # would leave the clean maps as they are
     for field in ("pixel_sigma", "prior_rotation_sigma", "prior_translation_sigma",
                   "prior_scale_sigma", "outlier_fraction"):
-        with pytest.raises(ValueError):
-            NoiseConfig(**{field: np.nan})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                NoiseConfig(**{field: bad})

@@ -31,13 +31,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Metric values of one untraced bench run in `checkout`."""
-    out = subprocess.run(
+    """Metric values of one untraced bench run in `checkout`. RuntimeError
+    naming the checkout, the seed, the exit code and the run's stderr when
+    the run fails."""
+    run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True,
-    ).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if run.returncode != 0:
+        raise RuntimeError(f"bench run in {checkout} with seed {seed} exited with code "
+                           f"{run.returncode}:\n{run.stderr}")
+    result = json.loads(run.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
