@@ -36,6 +36,7 @@ from .geometry import (
     CameraIntrinsics,
     SE3Pose,
     camera_center,
+    is_count,
     so3_exp,
     so3_left_jacobian,
 )
@@ -79,8 +80,9 @@ class VcTracks:
             raise ValueError("classic tracks freeze a = b = 0")
         if np.any(self.cam_a == self.cam_b):
             raise ValueError("a tuple spans two distinct cameras")
-        if not (np.isfinite(self.obs_a).all() and np.isfinite(self.obs_b).all()):
-            raise ValueError("pixel coordinates must be finite")
+        if not all(np.isfinite(getattr(self, name)).all()
+                   for name in ("x1", "a", "b", "obs_a", "obs_b")):
+            raise ValueError("points, thickness and pixel coordinates must be finite")
 
     def __len__(self) -> int:
         return len(self.x1)
@@ -95,9 +97,14 @@ class BaCamera:
 
 @dataclass
 class BaConfig:
-    """Iteration cap of the limited-memory quasi-Newton refinement."""
+    """Iteration cap of the limited-memory quasi-Newton refinement: an int
+    >= 1, not a bool."""
 
     max_iterations: int = 300
+
+    def __post_init__(self):
+        if not is_count(self.max_iterations):
+            raise ValueError("max_iterations must be an int >= 1")
 
 
 @dataclass
@@ -234,10 +241,9 @@ def fit_thickness(x1, x2, o1, o2) -> np.ndarray:
     r = np.asarray(x2, dtype=np.float64) - x1
     u = x1 - o1
     w = np.broadcast_to(np.asarray(o2, dtype=np.float64) - o1, x1.shape)
-    n = np.cross(u, w)
+    n, rw, ur = np.cross(np.stack([u, r, u]), np.stack([w, w, r]))
     nn = np.einsum("ij,ij->i", n, n)
-    ab = np.column_stack([np.einsum("ij,ij->i", np.cross(r, w), n),
-                          np.einsum("ij,ij->i", np.cross(u, r), n)])
+    ab = np.column_stack([np.einsum("ij,ij->i", rw, n), np.einsum("ij,ij->i", ur, n)])
     # |n| = s1 s2 and s1^2 + s2^2 = |u|^2 + |w|^2 for the singular values
     # s1 >= s2 of [u, w], so |n| > 4 eps (|u|^2 + |w|^2) keeps s2 > 3 eps s1
     eps = np.finfo(np.float64).eps
@@ -342,17 +348,7 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     if not want_grad:
         return total, None
 
-    g_x1 = np.zeros((n, 3))
-    g_ab = np.zeros((2, n))
-    g_a, g_b = g_ab  # views
-    g_x2e = np.zeros((n, 3))
-    # d/dw (before the left Jacobian) and d/dt rows, summed per camera below
-    cams = [ca, cb]
-    rows_w = [np.cross(v_a, g_p), np.cross(v_b, g_q)]
-    rows_t = [g_p, g_q]
-
     # residual A: camera a sees X1; residual B: camera b sees X2
-    g_x1 += np.einsum("ni,nij->nj", g_p, r_a)
     m = np.einsum("ni,nij->nj", g_q, r_b)  # d(term_b)/dX2
     # X2r's gradient, chained for every row: term_b's own on hard rows, the
     # consistency penalty's -2 lam (X2e - X2r) on soft rows, which also reach
@@ -360,15 +356,21 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
     soft = lay.soft
     u = np.where(soft[:, None], rp, m)
     c = np.where(soft, -2.0 * lam, 1.0)
-    g_x2e[soft] = m[soft] + 2.0 * lam * rp[soft]
-    g_x1 += (c * (1.0 + a))[:, None] * u
-    g_a += c * np.einsum("ni,ni->n", u, x1 - o_a)
-    g_b += c * np.einsum("ni,ni->n", u, o_b - o_a)
-    _center_chain(cams, rows_w, rows_t, ca, r_a, t_a, (-c * (a + b))[:, None] * u)
-    _center_chain(cams, rows_w, rows_t, cb, r_b, t_b, (c * b)[:, None] * u)
-    cams = np.concatenate(cams)
-    g_w = _sum_per_camera(cams, np.concatenate(rows_w), n_cam)
-    g_t = _sum_per_camera(cams, np.concatenate(rows_t), n_cam)
+    g_x1 = np.einsum("ni,nij->nj", g_p, r_a) + (c * (1.0 + a))[:, None] * u
+    g_ab = np.stack([c * np.einsum("ni,ni->n", u, x1 - o_a),
+                     c * np.einsum("ni,ni->n", u, o_b - o_a)])
+    # X2r reaches the centers: d/do_a = -c (a + b) u and d/do_b = c b u, each
+    # d/do = k chained through o = -R^T t into d/dt = -R k and d/dw = t x R k
+    r_k = np.concatenate([np.einsum("nij,nj->ni", r_a, (-c * (a + b))[:, None] * u),
+                          np.einsum("nij,nj->ni", r_b, (c * b)[:, None] * u)])
+    # d/dw (before the left Jacobian) and d/dt rows of term a, term b and the
+    # two center chains, summed per camera in that order
+    rows_w = np.cross(np.concatenate([v_a, v_b, t_a, t_b]), np.concatenate([g_p, g_q, r_k]))
+    rows_t = np.concatenate([g_p, g_q, -r_k])
+    cams = np.concatenate([ca, cb, ca, cb])
+    sums = np.stack([np.bincount(cams, weights=col, minlength=n_cam)
+                     for col in np.hstack([rows_w, rows_t]).T], axis=1)
+    g_w, g_t = sums[:, :3], sums[:, 3:]
 
     g = np.zeros(lay.size)
     for ci, off in lay.cam_offset.items():
@@ -382,25 +384,8 @@ def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
             g[off + 3 : off + 6] = g_t[ci]
     g[lay.x1_idx] = g_x1
     g[lay.ab_idx] = g_ab[:, lay.virtual_rows]
-    g[lay.x2_idx] = g_x2e[lay.soft]
+    g[lay.x2_idx] = m[soft] + 2.0 * lam * rp[soft]
     return total, g
-
-
-def _center_chain(cams, rows_w, rows_t, cam_idx, rot, trans, u):
-    """Chain d(term)/d(center) = u through o = -R^T t into (w, t) rows;
-    rot and trans are the per-row camera rotations and translations."""
-    r_u = np.einsum("nij,nj->ni", rot, u)
-    cams.append(cam_idx)
-    rows_w.append(np.cross(trans, r_u))
-    rows_t.append(-r_u)
-
-
-def _sum_per_camera(cams, rows, n_cam):
-    """Per-camera sums of (m, 3) rows. bincount adds in row order from zero,
-    the same sequence (and bits) as np.add.at over the rows."""
-    return np.stack(
-        [np.bincount(cams, weights=rows[:, j], minlength=n_cam) for j in range(3)], axis=1
-    )
 
 
 def ba_objective(problem: BaProblem, x) -> float:

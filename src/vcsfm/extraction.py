@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidCoordinateError, TopologyMismatchError
-from .geometry import (CameraIntrinsics, Pixel, Ray, SE3Pose, closest_approach, pixel_records,
-                       ray_through_pixel, read_only)
+from .geometry import (CameraIntrinsics, Pixel, Ray, SE3Pose, closest_approach, in_image,
+                       is_count, pixel_records, ray_through_pixel, read_only)
 from .mesh import TriangleMesh, batch_all_hits, concat_ranges, run_ranks, surface_points
 
 MAX_HITS_PER_RAY = 4  # surface points taken along each cast ray, nearest first
@@ -43,7 +43,7 @@ class DenseSurfaceMap:
     """
 
     def __init__(self, width: int, height: int, index, faces, barys):
-        if not all(isinstance(s, (int, np.integer)) and s > 0 for s in (width, height)):
+        if not (is_count(width) and is_count(height)):
             raise ValueError("width and height must be positive integers")
         index = read_only(index, np.int64)
         faces = read_only(faces, np.int64)
@@ -73,7 +73,7 @@ class DenseSurfaceMap:
         """(N, 2) integer (u, v) of mapped pixels in row-major order, only
         those with both coordinates multiples of `stride` (an int >= 1, not a
         bool; ValueError otherwise)."""
-        if not _is_stride(stride):
+        if not is_count(stride):
             raise ValueError("stride must be an int >= 1")
         v, u = np.divmod(self._index, self.width)
         on_grid = (u % stride == 0) & (v % stride == 0)
@@ -154,14 +154,8 @@ class ExtractionParams:
     surface_tolerance: float = 0.01
 
     def __post_init__(self):
-        if not (_is_stride(self.stride) and 0.0 < self.surface_tolerance < np.inf):
+        if not (is_count(self.stride) and 0.0 < self.surface_tolerance < np.inf):
             raise ValueError("stride must be an int >= 1 and tolerance positive and finite")
-
-
-def _is_stride(stride) -> bool:
-    """Whether `stride` is an int >= 1 and not a bool."""
-    return (isinstance(stride, (int, np.integer)) and not isinstance(stride, bool)
-            and stride >= 1)
 
 
 def suggest_surface_tolerance(records) -> float:
@@ -314,8 +308,7 @@ def _cast_one_direction(mesh_c: TriangleMesh, k_c: CameraIntrinsics,
     front = y[:, 2] > 0.0
     m, e, y = m[front], e[front], y[front]
     uv = k_c.project(y)
-    inside = ((uv[:, 0] >= 0.0) & (uv[:, 0] <= dsm_c.width - 1)
-              & (uv[:, 1] >= 0.0) & (uv[:, 1] <= dsm_c.height - 1))
+    inside = in_image(uv, dsm_c.width, dsm_c.height)
     obs_v, obs_u = np.divmod(dsm_o.mapped_index()[e[inside]], dsm_o.width)
     return uv[inside], np.column_stack([obs_u, obs_v]), run_ranks(ray)[m[inside]]
 

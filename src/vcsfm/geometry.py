@@ -29,6 +29,12 @@ def read_only(a, dtype) -> np.ndarray:
     return a
 
 
+def is_count(value, least: int = 1) -> bool:
+    """Whether `value` is an int (or numpy integer) >= `least`, and not a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 def image_points(xy) -> np.ndarray:
     """xy as an (n, 2) float64 array, n >= 0; ValueError for any other shape."""
     xy = np.asarray(xy, dtype=np.float64)
@@ -110,6 +116,13 @@ def pixel_records(uv) -> list:
     if not np.isfinite(uv).all():
         raise ValueError("pixel coordinates must be finite")
     return list(map(tuple.__new__, repeat(Pixel), zip(*uv.T.tolist())))
+
+
+def in_image(uv, width: int, height: int) -> np.ndarray:
+    """Per pixel of uv (n, 2): whether 0 <= u <= width - 1 and
+    0 <= v <= height - 1 (False for NaN)."""
+    uv = np.asarray(uv, dtype=np.float64)
+    return ((uv >= 0.0) & (uv <= [width - 1, height - 1])).all(axis=1)
 
 
 @dataclass(frozen=True)

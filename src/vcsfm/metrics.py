@@ -53,8 +53,8 @@ def auc(errors, threshold: float) -> float:
     e = np.asarray(list(errors), dtype=np.float64)
     if e.size == 0:
         raise EmptyInputError("auc of an empty error list")
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     if not np.all(e >= 0.0):  # NaN fails this test, where it passes e < 0
         raise ValueError("errors must be non-negative and not NaN")
     # normalize each term before the mean: every term is then at most 1, so

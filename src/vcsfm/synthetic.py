@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .extraction import DenseSurfaceMap, ImageRecord, ShapePrior
-from .geometry import CameraIntrinsics, Pixel, SE3Pose, pixel_records, project_points, so3_exp
+from .geometry import (CameraIntrinsics, Pixel, SE3Pose, in_image, is_count, pixel_records,
+                       project_points, so3_exp)
 from .mesh import TriangleMesh, batch_all_hits, batch_first_hits, run_ranks
 
 # relative position tolerance for the oracle's visibility test
@@ -45,10 +46,10 @@ class SceneConfig:
     fill_fraction: float = 0.35  # how much of the short image side the body spans
 
     def __post_init__(self):
-        if self.camera_count < 2:
-            raise ValueError("need at least two cameras")
+        if not is_count(self.camera_count, 2):
+            raise ValueError("need an integer count of at least two cameras")
         size = tuple(self.image_size)
-        if len(size) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in size):
+        if len(size) != 2 or not all(map(is_count, size)):
             raise ValueError("image size must be two positive integers")
         if not (0.0 < self.focal_length < math.inf and 0.0 < self.fill_fraction < math.inf
                 and math.isfinite(self.elevation_range)):
@@ -383,14 +384,7 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
             if j == i:
                 continue
             uv, depth = project_points(poses[j], k, points)
-            ok = (
-                (depth > 1e-6)
-                & (uv[:, 0] >= 0.0)
-                & (uv[:, 0] <= width - 1)
-                & (uv[:, 1] >= 0.0)
-                & (uv[:, 1] <= height - 1)
-            )
-            sel = np.nonzero(ok)[0]
+            sel = np.flatnonzero((depth > 1e-6) & in_image(uv, width, height))
             dirs_j = k.pixel_rays(uv[sel])
             p_cam_j = poses[j].transform(points[sel])
             d_first, _, _, hit_ok = batch_first_hits(meshes_cam[j], dirs_j)

@@ -100,6 +100,9 @@ TRACK_REJECTIONS = {
     "same-camera": (lambda t: {"cam_b": _set_row(t.cam_b, 1, t.cam_a[1])}, "distinct cameras"),
     "obs-a-nan": (lambda t: {"obs_a": _set_row(t.obs_a, 2, np.nan)}, "finite"),
     "obs-b-inf": (lambda t: {"obs_b": _set_row(t.obs_b, 0, np.inf)}, "finite"),
+    "x1-nan": (lambda t: {"x1": _set_row(t.x1, 1, [np.nan, 0.0, 4.0])}, "finite"),
+    "a-inf": (lambda t: {"a": _set_row(t.a, 0, np.inf)}, "finite"),
+    "b-nan": (lambda t: {"b": _set_row(t.b, 2, np.nan)}, "finite"),
     "a-rows": (lambda t: {"a": t.a[:-1]}, "^a has shape"),
     "cam-a-rows": (lambda t: {"cam_a": np.append(t.cam_a, 0)}, "^cam_a has shape"),
     "classic-rows": (lambda t: {"classic": t.classic[1:]}, "^classic has shape"),
@@ -141,6 +144,14 @@ def test_problem_rejects_invalid_setup(name):
     change, message = PROBLEM_REJECTIONS[name]
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(problem, **change(problem))
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, 2.0, True, None])
+def test_ba_config_rejects_an_iteration_cap_that_is_not_a_count(cap):
+    # -5 solved nothing and reported max_iterations; 2.5 failed inside range
+    with pytest.raises(ValueError, match="max_iterations"):
+        BaConfig(max_iterations=cap)
+    assert BaConfig(max_iterations=np.int64(1)).max_iterations == 1
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])

@@ -17,6 +17,7 @@ from vcsfm.extraction import (
     ShapePrior,
     VirtualCorrespondence,
     _cast_one_direction,
+    _first_of_equal_rows,
     _mutual_nearest,
     _pairs_within,
     extract_vcs,
@@ -136,6 +137,9 @@ def test_dense_map_rejects_bad_weights_of_mapped_pixels():
     pytest.param([0, 5], [0, 1], 2, (4.7, 3), id="fractional-width"),
     pytest.param([3, 5], [0, 1], 2, (4, 3.0), id="float-height"),
     pytest.param([3, 5], [0, 1], 2, (-4, -3), id="negative-size"),
+    # True passes a test for an int > 0 and builds a map 1 pixel wide
+    pytest.param([0, 1], [0, 1], 2, (True, 3), id="bool-width"),
+    pytest.param([0, 1], [0, 1], 2, (4, True), id="bool-height"),
 ])
 def test_dense_map_rejects_invalid_entries(index, faces, rows, size):
     barys = np.tile([0.2, 0.3, 0.5], (rows, 1))
@@ -478,6 +482,16 @@ def test_de_duplication_keeps_the_first_of_equal_rows(opposed_scene, monkeypatch
         assert got == want
         dropped += len(rows) - len(want)
     assert dropped > 0
+
+
+def test_de_duplication_without_two_whole_rows_keeps_every_row(rng):
+    # no row, or a single row, with four whole coordinates: nothing to compare
+    rows = rng.integers(0, 3, (8, 4)) + np.array([0.0, 0.5, 0.0, 0.0])
+    rows[5] = rows[2]  # equal, but not whole
+    rank = np.zeros(8, dtype=np.int64)
+    for whole in ([], [4]):
+        rows[whole, 1] = 1.0
+        assert np.array_equal(_first_of_equal_rows(rows, rank), np.arange(8))
 
 
 def test_extraction_deterministic(opposed_scene):

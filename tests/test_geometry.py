@@ -18,6 +18,7 @@ from vcsfm.geometry import (
     decompose_essential,
     essential_from_pose,
     homogeneous,
+    in_image,
     pixel_records,
     project_points,
     ray_through_pixel,
@@ -473,3 +474,14 @@ def test_ray_rejects_non_finite_origin_or_direction():
 def test_skew_matches_cross(rng):
     a, b = rng.normal(size=3), rng.normal(size=3)
     assert np.allclose(skew(a) @ b, np.cross(a, b))
+
+
+def test_in_image_holds_the_border_pixels_and_nothing_one_ulp_past_them():
+    w, h = 8, 5
+    below, past_u, past_v = np.nextafter(0.0, -1.0), np.nextafter(w - 1, w), np.nextafter(h - 1, h)
+    inside = [(0.0, 0.0), (w - 1, h - 1), (0.0, h - 1), (w - 1, 0.0), (-0.0, 2.5)]
+    outside = [(below, 0.0), (0.0, below), (past_u, 0.0), (0.0, past_v), (past_u, past_v),
+               (np.nan, 1.0), (1.0, np.inf)]
+    assert in_image(inside, w, h).tolist() == [True] * len(inside)
+    assert in_image(outside, w, h).tolist() == [False] * len(outside)
+    assert in_image(np.empty((0, 2)), w, h).shape == (0,)

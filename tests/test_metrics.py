@@ -132,7 +132,8 @@ def test_auc_rejects_nan_and_negative_errors():
 
 
 def test_auc_rejects_a_threshold_that_is_not_positive():
-    # NaN passes a test for threshold <= 0 and would make the area NaN
-    for threshold in (0.0, -30.0, np.nan):
+    # NaN passes a test for threshold <= 0 and would make the area NaN; an
+    # infinite threshold gives every error full credit
+    for threshold in (0.0, -30.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="threshold"):
             auc([1.0, 2.0], threshold)

@@ -275,10 +275,16 @@ def test_scene_config_validation():
                 {"image_size": (160.0, 120)}, {"image_size": (160, 120, 3)},
                 {"focal_length": 0.0}, {"focal_length": -170.0}, {"focal_length": np.inf},
                 {"fill_fraction": 0.0}, {"fill_fraction": -0.3}, {"fill_fraction": np.inf},
-                {"elevation_range": np.nan}, {"elevation_range": np.inf}):
+                {"elevation_range": np.nan}, {"elevation_range": np.inf},
+                {"image_size": (True, 120)}, {"image_size": (160, True)}):
         with pytest.raises(ValueError):
             SceneConfig(camera_count=2, **bad)
     SceneConfig(camera_count=2, image_size=(np.int64(160), 120))
+    # 2.5 and 2.0 constructed, then failed inside numpy in generate_scene
+    for count in (2.5, 2.0, True, np.int64(1)):
+        with pytest.raises(ValueError):
+            SceneConfig(camera_count=count)
+    assert SceneConfig(camera_count=np.int64(3)).angles() == (0.0, 120.0, 240.0)
     with pytest.raises(ValueError):
         NoiseConfig(outlier_fraction=1.0)
     with pytest.raises(ValueError):
