@@ -53,12 +53,12 @@ _TRACK_COLUMNS = {  # name: (dtype, shape of one row)
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VcTracks:
     """Point tuples, one row per track: X1 (n, 3) seen by camera cam_a at
     pixel obs_a (n, 2), and thickness a, b of the X2 seen by cam_b at obs_b.
     Classic rows are co-visible points with a = b = 0 frozen. Every column
-    is copied on construction."""
+    is copied on construction into a read-only array."""
 
     x1: np.ndarray
     a: np.ndarray
@@ -75,7 +75,8 @@ class VcTracks:
             column = np.array(getattr(self, name), dtype=dtype)
             if column.shape != (n, *row):
                 raise ValueError(f"{name} has shape {column.shape}, expected {(n, *row)}")
-            setattr(self, name, column)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if np.any(self.classic & ((self.a != 0.0) | (self.b != 0.0))):
             raise ValueError("classic tracks freeze a = b = 0")
         if np.any(self.cam_a == self.cam_b):
@@ -95,7 +96,7 @@ class BaCamera:
     fixed: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaConfig:
     """Iteration cap of the limited-memory quasi-Newton refinement: an int
     >= 1, not a bool."""
@@ -107,13 +108,14 @@ class BaConfig:
             raise ValueError("max_iterations must be an int >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaProblem:
     """Cameras, tracks, and the constraint mode of one adjustment. soft_x2 is
     soft mode's (n, 3) explicit X2; classic rows are unused (NaN by
-    convention), and hard mode ignores it."""
+    convention), and hard mode ignores it. The cameras are kept as a tuple
+    and the parameter layout (see _Layout) is built once, as `_layout`."""
 
-    cameras: list
+    cameras: tuple
     tracks: VcTracks
     mode: str = "soft"
     soft_x2: np.ndarray | None = None
@@ -123,23 +125,26 @@ class BaProblem:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not any(c.fixed for c in self.cameras):
             raise ValueError("gauge requires at least one fixed camera")
+        object.__setattr__(self, "cameras", tuple(self.cameras))
         tr = self.tracks
         for cams in (tr.cam_a, tr.cam_b):
             if np.any((cams < 0) | (cams >= len(self.cameras))):
                 raise ValueError("track references an unknown camera")
         if self.soft_x2 is not None:
-            self.soft_x2 = np.asarray(self.soft_x2, dtype=np.float64)
+            object.__setattr__(self, "soft_x2", np.asarray(self.soft_x2, dtype=np.float64))
         if self.mode == "soft":
             if self.soft_x2 is None or self.soft_x2.shape != (len(tr), 3):
                 raise ValueError("soft mode needs an explicit X2 per track")
             if not np.isfinite(self.soft_x2[~tr.classic]).all():
                 raise ValueError("soft mode needs a finite X2 for every virtual track")
+        object.__setattr__(self, "_layout", _Layout(self))
 
     # -- parameter vector layout ------------------------------------------
 
-    def pack_params(self, lay: "_Layout") -> np.ndarray:
+    def pack_params(self) -> np.ndarray:
         """Parameter vector of the problem as stored (rotation increments and
         the gauge chart at 0)."""
+        lay = self._layout
         x = np.zeros(lay.size)
         for ci, off in lay.cam_offset.items():
             if ci != lay.gauge_cam:
@@ -147,21 +152,21 @@ class BaProblem:
         tr = self.tracks
         x[lay.x1_idx] = tr.x1
         x[lay.ab_idx] = np.stack([tr.a, tr.b])[:, lay.virtual_rows]
-        if lay.any_soft:
+        if self.mode == "soft":
             x[lay.x2_idx] = self.soft_x2[lay.soft]
         return x
 
-    def apply_params(self, x, lay: "_Layout") -> list:
+    def apply_params(self, x) -> list:
         """Cameras with the parameter vector's rotation increments and
         translations (or gauge chart) folded in, as the objective reads them;
         fixed cameras are returned as they are."""
-        rot, trans, _, _ = _camera_arrays(self.cameras, x, lay)
+        rot, trans, _, _ = _camera_arrays(self, x)
         return [cam if cam.fixed else replace(cam, pose=SE3Pose(r, t))
                 for cam, r, t in zip(self.cameras, rot, trans)]
 
 
 class _Layout:
-    """Index arrays and per-track constants of one problem, built once.
+    """Index arrays and per-track constants of one problem (its `_layout`).
 
     The parameter vector holds (w, t) for each free camera in camera order,
     then per track X1, (a, b) for virtual tracks, and X2 for virtual tracks
@@ -186,10 +191,8 @@ class _Layout:
         cam_width = np.array([5 if ci == self.gauge_cam else 6 for ci in free], dtype=int)
         cam_size = int(cam_width.sum())
         self.cam_offset = dict(zip(free, (np.cumsum(cam_width) - cam_width).tolist()))
-        self.n = len(tracks)
         virtual = ~tracks.classic
         self.soft = virtual & (problem.mode == "soft")  # tracks with an explicit X2
-        self.any_soft = bool(self.soft.any())
         width = 3 + 2 * virtual + 3 * self.soft
         start = cam_size + np.cumsum(width) - width
         self.size = cam_size + int(width.sum())
@@ -205,19 +208,6 @@ class _Layout:
         # rows fx, fy, cx, cy, skew of each track's two cameras
         self.k_a = np.ascontiguousarray(k[tracks.cam_a].T)
         self.k_b = np.ascontiguousarray(k[tracks.cam_b].T)
-
-    def translation(self, x, ci, pose):
-        """Free camera ci's translation in x; pose is its stored pose."""
-        off = self.cam_offset[ci] + 3
-        if ci != self.gauge_cam:
-            return x[off : off + 3]
-        return so3_exp(self.gauge_basis @ x[off : off + 2]) @ pose.translation
-
-    def thickness(self, x):
-        """Every track's (a, b) in x, zero on classic tracks."""
-        ab = np.zeros((2, self.n))
-        ab[:, self.virtual_rows] = x[self.ab_idx]
-        return ab
 
 
 def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
@@ -250,10 +240,9 @@ def fit_thickness(x1, x2, o1, o2) -> np.ndarray:
     cut = 4.0 * eps * (np.einsum("ij,ij->i", u, u) + np.einsum("ij,ij->i", w, w))
     thin = nn <= cut * cut
     ab /= np.where(thin, 1.0, nn)[:, None]
-    if thin.any():
-        basis = np.stack([u[thin], w[thin]], axis=2)
-        pinv = np.linalg.pinv(basis, rcond=3 * eps)
-        ab[thin] = (pinv @ r[thin, :, None])[:, :, 0]
+    basis = np.stack([u[thin], w[thin]], axis=2)
+    pinv = np.linalg.pinv(basis, rcond=3 * eps)
+    ab[thin] = (pinv @ r[thin, :, None])[:, :, 0]
     return ab
 
 
@@ -262,12 +251,13 @@ def fit_thickness(x1, x2, o1, o2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _camera_arrays(cameras, x, lay):
-    n_cam = len(cameras)
+def _camera_arrays(problem, x):
+    lay = problem._layout
+    n_cam = len(problem.cameras)
     rot = np.empty((n_cam, 3, 3))
     trans = np.empty((n_cam, 3))
     jl = np.empty((n_cam, 3, 3))
-    for i, cam in enumerate(cameras):
+    for i, cam in enumerate(problem.cameras):
         off = lay.cam_offset.get(i)
         if off is None:
             rot[i] = cam.pose.rotation
@@ -276,7 +266,10 @@ def _camera_arrays(cameras, x, lay):
         else:
             w = x[off : off + 3]
             rot[i] = so3_exp(w) @ cam.pose.rotation
-            trans[i] = lay.translation(x, i, cam.pose)
+            if i == lay.gauge_cam:
+                trans[i] = so3_exp(lay.gauge_basis @ x[off + 3 : off + 5]) @ cam.pose.translation
+            else:
+                trans[i] = x[off + 3 : off + 6]
             jl[i] = so3_left_jacobian(w)
     centers = -np.einsum("cki,ck->ci", rot, trans)
     return rot, trans, jl, centers
@@ -293,37 +286,33 @@ def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk, want_grad):
     fu = fx * px + sk * py
     fv = fy * py
     res = obs - np.stack([fu + cx, fv + cy], axis=1)
-    vals = np.einsum("ni,ni->n", res, res)
-    any_behind = behind.any()
-    if any_behind:
-        vals = np.where(behind, BEHIND_PENALTY * (Z_MIN - z + 1.0) ** 2, vals)
+    vals = np.where(behind, BEHIND_PENALTY * (Z_MIN - z + 1.0) ** 2,
+                    np.einsum("ni,ni->n", res, res))
     if not want_grad:
         return vals, None
     du = np.stack([fx / zs, sk / zs, -fu / zs], axis=1)
     dv = np.stack([np.zeros_like(zs), fy / zs, -fv / zs], axis=1)
     g_pt = -2.0 * (res[:, 0:1] * du + res[:, 1:2] * dv)
-    if any_behind:
-        g_pen = np.zeros_like(g_pt)
-        g_pen[:, 2] = -2.0 * BEHIND_PENALTY * (Z_MIN - z + 1.0)
-        g_pt = np.where(behind[:, None], g_pen, g_pt)
+    g_pt[behind] = 0.0
+    g_pt[behind, 2] = -2.0 * BEHIND_PENALTY * (Z_MIN - z[behind] + 1.0)
     return vals, g_pt
 
 
-def _evaluate(problem: BaProblem, lay: _Layout, x, want_grad: bool):
+def _evaluate(problem: BaProblem, x, want_grad: bool):
     """(objective, gradient) at x; the gradient is None unless want_grad."""
+    lay = problem._layout
     if len(x) != lay.size:
         raise ValueError(f"parameter vector has {len(x)} entries, layout needs {lay.size}")
     x = np.asarray(x, dtype=np.float64)
-    rot, trans, jl, centers = _camera_arrays(problem.cameras, x, lay)
-    n = lay.n
-    n_cam = len(problem.cameras)
-    if n == 0:
-        return 0.0, np.zeros(lay.size)
-
+    rot, trans, jl, centers = _camera_arrays(problem, x)
     tracks = problem.tracks
+    n = len(tracks)
+    n_cam = len(problem.cameras)
     ca, cb = tracks.cam_a, tracks.cam_b
     x1 = x[lay.x1_idx]
-    a, b = lay.thickness(x)
+    ab = np.zeros((2, n))  # zero on classic tracks
+    ab[:, lay.virtual_rows] = x[lay.ab_idx]
+    a, b = ab
     x2e = np.zeros((n, 3))
     x2e[lay.soft] = x[lay.x2_idx]
 
@@ -397,12 +386,12 @@ def ba_objective(problem: BaProblem, x) -> float:
     points behind a camera contribute the smooth depth penalty instead of a
     reprojection term.
     """
-    return _evaluate(problem, _Layout(problem), x, want_grad=False)[0]
+    return _evaluate(problem, x, want_grad=False)[0]
 
 
 def ba_gradient(problem: BaProblem, x) -> np.ndarray:
     """Analytic gradient of ba_objective over all free parameters."""
-    return _evaluate(problem, _Layout(problem), x, want_grad=True)[1]
+    return _evaluate(problem, x, want_grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +416,19 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
 
     Fixed cameras are untouched (bit-identical), and the scale gauge is a
     chart (see _Layout). Thickness parameters are unbounded. The parameter
-    layout is built once per solve. Each free camera's rotation is one
+    layout is the problem's own. Each free camera's rotation is one
     tangent vector composed onto its stored rotation, in one chart for the
     whole solve; it and the gauge chart are folded in at the end. The
     problem is not modified.
     """
     config = config or BaConfig()
-    lay = _Layout(problem)
     x_final, opt = minimize_lbfgs(
-        lambda x: _evaluate(problem, lay, x, False)[0],
-        lambda x: _evaluate(problem, lay, x, True)[1],
-        problem.pack_params(lay),
+        lambda x: _evaluate(problem, x, False)[0],
+        lambda x: _evaluate(problem, x, True)[1],
+        problem.pack_params(),
         max_iterations=config.max_iterations,
     )
-    return BaSolution(problem.apply_params(x_final, lay), opt)
+    return BaSolution(problem.apply_params(x_final), opt)
 
 
 # ---------------------------------------------------------------------------

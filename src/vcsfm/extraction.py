@@ -172,10 +172,7 @@ def suggest_surface_tolerance(records) -> float:
             dsm = prior.surface_map
             if len(dsm.faces) == 0:
                 continue
-            # only depth is needed: the z column of surface_points, summed in the
-            # same order so the median is bit for bit the same
-            z = np.take(prior.mesh.corners[:, :, 2], dsm.faces, axis=0)
-            depth = float(np.median((dsm.barys * z).sum(axis=1)))
+            depth = float(np.median(surface_points(prior.mesh, dsm.faces, dsm.barys)[:, 2]))
             if depth > 0.0:
                 footprints.append(depth / f)
     if not footprints:

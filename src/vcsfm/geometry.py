@@ -305,12 +305,13 @@ def sampson_errors(e: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
 
 def decompose_essential(e: np.ndarray) -> list[SE3Pose]:
-    """The four (R, t-hat) candidates of an essential matrix.
-
-    Raises NotEssentialError when the singular values are not close to
-    (sigma, sigma, 0): sigma2/sigma1 < 0.9 or sigma3/sigma1 > 0.1.
+    """The four (R, t-hat) candidates of an essential matrix: ValueError
+    unless e is a finite (3, 3) array, NotEssentialError when its singular
+    values are not near (s, s, 0): s2/s1 < 0.9 or s3/s1 > 0.1.
     """
     e = np.asarray(e, dtype=np.float64)
+    if e.shape != (3, 3) or not np.isfinite(e).all():
+        raise ValueError("e must be a finite (3, 3) array")
     u, s, vt = np.linalg.svd(e)
     if s[0] <= 0.0 or s[1] / s[0] < 0.9 or s[2] / s[0] > 0.1:
         raise NotEssentialError(f"singular values {s} not of the form (s, s, 0)")

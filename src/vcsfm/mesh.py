@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidCoordinateError
-from .geometry import read_only
+from .geometry import SE3Pose, read_only
 
 # hits closer than this are treated as self-intersections of a re-cast ray
 EPS_MIN = 1e-9
@@ -95,14 +95,9 @@ class TriangleMesh:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def transformed(self, rotation=None, translation=None) -> "TriangleMesh":
-        """Rigidly transformed copy; topology shared."""
-        v = self.vertices
-        if rotation is not None:
-            v = v @ np.asarray(rotation, dtype=np.float64).T
-        if translation is not None:
-            v = v + np.asarray(translation, dtype=np.float64)
-        return TriangleMesh(v, self.faces)
+    def transformed(self, pose: SE3Pose) -> "TriangleMesh":
+        """Copy moved by the rigid transform `pose`; topology shared."""
+        return TriangleMesh(pose.transform(self.vertices), self.faces)
 
     @cached_property
     def _cast_table(self) -> "_CastTable":

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import is_count
+
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 _MIN_SHRINK = 1e-6  # smallest factor one backtrack may shrink the step by
@@ -77,6 +79,8 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300):
     finds no lower f ends it too: as converged_step when the decrease its
     trials promised is below the resolution of f, else as line_search_failure.
     """
+    if not is_count(max_iterations):
+        raise ValueError("max_iterations must be an int >= 1")
     x = np.array(x0, dtype=np.float64)
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=np.float64)
@@ -88,7 +92,7 @@ def minimize_lbfgs(fun, grad, x0, *, max_iterations=300):
         if np.linalg.norm(g, np.inf) <= _GRADIENT_TOLERANCE:
             report.status = "converged_gradient"
             break
-        d = -_two_loop(history, g) if history else -g
+        d = -_two_loop(history, g)
         if _dot(g, d) >= 0.0:  # not a descent direction: restart from steepest descent
             history.clear()
             d = -g

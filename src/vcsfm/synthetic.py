@@ -336,7 +336,7 @@ def generate_scene(scene: SceneConfig, noise: NoiseConfig | None = None) -> Synt
     meshes_cam = []
     samples = []
     for idx, pose in enumerate(poses):
-        mesh_cam = mesh.transformed(rotation=pose.rotation, translation=pose.translation)
+        mesh_cam = mesh.transformed(pose)
         meshes_cam.append(mesh_cam)
         clean, sampled = _render(mesh_cam, k, width, height)
         clean_maps.append(clean)

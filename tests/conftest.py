@@ -48,7 +48,7 @@ def seen_from(mesh, origin):
     """`mesh` in the frame of a point `origin`: the library casts every ray
     from the origin of the mesh's frame, so a cast from `origin` is a cast on
     this copy. Depths, faces and barycentric weights carry over."""
-    return mesh.transformed(translation=-np.asarray(origin, dtype=np.float64))
+    return mesh.transformed(SE3Pose(np.eye(3), -np.asarray(origin, dtype=np.float64)))
 
 
 def entry_index(dsm, pixels):

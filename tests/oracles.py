@@ -285,14 +285,14 @@ def world_frame_oracle(scene):
     render. Visibility is checked as the library does, by a
     first-hit cast in the other camera's frame.
     """
-    from vcsfm.geometry import Pixel, project_points
+    from vcsfm.geometry import Pixel, SE3Pose, project_points
     from vcsfm.mesh import batch_all_hits, batch_first_hits, run_ranks
     from vcsfm.synthetic import _ORACLE_HITS, _ORACLE_STRIDE, _VIS_TOL, GtCorrespondence
 
     mesh, poses, maps = scene.gt_mesh, scene.gt_poses, scene.clean_maps
     k = scene.records[0].intrinsics
     width, height = maps[0].width, maps[0].height
-    meshes_cam = [mesh.transformed(rotation=p.rotation, translation=p.translation) for p in poses]
+    meshes_cam = [mesh.transformed(p) for p in poses]
     out = []
     for i, pose_a in enumerate(poses):
         pix = maps[i].mapped_pixels(_ORACLE_STRIDE)
@@ -302,8 +302,8 @@ def world_frame_oracle(scene):
         dirs_cam /= np.linalg.norm(dirs_cam, axis=1, keepdims=True)
         dirs_world = dirs_cam @ pose_a.rotation
         origin = -pose_a.rotation.T @ pose_a.translation
-        ray, depths, _, _ = batch_all_hits(mesh.transformed(translation=-origin), dirs_world,
-                                           max_hits=_ORACLE_HITS)
+        seen = mesh.transformed(SE3Pose(np.eye(3), -origin))
+        ray, depths, _, _ = batch_all_hits(seen, dirs_world, max_hits=_ORACLE_HITS)
         points = origin + depths[:, None] * dirs_world[ray]
         ranks = run_ranks(ray)
         for j, pose_b in enumerate(poses):

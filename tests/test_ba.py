@@ -157,10 +157,10 @@ def test_ba_config_rejects_an_iteration_cap_that_is_not_a_count(cap):
 @pytest.mark.parametrize("mode", ["soft", "hard"])
 def test_gradient_matches_finite_differences(mode):
     problem = _tuple_problem(mode, np.random.default_rng(3))
-    lay = vcsfm.ba._Layout(problem)
+    lay = problem._layout
     assert lay.gauge_cam == 1
     cam1, cam2 = lay.cam_offset[1], lay.cam_offset[2]
-    x0 = problem.pack_params(lay)
+    x0 = problem.pack_params()
     x0[cam1 : cam1 + 3] = [0.03, -0.02, 0.05]  # camera 1 rotation off its chart origin
     x0[cam2 : cam2 + 3] = [-0.04, 0.01, 0.02]  # camera 2
     tracks = problem.tracks
@@ -189,7 +189,7 @@ def test_gradient_matches_finite_differences(mode):
 
 def test_scale_gauge_holds_at_every_evaluated_point(monkeypatch):
     problem = _perturbed(_tuple_problem("soft", np.random.default_rng(5), behind=False))
-    lay = vcsfm.ba._Layout(problem)
+    lay = problem._layout
     start = problem.cameras[lay.gauge_cam].pose.translation
     real = vcsfm.ba.minimize_lbfgs
     seen = []
@@ -197,7 +197,7 @@ def test_scale_gauge_holds_at_every_evaluated_point(monkeypatch):
     def spy(fun, grad, x0, **kwargs):
         def tracked(of):
             def call(x):
-                seen.append(problem.apply_params(x, lay)[lay.gauge_cam].pose.translation)
+                seen.append(problem.apply_params(x)[lay.gauge_cam].pose.translation)
                 return of(x)
             return call
         return real(tracked(fun), tracked(grad), x0, **kwargs)
@@ -227,6 +227,34 @@ def test_solve_ba_evaluates_gradient_once_per_iteration(monkeypatch):
     sol = solve_ba(problem, BaConfig(max_iterations=40))
     assert sol.report.iterations == 40
     assert len(calls) == 1 + sol.report.iterations
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_problem_without_tracks_solves_to_its_start(mode):
+    # the pipeline builds this problem when the lift drops every inlier;
+    # camera 1 carries the scale gauge
+    poses = [looking_at_origin_pose(c) for c in CENTERS[:2]]
+    cams = [BaCamera(poses[0], KS[0], fixed=True), BaCamera(poses[1], KS[1])]
+    tracks = VcTracks(*(np.zeros((0, *row)) for _, row in vcsfm.ba._TRACK_COLUMNS.values()))
+    problem = BaProblem(cams, tracks, mode, soft_x2=np.zeros((0, 3)) if mode == "soft" else None)
+    assert problem._layout.gauge_cam == 1
+    x = problem.pack_params()
+    assert ba_objective(problem, x) == 0.0 and not ba_gradient(problem, x).any()
+    sol = solve_ba(problem)
+    assert (sol.report.status, sol.report.iterations) == ("converged_gradient", 0)
+    assert sol.report.objective_trace == [0.0]
+    for got, want in zip(sol.poses, poses):
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
+
+
+def test_problem_keeps_the_cameras_and_track_columns_its_layout_read():
+    # the layout is built once, from the cameras' flags and intrinsics and
+    # the tracks' camera and classic columns
+    problem = _tuple_problem("soft", np.random.default_rng(6))
+    assert isinstance(problem.cameras, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        problem.tracks.cam_b[0] = 0
 
 
 def test_classic_ba_matches_least_squares_oracle():
@@ -318,7 +346,7 @@ def test_lift_routes_each_vc_to_its_own_person():
     # every ray misses it
     (pa,), (pb,) = a.priors, b.priors
     a_two = ImageRecord(a.image_id, a.intrinsics, (pa, ShapePrior(1, pa.mesh, pa.surface_map)))
-    far = pb.mesh.transformed(translation=[100.0, 0.0, 0.0])
+    far = pb.mesh.transformed(SE3Pose(np.eye(3), [100.0, 0.0, 0.0]))
     b_two = ImageRecord(b.image_id, b.intrinsics, (pb, ShapePrior(1, far, pb.surface_map)))
     mixed = [vc._replace(person_id=i % 2) for i, vc in enumerate(vcs)]
     got = lift_vcs_to_tracks(mixed, a_two, b_two, *poses, 0, 1)
@@ -402,10 +430,11 @@ def test_ground_truth_is_a_fixed_point(mode, angle):
     assert len(problem.tracks) > 50
     # many exact tuples need a < 0: the thickness parameters are unbounded
     assert np.any(problem.tracks.a < 0.0)
-    x = problem.pack_params(vcsfm.ba._Layout(problem))
+    x = problem.pack_params()
     assert ba_objective(problem, x) < 1e-20
     assert np.abs(ba_gradient(problem, x)).max() < 1e-8
     sol = solve_ba(problem)
+    assert sol.cameras[0] is problem.cameras[0]  # the fixed camera, untouched
     assert pose_error(relative_pose(*sol.poses), gt).combined_deg < 1e-9
 
 
@@ -448,7 +477,7 @@ def test_start_off_the_truth_is_refined_to_its_usual_level(angle, level):
     # 1e-6 rad off the truth, start objective 6e-8 to 9e-8. At 90 degrees BA
     # converges (to 1.2e-13); at 150 and 180 it runs to the 300-iteration cap
     # (at 1.0e-9 to 1.5e-9 and 0.9e-8 to 1.0e-8). Each level is 3-10 times
-    # those. The scale gauge is a chart (ba._Layout), so no constraint can
+    # those. The scale gauge is a chart (problem._layout), so no constraint can
     # turn an L-BFGS direction uphill and stop a run early.
     axis = np.array([1.0, -2.0, 2.0]) / 3.0
     problem, _ = _ground_truth_problem("soft", angle, start_rotation=1e-6 * axis)
@@ -475,14 +504,14 @@ def test_collapsing_x2_onto_camera_b_does_not_beat_the_truth():
     tracks = VcTracks(x1, a, b, np.zeros(n), np.ones(n), obs_a, obs_b, np.zeros(n, dtype=bool))
     cams = [BaCamera(poses[0], KS[0], fixed=True), BaCamera(poses[1], KS[1])]
     truth = BaProblem(cams, tracks, "soft", soft_x2=x2)
-    at_truth = ba_objective(truth, truth.pack_params(vcsfm.ba._Layout(truth)))
+    at_truth = ba_objective(truth, truth.pack_params())
     assert at_truth > 1.0
 
     turned = SE3Pose(so3_exp(np.radians(10.0) * np.array([0.0, 1.0, 0.0])) @ poses[1].rotation,
                      poses[1].translation)
     off = dataclasses.replace(truth, cameras=[cams[0], BaCamera(turned, KS[1])])
-    lay = vcsfm.ba._Layout(off)
-    x = off.pack_params(lay)
+    lay = off._layout
+    x = off.pack_params()
     x[lay.ab_idx] = np.array([[-1.0], [1.0]])
     rays = KS[1].pixel_rays(obs_b) @ turned.rotation  # world frame, R^T per row
     x[lay.x2_idx] = camera_center(turned) + 1e-5 * rays

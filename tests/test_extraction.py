@@ -25,7 +25,7 @@ from vcsfm.extraction import (
     suggest_surface_tolerance,
     vc_ray_gap,
 )
-from vcsfm.geometry import CameraIntrinsics, Pixel, Ray, project_points
+from vcsfm.geometry import CameraIntrinsics, Pixel, Ray, SE3Pose, project_points
 from vcsfm.mesh import TriangleMesh, surface_points
 from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
 
@@ -353,7 +353,7 @@ def test_rays_that_miss_yield_nothing(opposed_scene):
     # both priors moved far to the side: no sampled ray meets either mesh
     a, b = (
         ImageRecord(r.image_id, r.intrinsics, tuple(
-            ShapePrior(p.person_id, p.mesh.transformed(translation=[100.0, 0.0, 0.0]),
+            ShapePrior(p.person_id, p.mesh.transformed(SE3Pose(np.eye(3), [100.0, 0.0, 0.0])),
                        p.surface_map)
             for p in r.priors
         ))
@@ -670,14 +670,15 @@ def test_suggest_surface_tolerance_scales(opposed_scene):
 
 
 def test_suggest_surface_tolerance_equals_full_surface_points(rng):
-    """The depth-only median is bit for bit that of the full 3-D points."""
+    """The tolerance is 1.6 x the median over priors of each map's median
+    surface-point depth per unit focal length."""
     base = generate_scene(SceneConfig(camera_count=2, baseline_angles=(0.0, 90.0), **SMALL),
                           NoiseConfig(pixel_sigma=0.5, outlier_fraction=0.2,
                                       prior_rotation_sigma=1.0, prior_translation_sigma=0.01))
     k = base.records[0].intrinsics
     (prior,) = base.records[1].priors
     shifted = ImageRecord("shifted", k, (
-        ShapePrior(prior.person_id, prior.mesh.transformed(translation=[0.01, -0.02, 0.3]),
+        ShapePrior(prior.person_id, prior.mesh.transformed(SE3Pose(np.eye(3), [0.01, -0.02, 0.3])),
                    prior.surface_map),
     ))
     for records in (base.records, [base.records[0], shifted]):

@@ -369,6 +369,16 @@ def test_decompose_rejects_non_essential():
         decompose_essential(np.eye(3))
 
 
+@pytest.mark.parametrize("e", [
+    np.diag([1.0, 1.0, np.nan]), np.diag([1.0, np.inf, 0.0]), np.eye(2), np.ones(9),
+])
+def test_decompose_rejects_a_malformed_matrix(e):
+    # NaN and inf failed inside the SVD, (2, 2) with an IndexError and (9,)
+    # with a LinAlgError
+    with pytest.raises(ValueError, match="finite"):
+        decompose_essential(e)
+
+
 @given(
     st.tuples(
         st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)

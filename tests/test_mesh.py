@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import vcsfm.mesh
-from conftest import cube_mesh, icosphere_mesh, seen_from, unit_square_mesh
+from conftest import cube_mesh, icosphere_mesh, random_pose, seen_from, unit_square_mesh
 from oracles import collapsed_hits_oracle, ray_triangle_hits_oracle
 from vcsfm.ba import lift_vcs_to_tracks
 from vcsfm.errors import InvalidCoordinateError
 from vcsfm.extraction import ExtractionParams, extract_vcs, suggest_surface_tolerance
+from vcsfm.geometry import SE3Pose
 from vcsfm.mesh import DEPTH_TIE, TriangleMesh, batch_all_hits, batch_first_hits, surface_points
 from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
 
@@ -337,9 +338,19 @@ def test_mesh_validation():
             TriangleMesh([[0, 0, 0], [1, 0, 0], [0, bad, 0]], [[0, 1, 2]])
 
 
+def test_transformed_moves_vertices_by_the_pose_and_shares_faces(rng):
+    mesh = icosphere_mesh(1)
+    pose = random_pose(rng)
+    moved = mesh.transformed(pose)
+    want = TriangleMesh(pose.transform(mesh.vertices), mesh.faces)
+    assert np.array_equal(moved.vertices, want.vertices)
+    assert np.array_equal(moved.corners, want.corners)
+    assert moved.faces is mesh.faces
+
+
 def test_mesh_adopts_read_only_faces_and_copies_writeable_ones():
     mesh = cube_mesh()
-    moved = mesh.transformed(rotation=np.diag([1.0, -1.0, -1.0]), translation=[0.0, 0.0, 5.0])
+    moved = mesh.transformed(SE3Pose(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 5.0]))
     assert moved.faces is mesh.faces and not mesh.faces.flags.writeable
     faces = np.array(mesh.faces)
     copied = TriangleMesh(mesh.vertices, faces)
@@ -402,7 +413,7 @@ def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
     # lies in a plane through the origin.
     origin = np.zeros(3)
     axis = np.array([0.0, 0.0, 1.0])
-    sphere = icosphere_mesh(2).transformed(translation=(0.0, 0.0, 5.0))
+    sphere = icosphere_mesh(2).transformed(SE3Pose(np.eye(3), (0.0, 0.0, 5.0)))
     cubes = [cube_mesh(side=0.5, center=(s * 3.0 * np.sin(th), 0.0, 3.0 * np.cos(th)))
              for th in np.radians([60.0, 75.0, 89.0]) for s in (-1.0, 1.0)]
     in_plane = TriangleMesh([[-0.5, 0.0, 8.0], [0.5, 0.0, 8.0], [0.0, 0.0, 9.0]], [[0, 1, 2]])
@@ -430,7 +441,7 @@ def test_kernel_far_off_axis_backward_and_in_plane_rays_vs_oracle(rng):
 def test_casts_in_blocks_of_seven_match_one_block(monkeypatch, rng):
     # a sphere ahead of the origin and a cube whose faces straddle the plane
     # z = 0; rays at the sphere, wide of it (misses) and backward at the cube
-    mesh = merged(icosphere_mesh(2).transformed(translation=(0.0, 0.0, 5.0)),
+    mesh = merged(icosphere_mesh(2).transformed(SE3Pose(np.eye(3), (0.0, 0.0, 5.0))),
                   cube_mesh(center=(0.0, 0.0, -3.0)))
     dirs = np.vstack([[0.0, 0.0, 5.0] + rng.normal(size=(200, 3)) * 0.8,
                       [0.0, 0.0, 1.0] + rng.normal(size=(50, 3)) * 3.0,
@@ -454,7 +465,7 @@ def test_kernel_matches_oracle_on_a_scene_camera(rng):
     scene = generate_scene(SceneConfig(baseline_angles=(0.0, 90.0), elevation_range=10.0,
                                        image_size=(160, 120), focal_length=170.0, seed=1))
     pose, k, dsm = scene.gt_poses[0], scene.records[0].intrinsics, scene.clean_maps[0]
-    mesh = scene.gt_mesh.transformed(rotation=pose.rotation, translation=pose.translation)
+    mesh = scene.gt_mesh.transformed(pose)
     uv = k.denormalize(mesh.vertices[:, :2] / mesh.vertices[:, 2:])
     (u_lo, v_lo), (u_hi, v_hi) = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 1
     assert 0 <= u_lo and u_hi < dsm.width and 0 <= v_lo and v_hi < dsm.height

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vcsfm.optim import minimize_lbfgs
 
@@ -71,3 +72,13 @@ def test_separable_quadratic_with_twenty_thousand_variables_reaches_its_minimum(
     assert report.status.startswith("converged")
     np.testing.assert_allclose(x, c, atol=1e-8)
     assert all(f1 < f0 for f0, f1 in zip(report.objective_trace, report.objective_trace[1:]))
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, 2.0, True, None])
+def test_iteration_cap_that_is_not_a_count_is_rejected(cap):
+    # -5 returned x0 as max_iterations, 2.5 failed inside range, True ran once
+    with pytest.raises(ValueError, match="max_iterations"):
+        minimize_lbfgs(lambda x: x @ x, lambda x: 2.0 * x, np.ones(2), max_iterations=cap)
+    x, report = minimize_lbfgs(lambda x: x @ x, lambda x: 2.0 * x, np.ones(2),
+                               max_iterations=np.int64(1))
+    assert report.iterations == 1

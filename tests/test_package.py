@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,14 @@ def test_importing_every_module_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split(maxsplit=1)
     assert int(out[0]) >= 9 and out[1].strip() == "[]"
+
+
+def test_every_validated_dataclass_is_frozen():
+    # a check in __post_init__ holds only if no field can be reassigned after it
+    modules = [importlib.import_module(f"vcsfm.{m.name}")
+               for m in pkgutil.iter_modules(vcsfm.__path__)]
+    validated = [cls for mod in modules for cls in vars(mod).values()
+                 if isinstance(cls, type) and cls.__module__ == mod.__name__
+                 and dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)]
+    assert len(validated) >= 8
+    assert [c.__qualname__ for c in validated if not c.__dataclass_params__.frozen] == []

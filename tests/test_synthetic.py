@@ -83,9 +83,7 @@ def test_scene_narrow_baseline_has_classic_matches():
 def test_rendered_map_is_self_consistent():
     scene = generate_scene(SceneConfig(camera_count=2, **SMALL))
     rec = scene.records[0]
-    mesh_cam = scene.gt_mesh.transformed(
-        rotation=scene.gt_poses[0].rotation, translation=scene.gt_poses[0].translation
-    )
+    mesh_cam = scene.gt_mesh.transformed(scene.gt_poses[0])
     dsm = scene.clean_maps[0]
     pix = dsm.mapped_pixels()[::7]
     e = entry_index(dsm, pix)
@@ -171,9 +169,7 @@ def test_pixel_jitter_displacement_statistics():
     cfg = SceneConfig(camera_count=2, seed=3, **SMALL)
     clean = generate_scene(cfg, NoiseConfig())
     noisy = generate_scene(cfg, NoiseConfig(pixel_sigma=1.0))
-    mesh_cam = clean.gt_mesh.transformed(
-        rotation=clean.gt_poses[0].rotation, translation=clean.gt_poses[0].translation
-    )
+    mesh_cam = clean.gt_mesh.transformed(clean.gt_poses[0])
     dsm_c = clean.clean_maps[0]
     dsm_n = noisy.records[0].priors[0].surface_map
     pix = dsm_c.mapped_pixels()
@@ -218,9 +214,7 @@ def test_prior_perturbation_applied():
 
 def test_render_prescreen_matches_full_frame():
     scene = generate_scene(SceneConfig(camera_count=2, **SMALL))
-    mesh_cam = scene.gt_mesh.transformed(
-        rotation=scene.gt_poses[0].rotation, translation=scene.gt_poses[0].translation
-    )
+    mesh_cam = scene.gt_mesh.transformed(scene.gt_poses[0])
     k = scene.records[0].intrinsics
     dsm = scene.clean_maps[0]
     # the render casts only the mesh's bounding rectangle; casting every pixel
@@ -246,7 +240,7 @@ def test_render_matches_per_pixel_oracle():
                                        image_size=(32, 24), focal_length=40.0,
                                        fill_fraction=0.8))
     for cam, pose in enumerate(scene.gt_poses):
-        mesh_cam = scene.gt_mesh.transformed(rotation=pose.rotation, translation=pose.translation)
+        mesh_cam = scene.gt_mesh.transformed(pose)
         k = scene.records[cam].intrinsics
         dsm = scene.clean_maps[cam]
         assert len(dsm.mapped_index()) > 150
