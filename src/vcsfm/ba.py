@@ -18,6 +18,12 @@ initializations.
 Tracks are columnar (VcTracks; soft mode's X2 is one (n, 3) array), so the
 parameter vector is packed and unpacked by index-array gathers and scatters.
 
+The objective is a forward pass that keeps the per-track state its gradient
+needs, and the gradient a backward pass over that state (_Forward). solve_ba
+reuses an objective call's forward pass for a gradient at the same array
+object, so each point the optimizer evaluates costs one forward pass. The
+camera rows of the gradient are formed and summed for free cameras only.
+
 Unless two fixed cameras fix the scale, one free camera keeps its translation
 norm (the scale gauge; Triggs et al., "Bundle Adjustment - A Modern
 Synthesis", 1999, section 9). Its translation is the chart exp([B phi]x) t0
@@ -37,6 +43,7 @@ from .geometry import (
     SE3Pose,
     camera_center,
     is_count,
+    read_only,
     so3_exp,
     so3_left_jacobian,
 )
@@ -111,9 +118,10 @@ class BaConfig:
 @dataclass(frozen=True)
 class BaProblem:
     """Cameras, tracks, and the constraint mode of one adjustment. soft_x2 is
-    soft mode's (n, 3) explicit X2; classic rows are unused (NaN by
-    convention), and hard mode ignores it. The cameras are kept as a tuple
-    and the parameter layout (see _Layout) is built once, as `_layout`."""
+    soft mode's (n, 3) explicit X2, kept read-only (a writable array is
+    copied); classic rows are unused (NaN by convention), and hard mode
+    ignores it. The cameras are kept as a tuple and the parameter layout
+    (see _Layout) is built once, as `_layout`."""
 
     cameras: tuple
     tracks: VcTracks
@@ -131,7 +139,7 @@ class BaProblem:
             if np.any((cams < 0) | (cams >= len(self.cameras))):
                 raise ValueError("track references an unknown camera")
         if self.soft_x2 is not None:
-            object.__setattr__(self, "soft_x2", np.asarray(self.soft_x2, dtype=np.float64))
+            object.__setattr__(self, "soft_x2", read_only(self.soft_x2, np.float64))
         if self.mode == "soft":
             if self.soft_x2 is None or self.soft_x2.shape != (len(tr), 3):
                 raise ValueError("soft mode needs an explicit X2 per track")
@@ -151,16 +159,16 @@ class BaProblem:
                 x[off + 3 : off + 6] = self.cameras[ci].pose.translation
         tr = self.tracks
         x[lay.x1_idx] = tr.x1
-        x[lay.ab_idx] = np.stack([tr.a, tr.b])[:, lay.virtual_rows]
+        x[lay.ab_idx] = np.stack([tr.a, tr.b]).take(lay.virtual_rows, 1)
         if self.mode == "soft":
-            x[lay.x2_idx] = self.soft_x2[lay.soft]
+            x[lay.x2_idx] = self.soft_x2.take(lay.soft_rows, 0)
         return x
 
     def apply_params(self, x) -> list:
         """Cameras with the parameter vector's rotation increments and
         translations (or gauge chart) folded in, as the objective reads them;
         fixed cameras are returned as they are."""
-        rot, trans, _, _ = _camera_arrays(self, x)
+        rot, trans, _ = _camera_arrays(self, x)
         return [cam if cam.fixed else replace(cam, pose=SE3Pose(r, t))
                 for cam, r, t in zip(self.cameras, rot, trans)]
 
@@ -208,6 +216,17 @@ class _Layout:
         # rows fx, fy, cx, cy, skew of each track's two cameras
         self.k_a = np.ascontiguousarray(k[tracks.cam_a].T)
         self.k_b = np.ascontiguousarray(k[tracks.cam_b].T)
+        self.soft_rows = np.flatnonzero(self.soft)
+        # tracks whose camera a (term a, the o_a chain) or camera b (term b,
+        # the o_b chain) is free: only their camera rows reach the gradient.
+        # cam_bins bins the d/dw columns and then the d/dt columns of the rows
+        # term a, term b, o_a chain, o_b chain as 6 * camera + column
+        is_free = np.array([not cam.fixed for cam in problem.cameras])
+        self.free_a = np.flatnonzero(is_free[tracks.cam_a])
+        self.free_b = np.flatnonzero(is_free[tracks.cam_b])
+        cams = 6 * np.concatenate([tracks.cam_a[self.free_a], tracks.cam_b[self.free_b]] * 2)
+        self.cam_bins = np.concatenate([cams[:, None] + np.arange(3),
+                                        cams[:, None] + np.arange(3, 6)]).ravel()
 
 
 def x2_from_reparam(x1, a, b, o1, o2) -> np.ndarray:
@@ -256,28 +275,25 @@ def _camera_arrays(problem, x):
     n_cam = len(problem.cameras)
     rot = np.empty((n_cam, 3, 3))
     trans = np.empty((n_cam, 3))
-    jl = np.empty((n_cam, 3, 3))
     for i, cam in enumerate(problem.cameras):
         off = lay.cam_offset.get(i)
         if off is None:
             rot[i] = cam.pose.rotation
             trans[i] = cam.pose.translation
-            jl[i] = np.eye(3)
         else:
-            w = x[off : off + 3]
-            rot[i] = so3_exp(w) @ cam.pose.rotation
+            rot[i] = so3_exp(x[off : off + 3]) @ cam.pose.rotation
             if i == lay.gauge_cam:
                 trans[i] = so3_exp(lay.gauge_basis @ x[off + 3 : off + 5]) @ cam.pose.translation
             else:
                 trans[i] = x[off + 3 : off + 6]
-            jl[i] = so3_left_jacobian(w)
     centers = -np.einsum("cki,ck->ci", rot, trans)
-    return rot, trans, jl, centers
+    return rot, trans, centers
 
 
-def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk, want_grad):
-    """Per-track term values and (if want_grad) d(term)/d(point_cam), with the
-    smooth behind-camera penalty substituted where depth <= Z_MIN."""
+def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk):
+    """Per-track term values, with the smooth behind-camera penalty
+    substituted where depth <= Z_MIN, and the state _reprojection_gradient
+    reads."""
     z = points_cam[:, 2]
     behind = z <= Z_MIN
     zs = np.where(behind, 1.0, z)
@@ -288,93 +304,119 @@ def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk, want_grad):
     res = obs - np.stack([fu + cx, fv + cy], axis=1)
     vals = np.where(behind, BEHIND_PENALTY * (Z_MIN - z + 1.0) ** 2,
                     np.einsum("ni,ni->n", res, res))
-    if not want_grad:
-        return vals, None
+    return vals, (z, behind, zs, fu, fv, res, fx, fy, sk)
+
+
+def _reprojection_gradient(z, behind, zs, fu, fv, res, fx, fy, sk):
+    """d(term)/d(point_cam) of the terms _reprojection_terms evaluated."""
     du = np.stack([fx / zs, sk / zs, -fu / zs], axis=1)
     dv = np.stack([np.zeros_like(zs), fy / zs, -fv / zs], axis=1)
     g_pt = -2.0 * (res[:, 0:1] * du + res[:, 1:2] * dv)
     g_pt[behind] = 0.0
     g_pt[behind, 2] = -2.0 * BEHIND_PENALTY * (Z_MIN - z[behind] + 1.0)
-    return vals, g_pt
+    return g_pt
+
+
+class _Forward:
+    """Forward pass of the objective at one parameter vector: its value
+    `total` and the per-track state its backward pass, `gradient()`, reads.
+    No derivative factor is computed here, so a rejected line-search trial
+    pays for the objective only."""
+
+    def __init__(self, problem: BaProblem, x):
+        lay = problem._layout
+        if len(x) != lay.size:
+            raise ValueError(f"parameter vector has {len(x)} entries, layout needs {lay.size}")
+        self.problem = problem
+        self.x = x = np.asarray(x, dtype=np.float64)
+        rot, self.trans, centers = _camera_arrays(problem, x)
+        tracks = problem.tracks
+        n = len(tracks)
+        ca, cb = tracks.cam_a, tracks.cam_b
+        self.x1 = x1 = x[lay.x1_idx]
+        ab = np.zeros((2, n))  # zero on classic tracks
+        ab[:, lay.virtual_rows] = x[lay.ab_idx]
+        self.a, self.b = a, b = ab
+        x2e = np.zeros((n, 3))
+        x2e[lay.soft] = x[lay.x2_idx]
+
+        self.r_a, self.t_a, self.o_a = r_a, t_a, o_a = (
+            rot.take(ca, 0), self.trans.take(ca, 0), centers.take(ca, 0))
+        self.r_b, self.t_b, self.o_b = r_b, t_b, o_b = (
+            rot.take(cb, 0), self.trans.take(cb, 0), centers.take(cb, 0))
+
+        x2r = x2_from_reparam(x1, a[:, None], b[:, None], o_a, o_b)
+        x2 = np.where(lay.soft[:, None], x2e, x2r)
+
+        # residual A: camera a sees X1; residual B: camera b sees X2
+        self.v_a = v_a = np.einsum("nij,nj->ni", r_a, x1)
+        self.v_b = v_b = np.einsum("nij,nj->ni", r_b, x2)
+        vals_a, self.term_a = _reprojection_terms(v_a + t_a, tracks.obs_a, *lay.k_a)
+        vals_b, self.term_b = _reprojection_terms(v_b + t_b, tracks.obs_b, *lay.k_b)
+        total = float(vals_a.sum() + vals_b.sum())
+
+        self.rp = rp = x2e - x2r
+        total += float(SOFT_WEIGHT * np.einsum("ni,ni->n", rp, rp)[lay.soft].sum())
+        self.total = total
+
+    def gradient(self) -> np.ndarray:
+        """Backward pass: the objective's gradient at this pass's x."""
+        lay = self.problem._layout
+        x, a, b, rp = self.x, self.a, self.b, self.rp
+        r_a, r_b = self.r_a, self.r_b
+        fa, fb = lay.free_a, lay.free_b
+        lam = SOFT_WEIGHT
+        g_p = _reprojection_gradient(*self.term_a)
+        g_q = _reprojection_gradient(*self.term_b)
+        m = np.einsum("ni,nij->nj", g_q, r_b)  # d(term_b)/dX2
+        # X2r's gradient, chained for every row: term_b's own on hard rows, the
+        # consistency penalty's -2 lam (X2e - X2r) on soft rows, which also reach
+        # X2e directly
+        soft = lay.soft
+        u = np.where(soft[:, None], rp, m)
+        c = np.where(soft, -2.0 * lam, 1.0)
+        g_x1 = np.einsum("ni,nij->nj", g_p, r_a) + (c * (1.0 + a))[:, None] * u
+        g_ab = np.stack([c * np.einsum("ni,ni->n", u, self.x1 - self.o_a),
+                         c * np.einsum("ni,ni->n", u, self.o_b - self.o_a)])
+        # X2r reaches the centers: d/do_a = -c (a + b) u and d/do_b = c b u, each
+        # d/do = k (d_oa, d_ob) chained through o = -R^T t into d/dt = -R k and
+        # d/dw = t x R k
+        d_oa = (-c * (a + b)).take(fa)[:, None] * u.take(fa, 0)
+        d_ob = (c * b).take(fb)[:, None] * u.take(fb, 0)
+        r_k = np.concatenate([np.einsum("nij,nj->ni", r_a.take(fa, 0), d_oa),
+                              np.einsum("nij,nj->ni", r_b.take(fb, 0), d_ob)])
+        # d/dw (before the left Jacobian) and d/dt rows of term a, term b and the
+        # two center chains on free cameras, summed per camera in that order
+        g_pa, g_qb = g_p.take(fa, 0), g_q.take(fb, 0)
+        rows_w = np.cross(np.concatenate([self.v_a.take(fa, 0), self.v_b.take(fb, 0),
+                                          self.t_a.take(fa, 0), self.t_b.take(fb, 0)]),
+                          np.concatenate([g_pa, g_qb, r_k]))
+        rows_t = np.concatenate([g_pa, g_qb, -r_k])
+        sums = np.bincount(lay.cam_bins, weights=np.concatenate([rows_w.ravel(), rows_t.ravel()]),
+                           minlength=6 * len(self.problem.cameras)).reshape(-1, 6)
+        g_w, g_t = sums[:, :3], sums[:, 3:]
+
+        g = np.zeros(lay.size)
+        for ci, off in lay.cam_offset.items():
+            g[off : off + 3] = so3_left_jacobian(x[off : off + 3]).T @ g_w[ci]
+            if ci == lay.gauge_cam:
+                # t = exp([B phi]x) t0 moves by (J_l(B phi) B d) x t for a step d
+                basis = lay.gauge_basis
+                jl_t = so3_left_jacobian(basis @ x[off + 3 : off + 5])
+                g[off + 3 : off + 5] = basis.T @ (jl_t.T @ np.cross(self.trans[ci], g_t[ci]))
+            else:
+                g[off + 3 : off + 6] = g_t[ci]
+        g[lay.x1_idx] = g_x1
+        g[lay.ab_idx] = g_ab.take(lay.virtual_rows, 1)
+        g[lay.x2_idx] = m.take(lay.soft_rows, 0) + 2.0 * lam * rp.take(lay.soft_rows, 0)
+        return g
 
 
 def _evaluate(problem: BaProblem, x, want_grad: bool):
-    """(objective, gradient) at x; the gradient is None unless want_grad."""
-    lay = problem._layout
-    if len(x) != lay.size:
-        raise ValueError(f"parameter vector has {len(x)} entries, layout needs {lay.size}")
-    x = np.asarray(x, dtype=np.float64)
-    rot, trans, jl, centers = _camera_arrays(problem, x)
-    tracks = problem.tracks
-    n = len(tracks)
-    n_cam = len(problem.cameras)
-    ca, cb = tracks.cam_a, tracks.cam_b
-    x1 = x[lay.x1_idx]
-    ab = np.zeros((2, n))  # zero on classic tracks
-    ab[:, lay.virtual_rows] = x[lay.ab_idx]
-    a, b = ab
-    x2e = np.zeros((n, 3))
-    x2e[lay.soft] = x[lay.x2_idx]
-
-    r_a, t_a, o_a = rot.take(ca, 0), trans.take(ca, 0), centers.take(ca, 0)
-    r_b, t_b, o_b = rot.take(cb, 0), trans.take(cb, 0), centers.take(cb, 0)
-
-    x2r = x2_from_reparam(x1, a[:, None], b[:, None], o_a, o_b)
-    x2 = np.where(lay.soft[:, None], x2e, x2r)
-
-    v_a = np.einsum("nij,nj->ni", r_a, x1)
-    v_b = np.einsum("nij,nj->ni", r_b, x2)
-    p = v_a + t_a
-    q = v_b + t_b
-    vals_a, g_p = _reprojection_terms(p, tracks.obs_a, *lay.k_a, want_grad)
-    vals_b, g_q = _reprojection_terms(q, tracks.obs_b, *lay.k_b, want_grad)
-    total = float(vals_a.sum() + vals_b.sum())
-
-    lam = SOFT_WEIGHT
-    rp = x2e - x2r
-    total += float(lam * np.einsum("ni,ni->n", rp, rp)[lay.soft].sum())
-
-    if not want_grad:
-        return total, None
-
-    # residual A: camera a sees X1; residual B: camera b sees X2
-    m = np.einsum("ni,nij->nj", g_q, r_b)  # d(term_b)/dX2
-    # X2r's gradient, chained for every row: term_b's own on hard rows, the
-    # consistency penalty's -2 lam (X2e - X2r) on soft rows, which also reach
-    # X2e directly
-    soft = lay.soft
-    u = np.where(soft[:, None], rp, m)
-    c = np.where(soft, -2.0 * lam, 1.0)
-    g_x1 = np.einsum("ni,nij->nj", g_p, r_a) + (c * (1.0 + a))[:, None] * u
-    g_ab = np.stack([c * np.einsum("ni,ni->n", u, x1 - o_a),
-                     c * np.einsum("ni,ni->n", u, o_b - o_a)])
-    # X2r reaches the centers: d/do_a = -c (a + b) u and d/do_b = c b u, each
-    # d/do = k chained through o = -R^T t into d/dt = -R k and d/dw = t x R k
-    r_k = np.concatenate([np.einsum("nij,nj->ni", r_a, (-c * (a + b))[:, None] * u),
-                          np.einsum("nij,nj->ni", r_b, (c * b)[:, None] * u)])
-    # d/dw (before the left Jacobian) and d/dt rows of term a, term b and the
-    # two center chains, summed per camera in that order
-    rows_w = np.cross(np.concatenate([v_a, v_b, t_a, t_b]), np.concatenate([g_p, g_q, r_k]))
-    rows_t = np.concatenate([g_p, g_q, -r_k])
-    cams = np.concatenate([ca, cb, ca, cb])
-    sums = np.stack([np.bincount(cams, weights=col, minlength=n_cam)
-                     for col in np.hstack([rows_w, rows_t]).T], axis=1)
-    g_w, g_t = sums[:, :3], sums[:, 3:]
-
-    g = np.zeros(lay.size)
-    for ci, off in lay.cam_offset.items():
-        g[off : off + 3] = jl[ci].T @ g_w[ci]
-        if ci == lay.gauge_cam:
-            # t = exp([B phi]x) t0 moves by (J_l(B phi) B d) x t for a step d
-            basis = lay.gauge_basis
-            jl_t = so3_left_jacobian(basis @ x[off + 3 : off + 5])
-            g[off + 3 : off + 5] = basis.T @ (jl_t.T @ np.cross(trans[ci], g_t[ci]))
-        else:
-            g[off + 3 : off + 6] = g_t[ci]
-    g[lay.x1_idx] = g_x1
-    g[lay.ab_idx] = g_ab[:, lay.virtual_rows]
-    g[lay.x2_idx] = m[soft] + 2.0 * lam * rp[soft]
-    return total, g
+    """(objective, gradient) at x from one forward pass and, if want_grad,
+    its backward pass; the gradient is None otherwise."""
+    forward = _Forward(problem, x)
+    return forward.total, forward.gradient() if want_grad else None
 
 
 def ba_objective(problem: BaProblem, x) -> float:
@@ -420,14 +462,33 @@ def solve_ba(problem: BaProblem, config: BaConfig | None = None) -> BaSolution:
     tangent vector composed onto its stored rotation, in one chart for the
     whole solve; it and the gauge chart are folded in at the end. The
     problem is not modified.
+
+    The objective runs the forward pass and keeps its state for that array
+    object only; the gradient runs the backward pass on that state when it
+    is called on the same object, and a fresh forward pass on any other.
+    minimize_lbfgs never changes x in place and asks for the gradient only
+    at its latest objective point, so each evaluated point costs one
+    forward pass. At most one forward state is alive: a new objective call
+    drops the old one, and the gradient drops the one it used.
     """
     config = config or BaConfig()
-    x_final, opt = minimize_lbfgs(
-        lambda x: _evaluate(problem, x, False)[0],
-        lambda x: _evaluate(problem, x, True)[1],
-        problem.pack_params(),
-        max_iterations=config.max_iterations,
-    )
+    kept = None  # (x, its forward pass) of the latest objective call
+
+    def fun(x):
+        nonlocal kept
+        kept = None
+        forward = _Forward(problem, x)
+        kept = (x, forward)
+        return forward.total
+
+    def grad(x):
+        nonlocal kept
+        forward = kept[1] if kept is not None and kept[0] is x else None
+        kept = None
+        return (forward or _Forward(problem, x)).gradient()
+
+    x_final, opt = minimize_lbfgs(fun, grad, problem.pack_params(),
+                                  max_iterations=config.max_iterations)
     return BaSolution(problem.apply_params(x_final), opt)
 
 

@@ -65,8 +65,8 @@ CAST_BLOCK = 4096
 
 
 class TriangleMesh:
-    """Immutable triangle mesh with each face's corner coordinates, and the
-    cast table built on its first cast (`_cast_table`).
+    """Immutable triangle mesh, and the cast table built on its first cast
+    (`_cast_table`).
 
     A read-only int64 (F, 3) `faces` array is adopted as it is, so
     transformed copies share one topology; anything else is copied."""
@@ -82,14 +82,11 @@ class TriangleMesh:
             raise ValueError("face index out of range")
         self.vertices = v
         self.faces = f
-        # (F, 3, 3) corner coordinates per face, gathered once: evaluating
-        # surface coordinates then takes one row per point
-        self.corners = v[f]
-        v0, v1, v2 = self.corners.transpose(1, 0, 2)
+        v0, v1, v2 = v[f].transpose(1, 0, 2)
         areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         if f.size and areas.min() <= 1e-12:
             raise ValueError(f"degenerate face (area {areas.min():.3g})")
-        v.flags.writeable = self.corners.flags.writeable = False
+        v.flags.writeable = False
 
     @property
     def num_faces(self) -> int:
@@ -111,8 +108,11 @@ def surface_points(mesh: TriangleMesh, faces: np.ndarray, barys: np.ndarray) -> 
     faces = np.asarray(faces, dtype=np.int64)
     if faces.size and (faces.min() < 0 or faces.max() >= mesh.num_faces):
         raise InvalidCoordinateError("face index out of range")
-    tris = np.take(mesh.corners, faces, axis=0)  # (N, 3, 3)
-    return np.einsum("nk,nkj->nj", np.asarray(barys, dtype=np.float64), tris)
+    f0, f1, f2 = np.take(mesh.faces, faces, axis=0).T
+    b0, b1, b2 = np.asarray(barys, dtype=np.float64).T
+    # b0 v[f0] + b1 v[f1] + b2 v[f2], one vertex column at a time
+    return np.column_stack([b0 * col[f0] + b1 * col[f1] + b2 * col[f2]
+                            for col in mesh.vertices.T])
 
 
 def batch_all_hits(mesh: TriangleMesh, directions, max_hits: int | None = None):
@@ -186,7 +186,7 @@ class _CastTable:
         if len(self.ahead):
             self._bin_boxes(vert, np.where(on_plane, 1.0, vert[:, 2]), corners[:, self.ahead])
 
-        v0, v1, v2 = mesh.corners.transpose(1, 2, 0)  # (3, F) each
+        v0, v1, v2 = vert[mesh.faces].transpose(1, 2, 0)  # (3, F) each
         e1, e2, tvec = v1 - v0, v2 - v0, -v0
         normal, u_row, v_row = (a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
                                 for a, b in ((e1, e2), (e2, tvec), (tvec, e1)))  # a x b

@@ -38,6 +38,7 @@ from vcsfm.geometry import (
     so3_exp,
 )
 from vcsfm.metrics import pose_error
+from vcsfm.optim import minimize_lbfgs
 from vcsfm.synthetic import SceneConfig, generate_scene
 
 KS = (
@@ -227,6 +228,116 @@ def test_solve_ba_evaluates_gradient_once_per_iteration(monkeypatch):
     sol = solve_ba(problem, BaConfig(max_iterations=40))
     assert sol.report.iterations == 40
     assert len(calls) == 1 + sol.report.iterations
+
+
+def _solve_with_separate_passes(problem, config):
+    """(x, cameras, report) of minimize_lbfgs on separate objective and
+    gradient evaluations, each with a forward pass of its own."""
+    x, report = minimize_lbfgs(
+        lambda x: vcsfm.ba._evaluate(problem, x, False)[0],
+        lambda x: vcsfm.ba._evaluate(problem, x, True)[1],
+        problem.pack_params(), max_iterations=config.max_iterations,
+    )
+    return x, problem.apply_params(x), report
+
+
+def _solve_ba_with_x(monkeypatch, problem, config, grad_input=lambda x: x):
+    """(x, cameras, report) of solve_ba, whose gradient gets grad_input(x)
+    for each array x minimize_lbfgs passes it."""
+    real = vcsfm.ba.minimize_lbfgs
+    final = []
+
+    def spy(fun, grad, x0, **kwargs):
+        x, report = real(fun, lambda x: grad(grad_input(x)), x0, **kwargs)
+        final.append(x)
+        return x, report
+
+    monkeypatch.setattr(vcsfm.ba, "minimize_lbfgs", spy)
+    sol = solve_ba(problem, config)
+    monkeypatch.setattr(vcsfm.ba, "minimize_lbfgs", real)
+    return final[0], sol.cameras, sol.report
+
+
+def _assert_bit_equal(got, want):
+    (x, cams, report), (want_x, want_cams, want_report) = got, want
+    assert x.tobytes() == want_x.tobytes()
+    for cam, want_cam in zip(cams, want_cams, strict=True):
+        assert cam.pose.rotation.tobytes() == want_cam.pose.rotation.tobytes()
+        assert cam.pose.translation.tobytes() == want_cam.pose.translation.tobytes()
+    assert (report.status, report.iterations) == (want_report.status, want_report.iterations)
+    assert [f.hex() for f in report.objective_trace] == [
+        f.hex() for f in want_report.objective_trace]
+
+
+BIT_IDENTITY_PROBLEMS = {
+    # three cameras with camera 0 fixed, so fixed and free camera rows mix
+    # in both terms and both center chains
+    "tuple-soft": lambda: (_perturbed(_tuple_problem("soft", np.random.default_rng(5))),
+                           BaConfig()),
+    "tuple-hard": lambda: (_perturbed(_tuple_problem("hard", np.random.default_rng(5))),
+                           BaConfig()),
+    # a lifted two-camera pair whose camera a is fixed
+    "ground-truth": lambda: (
+        _ground_truth_problem("soft", 150.0, start_rotation=(2e-3, -1e-3, 1e-3))[0],
+        BaConfig(max_iterations=60)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_IDENTITY_PROBLEMS))
+def test_solve_ba_reuse_matches_separate_passes_bit_for_bit(monkeypatch, name):
+    problem, config = BIT_IDENTITY_PROBLEMS[name]()
+    want = _solve_with_separate_passes(problem, config)
+    assert want[2].iterations > 5
+    _assert_bit_equal(_solve_ba_with_x(monkeypatch, problem, config), want)
+
+
+def _count_forward_passes(monkeypatch):
+    passes = []
+
+    class Counted(vcsfm.ba._Forward):
+        def __init__(self, *args):
+            passes.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(vcsfm.ba, "_Forward", Counted)
+    return passes
+
+
+def test_solve_ba_runs_one_forward_pass_per_objective_evaluation(monkeypatch):
+    problem = _perturbed(_tuple_problem("soft", np.random.default_rng(5), behind=False))
+    passes = _count_forward_passes(monkeypatch)
+    calls = _count_objective_calls(monkeypatch)
+    sol = solve_ba(problem, BaConfig(max_iterations=40))
+    assert sol.report.iterations == 40
+    # every gradient reuses the forward pass of the objective call before it
+    assert len(passes) == len(calls) > 41
+
+
+def test_gradient_on_another_array_runs_its_own_forward_pass(monkeypatch):
+    problem = _perturbed(_tuple_problem("soft", np.random.default_rng(5)))
+    config = BaConfig(max_iterations=40)
+    want = _solve_ba_with_x(monkeypatch, problem, config)
+    passes = _count_forward_passes(monkeypatch)
+    calls = _count_objective_calls(monkeypatch)
+    got = _solve_ba_with_x(monkeypatch, problem, config, grad_input=np.copy)
+    _assert_bit_equal(got, want)
+    # an equal copy is not the array the objective saw: no forward state is
+    # reused, so each objective call and each of the 1 + 40 gradient calls
+    # runs a forward pass
+    assert got[2].iterations == 40
+    assert len(passes) == len(calls) + 41
+
+
+def test_problem_copies_a_writable_soft_x2():
+    problem = _perturbed(_tuple_problem("soft", np.random.default_rng(5)))
+    config = BaConfig(max_iterations=40)
+    x2 = np.array(problem.soft_x2)
+    own = BaProblem(problem.cameras, problem.tracks, "soft", soft_x2=x2)
+    x2[0] = np.nan  # after the finiteness check
+    assert np.isfinite(own.soft_x2[0]).all() and not own.soft_x2.flags.writeable
+    got, want = solve_ba(own, config).report, solve_ba(problem, config).report
+    assert np.isfinite(got.objective_trace).all()
+    assert [f.hex() for f in got.objective_trace] == [f.hex() for f in want.objective_trace]
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
