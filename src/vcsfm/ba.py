@@ -15,8 +15,9 @@ above into the reprojection objective; soft mode keeps X2 explicit and adds
 a weighted consistency penalty, which tolerates slightly inconsistent
 initializations.
 
-Tracks are columnar (VcTracks; soft mode's X2 is one (n, 3) array), so the
-parameter vector is packed and unpacked by index-array gathers and scatters.
+Tracks are columnar (VcTracks; soft mode's X2 is one (n, 3) array), so each
+track column is read with one gather and written with one scatter, through
+an index that sends entries a track lacks to a zero slot (see _Layout).
 
 The objective is a forward pass that keeps the per-track state its gradient
 needs, and the gradient a backward pass over that state (_Forward). solve_ba
@@ -153,16 +154,16 @@ class BaProblem:
         """Parameter vector of the problem as stored (rotation increments and
         the gauge chart at 0)."""
         lay = self._layout
-        x = np.zeros(lay.size)
+        x = np.zeros(lay.size + 1)
         for ci, off in lay.cam_offset.items():
             if ci != lay.gauge_cam:
                 x[off + 3 : off + 6] = self.cameras[ci].pose.translation
         tr = self.tracks
         x[lay.x1_idx] = tr.x1
-        x[lay.ab_idx] = np.stack([tr.a, tr.b]).take(lay.virtual_rows, 1)
+        x[lay.ab_idx] = np.stack([tr.a, tr.b])
         if self.mode == "soft":
-            x[lay.x2_idx] = self.soft_x2.take(lay.soft_rows, 0)
-        return x
+            x[lay.x2_idx] = self.soft_x2
+        return x[: lay.size]
 
     def apply_params(self, x) -> list:
         """Cameras with the parameter vector's rotation increments and
@@ -178,11 +179,14 @@ class _Layout:
 
     The parameter vector holds (w, t) for each free camera in camera order,
     then per track X1, (a, b) for virtual tracks, and X2 for virtual tracks
-    in soft mode. Unless two or more cameras are fixed, the first free camera
-    with a nonzero translation t0 is the gauge camera, whose block is
-    (w, phi) instead: its translation is the chart exp([B phi]x) t0 with B a
-    fixed orthonormal 3x2 basis normal to t0, so |t| = |t0| for every phi.
-    Nothing here depends on x.
+    in soft mode. x1_idx (n, 3), ab_idx (2, n) and x2_idx (n, 3) index every
+    track; a classic track's (a, b) and a track's X2 outside soft mode point
+    at the zero slot `size`, which reads 0 from x with a 0 appended and is
+    cut off a scatter into `size + 1` entries. Unless two or more cameras are
+    fixed, the first free camera with a nonzero translation t0 is the gauge
+    camera, whose block is (w, phi) instead: its translation is the chart
+    exp([B phi]x) t0 with B a fixed orthonormal 3x2 basis normal to t0, so
+    |t| = |t0| for every phi. Nothing here depends on x.
     """
 
     def __init__(self, problem: BaProblem):
@@ -203,11 +207,10 @@ class _Layout:
         self.soft = virtual & (problem.mode == "soft")  # tracks with an explicit X2
         width = 3 + 2 * virtual + 3 * self.soft
         start = cam_size + np.cumsum(width) - width
-        self.size = cam_size + int(width.sum())
-        self.virtual_rows = np.flatnonzero(virtual)
+        self.size = size = cam_size + int(width.sum())
         self.x1_idx = start[:, None] + np.arange(3)
-        self.ab_idx = start[virtual] + np.array([[3], [4]])  # rows a, b
-        self.x2_idx = start[self.soft][:, None] + np.arange(5, 8)
+        self.ab_idx = np.where(virtual, start + np.array([[3], [4]]), size)  # rows a, b
+        self.x2_idx = np.where(self.soft[:, None], start[:, None] + np.arange(5, 8), size)
         k = np.array([
             [c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy,
              c.intrinsics.skew]
@@ -216,7 +219,6 @@ class _Layout:
         # rows fx, fy, cx, cy, skew of each track's two cameras
         self.k_a = np.ascontiguousarray(k[tracks.cam_a].T)
         self.k_b = np.ascontiguousarray(k[tracks.cam_b].T)
-        self.soft_rows = np.flatnonzero(self.soft)
         # tracks whose camera a (term a, the o_a chain) or camera b (term b,
         # the o_b chain) is free: only their camera rows reach the gradient.
         # cam_bins bins the d/dw columns and then the d/dt columns of the rows
@@ -331,14 +333,11 @@ class _Forward:
         self.x = x = np.asarray(x, dtype=np.float64)
         rot, self.trans, centers = _camera_arrays(problem, x)
         tracks = problem.tracks
-        n = len(tracks)
         ca, cb = tracks.cam_a, tracks.cam_b
         self.x1 = x1 = x[lay.x1_idx]
-        ab = np.zeros((2, n))  # zero on classic tracks
-        ab[:, lay.virtual_rows] = x[lay.ab_idx]
-        self.a, self.b = a, b = ab
-        x2e = np.zeros((n, 3))
-        x2e[lay.soft] = x[lay.x2_idx]
+        padded = np.append(x, 0.0)  # the layout's zero slot
+        self.a, self.b = a, b = padded[lay.ab_idx]
+        x2e = padded[lay.x2_idx]
 
         self.r_a, self.t_a, self.o_a = r_a, t_a, o_a = (
             rot.take(ca, 0), self.trans.take(ca, 0), centers.take(ca, 0))
@@ -396,7 +395,7 @@ class _Forward:
                            minlength=6 * len(self.problem.cameras)).reshape(-1, 6)
         g_w, g_t = sums[:, :3], sums[:, 3:]
 
-        g = np.zeros(lay.size)
+        g = np.zeros(lay.size + 1)
         for ci, off in lay.cam_offset.items():
             g[off : off + 3] = so3_left_jacobian(x[off : off + 3]).T @ g_w[ci]
             if ci == lay.gauge_cam:
@@ -407,16 +406,9 @@ class _Forward:
             else:
                 g[off + 3 : off + 6] = g_t[ci]
         g[lay.x1_idx] = g_x1
-        g[lay.ab_idx] = g_ab.take(lay.virtual_rows, 1)
-        g[lay.x2_idx] = m.take(lay.soft_rows, 0) + 2.0 * lam * rp.take(lay.soft_rows, 0)
-        return g
-
-
-def _evaluate(problem: BaProblem, x, want_grad: bool):
-    """(objective, gradient) at x from one forward pass and, if want_grad,
-    its backward pass; the gradient is None otherwise."""
-    forward = _Forward(problem, x)
-    return forward.total, forward.gradient() if want_grad else None
+        g[lay.ab_idx] = g_ab
+        g[lay.x2_idx] = m + 2.0 * lam * rp
+        return g[: lay.size]
 
 
 def ba_objective(problem: BaProblem, x) -> float:
@@ -428,12 +420,12 @@ def ba_objective(problem: BaProblem, x) -> float:
     points behind a camera contribute the smooth depth penalty instead of a
     reprojection term.
     """
-    return _evaluate(problem, x, want_grad=False)[0]
+    return _Forward(problem, x).total
 
 
 def ba_gradient(problem: BaProblem, x) -> np.ndarray:
     """Analytic gradient of ba_objective over all free parameters."""
-    return _evaluate(problem, x, want_grad=True)[1]
+    return _Forward(problem, x).gradient()
 
 
 # ---------------------------------------------------------------------------

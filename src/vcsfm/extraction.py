@@ -28,26 +28,34 @@ JOIN_CELLS_MAX = 1 << 20  # cells per axis of the radius join's grid: keys fit i
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
+@dataclass(frozen=True, eq=False)
 class DenseSurfaceMap:
     """Surface coordinates of the mapped pixels of a (height, width) image,
     the dense 2D-3D association over the pixels the subject covers.
 
-    Only the mapped entries are stored, in three aligned arrays: the flat
-    row-major pixel `index` (N,), strictly ascending and inside the image;
-    `faces` (N,), non-negative face indices; and `barys` (N, 3), barycentric
-    weights, each at least -1e-9 and summing to 1 within 1e-9
+    Only the mapped entries are stored, in three aligned arrays: `index`
+    (N,), the flat row-major pixel indices, strictly ascending and inside
+    the image; `faces` (N,), non-negative face indices; and `barys` (N, 3),
+    barycentric weights, each at least -1e-9 and summing to 1 within 1e-9
     (InvalidCoordinateError). Unmapped pixels hold nothing, so a map's
     memory grows with its entries, not with the image. Immutable: a
     read-only array of its dtype (int64, int64, float64) is adopted
     as it is, anything else is copied.
     """
 
-    def __init__(self, width: int, height: int, index, faces, barys):
+    width: int
+    height: int
+    index: np.ndarray
+    faces: np.ndarray
+    barys: np.ndarray
+
+    def __post_init__(self):
+        width, height = self.width, self.height
         if not (is_count(width) and is_count(height)):
             raise ValueError("width and height must be positive integers")
-        index = read_only(index, np.int64)
-        faces = read_only(faces, np.int64)
-        barys = read_only(barys, np.float64)
+        index = read_only(self.index, np.int64)
+        faces = read_only(self.faces, np.int64)
+        barys = read_only(self.barys, np.float64)
         if index.ndim != 1 or faces.shape != index.shape or barys.shape != index.shape + (3,):
             raise ValueError("index and faces must be (N,) and barys (N, 3)")
         if len(index):
@@ -60,14 +68,9 @@ class DenseSurfaceMap:
             if not (barys.min() >= -1e-9 and np.abs(total - 1.0).max() <= 1e-9):
                 raise InvalidCoordinateError("mapped pixels need barycentric weights "
                                              ">= 0 that sum to 1")
-        self.width, self.height = int(width), int(height)
-        self._index = index
-        self.faces = faces
-        self.barys = barys
-
-    def mapped_index(self) -> np.ndarray:
-        """Flat row-major indices of the mapped pixels, ascending; read-only."""
-        return self._index
+        for name, value in (("width", int(width)), ("height", int(height)),
+                            ("index", index), ("faces", faces), ("barys", barys)):
+            object.__setattr__(self, name, value)
 
     def mapped_pixels(self, stride: int = 1) -> np.ndarray:
         """(N, 2) integer (u, v) of mapped pixels in row-major order, only
@@ -75,7 +78,7 @@ class DenseSurfaceMap:
         bool; ValueError otherwise)."""
         if not is_count(stride):
             raise ValueError("stride must be an int >= 1")
-        v, u = np.divmod(self._index, self.width)
+        v, u = np.divmod(self.index, self.width)
         on_grid = (u % stride == 0) & (v % stride == 0)
         return np.column_stack([u[on_grid], v[on_grid]])
 
@@ -96,7 +99,8 @@ class ShapePrior:
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """Everything known about one image: calibration plus its shape priors.
+    """Everything known about one image: calibration plus its shape priors,
+    kept as a tuple.
 
     Prior meshes live in this image's camera frame.
     """
@@ -106,6 +110,7 @@ class ImageRecord:
     priors: tuple[ShapePrior, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "priors", tuple(self.priors))
         if not self.priors:
             raise ValueError("record needs at least one shape prior")
         dims = {(p.surface_map.width, p.surface_map.height) for p in self.priors}
@@ -306,7 +311,7 @@ def _cast_one_direction(mesh_c: TriangleMesh, k_c: CameraIntrinsics,
     m, e, y = m[front], e[front], y[front]
     uv = k_c.project(y)
     inside = in_image(uv, dsm_c.width, dsm_c.height)
-    obs_v, obs_u = np.divmod(dsm_o.mapped_index()[e[inside]], dsm_o.width)
+    obs_v, obs_u = np.divmod(dsm_o.index[e[inside]], dsm_o.width)
     return uv[inside], np.column_stack([obs_u, obs_v]), run_ranks(ray)[m[inside]]
 
 

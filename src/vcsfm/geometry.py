@@ -21,10 +21,19 @@ _PARALLEL = np.finfo(np.float64).eps ** 2  # |u1 x u2|^2 of lines parallel to ro
 
 
 def read_only(a, dtype) -> np.ndarray:
-    """`a` itself when it is a read-only array of `dtype`, else a read-only copy."""
+    """`a` itself when it is a read-only array of `dtype`, else a read-only copy.
+    ValueError if the cast to `dtype` changes a value, such as a fractional,
+    infinite or NaN entry cast to an int."""
     if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
         return a
-    a = np.array(a, dtype=dtype)
+    given = np.asarray(a)
+    if given.dtype == dtype:
+        a = given.copy()
+    else:
+        with np.errstate(invalid="ignore"):  # a changed value raises below instead
+            a = given.astype(dtype)
+        if not np.array_equal(a, given, equal_nan=True):
+            raise ValueError(f"casting {given.dtype} to {a.dtype} would change a value")
     a.flags.writeable = False
     return a
 

@@ -37,6 +37,7 @@ contract:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,29 +65,34 @@ FACES_PER_CELL = 1
 CAST_BLOCK = 4096
 
 
+@dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Immutable triangle mesh, and the cast table built on its first cast
-    (`_cast_table`).
+    """Immutable triangle mesh of float64 (V, 3) `vertices` and int64 (F, 3)
+    `faces`, and the cast table built on its first cast (`_cast_table`).
 
-    A read-only int64 (F, 3) `faces` array is adopted as it is, so
-    transformed copies share one topology; anything else is copied."""
+    A read-only array of its dtype is adopted as it is, so transformed
+    copies share one topology; anything else is copied."""
 
-    def __init__(self, vertices, faces):
-        v = np.array(vertices, dtype=np.float64).reshape(-1, 3)
-        f = read_only(faces, np.int64)
+    vertices: np.ndarray
+    faces: np.ndarray
+
+    def __post_init__(self):
+        v = read_only(self.vertices, np.float64)
+        f = read_only(self.faces, np.int64)
+        if v.ndim != 2 or v.shape[1] != 3:
+            raise ValueError("vertices must be (V, 3)")
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError("faces must be (F, 3)")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face index out of range")
-        self.vertices = v
-        self.faces = f
         v0, v1, v2 = v[f].transpose(1, 0, 2)
         areas = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         if f.size and areas.min() <= 1e-12:
             raise ValueError(f"degenerate face (area {areas.min():.3g})")
-        v.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "faces", f)
 
     @property
     def num_faces(self) -> int:

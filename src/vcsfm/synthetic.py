@@ -48,8 +48,8 @@ class SceneConfig:
     def __post_init__(self):
         if not is_count(self.camera_count, 2):
             raise ValueError("need an integer count of at least two cameras")
-        size = tuple(self.image_size)
-        if len(size) != 2 or not all(map(is_count, size)):
+        object.__setattr__(self, "image_size", tuple(self.image_size))
+        if len(self.image_size) != 2 or not all(map(is_count, self.image_size)):
             raise ValueError("image size must be two positive integers")
         if not (0.0 < self.focal_length < math.inf and 0.0 < self.fill_fraction < math.inf
                 and math.isfinite(self.elevation_range)):
@@ -257,7 +257,7 @@ def _jitter_map(dsm: DenseSurfaceMap, mesh_cam: TriangleMesh, k: CameraIntrinsic
     jitter = rng.normal(scale=sigma, size=(len(pix), 2))
     dirs = k.pixel_rays(pix + jitter)
     _, face, bary, ok = batch_first_hits(mesh_cam, dirs)
-    return DenseSurfaceMap(dsm.width, dsm.height, dsm.mapped_index(),
+    return DenseSurfaceMap(dsm.width, dsm.height, dsm.index,
                            np.where(ok, face, dsm.faces), np.where(ok[:, None], bary, dsm.barys))
 
 
@@ -279,7 +279,7 @@ def _inject_outliers(dsm: DenseSurfaceMap, num_faces: int, fraction: float, rng
     r1[fold] = 1.0 - r1[fold]
     r2[fold] = 1.0 - r2[fold]
     barys[mask] = np.column_stack([1.0 - r1 - r2, r1, r2])
-    return DenseSurfaceMap(dsm.width, dsm.height, dsm.mapped_index(), faces, barys)
+    return DenseSurfaceMap(dsm.width, dsm.height, dsm.index, faces, barys)
 
 
 def _perturb_prior(mesh_cam: TriangleMesh, noise: NoiseConfig, rng) -> TriangleMesh:

@@ -56,7 +56,7 @@ def entry_index(dsm, pixels):
     where the pixel is unmapped; `pixels` is (..., 2)."""
     pixels = np.asarray(pixels, dtype=np.int64)
     flat = pixels[..., 1] * dsm.width + pixels[..., 0]
-    index = dsm.mapped_index()
+    index = dsm.index
     at = np.searchsorted(index, flat)
     return np.where(np.append(index, -1)[at] == flat, at, -1)
 

@@ -247,7 +247,7 @@ def vc_extraction_oracle(a, b, params):
                                               DEPTH_TIE, MAX_HITS_PER_RAY)
                 for rank, (_, face, bary) in enumerate(found):
                     hits.append((rank, surface_points(mesh, [face], [bary])[0]))
-        ov, ou = np.divmod(dsm_o.mapped_index(), dsm_o.width)
+        ov, ou = np.divmod(dsm_o.index, dsm_o.width)
         if not hits or len(ou) == 0:
             continue
         entry_pos = surface_points(mesh, dsm_o.faces, dsm_o.barys)

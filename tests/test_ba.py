@@ -169,6 +169,9 @@ def test_gradient_matches_finite_differences(mode):
     assert pc[2] < vcsfm.ba.Z_MIN  # the behind-camera penalty is active
     virtual = ~tracks.classic
     assert np.all(tracks.a[virtual] > 0.0) and np.all(tracks.b[virtual] > 0.0)
+    # the classic tracks' (a, b) and NaN soft X2 go to the zero slot, past the end
+    g0 = ba_gradient(problem, x0)
+    assert len(x0) == len(g0) == lay.size and np.isfinite([x0, g0]).all()
 
     def f(v):
         return ba_objective(problem, v)
@@ -234,8 +237,8 @@ def _solve_with_separate_passes(problem, config):
     """(x, cameras, report) of minimize_lbfgs on separate objective and
     gradient evaluations, each with a forward pass of its own."""
     x, report = minimize_lbfgs(
-        lambda x: vcsfm.ba._evaluate(problem, x, False)[0],
-        lambda x: vcsfm.ba._evaluate(problem, x, True)[1],
+        lambda x: ba_objective(problem, x),
+        lambda x: ba_gradient(problem, x),
         problem.pack_params(), max_iterations=config.max_iterations,
     )
     return x, problem.apply_params(x), report

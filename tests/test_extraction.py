@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ def test_mapped_pixels_match_two_dimensional_nonzero(rng):
         got = dsm.mapped_pixels()
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-        v, u = np.divmod(dsm.mapped_index(), dsm.width)
+        v, u = np.divmod(dsm.index, dsm.width)
         assert np.array_equal(np.column_stack([u, v]), want)
     assert empty_map(9, 4).mapped_pixels().shape == (0, 2)
 
@@ -132,6 +134,10 @@ def test_dense_map_rejects_bad_weights_of_mapped_pixels():
     pytest.param([3, 5], [0, -1], 2, (4, 3), id="negative-face"),
     pytest.param([3, 5], [0], 2, (4, 3), id="faces-length"),
     pytest.param([3, 5], [0, 1], 3, (4, 3), id="barys-length"),
+    # an int cast read these as index [0, 2] and face 1
+    pytest.param([0.9, 2.7], [0, 1], 2, (4, 3), id="fractional-index"),
+    pytest.param(np.array([3.0, np.nan]), [0, 1], 2, (4, 3), id="nan-index"),
+    pytest.param([3, 5], [0, 1.5], 2, (4, 3), id="fractional-face"),
     pytest.param([[3, 5]], [[0, 1]], 2, (4, 3), id="index-not-flat"),
     # 4.7 x 3 passes a bounds check of 14.1, and index 5 reads back as (1, 1)
     pytest.param([0, 5], [0, 1], 2, (4.7, 3), id="fractional-width"),
@@ -164,31 +170,40 @@ def test_dense_map_adopts_read_only_arrays_and_copies_writeable_ones(rng):
     dsm = DenseSurfaceMap(5, 6, index, faces, barys)
     assert all(a.flags.writeable for a in (index, faces, barys))
     assert not any(np.shares_memory(a, b) for a, b in
-                   ((dsm.mapped_index(), index), (dsm.faces, faces), (dsm.barys, barys)))
-    kept = dsm.mapped_index().copy(), dsm.faces.copy(), dsm.barys.copy()
+                   ((dsm.index, index), (dsm.faces, faces), (dsm.barys, barys)))
+    kept = dsm.index.copy(), dsm.faces.copy(), dsm.barys.copy()
     index[:] = 0
     faces[:] = -1
     barys[:] = np.nan
-    for a, b in zip((dsm.mapped_index(), dsm.faces, dsm.barys), kept):
+    for a, b in zip((dsm.index, dsm.faces, dsm.barys), kept):
         assert np.array_equal(a, b)
     # read-only arrays of the map's dtypes are adopted as they are
     index, faces, barys = kept
     for a in kept:
         a.flags.writeable = False
     dsm = DenseSurfaceMap(5, 6, index, faces, barys)
-    assert dsm.mapped_index() is index and dsm.faces is faces and dsm.barys is barys
+    assert dsm.index is index and dsm.faces is faces and dsm.barys is barys
     # a read-only array of another dtype is still copied
     assert DenseSurfaceMap(5, 6, index, faces.astype(np.int32), barys).faces.dtype == np.int64
-    for a in (dsm.mapped_index(), dsm.faces, dsm.barys):
+    for a in (dsm.index, dsm.faces, dsm.barys):
         assert not a.flags.writeable
+
+
+def test_mesh_and_map_fields_cannot_be_reassigned():
+    # a mesh whose vertices were reassigned kept the cast table of the old ones
+    mesh = unit_square_mesh()
+    dsm = DenseSurfaceMap(4, 3, [3, 5], [0, 1], np.full((2, 3), 1.0 / 3.0))
+    for obj in (mesh, dsm):
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
 
 
 def test_mapped_index_is_computed_once_and_read_only(rng):
     faces, barys = sparse_images(rng, 13, 7)
     dsm = map_from_images(faces, barys)
-    index = dsm.mapped_index()
-    assert dsm.mapped_index() is index and not index.flags.writeable
-    assert np.array_equal(index, np.flatnonzero(faces >= 0))
+    assert not dsm.index.flags.writeable
+    assert np.array_equal(dsm.index, np.flatnonzero(faces >= 0))
 
 
 def _join(points, queries, radius):
@@ -347,6 +362,12 @@ def test_missing_person_raises_a_key_error_naming_it(opposed_scene):
     for lookup in (rec.prior_for, rec.posed_mesh):
         with pytest.raises(KeyError, match="person 7"):
             lookup(7)
+
+
+def test_record_keeps_its_priors_as_a_tuple(opposed_scene):
+    # a list stayed open to appends after the duplicate person_id check
+    rec = opposed_scene.records[0]
+    assert ImageRecord("a", rec.intrinsics, list(rec.priors)).priors == rec.priors
 
 
 def test_rays_that_miss_yield_nothing(opposed_scene):

@@ -334,6 +334,12 @@ def test_mesh_validation():
     for bad in (np.nan, np.inf, -np.inf):  # a NaN area passes the area check
         with pytest.raises(ValueError, match="finite"):
             TriangleMesh([[0, 0, 0], [1, 0, 0], [0, bad, 0]], [[0, 1, 2]])
+    # a reshape read these 6 x 2 entries as 4 vertices
+    with pytest.raises(ValueError, match=r"\(V, 3\)"):
+        TriangleMesh([[0, 0], [0, 1], [0, 0], [0, 1], [0, 0], [0, 0]], [[0, 1, 2]])
+    with pytest.raises(ValueError):  # an int cast read face [0, 1, 2]
+        TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2.5]])
+    TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0.0, 1.0, 2.0]])
 
 
 def test_transformed_moves_vertices_by_the_pose_and_shares_faces(rng):
@@ -470,7 +476,7 @@ def test_kernel_matches_oracle_on_a_scene_camera(rng):
     (u_lo, v_lo), (u_hi, v_hi) = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 1
     assert 0 <= u_lo and u_hi < dsm.width and 0 <= v_lo and v_hi < dsm.height
     mapped = np.zeros(dsm.height * dsm.width, dtype=bool)
-    mapped[dsm.mapped_index()] = True
+    mapped[dsm.index] = True
     mapped = mapped.reshape(dsm.height, dsm.width)
     ring = np.pad(mapped, 1, mode="edge")
     silhouette = ((ring[:-2, 1:-1] != mapped) | (ring[2:, 1:-1] != mapped)

@@ -51,5 +51,5 @@ def test_every_validated_dataclass_is_frozen():
     validated = [cls for mod in modules for cls in vars(mod).values()
                  if isinstance(cls, type) and cls.__module__ == mod.__name__
                  and dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)]
-    assert len(validated) >= 8
+    assert len(validated) >= 14
     assert [c.__qualname__ for c in validated if not c.__dataclass_params__.frozen] == []

@@ -43,9 +43,9 @@ def test_scene_digest_covers_maps_and_oracle():
     dsm = scene.clean_maps[0]
     barys = dsm.barys.copy()
     barys[0, 0] = np.nextafter(barys[0, 0], np.inf)
-    for changed_field, moved in ((0, (dsm.mapped_index() + 1, dsm.faces, dsm.barys)),
-                                 (0, (dsm.mapped_index(), dsm.faces + 1, dsm.barys)),
-                                 (1, (dsm.mapped_index(), dsm.faces, barys))):
+    for changed_field, moved in ((0, (dsm.index + 1, dsm.faces, dsm.barys)),
+                                 (0, (dsm.index, dsm.faces + 1, dsm.barys)),
+                                 (1, (dsm.index, dsm.faces, barys))):
         scene.clean_maps[0] = DenseSurfaceMap(dsm.width, dsm.height, *moved)
         changed = pair_digest.scene_digest(scene).split()
         assert changed[changed_field] != fields[changed_field]

@@ -101,7 +101,7 @@ def test_proxy_mesh_is_built_once():
 def assert_scenes_equal(a, b):
     for ra, rb in zip(a.records, b.records, strict=True):
         ma, mb = ra.priors[0].surface_map, rb.priors[0].surface_map
-        assert np.array_equal(ma.mapped_index(), mb.mapped_index())
+        assert np.array_equal(ma.index, mb.index)
         assert np.array_equal(ma.faces, mb.faces)
         assert np.array_equal(ma.barys, mb.barys)
         assert np.array_equal(ra.priors[0].mesh.vertices, rb.priors[0].mesh.vertices)
@@ -225,7 +225,7 @@ def test_render_prescreen_matches_full_frame():
     e = entry_index(dsm, pix)
     assert np.all(e[~hit] == -1) and np.all(e[hit] >= 0)
     assert np.array_equal(dsm.faces[e[hit]], face[hit])
-    assert len(dsm.mapped_index()) < 0.5 * face.size
+    assert len(dsm.index) < 0.5 * face.size
     # spot-check pixels against the nearest of all hits of each pixel's ray
     pix = dsm.mapped_pixels()[::17]
     dirs = np.column_stack([k.normalize(pix.astype(float)), np.ones(len(pix))])
@@ -243,7 +243,7 @@ def test_render_matches_per_pixel_oracle():
         mesh_cam = scene.gt_mesh.transformed(pose)
         k = scene.records[cam].intrinsics
         dsm = scene.clean_maps[cam]
-        assert len(dsm.mapped_index()) > 150
+        assert len(dsm.index) > 150
         for v in range(24):
             for u in range(32):
                 d = np.append(k.normalize(np.array([u, v], dtype=float)), 1.0)
@@ -256,6 +256,12 @@ def test_render_matches_per_pixel_oracle():
                 _, face, bary = want[0]
                 assert e >= 0 and dsm.faces[e] == face
                 assert np.allclose(dsm.barys[e], bary, atol=1e-9)
+
+
+def test_scene_config_keeps_its_image_size_as_a_tuple():
+    # a list stayed open to appends after its check, and unhashable
+    config = SceneConfig(image_size=[160, 120])
+    assert config.image_size == (160, 120) and hash(config) == hash(SceneConfig())
 
 
 def test_scene_config_validation():

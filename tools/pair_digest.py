@@ -7,7 +7,7 @@ Builds the scenes of `clean-160`, `clean-640` and `noisy-160` for bench seeds
 prints two lines per pair:
 
 - `scene`: for the clean maps and then for the records' maps, a SHA-256 of
-  their exact part (every map's `mapped_index()` and `faces`) and one of
+  their exact part (every map's `index` and `faces`) and one of
   their float part (`barys`); then the oracle's entry count, a SHA-256 of
   its exact part (cameras, `pixel_a` and ranks) and one of its float part
   (`pixel_b` and points). A change that only moves rounding shows in the
@@ -53,7 +53,7 @@ def _sha(*arrays) -> str:
 
 def _map_hashes(maps) -> list:
     """SHA-256s of the maps' exact part (index, faces) and float part (barys)."""
-    return [_sha(*(a for dsm in maps for a in (dsm.mapped_index(), dsm.faces))),
+    return [_sha(*(a for dsm in maps for a in (dsm.index, dsm.faces))),
             _sha(*(dsm.barys for dsm in maps))]
 
 
