@@ -43,6 +43,7 @@ from .geometry import (
     CameraIntrinsics,
     SE3Pose,
     camera_center,
+    cross,
     is_count,
     read_only,
     so3_exp,
@@ -252,7 +253,7 @@ def fit_thickness(x1, x2, o1, o2) -> np.ndarray:
     r = np.asarray(x2, dtype=np.float64) - x1
     u = x1 - o1
     w = np.broadcast_to(np.asarray(o2, dtype=np.float64) - o1, x1.shape)
-    n, rw, ur = np.cross(np.stack([u, r, u]), np.stack([w, w, r]))
+    n, rw, ur = cross(np.stack([u, r, u]), np.stack([w, w, r]))
     nn = np.einsum("ij,ij->i", n, n)
     ab = np.column_stack([np.einsum("ij,ij->i", rw, n), np.einsum("ij,ij->i", ur, n)])
     # |n| = s1 s2 and s1^2 + s2^2 = |u|^2 + |w|^2 for the singular values
@@ -387,9 +388,9 @@ class _Forward:
         # d/dw (before the left Jacobian) and d/dt rows of term a, term b and the
         # two center chains on free cameras, summed per camera in that order
         g_pa, g_qb = g_p.take(fa, 0), g_q.take(fb, 0)
-        rows_w = np.cross(np.concatenate([self.v_a.take(fa, 0), self.v_b.take(fb, 0),
-                                          self.t_a.take(fa, 0), self.t_b.take(fb, 0)]),
-                          np.concatenate([g_pa, g_qb, r_k]))
+        rows_w = cross(np.concatenate([self.v_a.take(fa, 0), self.v_b.take(fb, 0),
+                                       self.t_a.take(fa, 0), self.t_b.take(fb, 0)]),
+                       np.concatenate([g_pa, g_qb, r_k]))
         rows_t = np.concatenate([g_pa, g_qb, -r_k])
         sums = np.bincount(lay.cam_bins, weights=np.concatenate([rows_w.ravel(), rows_t.ravel()]),
                            minlength=6 * len(self.problem.cameras)).reshape(-1, 6)
@@ -402,7 +403,7 @@ class _Forward:
                 # t = exp([B phi]x) t0 moves by (J_l(B phi) B d) x t for a step d
                 basis = lay.gauge_basis
                 jl_t = so3_left_jacobian(basis @ x[off + 3 : off + 5])
-                g[off + 3 : off + 5] = basis.T @ (jl_t.T @ np.cross(self.trans[ci], g_t[ci]))
+                g[off + 3 : off + 5] = basis.T @ (jl_t.T @ cross(self.trans[ci], g_t[ci]))
             else:
                 g[off + 3 : off + 6] = g_t[ci]
         g[lay.x1_idx] = g_x1

@@ -19,8 +19,8 @@ from .errors import (
     InsufficientCorrespondencesError,
     NoValidHypothesisError,
 )
-from .geometry import (SE3Pose, closest_approach, decompose_essential, homogeneous, image_points,
-                       sampson_errors)
+from .geometry import (SE3Pose, closest_approach, cross, decompose_essential, homogeneous,
+                       image_points, sampson_errors)
 
 MAX_ITERATIONS = 2000  # RANSAC samples drawn at most
 CONFIDENCE = 0.999  # probability of an all-inlier sample behind the adaptive stop
@@ -69,7 +69,7 @@ def _constraint_matrix(basis):
     rows of `basis` reshaped to 3x3."""
     b = np.asarray(basis, dtype=np.float64).reshape(4, 3, 3)
     # det E = row0 . (row1 x row2), and B_i B_j^T for the trace constraint
-    det = np.tensordot(b[:, 0], np.cross(b[:, None, 1], b[None, :, 2]), axes=(1, 2))
+    det = np.tensordot(b[:, 0], cross(b[:, None, 1], b[None, :, 2]), axes=(1, 2))
     bbt = np.einsum("iab,jcb->ijac", b, b)
     trace = 2.0 * bbt[:, :, None] @ b - np.einsum("ijaa,kcd->ijkcd", bbt, b)
     return np.vstack([det.reshape(1, 64), trace.reshape(64, 9).T]) @ _FOLD

@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .extraction import DenseSurfaceMap, ImageRecord, ShapePrior
-from .geometry import (CameraIntrinsics, Pixel, SE3Pose, in_image, is_count, pixel_records,
-                       project_points, so3_exp)
-from .mesh import TriangleMesh, batch_all_hits, batch_first_hits, run_ranks
+from .geometry import (CameraIntrinsics, Pixel, SE3Pose, cross, homogeneous, in_image, is_count,
+                       pixel_records, project_points, so3_exp)
+from .mesh import RayGrid, TriangleMesh, batch_all_hits, batch_first_hits, run_ranks
 
 # relative position tolerance for the oracle's visibility test
 _VIS_TOL = 1e-6
@@ -127,9 +127,9 @@ def _capsule(p0, p1, radius, segments=16, cap_rings=6, side_rings=4):
     length = np.linalg.norm(axis)
     z = axis / length if length > 0 else np.array([0.0, 0.0, 1.0])
     any_vec = np.array([1.0, 0.0, 0.0]) if abs(z[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    x = np.cross(any_vec, z)
+    x = cross(any_vec, z)
     x /= np.linalg.norm(x)
-    y = np.cross(z, x)
+    y = cross(z, x)
 
     rows = []  # (ring radius, height along axis)
     for i in range(1, cap_rings + 1):
@@ -194,11 +194,11 @@ def _look_at_pose(center, target, up=(0.0, 1.0, 0.0)) -> SE3Pose:
     fwd = np.asarray(target, dtype=np.float64) - center
     fwd /= np.linalg.norm(fwd)
     up = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, up)
+    right = cross(fwd, up)
     if np.linalg.norm(right) < 1e-9:
-        right = np.cross(fwd, [1.0, 0.0, 0.0])
+        right = cross(fwd, [1.0, 0.0, 0.0])
     right /= np.linalg.norm(right)
-    down = np.cross(fwd, right)
+    down = cross(fwd, right)
     rot = np.stack([right, down, fwd])
     return SE3Pose(rot, -rot @ center)
 
@@ -207,7 +207,10 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
     """Exact per-pixel first-hit map of a camera-frame mesh and the oracle's
     samples, from one all-hit cast.
 
-    Only pixels inside the mesh's projected bounding rectangle are cast. The
+    Only pixels inside the mesh's projected bounding rectangle are cast, as
+    a `RayGrid` of its columns' and rows' normalized coordinates. These are
+    `k.pixel_rays` of the rectangle's pixels because `generate_scene` sets
+    no skew, so a pixel's normalized x depends on its column alone. The
     map's entries are the rays' nearest hits in row-major pixel order; a
     pixel whose ray misses has no entry. The samples are the hits of the
     rays through pixels whose coordinates are multiples of `_ORACLE_STRIDE`:
@@ -227,8 +230,9 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
         u_lo, u_hi, v_lo, v_hi = 0, width - 1, 0, height - 1
     us = np.arange(u_lo, u_hi + 1, dtype=np.float64)
     vs = np.arange(v_lo, v_hi + 1, dtype=np.float64)
-    dirs = k.pixel_rays(np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
-    ray, depth, face, bary = batch_all_hits(mesh_cam, dirs, max_hits=_ORACLE_HITS)
+    grid = RayGrid(k.normalize(np.column_stack([us, np.zeros_like(us)]))[:, 0],
+                   k.normalize(np.column_stack([np.zeros_like(vs), vs]))[:, 1])
+    ray, depth, face, bary = batch_all_hits(mesh_cam, grid, max_hits=_ORACLE_HITS)
     rank = run_ranks(ray)
     row, col = np.divmod(ray, len(us))
 
@@ -237,10 +241,10 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
     for a in entries:
         a.flags.writeable = False  # adopted by the map, not copied
 
-    sampled = np.flatnonzero((us[col] % _ORACLE_STRIDE == 0) & (vs[row] % _ORACLE_STRIDE == 0))
+    sampled = np.flatnonzero((us % _ORACLE_STRIDE == 0)[col] & (vs % _ORACLE_STRIDE == 0)[row])
     row, col = row[sampled], col[sampled]
     samples = (np.column_stack([us[col], vs[row]]), rank[sampled],
-               depth[sampled, None] * dirs[ray[sampled]])
+               depth[sampled, None] * homogeneous(np.column_stack([grid.xs[col], grid.ys[row]])))
     return DenseSurfaceMap(width, height, *entries), samples
 
 

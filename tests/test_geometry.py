@@ -15,6 +15,7 @@ from vcsfm.geometry import (
     SE3Pose,
     camera_center,
     closest_approach,
+    cross,
     decompose_essential,
     essential_from_pose,
     homogeneous,
@@ -484,6 +485,28 @@ def test_ray_rejects_non_finite_origin_or_direction():
 def test_skew_matches_cross(rng):
     a, b = rng.normal(size=3), rng.normal(size=3)
     assert np.allclose(skew(a) @ b, np.cross(a, b))
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((3,), (3,)),  # look-at frames, angles, the gauge camera's gradient
+    ((149, 3), (149, 3)),  # face normals, closest approach, BA gradient rows
+    ((3, 50, 3), (3, 50, 3)),  # fit_thickness's stack
+    ((4, 1, 3), (1, 4, 3)),  # _constraint_matrix's pairwise products
+    ((3,), None),  # a look-at frame's fallback axis, given as a list
+    ((0, 3), (0, 3)),
+])
+def test_cross_equals_numpy_cross_bit_for_bit(rng, shape_a, shape_b):
+    a = rng.normal(size=shape_a)
+    b = [1.0, 0.0, 0.0] if shape_b is None else rng.normal(size=shape_b)
+    a.flat[::7] = 0.0
+    a.flat[3::11] = -0.0
+    # a x a is zero in every component: the sign of each zero shows the order
+    # of its difference
+    for x, y in ((a, b), (a, a), (a, -a)):
+        want = np.cross(x, y)
+        got = cross(x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_in_image_holds_the_border_pixels_and_nothing_one_ulp_past_them():

@@ -8,7 +8,8 @@ from vcsfm.ba import lift_vcs_to_tracks
 from vcsfm.errors import InvalidCoordinateError
 from vcsfm.extraction import ExtractionParams, extract_vcs, suggest_surface_tolerance
 from vcsfm.geometry import SE3Pose
-from vcsfm.mesh import DEPTH_TIE, TriangleMesh, batch_all_hits, batch_first_hits, surface_points
+from vcsfm.mesh import (DEPTH_TIE, RayGrid, TriangleMesh, batch_all_hits, batch_first_hits,
+                        run_ranks, surface_points)
 from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
 
 
@@ -395,7 +396,8 @@ def test_mesh_builds_one_cast_table_for_its_first_and_all_hit_casts(monkeypatch,
 
 def test_scene_extraction_and_lift_casts_build_no_straddling_faces(monkeypatch):
     # each of these casts is a camera's pixel rays on a mesh posed in front of
-    # it, so no face reaches the plane z = 0 and every cast takes the grid path
+    # it, so no face reaches the plane z = 0 and every candidate comes from a
+    # face box, none from a straddle face
     tables = []
     table = vcsfm.mesh._CastTable
     monkeypatch.setattr(vcsfm.mesh, "_CastTable", lambda m: tables.append(table(m)) or tables[-1])
@@ -490,3 +492,90 @@ def test_kernel_matches_oracle_on_a_scene_camera(rng):
     assert assert_matches_oracle(mesh, np.zeros(3), dirs, max_hits=4) > 300
     _, _, _, ok = batch_first_hits(mesh, dirs)
     assert 0.2 < ok.mean() < 0.9
+
+
+def pixel_lattice(k, us, vs):
+    """The `RayGrid` of pixel columns `us` and rows `vs` under intrinsics `k`
+    without skew, and `k.pixel_rays` of those pixels in row-major order."""
+    us, vs = np.asarray(us, dtype=np.float64), np.asarray(vs, dtype=np.float64)
+    grid = RayGrid(k.normalize(np.column_stack([us, np.zeros_like(us)]))[:, 0],
+                   k.normalize(np.column_stack([np.zeros_like(vs), vs]))[:, 1])
+    return grid, k.pixel_rays(np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("block", [None, 7, 300])
+def test_grid_cast_equals_array_cast_of_its_pixel_rays(monkeypatch, block):
+    # a clean-160 camera's render rectangle on the scene mesh; a sparse
+    # full-frame lattice on that mesh inside a box about the camera, whose
+    # faces straddle the plane z = 0 and meet every ray, as in the render's
+    # full-frame branch; and an empty lattice, as for a rectangle off the image
+    scene = generate_scene(SceneConfig(baseline_angles=(0.0, 90.0), elevation_range=10.0,
+                                       image_size=(160, 120), focal_length=170.0, seed=1))
+    k = scene.records[0].intrinsics
+    mesh = scene.gt_mesh.transformed(scene.gt_poses[0])
+    boxed = merged(mesh, cube_mesh(side=0.5))
+    uv = k.project(mesh.vertices)
+    (u_lo, v_lo), (u_hi, v_hi) = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 1
+    rect = (np.arange(u_lo, u_hi + 1), np.arange(v_lo, v_hi + 1))
+    cases = [(mesh, *rect), (boxed, np.arange(0, 160, 9), np.arange(0, 120, 9)),
+             (mesh, np.arange(0), rect[1]), (mesh, rect[0], np.arange(0))]
+    # every face of the box straddles but the two of its side ahead of the camera
+    assert len(boxed._cast_table.straddle) == 10 and not len(mesh._cast_table.straddle)
+    if block is not None:
+        monkeypatch.setattr(vcsfm.mesh, "CAST_BLOCK", block)
+        # blocks of pieces of a row (7), and of several whole rows (300)
+        assert (len(rect[0]) > block) == (block == 7) and len(rect[0]) * len(rect[1]) > block
+    hits = []
+    for cast_mesh, us, vs in cases:
+        grid, dirs = pixel_lattice(k, us, vs)
+        assert len(grid) == len(dirs)
+        assert np.array_equal(grid.directions(), dirs)
+        for max_hits in (None, 1, 4):
+            got = batch_all_hits(cast_mesh, grid, max_hits=max_hits)
+            want = batch_all_hits(cast_mesh, dirs, max_hits=max_hits)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            hits.append(len(got[0]))
+    # every ray of the sparse lattice meets the box once, and some the body too
+    assert min(hits[:3]) > 1000 and hits[3] > hits[4] == 14 * 18 and hits[6:] == [0] * 6
+
+
+def test_grid_candidates_are_the_box_test_pairs_on_box_edges():
+    # a lattice through the corners of the faces' padded boxes puts rays
+    # exactly on box edges, which the inclusive box test keeps
+    mesh = merged(icosphere_mesh(2).transformed(SE3Pose(np.eye(3), (0.0, 0.0, 5.0))),
+                  cube_mesh(center=(0.0, 0.0, -3.0)))
+    table = mesh._cast_table
+    lox, loy, hix, hiy = table.box
+    grid = RayGrid(np.unique(np.r_[lox[::12], hix[::12]]), np.unique(np.r_[loy[::12], hiy[::12]]))
+    assert len(grid) <= vcsfm.mesh.CAST_BLOCK
+    [(start, dirs, ray, face)] = vcsfm.mesh._grid_blocks(mesh, grid)
+    assert start == 0 and np.array_equal(dirs, grid.directions())
+    want = set(zip(*(p.tolist() for p in vcsfm.mesh._candidate_pairs(table, dirs))))
+    assert set(zip(ray.tolist(), face.tolist())) == want and len(ray) == len(want) > 100
+
+
+def test_ray_grid_validation():
+    grid = RayGrid([-1.0, 0.0, 0.0, 2.5], np.arange(3))
+    assert len(grid) == 12 and grid.xs.dtype == grid.ys.dtype == np.float64
+    assert not grid.xs.flags.writeable
+    assert np.array_equal(grid.directions()[5], [0.0, 1.0, 1.0])  # row 1, column 1
+    ys = grid.ys
+    assert RayGrid(grid.xs, ys).ys is ys  # a read-only float64 array is adopted
+    assert len(RayGrid([], [1.0])) == 0
+    for xs in ([1.0, 0.0], [0.0, np.inf], [0.0, np.nan], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            RayGrid(xs, [0.0])
+        with pytest.raises(ValueError):
+            RayGrid([0.0], xs)
+
+
+def test_run_ranks_count_each_entry_within_its_run(rng):
+    for keys in (np.sort(rng.integers(0, 40, 300)), np.arange(5), np.zeros(4, dtype=np.int64),
+                 np.empty(0, dtype=np.int64)):
+        want, rank = [], 0
+        for i in range(len(keys)):  # loop reference
+            rank = rank + 1 if i and keys[i] == keys[i - 1] else 0
+            want.append(rank)
+        got = run_ranks(keys)
+        assert got.dtype == np.int64 and got.tolist() == want

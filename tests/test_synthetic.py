@@ -7,7 +7,7 @@ from conftest import entry_index, seen_from
 from oracles import collapsed_hits_oracle, world_frame_oracle
 from vcsfm.extraction import ray_gap
 from vcsfm.geometry import Pixel, project_points, ray_through_pixel, SE3Pose
-from vcsfm.mesh import DEPTH_TIE, batch_all_hits, batch_first_hits, surface_points
+from vcsfm.mesh import DEPTH_TIE, RayGrid, batch_all_hits, batch_first_hits, surface_points
 from vcsfm.synthetic import (
     GtCorrespondence,
     NoiseConfig,
@@ -233,6 +233,34 @@ def test_render_prescreen_matches_full_frame():
     first = np.searchsorted(ray, np.arange(len(pix)))
     assert np.array_equal(ray[first], np.arange(len(pix)))
     assert np.array_equal(face[first], dsm.faces[entry_index(dsm, pix)])
+
+
+def test_render_casts_the_pixel_rays_of_its_rectangle_as_a_grid(monkeypatch):
+    cast = []
+
+    def recorded(mesh, rays, max_hits=None):
+        cast.append((mesh, rays))
+        return batch_all_hits(mesh, rays, max_hits)
+
+    monkeypatch.setattr(vcsfm.synthetic, "batch_all_hits", recorded)
+    scene = generate_scene(SceneConfig(camera_count=2, elevation_range=10.0, seed=3, **SMALL))
+    k = scene.records[0].intrinsics
+    # and the full frame of a mesh that reaches behind the camera
+    near = scene.gt_mesh.transformed(SE3Pose(np.eye(3), (0.0, 0.0, 0.1)))
+    assert near.vertices[:, 2].min() < 0.0
+    vcsfm.synthetic._render(near, k, 96, 72)
+    assert len(cast) == 3
+    for mesh, grid in cast:
+        assert isinstance(grid, RayGrid)
+        if mesh is near:
+            (u_lo, v_lo), (u_hi, v_hi) = (0, 0), (95, 71)
+        else:
+            uv = k.project(mesh.vertices)
+            (u_lo, v_lo), (u_hi, v_hi) = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 1
+            assert 0 < u_lo < u_hi < 95 and 0 < v_lo < v_hi < 71
+        pix = np.stack(np.meshgrid(np.arange(u_lo, u_hi + 1), np.arange(v_lo, v_hi + 1)),
+                       axis=-1).reshape(-1, 2)
+        assert np.array_equal(grid.directions(), k.pixel_rays(pix))
 
 
 def test_render_matches_per_pixel_oracle():
