@@ -187,7 +187,9 @@ class _Layout:
     fixed, the first free camera with a nonzero translation t0 is the gauge
     camera, whose block is (w, phi) instead: its translation is the chart
     exp([B phi]x) t0 with B a fixed orthonormal 3x2 basis normal to t0, so
-    |t| = |t0| for every phi. Nothing here depends on x.
+    |t| = |t0| for every phi. k_a and k_b (4, n) hold the pinhole rows fx,
+    fy, cx, cy of each track's camera a and camera b. Nothing here depends
+    on x.
     """
 
     def __init__(self, problem: BaProblem):
@@ -212,12 +214,8 @@ class _Layout:
         self.x1_idx = start[:, None] + np.arange(3)
         self.ab_idx = np.where(virtual, start + np.array([[3], [4]]), size)  # rows a, b
         self.x2_idx = np.where(self.soft[:, None], start[:, None] + np.arange(5, 8), size)
-        k = np.array([
-            [c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy,
-             c.intrinsics.skew]
-            for c in problem.cameras
-        ])
-        # rows fx, fy, cx, cy, skew of each track's two cameras
+        k = np.array([[c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy]
+                      for c in problem.cameras])
         self.k_a = np.ascontiguousarray(k[tracks.cam_a].T)
         self.k_b = np.ascontiguousarray(k[tracks.cam_b].T)
         # tracks whose camera a (term a, the o_a chain) or camera b (term b,
@@ -293,7 +291,7 @@ def _camera_arrays(problem, x):
     return rot, trans, centers
 
 
-def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk):
+def _reprojection_terms(points_cam, obs, fx, fy, cx, cy):
     """Per-track term values, with the smooth behind-camera penalty
     substituted where depth <= Z_MIN, and the state _reprojection_gradient
     reads."""
@@ -302,18 +300,19 @@ def _reprojection_terms(points_cam, obs, fx, fy, cx, cy, sk):
     zs = np.where(behind, 1.0, z)
     px = points_cam[:, 0] / zs
     py = points_cam[:, 1] / zs
-    fu = fx * px + sk * py
+    fu = fx * px
     fv = fy * py
     res = obs - np.stack([fu + cx, fv + cy], axis=1)
     vals = np.where(behind, BEHIND_PENALTY * (Z_MIN - z + 1.0) ** 2,
                     np.einsum("ni,ni->n", res, res))
-    return vals, (z, behind, zs, fu, fv, res, fx, fy, sk)
+    return vals, (z, behind, zs, fu, fv, res, fx, fy)
 
 
-def _reprojection_gradient(z, behind, zs, fu, fv, res, fx, fy, sk):
+def _reprojection_gradient(z, behind, zs, fu, fv, res, fx, fy):
     """d(term)/d(point_cam) of the terms _reprojection_terms evaluated."""
-    du = np.stack([fx / zs, sk / zs, -fu / zs], axis=1)
-    dv = np.stack([np.zeros_like(zs), fy / zs, -fv / zs], axis=1)
+    zero = np.zeros_like(zs)
+    du = np.stack([fx / zs, zero, -fu / zs], axis=1)
+    dv = np.stack([zero, fy / zs, -fv / zs], axis=1)
     g_pt = -2.0 * (res[:, 0:1] * du + res[:, 1:2] * dv)
     g_pt[behind] = 0.0
     g_pt[behind, 2] = -2.0 * BEHIND_PENALTY * (Z_MIN - z[behind] + 1.0)

@@ -151,16 +151,16 @@ def in_image(uv, width: int, height: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole calibration: focal lengths, principal point, optional skew (pixels)."""
+    """Pinhole calibration without skew (Hartley & Zisserman, 2nd ed., 6.1):
+    focal lengths fx, fy and principal point cx, cy, in pixels."""
 
     fx: float
     fy: float
     cx: float
     cy: float
-    skew: float = 0.0
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy", "skew"):
+        for name in ("fx", "fy", "cx", "cy"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -171,8 +171,8 @@ class CameraIntrinsics:
     def normalize(self, pixels: np.ndarray) -> np.ndarray:
         """Map pixel coordinates (..., 2) to normalized image coordinates."""
         p = np.asarray(pixels, dtype=np.float64)
+        x = (p[..., 0] - self.cx) / self.fx
         y = (p[..., 1] - self.cy) / self.fy
-        x = (p[..., 0] - self.cx - self.skew * y) / self.fx
         return np.stack([x, y], axis=-1)
 
     def pixel_rays(self, pixels: np.ndarray) -> np.ndarray:
@@ -190,7 +190,7 @@ class CameraIntrinsics:
     def denormalize(self, xy: np.ndarray) -> np.ndarray:
         """Inverse of normalize."""
         xy = np.asarray(xy, dtype=np.float64)
-        u = self.fx * xy[..., 0] + self.skew * xy[..., 1] + self.cx
+        u = self.fx * xy[..., 0] + self.cx
         v = self.fy * xy[..., 1] + self.cy
         return np.stack([u, v], axis=-1)
 

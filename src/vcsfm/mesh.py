@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidCoordinateError
-from .geometry import SE3Pose, cross, read_only
+from .geometry import SE3Pose, cross, is_count, read_only
 
 # hits closer than this are treated as self-intersections of a re-cast ray
 EPS_MIN = 1e-9
@@ -160,7 +160,8 @@ class RayGrid:
 
 def batch_all_hits(mesh: TriangleMesh, rays, max_hits: int | None = None):
     """Hits of many rays from the origin, nearest first, at most `max_hits`
-    per ray.
+    per ray (None for all; else an int >= 1, not a bool; ValueError
+    otherwise).
 
     rays: a `RayGrid`, or directions (N, 3). Returns (ray (K,), depth (K,),
     face (K,), bary (K, 3)) over the K hits kept, ordered by ray index, then
@@ -169,6 +170,8 @@ def batch_all_hits(mesh: TriangleMesh, rays, max_hits: int | None = None):
     cast's candidate pairs; a ray's hits do not depend on the other rays,
     so the blocks' results are concatenated as they are.
     """
+    if not (max_hits is None or is_count(max_hits)):
+        raise ValueError("max_hits must be None or an int >= 1")
     if not mesh.num_faces:
         blocks = ()
     elif isinstance(rays, RayGrid):

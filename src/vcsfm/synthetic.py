@@ -22,7 +22,7 @@ import numpy as np
 
 from .extraction import DenseSurfaceMap, ImageRecord, ShapePrior
 from .geometry import (CameraIntrinsics, Pixel, SE3Pose, cross, homogeneous, in_image, is_count,
-                       pixel_records, project_points, so3_exp)
+                       pixel_records, so3_exp)
 from .mesh import RayGrid, TriangleMesh, batch_all_hits, batch_first_hits, run_ranks
 
 # relative position tolerance for the oracle's visibility test
@@ -209,10 +209,10 @@ def _render(mesh_cam: TriangleMesh, k: CameraIntrinsics, width: int, height: int
 
     Only pixels inside the mesh's projected bounding rectangle are cast, as
     a `RayGrid` of its columns' and rows' normalized coordinates. These are
-    `k.pixel_rays` of the rectangle's pixels because `generate_scene` sets
-    no skew, so a pixel's normalized x depends on its column alone. The
-    map's entries are the rays' nearest hits in row-major pixel order; a
-    pixel whose ray misses has no entry. The samples are the hits of the
+    `k.pixel_rays` of the rectangle's pixels, since a pixel's normalized x
+    depends on its column alone and its y on its row alone. The map's
+    entries are the rays' nearest hits in row-major pixel order; a pixel
+    whose ray misses has no entry. The samples are the hits of the
     rays through pixels whose coordinates are multiples of `_ORACLE_STRIDE`:
     (pixel (K, 2), rank (K,), camera-frame point (K, 3)), in row-major pixel
     order, nearest first. Only these are kept, not the hits of every ray.
@@ -272,8 +272,6 @@ def _inject_outliers(dsm: DenseSurfaceMap, num_faces: int, fraction: float, rng
         return dsm
     mask = rng.random(len(dsm.faces)) < fraction
     n = int(np.count_nonzero(mask))
-    if n == 0:
-        return dsm
     faces = dsm.faces.copy()
     barys = dsm.barys.copy()
     faces[mask] = rng.integers(0, num_faces, size=n)
@@ -387,10 +385,11 @@ def _build_oracle(meshes_cam, poses, k, width, height, samples):
         for j in range(n):
             if j == i:
                 continue
-            uv, depth = project_points(poses[j], k, points)
-            sel = np.flatnonzero((depth > 1e-6) & in_image(uv, width, height))
+            p_cam = poses[j].transform(points)
+            uv = k.project(p_cam)
+            sel = np.flatnonzero((p_cam[:, 2] > 1e-6) & in_image(uv, width, height))
             dirs_j = k.pixel_rays(uv[sel])
-            p_cam_j = poses[j].transform(points[sel])
+            p_cam_j = p_cam[sel]
             d_first, _, _, hit_ok = batch_first_hits(meshes_cam[j], dirs_j)
             first_points = d_first[:, None] * dirs_j
             visible = hit_ok & (

@@ -26,7 +26,6 @@ def random_intrinsics(rng):
         fy=rng.uniform(80.0, 400.0),
         cx=rng.uniform(100.0, 400.0),
         cy=rng.uniform(80.0, 300.0),
-        skew=rng.choice([0.0, rng.uniform(-2.0, 2.0)]),
     )
 
 

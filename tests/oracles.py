@@ -201,7 +201,7 @@ def classic_ba_oracle(poses, intrinsics, fixed, points, observations, max_nfev=4
                 r, t = poses[ci]
             k = intrinsics[ci]
             pc = r @ pts[pi] + t
-            u = k.fx * pc[0] / pc[2] + k.skew * pc[1] / pc[2] + k.cx
+            u = k.fx * pc[0] / pc[2] + k.cx
             v = k.fy * pc[1] / pc[2] + k.cy
             out[2 * row] = uv[0] - u
             out[2 * row + 1] = uv[1] - v

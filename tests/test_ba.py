@@ -42,9 +42,9 @@ from vcsfm.optim import minimize_lbfgs
 from vcsfm.synthetic import SceneConfig, generate_scene
 
 KS = (
-    CameraIntrinsics(300.0, 290.0, 160.0, 120.0, skew=0.5),
+    CameraIntrinsics(300.0, 290.0, 160.0, 120.0),
     CameraIntrinsics(280.0, 285.0, 150.0, 125.0),
-    CameraIntrinsics(320.0, 310.0, 165.0, 118.0, skew=-0.3),
+    CameraIntrinsics(320.0, 310.0, 165.0, 118.0),
 )
 CENTERS = ((0.0, 0.0, -4.0), (2.8, 0.3, -2.8), (-2.8, -0.2, -2.8))
 
@@ -153,6 +153,18 @@ def test_ba_config_rejects_an_iteration_cap_that_is_not_a_count(cap):
     with pytest.raises(ValueError, match="max_iterations"):
         BaConfig(max_iterations=cap)
     assert BaConfig(max_iterations=np.int64(1)).max_iterations == 1
+
+
+def test_objective_and_gradient_reject_a_vector_of_another_length():
+    problem = _tuple_problem("soft", np.random.default_rng(6))
+    lay = problem._layout
+    # fx, fy, cx, cy of each track's two cameras
+    assert lay.k_a.shape == lay.k_b.shape == (4, len(problem.tracks.cam_a))
+    x = problem.pack_params()
+    for bad in (x[:-1], np.append(x, 0.0)):
+        for evaluate in (ba_objective, ba_gradient):
+            with pytest.raises(ValueError, match=f"has {len(bad)} entries, layout needs {len(x)}"):
+                evaluate(problem, bad)
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])

@@ -364,6 +364,21 @@ def test_missing_person_raises_a_key_error_naming_it(opposed_scene):
             lookup(7)
 
 
+def test_prior_and_record_reject_parts_that_do_not_fit():
+    mesh, k = unit_square_mesh(), CameraIntrinsics(10.0, 10.0, 2.0, 2.0)  # faces 0 and 1
+    corner = [[1.0, 0.0, 0.0]]
+    ShapePrior(0, mesh, DenseSurfaceMap(4, 4, [5], [1], corner))
+    with pytest.raises(ValueError, match="beyond the mesh"):
+        ShapePrior(0, mesh, DenseSurfaceMap(4, 4, [5], [2], corner))
+    prior = ShapePrior(0, mesh, empty_map(4, 4))
+    for priors, message in (((), "at least one shape prior"),
+                            ((prior, ShapePrior(1, mesh, empty_map(4, 5))), "share dimensions"),
+                            ((prior, ShapePrior(0, mesh, empty_map(4, 4))), "duplicate person_id")):
+        with pytest.raises(ValueError, match=message):
+            ImageRecord("a", k, priors)
+    assert len(ImageRecord("a", k, (prior, ShapePrior(1, mesh, empty_map(4, 4)))).priors) == 2
+
+
 def test_record_keeps_its_priors_as_a_tuple(opposed_scene):
     # a list stayed open to appends after the duplicate person_id check
     rec = opposed_scene.records[0]
@@ -688,6 +703,22 @@ def test_suggest_surface_tolerance_scales(opposed_scene):
     # footprint = depth / focal; the scene is built so this is a few cm
     assert 0.02 < tol < 0.2
     assert suggest_surface_tolerance([]) == 0.01
+
+
+def test_suggest_surface_tolerance_skips_maps_without_a_footprint():
+    k = CameraIntrinsics(10.0, 10.0, 2.0, 2.0)
+    mesh = unit_square_mesh()  # in the plane z = 0
+    centre = DenseSurfaceMap(4, 4, [5], [0], [[1 / 3, 1 / 3, 1 / 3]])
+
+    def record(mesh, dsm):
+        return ImageRecord("a", k, (ShapePrior(0, mesh, dsm),))
+
+    # an empty map, and a map whose median depth is not positive, add nothing
+    for rec in (record(mesh, empty_map(4, 4)), record(mesh, centre)):
+        assert suggest_surface_tolerance([rec, rec]) == vcsfm.extraction.TOLERANCE_FLOOR
+    ahead = record(mesh.transformed(SE3Pose(np.eye(3), [0.0, 0.0, 2.0])), centre)
+    # 1.6 x depth 2 / focal length 10
+    assert suggest_surface_tolerance([record(mesh, empty_map(4, 4)), ahead]) == pytest.approx(0.32)
 
 
 def test_suggest_surface_tolerance_equals_full_surface_points(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -413,6 +414,9 @@ def test_so3_left_jacobian_first_order(rng):
 
 
 def test_pose_validation_rejects_bad_rotation():
+    for r in (np.eye(2), np.eye(4), np.eye(3, 4), np.eye(3).ravel()):
+        with pytest.raises(ValueError, match="3x3"):
+            SE3Pose(r, np.zeros(3))
     with pytest.raises(ValueError):
         SE3Pose(np.eye(3) * 1.1, np.zeros(3))
     with pytest.raises(ValueError):
@@ -428,11 +432,22 @@ def test_pose_validation_rejects_non_finite_rotation():
 
 
 def test_intrinsics_reject_non_finite_values():
-    good = dict(fx=100.0, fy=100.0, cx=320.0, cy=240.0, skew=0.0)
+    good = dict(fx=100.0, fy=100.0, cx=320.0, cy=240.0)
     for name in good:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CameraIntrinsics(**{**good, name: bad})
+
+
+def test_intrinsics_have_the_four_pinhole_fields_and_positive_focal_lengths():
+    k = CameraIntrinsics(100, 90, 320, 240)
+    assert [f.name for f in dataclasses.fields(k)] == ["fx", "fy", "cx", "cy"]
+    assert (k.fx, k.fy, k.cx, k.cy) == (100.0, 90.0, 320.0, 240.0)
+    assert all(type(v) is float for v in (k.fx, k.fy, k.cx, k.cy))
+    for name in ("fx", "fy"):
+        for bad in (0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="focal lengths must be positive"):
+                CameraIntrinsics(**{"fx": 100.0, "fy": 100.0, "cx": 0.0, "cy": 0.0, name: bad})
 
 
 def test_pose_and_ray_hold_read_only_copies_of_their_inputs(rng):

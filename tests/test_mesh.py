@@ -10,7 +10,7 @@ from vcsfm.extraction import ExtractionParams, extract_vcs, suggest_surface_tole
 from vcsfm.geometry import SE3Pose
 from vcsfm.mesh import (DEPTH_TIE, RayGrid, TriangleMesh, batch_all_hits, batch_first_hits,
                         run_ranks, surface_points)
-from vcsfm.synthetic import NoiseConfig, SceneConfig, generate_scene
+from vcsfm.synthetic import NoiseConfig, SceneConfig, builtin_proxy_mesh, generate_scene
 
 
 def one_ray(mesh, origin, direction):
@@ -215,6 +215,20 @@ def test_batch_all_hits_respects_cap():
     assert np.all(np.diff(depth) > 0.0)
 
 
+@pytest.mark.parametrize("max_hits", [0, -1, True, False, 2.5, 2.0])
+def test_batch_all_hits_rejects_a_cap_that_is_not_a_count(max_hits):
+    # two rays through the proxy's torso, each with at least two hits; as a
+    # cap, 0 and -1 would keep no hits, True one per ray and 2.5 three
+    mesh = seen_from(builtin_proxy_mesh(), [0.0, 0.0, -4.0])
+    dirs = np.array([[0.0, 0.0, 1.0], [0.02, 0.01, 1.0]])
+    ray = batch_all_hits(mesh, dirs)[0]
+    assert np.bincount(ray).min() >= 2
+    assert len(batch_all_hits(mesh, dirs, max_hits=np.int64(1))[0]) == 2
+    for rays in (dirs, RayGrid([0.0], [0.0])):
+        with pytest.raises(ValueError, match="max_hits"):
+            batch_all_hits(mesh, rays, max_hits=max_hits)
+
+
 def merged(*meshes):
     verts, faces, base = [], [], 0
     for m in meshes:
@@ -325,6 +339,17 @@ def test_kernel_zero_rays_and_distinct_origins(rng):
     hits = sum(assert_matches_oracle(mesh, origin, dirs)
                for origin, dirs in bundles(rng, 2, 3.0, 30, 0.5))
     assert hits > 40
+
+
+def test_cast_on_a_mesh_without_faces_hits_nothing():
+    mesh = TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=np.int64))
+    for rays in ([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0]], RayGrid([0.0, 0.1], [0.0])):
+        ray, depth, face, bary = batch_all_hits(mesh, rays)
+        assert ray.shape == depth.shape == face.shape == (0,) and bary.shape == (0, 3)
+        assert ray.dtype == face.dtype == np.int64
+    depth, face, bary, ok = batch_first_hits(mesh, [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0]])
+    assert depth.tolist() == [np.inf] * 2 and face.tolist() == [-1] * 2 and not ok.any()
+    assert not bary.any() and "_cast_table" not in mesh.__dict__
 
 
 def test_mesh_validation():
@@ -495,8 +520,8 @@ def test_kernel_matches_oracle_on_a_scene_camera(rng):
 
 
 def pixel_lattice(k, us, vs):
-    """The `RayGrid` of pixel columns `us` and rows `vs` under intrinsics `k`
-    without skew, and `k.pixel_rays` of those pixels in row-major order."""
+    """The `RayGrid` of pixel columns `us` and rows `vs` under intrinsics `k`,
+    and `k.pixel_rays` of those pixels in row-major order."""
     us, vs = np.asarray(us, dtype=np.float64), np.asarray(vs, dtype=np.float64)
     grid = RayGrid(k.normalize(np.column_stack([us, np.zeros_like(us)]))[:, 0],
                    k.normalize(np.column_stack([np.zeros_like(vs), vs]))[:, 1])

@@ -15,15 +15,31 @@ def test_pair_digest_is_exact_and_repeatable():
                                        image_size=(48, 36), focal_length=51.0, seed=7))
     line = pair_digest.pair_digest(scene, 3)
     assert pair_digest.pair_digest(scene, 3) == line
-    ransac_err, err, ba_initial, ba_final, iterations, vcs, inliers, pose = line.split()
+    (ransac_err, err, ba_initial, ba_final, iterations, vcs, inliers, pose,
+     tolerance, vc_hash, mask_hash, ransac_iterations, dropped) = line.split()
     res = pair_digest.pipeline.run_pair(scene, 3, pair_digest.run.no_span)
     assert not res.failed
     assert float.fromhex(ransac_err) == res.ransac_error_deg
     assert float.fromhex(err) == res.error_deg
     assert float.fromhex(ba_final) <= float.fromhex(ba_initial)
     assert int(iterations) == res.ba_iterations
-    assert int(inliers) <= int(vcs) == len(res.vcs)
-    assert len(pose) == 64 and int(pose, 16) >= 0
+    assert int(inliers) == np.count_nonzero(res.inlier_mask) <= int(vcs) == len(res.vcs)
+    assert pose == pair_digest._sha(res.pose.rotation, res.pose.translation)
+    assert float.fromhex(tolerance) == res.tolerance
+    rows = pair_digest.vc_rows(res.vcs)
+    assert rows.shape == (len(res.vcs), 5)
+    assert [tuple(r) for r in rows] == [(*vc.pixel_a, *vc.pixel_b, vc.hit_rank) for vc in res.vcs]
+    assert vc_hash == pair_digest._sha(rows)
+    assert mask_hash == pair_digest._sha(res.inlier_mask.astype(bool))
+    # a VC's rank and one inlier flag each show in their hash
+    moved = rows.copy()
+    moved[0, 4] += 1
+    assert pair_digest._sha(moved) != vc_hash
+    flipped = res.inlier_mask.copy()
+    flipped[0] = not flipped[0]
+    assert pair_digest._sha(flipped) != mask_hash
+    assert int(ransac_iterations) == res.ransac_iterations >= 1
+    assert int(dropped) == res.lift_dropped == int(inliers) - res.tracks
 
 
 def test_scene_digest_covers_maps_and_oracle():

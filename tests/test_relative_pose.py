@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import vcsfm.relative_pose
 from conftest import random_pose
 from oracles import (
     cheirality_votes_oracle,
@@ -14,6 +15,7 @@ from vcsfm.errors import (
     AmbiguousCheiralityError,
     DegenerateSampleError,
     InsufficientCorrespondencesError,
+    NoValidHypothesisError,
 )
 from vcsfm.geometry import (
     SE3Pose,
@@ -24,7 +26,9 @@ from vcsfm.geometry import (
 )
 from vcsfm.relative_pose import (
     _MONOMIALS,
+    MAX_ITERATIONS,
     RansacParams,
+    _adaptive_cap,
     _constraint_matrix,
     cheirality_votes,
     five_point,
@@ -205,6 +209,15 @@ def test_five_point_needs_exactly_five():
         five_point(np.zeros((4, 2)), np.zeros((4, 2)))
 
 
+def test_five_point_rejects_a_non_finite_pair():
+    x1, x2 = np.zeros((5, 2)), np.eye(5, 2)
+    for bad in (x1, x2):
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            five_point(x1, x2)
+        bad[2, 1] = 0.0
+
+
 # ------------------------------------------------------------- recover pose
 
 
@@ -216,6 +229,25 @@ def test_recover_pose_construct_and_recover(rng):
         t_hat = rel.translation / np.linalg.norm(rel.translation)
         assert rotation_angle_deg(pose.rotation, rel.rotation) < 1e-6
         assert np.linalg.norm(pose.translation - t_hat) < 1e-6
+
+
+def test_recover_pose_raises_on_a_tied_vote():
+    # one pair in front of both cameras of (R1, t), one of (R1, -t): a vote
+    # each, and none for R2, whose twisted pairs put a point behind a camera
+    e = unit_essential(SE3Pose(so3_exp([0.1, -0.2, 0.05]), [1.0, 0.2, -0.3]))
+    candidates = decompose_essential(e)
+    rng = np.random.default_rng(0)
+    x1, x2 = [], []
+    for pose in candidates[:2]:
+        x = next(x for x in rng.normal(size=(100, 3)) * 2.0
+                 if x[2] > 0.1 and pose.transform(x)[2] > 0.1)
+        xc = pose.transform(x)
+        x1.append(x[:2] / x[2])
+        x2.append(xc[:2] / xc[2])
+    x1, x2 = np.array(x1), np.array(x2)
+    assert cheirality_votes(e, x1, x2)[1] == [1, 1, 0, 0]
+    with pytest.raises(AmbiguousCheiralityError, match="1 vs 1 of 2"):
+        recover_pose(e, x1, x2)
 
 
 def test_cheirality_vote_sees_four_candidates(rng):
@@ -359,6 +391,27 @@ def test_ransac_median_rotation_error_over_seeds(rng):
 def test_ransac_insufficient_pairs():
     with pytest.raises(InsufficientCorrespondencesError):
         ransac_essential(np.zeros((4, 2)), np.zeros((4, 2)))
+
+
+def test_ransac_without_a_scorable_hypothesis_raises_after_every_sample(monkeypatch):
+    # eight identical pairs: every sample is degenerate, so the adaptive cap
+    # never drops below MAX_ITERATIONS
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return five_point(*args)
+
+    monkeypatch.setattr(vcsfm.relative_pose, "five_point", counted)
+    with pytest.raises(NoValidHypothesisError):
+        ransac_essential(np.full((8, 2), 0.1), np.full((8, 2), 0.2))
+    assert len(calls) == MAX_ITERATIONS
+
+
+def test_adaptive_cap_at_its_extremes():
+    assert _adaptive_cap(1.0) == 1.0  # any sample is all inliers
+    assert _adaptive_cap(1e-3) == math.inf  # 1e-15 all-inlier samples per draw
+    assert 1.0 < _adaptive_cap(0.5) < math.inf
 
 
 def test_ransac_deterministic(rng):

@@ -199,6 +199,25 @@ def test_outlier_injection_fraction():
     assert 0.2 < changed.mean() < 0.4
 
 
+def test_outlier_injection_that_draws_no_outlier_keeps_the_map_and_the_stream():
+    dsm = generate_scene(SceneConfig(camera_count=2, seed=5, **SMALL)).clean_maps[0]
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    out = vcsfm.synthetic._inject_outliers(dsm, 100, 1e-12, rng)
+    ref.random(len(dsm.faces))  # the mask's draws, and nothing after them
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for got, want in ((out.index, dsm.index), (out.faces, dsm.faces), (out.barys, dsm.barys)):
+        assert np.array_equal(got, want)
+
+
+def test_look_at_pose_looking_along_its_up_vector_is_a_rotation():
+    # from above, forward is -up, so right is forward x the x axis, +z
+    pose = vcsfm.synthetic._look_at_pose([0.0, 5.0, 0.0], [0.0, 0.0, 0.0])
+    assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3), atol=1e-12)
+    assert np.linalg.det(pose.rotation) == pytest.approx(1.0)
+    assert np.allclose(pose.transform([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+                       [[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [0.0, -1.0, 5.0]], atol=1e-12)
+
+
 def test_prior_perturbation_applied():
     cfg = SceneConfig(camera_count=2, seed=6, **SMALL)
     clean = generate_scene(cfg, NoiseConfig())

@@ -14,7 +14,10 @@ prints two lines per pair:
   float fields alone;
 - `pair`: the RANSAC and final pose errors and BA's initial and final
   objective as `float.hex`, BA's iteration count, the VC and RANSAC inlier
-  counts, and a SHA-256 of the final pose's rotation and translation bytes.
+  counts, and a SHA-256 of the final pose's rotation and translation bytes;
+  then the surface tolerance as `float.hex`, a SHA-256 of the VCs'
+  (pixel_a, pixel_b, rank) rows, one of the RANSAC inlier mask, RANSAC's
+  iteration count and the lift's drop count.
 
 `diff` of two checkouts' outputs is empty exactly when no digested output of
 any scene or pair changed by a bit.
@@ -71,18 +74,27 @@ def scene_digest(scene) -> str:
     return " ".join(str(f) for f in fields)
 
 
+def vc_rows(vcs) -> np.ndarray:
+    """The VCs as float64 (n, 5) rows (u_a, v_a, u_b, v_b, rank)."""
+    return np.array([(*vc.pixel_a, *vc.pixel_b, vc.hit_rank) for vc in vcs],
+                    dtype=np.float64).reshape(-1, 5)
+
+
 def pair_digest(scene, ransac_seed: int) -> str:
     """One line of bit-exact outputs of `run_pair` on one scene."""
     res = pipeline.run_pair(scene, ransac_seed, run.no_span)
-    inliers = None if res.inlier_mask is None else int(np.count_nonzero(res.inlier_mask))
+    mask = res.inlier_mask
+    inliers = None if mask is None else int(np.count_nonzero(mask))
     pose = "-"
     if res.pose is not None:
-        raw = res.pose.rotation.tobytes() + res.pose.translation.tobytes()
-        pose = hashlib.sha256(raw).hexdigest()
+        pose = _sha(res.pose.rotation, res.pose.translation)
     fields = [
         _hex(res.ransac_error_deg), _hex(res.error_deg),
         _hex(res.ba_initial), _hex(res.ba_final),
         res.ba_iterations, None if res.vcs is None else len(res.vcs), inliers, pose,
+        _hex(res.tolerance), None if res.vcs is None else _sha(vc_rows(res.vcs)),
+        None if mask is None else _sha(np.asarray(mask, dtype=bool)),
+        res.ransac_iterations, res.lift_dropped,
     ]
     return " ".join("-" if f is None else str(f) for f in fields)
 
